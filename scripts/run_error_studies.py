@@ -5,14 +5,22 @@ Full-scale configurations: the transport-accuracy sweep on the
 snapshot data, the Q-factor study at n=500/r=10, the low-rank SVD study
 (scaled to n=1000/m=100/r=10) in both centerings, the tangent-vs-manifold
 comparison, the snapshot study at n=1001/r=6, and the curvature bound check.
-Takes a couple of minutes end to end.
+
+BLAS runs on one thread unless the environment sets the thread count: the
+transport rows at h <= 1e-5 are round-off, whose digits depend on the BLAS
+build and thread count, and the committed results/ are one-thread runs.
 """
 
-import pathlib
-import sys
-import time
+import os
 
-from stiefel_hermite import experiments as ex
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pathlib  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+from stiefel_hermite import experiments as ex  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 

@@ -12,7 +12,8 @@ Three data families drive the studies:
   between samples far apart).
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a seed
-pins every report bit-for-bit.
+pins the generated data; report bytes also depend on the BLAS build and
+thread count.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import numpy as np
 from . import interpolate, linalg, stiefel
 from .calculus import diff_qr, diff_svd, diff_svd_truncated, svd_sign_normalize, validate_transport
 from .errors import ArcFitError, PreconditionError, StiefelLogError
+from .stiefel import CURVATURE_MAX
 
 logger = logging.getLogger(__name__)
-
-#: Sectional curvature of the canonical-metric Stiefel manifold lies in [0, 5/4].
-CURVATURE_MAX = 1.25
 
 METHODS = ("hermite", "geodesic", "rbf")
 

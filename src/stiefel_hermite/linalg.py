@@ -6,8 +6,11 @@ Everything downstream depends on two conventions established here:
   R-diagonal, which makes the factors a continuous (indeed smooth) function
   of the input on the set of full-column-rank matrices.  Library QR routines
   fix signs arbitrarily and can jump along a smooth matrix path.
-* ``logm`` is the principal matrix logarithm, defined only for matrices with
-  no eigenvalue on the closed negative real axis.
+* ``logm`` is the principal logarithm of an *orthogonal* matrix, read off
+  its real Schur form; its output is exactly skew-symmetric.  It is the
+  kernel of each step of the Stiefel log.  ``logm_general`` is scipy's
+  principal logarithm of a general matrix (no eigenvalue on the closed
+  negative real axis); the Stiefel log reads its result off it once.
 
 The heavy lifting is delegated to LAPACK via numpy/scipy; the wrappers add
 the conventions, the domain checks, and typed errors.
@@ -25,6 +28,9 @@ from .errors import DomainError, PreconditionError, ShapeError
 # R-diagonal entries below RANK_EPS * ||a||_F are treated as zero.
 RANK_EPS = 1e-13
 
+# Largest ||V'V - I||_F accepted as orthonormal input.
+ORTH_TOL = 1e-10
+
 
 def _as_matrix(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
@@ -33,18 +39,67 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return a
 
 
-def expm(x) -> np.ndarray:
-    """Matrix exponential of a square matrix."""
+def _as_square(x, op: str) -> np.ndarray:
     a = _as_matrix(x, "x")
     if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expm needs a square matrix, got {a.shape}")
+        raise ShapeError(f"{op} needs a square matrix, got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise DomainError("expm input has non-finite entries")
-    return sla.expm(a)
+        raise DomainError(f"{op} input has non-finite entries")
+    return a
+
+
+def expm(x) -> np.ndarray:
+    """Matrix exponential of a square matrix."""
+    return sla.expm(_as_square(x, "expm"))
 
 
 def logm(x) -> np.ndarray:
-    """Principal matrix logarithm.
+    """Principal logarithm of an orthogonal matrix, exactly skew-symmetric.
+
+    An orthogonal matrix is normal, so its real Schur form ``Z T Z'`` is
+    block diagonal up to round-off: 2 x 2 rotation blocks and 1 x 1 blocks
+    equal to +1 or -1.  The log maps each rotation block to its angle in
+    (-pi, pi) (``atan2``) and each +1 to 0; ``Z Theta Z'`` is then
+    skew-symmetrized (Higham, *Functions of Matrices*, section 11).
+
+    Raises
+    ------
+    PreconditionError
+        If ``||X'X - I||_F`` exceeds ``ORTH_TOL``.
+    DomainError
+        If ``x`` has a real eigenvalue <= 0 (a rotation by pi), where the
+        principal logarithm is not defined.
+    """
+    a = _as_square(x, "logm")
+    n = a.shape[0]
+    drift = np.linalg.norm(a.T @ a - np.eye(n))
+    if drift > ORTH_TOL:
+        raise PreconditionError(
+            f"logm input is not orthogonal (||X'X - I||_F = {drift:.3g})"
+        )
+    t, z = sla.schur(a, output="real")
+    theta = np.zeros((n, n))
+    i = 0
+    while i < n:
+        if i + 1 < n and t[i + 1, i] != 0.0:
+            # LAPACK's standardized block [[c, b], [s, c]] with b * s < 0.
+            b, s = t[i, i + 1], t[i + 1, i]
+            angle = np.arctan2(np.sign(s) * np.sqrt(-b * s), t[i, i])
+            theta[i + 1, i] = angle
+            theta[i, i + 1] = -angle
+            i += 2
+        else:
+            if t[i, i] <= 0.0:
+                raise DomainError(
+                    f"logm: eigenvalue {t[i, i]:.6g} lies on the closed negative real axis"
+                )
+            i += 1
+    out = z @ theta @ z.T
+    return 0.5 * (out - out.T)
+
+
+def logm_general(x) -> np.ndarray:
+    """Principal matrix logarithm of a general real matrix (scipy ``logm``).
 
     Raises
     ------
@@ -52,12 +107,7 @@ def logm(x) -> np.ndarray:
         If ``x`` has an eigenvalue on the closed negative real axis, where
         the principal logarithm is not defined.
     """
-    a = _as_matrix(x, "x")
-    n = a.shape[0]
-    if n != a.shape[1]:
-        raise ShapeError(f"logm needs a square matrix, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("logm input has non-finite entries")
+    a = _as_square(x, "logm_general")
     eig = np.linalg.eigvals(a)
     scale = max(np.max(np.abs(eig)), 1.0)
     on_negative_axis = (eig.real <= 0.0) & (np.abs(eig.imag) <= 1e-14 * scale)
@@ -153,7 +203,7 @@ def orth_complete(v_r, num: int | None = None) -> np.ndarray:
     if r > m:
         raise ShapeError(f"orth_complete needs m >= r, got {v.shape}")
     gram_err = np.linalg.norm(v.T @ v - np.eye(r))
-    if gram_err > 1e-10:
+    if gram_err > ORTH_TOL:
         raise PreconditionError(
             f"orth_complete input is not orthonormal (||V'V - I|| = {gram_err:.3g})"
         )

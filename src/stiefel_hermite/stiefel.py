@@ -18,11 +18,19 @@ from . import linalg
 from .errors import PreconditionError, ShapeError, StiefelLogError
 
 # Tolerances used when validating constructed points / tangent vectors.
-ORTH_TOL = 1e-10
+ORTH_TOL = linalg.ORTH_TOL
 TANGENT_TOL = 1e-8
 
 DEFAULT_LOG_TAU = 1e-14
 DEFAULT_LOG_MAX_ITER = 100
+
+#: Sectional curvature of the canonical-metric Stiefel manifold lies in [0, 5/4].
+CURVATURE_MAX = 1.25
+
+#: ``stiefel_log`` rejects results whose canonical norm reaches
+#: pi / sqrt(CURVATURE_MAX): geodesics shorter than that have no conjugate
+#: points (Rauch comparison).
+LOG_NORM_MAX = np.pi / np.sqrt(CURVATURE_MAX)
 
 
 @dataclass
@@ -228,6 +236,17 @@ def stiefel_exp(xi: TangentVector, t: float = 1.0) -> StiefelPoint:
     return StiefelPoint(u_new)
 
 
+def _principal_log(kernel, v: np.ndarray, k: int, residual: float) -> np.ndarray:
+    try:
+        return kernel(v)
+    except ValueError as exc:
+        raise StiefelLogError(
+            f"principal log undefined at iteration {k}: {exc}",
+            iterations=k,
+            residual=residual,
+        ) from exc
+
+
 def stiefel_log(
     base: StiefelPoint,
     target: StiefelPoint,
@@ -236,17 +255,30 @@ def stiefel_log(
 ) -> TangentVector:
     """Riemannian logarithm: the tangent vector xi with Exp_base(xi) = target.
 
-    Iterative algorithm: build an orthogonal 2r x 2r completion V of the
-    overlap/normal coordinates of ``target``, then repeatedly replace
-    V <- V diag(I, expm(-C)) where C is the lower-right block of logm(V),
-    until ||C||_F <= tau.  The tangent vector is read off the converged log.
+    Zimmermann's iteration (SIMAX 38(2), 2017): build an orthogonal
+    2r x 2r completion V of the overlap/normal coordinates of ``target``,
+    then repeatedly replace V <- V diag(I, expm(-C)) where C is the
+    lower-right block of log(V), until ||C||_F <= tau.
+
+    * Kernel: each step takes ``linalg.logm``, the real-Schur log of an
+      orthogonal matrix; its output is exactly skew, so expm(-C) keeps V
+      orthogonal.
+    * Readout: A and B of xi = U A + Q B are read off ``linalg.logm_general``
+      (scipy ``logm``) of the converged V, once.  The velocity transport's
+      difference quotient amplifies the readout's round-off by 1/h; on the
+      snapshot transport sweep a Schur readout raised the h <= 1e-6 rows
+      2-3x, this one keeps them.
+    * Certificate: far from the base the iteration can settle on a V whose
+      log is not the minimal geodesic.  A result whose canonical norm
+      reaches ``LOG_NORM_MAX`` = pi / sqrt(CURVATURE_MAX) is rejected.
 
     Raises
     ------
     StiefelLogError
         If the iteration does not reach the threshold within ``max_iter``
-        steps, or an intermediate principal logarithm is undefined; this is
-        the operational "target too far from base" boundary.
+        steps, an intermediate principal logarithm is undefined, or the
+        converged vector fails the certificate; this is the operational
+        "target too far from base" boundary.
     """
     op_counter.log_calls += 1
     if tau <= 0.0:
@@ -265,25 +297,24 @@ def stiefel_log(
     if np.linalg.det(v) < 0.0:
         # Principal log of the completion needs det +1; the completion
         # columns are free up to sign.
-        v = v.copy()
         v[:, -1] *= -1.0
     residual = np.inf
     for k in range(max_iter):
-        try:
-            log_v = linalg.logm(v)
-        except ValueError as exc:
-            raise StiefelLogError(
-                f"principal log undefined at iteration {k}: {exc}",
-                iterations=k,
-                residual=residual,
-            ) from exc
-        a = log_v[:r, :r]
-        b = log_v[r:, :r]
-        c = log_v[r:, r:]
+        c = _principal_log(linalg.logm, v, k, residual)[r:, r:]
         residual = float(np.linalg.norm(c))
         if residual <= tau:
-            return TangentVector(base, base.u @ a + q @ b)
-        v = v.copy()
+            log_v = _principal_log(linalg.logm_general, v, k, residual)
+            xi = TangentVector(base, base.u @ log_v[:r, :r] + q @ log_v[r:, :r])
+            length = norm(xi)
+            if length >= LOG_NORM_MAX:
+                raise StiefelLogError(
+                    f"converged after {k} iterations to a tangent vector of norm "
+                    f"{length / np.pi:.3g} pi, not below pi/sqrt({CURVATURE_MAX}) = "
+                    f"{LOG_NORM_MAX / np.pi:.3g} pi; target may be too far from base",
+                    iterations=k,
+                    residual=residual,
+                )
+            return xi
         v[:, r:] = v[:, r:] @ linalg.expm(-c)
     raise StiefelLogError(
         f"no convergence after {max_iter} iterations (||C||_F = {residual:.3g}); "

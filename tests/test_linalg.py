@@ -50,12 +50,22 @@ class TestExpm:
             linalg.expm(np.ones((2, 3)))
 
 
+def rotation_generator(rng, angles, n):
+    """Skew n x n matrix with rotation angles ``angles`` in a random orthonormal frame."""
+    theta = np.zeros((n, n))
+    for j, ang in enumerate(angles):
+        theta[2 * j + 1, 2 * j] = ang
+        theta[2 * j, 2 * j + 1] = -ang
+    z = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return z @ theta @ z.T
+
+
 class TestLogm:
     def test_identity(self):
         assert np.allclose(linalg.logm(np.eye(4)), 0.0, atol=1e-14)
 
     def test_diagonal(self):
-        out = linalg.logm(np.diag([np.e, np.e**2]))
+        out = linalg.logm_general(np.diag([np.e, np.e**2]))
         assert np.allclose(out, np.diag([1.0, 2.0]), rtol=1e-12)
 
     def test_round_trip_skew(self):
@@ -69,16 +79,16 @@ class TestLogm:
     def test_exp_of_log_round_trip(self):
         rng = np.random.default_rng(3)
         x = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
-        rec = linalg.expm(linalg.logm(x))
+        rec = linalg.expm(linalg.logm_general(x))
         assert np.linalg.norm(rec - x) <= 1e-10 * np.linalg.norm(x)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(DomainError):
-            linalg.logm(np.diag([-1.0, 2.0]))
+            linalg.logm_general(np.diag([-1.0, 2.0]))
 
     def test_singular_rejected(self):
         with pytest.raises(DomainError):
-            linalg.logm(np.diag([0.0, 1.0]))
+            linalg.logm_general(np.diag([0.0, 1.0]))
 
     @pytest.mark.parametrize("norm_scale", [0.5, 1.0, 2.0])
     def test_round_trip_scaled_skew(self, norm_scale):
@@ -88,6 +98,33 @@ class TestLogm:
         s *= norm_scale / np.linalg.norm(s)
         rec = linalg.logm(linalg.expm(s))
         assert np.linalg.norm(rec - s) <= 1e-8 * np.linalg.norm(s)
+
+    @pytest.mark.parametrize("top_fraction", [0.5, 0.9, 0.99])
+    def test_round_trip_large_angles(self, top_fraction):
+        # angles up to 0.99 pi, where the principal log is still defined
+        rng = np.random.default_rng(20)
+        s = rotation_generator(rng, [top_fraction * np.pi, 0.6, 0.1], 7)
+        rec = linalg.logm(linalg.expm(s))
+        assert np.linalg.norm(rec - s) <= 1e-12 * np.linalg.norm(s)
+
+    def test_output_exactly_skew(self):
+        rng = np.random.default_rng(21)
+        out = linalg.logm(linalg.expm(rotation_generator(rng, [2.5, 1.0, 0.3], 6)))
+        assert np.array_equal(out + out.T, np.zeros((6, 6)))
+
+    def test_rotation_by_pi_rejected(self):
+        v = np.eye(5)
+        v[:2, :2] = -np.eye(2)
+        with pytest.raises(DomainError):
+            linalg.logm(v)
+
+    def test_non_orthogonal_rejected(self):
+        with pytest.raises(PreconditionError):
+            linalg.logm(np.diag([np.e, np.e**2]))
+        rng = np.random.default_rng(22)
+        v = linalg.expm(rotation_generator(rng, [1.0], 4))
+        with pytest.raises(PreconditionError):
+            linalg.logm(v + 1e-8 * rng.standard_normal((4, 4)))
 
 
 class TestQrEcon:

@@ -228,3 +228,15 @@ def test_round_trip_suite_matches_tolerance():
         delta = stiefel.random_tangent(rng, u, scale=scale)
         rec = stiefel.stiefel_log(u, stiefel.stiefel_exp(delta), tau=1e-14)
         assert np.linalg.norm(rec.delta - delta.delta) <= 1e-9
+
+
+@pytest.mark.parametrize("n, r", [(60, 6), (1000, 10)])
+@pytest.mark.parametrize("fraction", [0.6, 0.75, 0.85])
+def test_round_trip_far_velocities(n, r, fraction):
+    # norms up to 0.85 pi, below the certificate's pi / sqrt(CURVATURE_MAX);
+    # a log off by a factor 1.01 misses by about 1e-2 here
+    rng = np.random.default_rng(8)
+    u = stiefel.random_point(rng, n, r)
+    delta = stiefel.random_tangent(rng, u, scale=fraction * np.pi)
+    rec = stiefel.stiefel_log(u, stiefel.stiefel_exp(delta))
+    assert np.linalg.norm(rec.delta - delta.delta) <= 1e-12

@@ -24,9 +24,6 @@ DEFAULT_FD_STEP = 1e-4
 #: Relative gap below which singular values count as repeated.
 SVD_GAP_EPS = 1e-8
 
-#: First-order curves usable for transporting velocities.
-TRANSPORT_CURVES = ("geodesic", "cayley", "polar_retraction", "qr_retraction")
-
 
 @dataclass(frozen=True)
 class QRDerivative:
@@ -245,49 +242,18 @@ def dexp_stiefel(xi0: stiefel.TangentVector, v: stiefel.TangentVector) -> np.nda
     return dqr.q_dot @ e21 + u @ d11 + qr0.q @ d21
 
 
-def _first_order_curve(
-    p: stiefel.StiefelPoint, v_p: stiefel.TangentVector, s: float, curve: str
-) -> stiefel.StiefelPoint:
-    """Point at parameter s of a curve through p with velocity v_p.
-
-    All variants agree with the geodesic to first order at s = 0, which is
-    all the transport difference quotient needs.
-    """
-    u = p.u
-    r = p.r
-    if curve == "geodesic":
-        return stiefel.stiefel_exp(v_p, s)
-    if curve == "cayley":
-        split = stiefel.split_tangent(v_p)
-        gen = np.zeros((2 * r, 2 * r))
-        gen[:r, :r] = split.a
-        gen[:r, r:] = -split.r_factor.T
-        gen[r:, :r] = split.r_factor
-        eye = np.eye(2 * r)
-        cay = np.linalg.solve((eye - 0.5 * s * gen).T, (eye + 0.5 * s * gen).T).T
-        return stiefel.StiefelPoint(u @ cay[:r, :r] + split.q @ cay[r:, :r])
-    if curve == "polar_retraction":
-        lam, phi = np.linalg.eigh(v_p.delta.T @ v_p.delta)
-        scale = 1.0 / np.sqrt(1.0 + s * s * lam)
-        return stiefel.StiefelPoint((u + s * v_p.delta) @ (phi * scale[np.newaxis, :]) @ phi.T)
-    if curve == "qr_retraction":
-        return stiefel.StiefelPoint(linalg.qr_econ(u + s * v_p.delta).q)
-    raise PreconditionError(f"unknown curve {curve!r}; choose from {TRANSPORT_CURVES}")
-
-
 def transport_velocity(
     q: stiefel.StiefelPoint,
     p: stiefel.StiefelPoint,
     v_p: stiefel.TangentVector,
     h: float = DEFAULT_FD_STEP,
-    curve: str = "geodesic",
     tau: float = stiefel.DEFAULT_LOG_TAU,
 ) -> stiefel.TangentVector:
     """Carry a velocity sampled at p into the tangent space at q.
 
     Central difference of the normal-coordinate transition map:
-    (Log_q(c(+h)) - Log_q(c(-h))) / (2h), where c is a curve through p with
-    velocity v_p.  Second-order accurate in h.
+    (Log_q(Exp_p(h v_p)) - Log_q(Exp_p(-h v_p))) / (2h).  Second-order
+    accurate in h.
     """
     if h <= 0.0:
         raise PreconditionError(f"h must be positive, got {h}")
@@ -295,7 +261,7 @@ def transport_velocity(
         raise PreconditionError("v_p is not attached at p")
     logs = []
     for s, side in ((h, "+h"), (-h, "-h")):
-        point = _first_order_curve(p, v_p, s, curve)
+        point = stiefel.stiefel_exp(v_p, s)
         try:
             logs.append(stiefel.stiefel_log(q, point, tau=tau))
         except StiefelLogError as exc:
@@ -320,7 +286,7 @@ def validate_transport(
     exponential at Log_q(p), and compares with the original velocity in the
     Frobenius norm.
     """
-    v_hat = transport_velocity(q, p, v_p, h=h, curve="geodesic", tau=tau)
+    v_hat = transport_velocity(q, p, v_p, h=h, tau=tau)
     delta_p = stiefel.stiefel_log(q, p, tau=tau)
     v_rec = dexp_stiefel(delta_p, v_hat)
     return float(

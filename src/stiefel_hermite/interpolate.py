@@ -10,6 +10,11 @@ pairs gives a C^1 composite curve through all samples.
 
 Baselines: piecewise geodesics (no derivative data) and radial-basis-function
 interpolation in a single tangent space (inverse multiquadric kernel).
+
+Every curve evaluates as the exponential of a linear combination of tangent
+vectors fixed at fit time: each arc, geodesic segment and RBF curve builds a
+``stiefel.TangentFrame`` of them when it is constructed, so an evaluation
+does no n x r factorization.
 """
 
 from __future__ import annotations
@@ -87,7 +92,8 @@ class HermiteArc:
     t1-sample for "q" centering (the default), the t0-sample for "p".
     ``delta_far`` is the log of the far endpoint, ``v_hat_start``/``v_hat_end``
     are the velocity translates multiplying the b0/b1 coefficient polynomials.
-    All three tangent vectors live at ``center``.
+    All three tangent vectors live at ``center``; ``frame`` holds them in the
+    small basis that evaluation uses, built once from these fields.
     """
 
     t0: float
@@ -97,20 +103,30 @@ class HermiteArc:
     v_hat_start: stiefel.TangentVector
     v_hat_end: stiefel.TangentVector
     centering: str
+    frame: stiefel.TangentFrame = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        vectors = (self.delta_far, self.v_hat_start, self.v_hat_end)
+        frame = stiefel.tangent_frame(self.center, [v.delta for v in vectors])
+        object.__setattr__(self, "frame", frame)
+
+
+def _arc_coeffs(arc: HermiteArc, t: float) -> tuple[float, float, float]:
+    """Coefficients of (delta_far, v_hat_start, v_hat_end) at parameter t."""
+    if t < arc.t0 or t > arc.t1:
+        raise DomainError(f"t={t} outside arc [{arc.t0}, {arc.t1}]")
+    a0, a1, b0, b1 = hermite_coeffs(t, arc.t0, arc.t1)
+    return (a0 if arc.centering == "q" else a1), b0, b1
 
 
 def arc_tangent(arc: HermiteArc, t: float) -> stiefel.TangentVector:
     """Tangent-space interpolant of an arc at parameter t (before the exp)."""
-    if t < arc.t0 or t > arc.t1:
-        raise DomainError(f"t={t} outside arc [{arc.t0}, {arc.t1}]")
-    a0, a1, b0, b1 = hermite_coeffs(t, arc.t0, arc.t1)
-    far = a0 if arc.centering == "q" else a1
-    return far * arc.delta_far + b0 * arc.v_hat_start + b1 * arc.v_hat_end
+    return arc.frame.combination(_arc_coeffs(arc, t))
 
 
 def eval_arc(arc: HermiteArc, t: float) -> stiefel.StiefelPoint:
-    """Evaluate the arc: one Riemannian exponential."""
-    return stiefel.stiefel_exp(arc_tangent(arc, t))
+    """Evaluate the arc: one Riemannian exponential of the frame combination."""
+    return arc.frame.exp(_arc_coeffs(arc, t))
 
 
 def fit_arc(
@@ -210,11 +226,16 @@ class GeodesicCurve:
 
     knots: np.ndarray
     directions: tuple[stiefel.TangentVector, ...]  # Log_{p_i}(p_{i+1})
+    frames: tuple[stiefel.TangentFrame, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        frames = tuple(stiefel.tangent_frame(d.base, [d.delta]) for d in self.directions)
+        object.__setattr__(self, "frames", frames)
 
     def __call__(self, t: float) -> stiefel.StiefelPoint:
         i = _segment_index(self.knots, t)
         s = (t - self.knots[i]) / (self.knots[i + 1] - self.knots[i])
-        return stiefel.stiefel_exp(self.directions[i], s)
+        return self.frames[i].exp((s,))
 
 
 def geodesic_interp(
@@ -253,7 +274,8 @@ class TangentRBFCurve:
     Sample parameters are affinely rescaled to [-1, 1] before the kernel is
     applied, so ``shape`` is interval-independent.  ``failed_indices`` lists
     samples whose logarithm to the center did not converge (only nonempty
-    when the curve was fit with ``skip_failed=True``).
+    when the curve was fit with ``skip_failed=True``).  ``frame`` holds the
+    weight matrices, built once from ``center`` and ``weights``.
     """
 
     center: stiefel.StiefelPoint
@@ -263,6 +285,10 @@ class TangentRBFCurve:
     t_lo: float
     t_hi: float
     failed_indices: tuple[int, ...] = field(default=())
+    frame: stiefel.TangentFrame = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "frame", stiefel.tangent_frame(self.center, self.weights))
 
     def _rescale(self, t: float) -> float:
         return -1.0 + 2.0 * (t - self.t_lo) / (self.t_hi - self.t_lo)
@@ -271,8 +297,7 @@ class TangentRBFCurve:
         phi = _inverse_multiquadric(
             np.abs(self._rescale(t) - self.scaled_knots), self.shape
         )
-        delta = np.tensordot(phi, self.weights, axes=1)
-        return stiefel.stiefel_exp(stiefel.TangentVector(self.center, delta))
+        return self.frame.exp(phi)
 
 
 def tangent_rbf_interp(

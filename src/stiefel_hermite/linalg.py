@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import DomainError, PreconditionError, ShapeError
 
@@ -167,6 +168,24 @@ def qr_econ(a) -> EconQR:
     threshold = RANK_EPS * np.linalg.norm(mat)
     deficient = tuple(int(j) for j in np.where(np.abs(np.diagonal(rf)) <= threshold)[0])
     return EconQR(q=q, r_factor=rf, deficient_cols=deficient)
+
+
+def qr_basis(a) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of the column span and the coordinates in it.
+
+    Householder QR (LAPACK ``geqrf``/``orgqr``) of an n x k matrix of any
+    shape and rank: returns ``q`` (n x min(n, k), orthonormal columns whose
+    span contains that of ``a``) and ``coords = q' a``, so ``a = q @ coords``
+    up to round-off.  No sign convention and no rank test: callers that only
+    need some orthonormal basis of the span skip ``qr_econ``'s overhead.
+    """
+    mat = _as_matrix(a, "a")
+    qr, tau, _, info = lapack.dgeqrf(mat)
+    if info == 0:
+        q, _, info = lapack.dorgqr(qr[:, : tau.shape[0]], tau)
+    if info != 0:
+        raise PreconditionError(f"qr_basis: LAPACK returned info = {info}")
+    return q, q.T @ mat
 
 
 def svd_full(y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,6 +6,13 @@ n x r matrices D with U'D skew-symmetric.  The canonical metric is
 matrix-exponential curves, and the logarithm is computed by the iterative
 algorithm that repeatedly rotates an orthogonal 2r x 2r completion until its
 matrix logarithm has the tangent block structure.
+
+Every exponential runs through one kernel, ``TangentFrame.exp``: a frame
+keeps k tangent vectors at U as r x r blocks over one orthonormal basis of
+their normal parts, built once, so the exponential of any combination of
+them costs a 2r x 2r ``expm`` and the n x r products of its output.
+``stiefel_exp`` is that kernel on the one-vector frame of the horizontal
+split; fitted curves build their frames at fit time.
 """
 
 from __future__ import annotations
@@ -45,8 +52,8 @@ class OpCounter:
         self.log_calls = 0
 
 
-#: Instrumentation for cost accounting: every `stiefel_exp` / `stiefel_log`
-#: call increments these counters.
+#: Instrumentation for cost accounting: every exponential (`TangentFrame.exp`,
+#: which `stiefel_exp` calls) and every `stiefel_log` increments these counters.
 op_counter = OpCounter()
 
 
@@ -212,28 +219,92 @@ def split_tangent(xi: TangentVector) -> HorizontalSplit:
     return HorizontalSplit(a=a, q=q, r_factor=rmat)
 
 
-def _exp_generator(split: HorizontalSplit) -> np.ndarray:
-    """The 2r x 2r skew generator [[A, -R'], [R, 0]] of the geodesic."""
-    r = split.a.shape[0]
-    gen = np.zeros((2 * r, 2 * r))
-    gen[:r, :r] = split.a
-    gen[:r, r:] = -split.r_factor.T
-    gen[r:, :r] = split.r_factor
-    return gen
+@dataclass(frozen=True)
+class TangentFrame:
+    """Tangent vectors D_1..D_k at one base point U, kept in a small basis.
+
+    Each D_i = U A_i + Q M_i with A_i = U'D_i (r x r) and Q one n x m
+    orthonormal basis (m <= k r) of the normal parts (I - U U')D_i.
+    ``coords[i]`` stacks A_i over M_i.  A combination sum c_i D_i is then
+    U A + Q M with A = sum c_i A_i and M = sum c_i M_i, so its exponential
+    needs no n x r factorization: only an r x r check, a small QR when
+    m > r, a 2r x 2r ``expm`` and the n x r products of the output.
+    """
+
+    base: StiefelPoint
+    q: np.ndarray
+    coords: np.ndarray  # (k, r + m, r)
+
+    def _blocks(self, coeffs) -> tuple[np.ndarray, np.ndarray]:
+        """A and M of the combination with the given coefficients; checks A skew."""
+        k = self.coords.shape[0]
+        c = np.asarray(coeffs, dtype=float)
+        if c.shape != (k,):
+            raise ShapeError(f"frame of {k} tangent vectors got coefficients of shape {c.shape}")
+        r = self.base.r
+        x = (c @ self.coords.reshape(k, -1)).reshape(-1, r)
+        a = x[:r]
+        # ||D||_F^2 = ||A||_F^2 + ||M||_F^2: the TangentVector test in r x r terms.
+        err = np.linalg.norm(a + a.T)
+        if err > TANGENT_TOL * max(1.0, np.linalg.norm(x)):
+            raise PreconditionError(
+                f"combination is not tangent at base (||A + A'||_F = {err:.3g})"
+            )
+        return a, x[r:]
+
+    def combination(self, coeffs) -> TangentVector:
+        """The tangent vector sum c_i D_i."""
+        a, m = self._blocks(coeffs)
+        return TangentVector(self.base, self.base.u @ a + self.q @ m)
+
+    def exp(self, coeffs) -> StiefelPoint:
+        """Riemannian exponential of sum c_i D_i (one exp for ``op_counter``).
+
+        The geodesic of Edelman, Arias and Smith (SIMAX 20(2), 1998):
+        U E11 + Q E21 with E = expm([[A, -M'], [M, 0]]).  The identity holds
+        for any orthonormal Q whose span holds the normal part, so a zero or
+        rank-deficient M needs no special case.  When m > r, M is first
+        replaced by its r x r coordinates in a basis of its own columns,
+        which shrinks the generator to 2r x 2r.
+        """
+        op_counter.exp_calls += 1
+        a, m = self._blocks(coeffs)
+        r = self.base.r
+        basis = None
+        if m.shape[0] > r:
+            basis, m = linalg.qr_basis(m)
+        gen = np.zeros((2 * r, 2 * r))
+        gen[:r, :r] = a
+        gen[:r, r:] = -m.T
+        gen[r:, :r] = m
+        e = linalg.expm(gen)
+        e21 = e[r:, :r] if basis is None else basis @ e[r:, :r]
+        return StiefelPoint(self.base.u @ e[:r, :r] + self.q @ e21)
+
+
+def tangent_frame(base: StiefelPoint, deltas) -> TangentFrame:
+    """Frame of the k tangent vectors ``deltas`` (n x r matrices) at ``base``."""
+    u = base.u
+    d = [np.asarray(x, dtype=float) for x in deltas]
+    if not d or any(x.shape != u.shape for x in d):
+        raise ShapeError(f"need one or more {u.shape} tangent matrices")
+    stacked = np.concatenate(d, axis=1)
+    a = u.T @ stacked
+    q, m = linalg.qr_basis(stacked - u @ a)
+    # Columns i r .. (i + 1) r - 1 of [a; m] are [A_i; M_i].
+    coords = np.vstack([a, m]).reshape(-1, len(d), base.r).transpose(1, 0, 2)
+    return TangentFrame(base, q, np.ascontiguousarray(coords))
 
 
 def stiefel_exp(xi: TangentVector, t: float = 1.0) -> StiefelPoint:
     """Riemannian exponential: endpoint at time t of the geodesic with velocity xi.
 
-    Uses the closed form (U, Q) expm(t [[A, -R'], [R, 0]]) [I; 0] built from
-    the horizontal split of the velocity.
+    The frame kernel on the horizontal split xi = U a + q r_factor, i.e.
+    (U, q) expm(t [[a, -r_factor'], [r_factor, 0]]) [I; 0].
     """
-    op_counter.exp_calls += 1
     split = split_tangent(xi)
-    r = xi.base.r
-    e = linalg.expm(float(t) * _exp_generator(split))
-    u_new = xi.base.u @ e[:r, :r] + split.q @ e[r:, :r]
-    return StiefelPoint(u_new)
+    frame = TangentFrame(xi.base, split.q, np.vstack([split.a, split.r_factor])[np.newaxis])
+    return frame.exp((t,))
 
 
 def _principal_log(kernel, v: np.ndarray, k: int, residual: float) -> np.ndarray:

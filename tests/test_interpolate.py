@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiefel_hermite import experiments as ex
 from stiefel_hermite import interpolate as interp
 from stiefel_hermite import stiefel
 from stiefel_hermite.errors import (
@@ -338,3 +339,70 @@ class TestTangentRBF:
         p = stiefel.random_point(rng, 10, 2)
         with pytest.raises(PreconditionError):
             interp.tangent_rbf_interp([(0.0, p)], shape=-1.0)
+
+
+@pytest.fixture(scope="module")
+def qr_path():
+    cfg = ex.ExperimentConfig(n=100, r=6, interval=(-1.1, 1.1), num_nodes=6, seed=0)
+    return ex.gen_qr_experiment(cfg)
+
+
+def _knots_and_interior(knots):
+    interior = np.random.default_rng(3).uniform(knots[0], knots[-1], 50)
+    return [float(t) for t in knots] + [float(t) for t in interior]
+
+
+def _hermite_ambient(arc, t):
+    """The arc's tangent interpolant from its fields, bypassing its frame."""
+    a0, a1, b0, b1 = interp.hermite_coeffs(t, arc.t0, arc.t1)
+    far = a0 if arc.centering == "q" else a1
+    delta = far * arc.delta_far.delta + b0 * arc.v_hat_start.delta + b1 * arc.v_hat_end.delta
+    return stiefel.TangentVector(arc.center, delta)
+
+
+class TestFrameEvaluation:
+    """Every curve evaluates to stiefel_exp of its ambient tangent vector."""
+
+    @pytest.mark.parametrize("centering", interp.CENTERINGS)
+    def test_composite(self, qr_path, centering):
+        curve = interp.fit_composite(qr_path.samples, centering=centering)
+        for t in _knots_and_interior(curve.knots):
+            arc = curve.arcs[curve.arc_index(t)]
+            ambient = _hermite_ambient(arc, t)
+            assert np.linalg.norm(interp.arc_tangent(arc, t).delta - ambient.delta) <= 1e-13
+            assert np.linalg.norm(curve(t).u - stiefel.stiefel_exp(ambient).u) <= 1e-13
+
+    def test_geodesic(self, qr_path):
+        curve = interp.geodesic_interp([(s.t, s.point) for s in qr_path.samples])
+        knots = curve.knots
+        for t in _knots_and_interior(knots):
+            i = min(int(np.searchsorted(knots, t, side="right")) - 1, len(knots) - 2)
+            s = (t - knots[i]) / (knots[i + 1] - knots[i])
+            expected = stiefel.stiefel_exp(curve.directions[i], s)
+            assert np.linalg.norm(curve(t).u - expected.u) <= 1e-13
+
+    def test_rbf(self, qr_path):
+        curve = interp.tangent_rbf_interp([(s.t, s.point) for s in qr_path.samples])
+        for t in _knots_and_interior([s.t for s in qr_path.samples]):
+            scaled = -1.0 + 2.0 * (t - curve.t_lo) / (curve.t_hi - curve.t_lo)
+            phi = 1.0 / np.sqrt(1.0 + (curve.shape * (scaled - curve.scaled_knots)) ** 2)
+            delta = np.tensordot(phi, curve.weights, axes=1)
+            expected = stiefel.stiefel_exp(stiefel.TangentVector(curve.center, delta))
+            assert np.linalg.norm(curve(t).u - expected.u) <= 1e-13
+
+    def test_directly_built_arc(self, rng):
+        # the frame must come from the fields given to the constructor
+        samples = make_samples(rng, 20, 4, [0.0, 1.0])
+        arc = interp.fit_arc(samples[0], samples[1], centering="p")
+        scaled = interp.HermiteArc(
+            t0=arc.t0,
+            t1=arc.t1,
+            center=arc.center,
+            delta_far=1.5 * arc.delta_far,
+            v_hat_start=-0.5 * arc.v_hat_start,
+            v_hat_end=2.0 * arc.v_hat_end,
+            centering=arc.centering,
+        )
+        for t in np.linspace(0.0, 1.0, 7):
+            expected = stiefel.stiefel_exp(_hermite_ambient(scaled, t))
+            assert np.linalg.norm(interp.eval_arc(scaled, t).u - expected.u) <= 1e-13

@@ -240,3 +240,73 @@ def test_round_trip_far_velocities(n, r, fraction):
     delta = stiefel.random_tangent(rng, u, scale=fraction * np.pi)
     rec = stiefel.stiefel_log(u, stiefel.stiefel_exp(delta))
     assert np.linalg.norm(rec.delta - delta.delta) <= 1e-12
+
+
+@pytest.mark.parametrize("n, r", [(1001, 6), (30, 4), (8, 6)])
+def test_exp_is_the_split_formula_bit_for_bit(n, r):
+    # The transport sweep's h <= 1e-6 rows are round-off of exactly this
+    # arithmetic; St(8, 6) takes the rank-deficient split.
+    rng = np.random.default_rng(11)
+    u = stiefel.random_point(rng, n, r)
+    xi = stiefel.random_tangent(rng, u, scale=0.9)
+    split = stiefel.split_tangent(xi)
+    gen = np.zeros((2 * r, 2 * r))
+    gen[:r, :r] = split.a
+    gen[:r, r:] = -split.r_factor.T
+    gen[r:, :r] = split.r_factor
+    for t in (1e-7, -1e-7, 1e-4, -1e-4, 0.5, 1.0):
+        e = linalg.expm(t * gen)
+        expected = u.u @ e[:r, :r] + split.q @ e[r:, :r]
+        assert np.array_equal(stiefel.stiefel_exp(xi, t).u, expected)
+
+
+class TestTangentFrame:
+    @pytest.mark.parametrize("n, r, k", [(40, 4, 1), (40, 4, 3), (40, 4, 6), (100, 6, 6), (8, 6, 3)])
+    def test_combinations_match_ambient_exp(self, n, r, k):
+        # (8, 6, 3): n < k r, so the normal basis is n x n and overlaps U
+        rng = np.random.default_rng(5)
+        u = stiefel.random_point(rng, n, r)
+        vecs = np.stack([stiefel.random_tangent(rng, u, 0.6).delta for _ in range(k)])
+        frame = stiefel.tangent_frame(u, vecs)
+        for _ in range(4):
+            c = rng.uniform(-1.0, 1.0, k)
+            ambient = stiefel.TangentVector(u, np.tensordot(c, vecs, axes=1))
+            assert np.linalg.norm(frame.combination(c).delta - ambient.delta) <= 1e-13
+            assert np.linalg.norm(frame.exp(c).u - stiefel.stiefel_exp(ambient).u) <= 1e-13
+
+    def test_colinear_vectors(self, rng):
+        u = stiefel.random_point(rng, 30, 4)
+        d = stiefel.random_tangent(rng, u, 0.7).delta
+        vertical = u.u @ (u.u.T @ d)  # zero normal part
+        vecs = np.stack([d, -2.0 * d, vertical])
+        frame = stiefel.tangent_frame(u, vecs)
+        for c in ((1.0, 0.0, 0.0), (0.3, 0.4, 0.0), (0.0, 0.0, 1.5), (0.5, 0.5, 0.5)):
+            ambient = stiefel.TangentVector(u, np.tensordot(c, vecs, axes=1))
+            assert np.linalg.norm(frame.exp(c).u - stiefel.stiefel_exp(ambient).u) <= 1e-13
+
+    def test_zero_combination_returns_base_exactly(self, rng):
+        for n, r, k in ((30, 4, 3), (8, 6, 3), (12, 3, 1)):
+            u = stiefel.random_point(rng, n, r)
+            vecs = np.stack([stiefel.random_tangent(rng, u).delta for _ in range(k)])
+            assert np.array_equal(stiefel.tangent_frame(u, vecs).exp(np.zeros(k)).u, u.u)
+
+    def test_one_exp_and_no_log_per_evaluation(self, rng):
+        u = stiefel.random_point(rng, 20, 3)
+        vecs = np.stack([stiefel.random_tangent(rng, u).delta for _ in range(3)])
+        frame = stiefel.tangent_frame(u, vecs)
+        stiefel.op_counter.reset()
+        for i in range(5):
+            frame.exp((0.1 * i, 0.2, -0.3))
+            assert stiefel.op_counter.exp_calls == i + 1
+        frame.combination((1.0, 1.0, 1.0))
+        assert stiefel.op_counter.exp_calls == 5
+        assert stiefel.op_counter.log_calls == 0
+
+    def test_non_tangent_combination_rejected(self, rng):
+        u = stiefel.random_point(rng, 10, 3)
+        frame = stiefel.tangent_frame(u, rng.standard_normal((1, 10, 3)))
+        # rejected by the r x r check, before the non-orthonormal output exists
+        with pytest.raises(PreconditionError, match="not tangent"):
+            frame.exp((1.0,))
+        with pytest.raises(ShapeError):
+            frame.exp((1.0, 2.0))

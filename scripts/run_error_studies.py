@@ -9,6 +9,8 @@ comparison, the snapshot study at n=1001/r=6, and the curvature bound check.
 BLAS runs on one thread unless the environment sets the thread count: the
 transport rows at h <= 1e-5 are round-off, whose digits depend on the BLAS
 build and thread count, and the committed results/ are one-thread runs.
+The checkout's src/ comes first on the import path, so the CSVs always come
+from the code next to the script, installed or not.
 """
 
 import os
@@ -20,9 +22,12 @@ import pathlib  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
 from stiefel_hermite import experiments as ex  # noqa: E402
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
+OUT = ROOT / "results"
 
 
 def save_table(name, rows, header):

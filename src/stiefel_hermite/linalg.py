@@ -8,9 +8,7 @@ Everything downstream depends on two conventions established here:
   fix signs arbitrarily and can jump along a smooth matrix path.
 * ``logm`` is the principal logarithm of an *orthogonal* matrix, read off
   its real Schur form; its output is exactly skew-symmetric.  It is the
-  kernel of each step of the Stiefel log.  ``logm_general`` is scipy's
-  principal logarithm of a general matrix (no eigenvalue on the closed
-  negative real axis); the Stiefel log reads its result off it once.
+  kernel of each step of the Stiefel log and reads off its result.
 
 The heavy lifting is delegated to LAPACK via numpy/scipy; the wrappers add
 the conventions, the domain checks, and typed errors.
@@ -97,37 +95,6 @@ def logm(x) -> np.ndarray:
             i += 1
     out = z @ theta @ z.T
     return 0.5 * (out - out.T)
-
-
-def logm_general(x) -> np.ndarray:
-    """Principal matrix logarithm of a general real matrix (scipy ``logm``).
-
-    Raises
-    ------
-    DomainError
-        If ``x`` has an eigenvalue on the closed negative real axis, where
-        the principal logarithm is not defined.
-    """
-    a = _as_square(x, "logm_general")
-    eig = np.linalg.eigvals(a)
-    scale = max(np.max(np.abs(eig)), 1.0)
-    on_negative_axis = (eig.real <= 0.0) & (np.abs(eig.imag) <= 1e-14 * scale)
-    if np.any(on_negative_axis):
-        bad = eig[on_negative_axis][0]
-        raise DomainError(
-            f"logm: eigenvalue {bad:.6g} lies on the closed negative real axis"
-        )
-    out = sla.logm(a)
-    if np.iscomplexobj(out):
-        imag = np.max(np.abs(out.imag))
-        if imag > 1e-10 * max(1.0, np.max(np.abs(out.real))):
-            raise DomainError(
-                f"logm: result has non-negligible imaginary part ({imag:.3g})"
-            )
-        out = out.real.copy()
-    if not np.all(np.isfinite(out)):
-        raise DomainError("logm did not produce a finite result")
-    return out
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,13 @@ matrix-exponential curves, and the logarithm is computed by the iterative
 algorithm that repeatedly rotates an orthogonal 2r x 2r completion until its
 matrix logarithm has the tangent block structure.
 
+The logarithm runs on one kernel, the real-Schur log of an orthogonal
+matrix (``linalg.logm``): each step polishes the completion back onto O(2r)
+with one Newton-Schulz step, takes its log, and rotates by the solution of
+a small Sylvester equation (Zimmermann and Hueper's first-order BCH
+correction of the plain step), which about halves the steps of far logs;
+the converged log is also the result.
+
 Every exponential runs through one kernel, ``TangentFrame.exp``: a frame
 keeps k tangent vectors at U as r x r blocks over one orthonormal basis of
 their normal parts, built once, so the exponential of any combination of
@@ -307,15 +314,55 @@ def stiefel_exp(xi: TangentVector, t: float = 1.0) -> StiefelPoint:
     return frame.exp((t,))
 
 
-def _principal_log(kernel, v: np.ndarray, k: int, residual: float) -> np.ndarray:
+def _polished(v: np.ndarray, k: int, residual: float) -> np.ndarray:
+    """One Newton-Schulz polar step V (3I - V'V) / 2 of an orthogonal iterate.
+
+    It squares the drift ||V'V - I||, so round-off cannot build up over the
+    steps and the Schur log sees a matrix orthogonal to machine precision.
+    A drift above ``linalg.ORTH_TOL`` means a broken update, not round-off,
+    and raises instead of being polished away.
+    """
+    gram = v.T @ v
+    eye = np.eye(v.shape[1])
+    drift = float(np.linalg.norm(gram - eye))
+    if drift > linalg.ORTH_TOL:
+        raise StiefelLogError(
+            f"iterate lost orthogonality at iteration {k} (||V'V - I||_F = {drift:.3g})",
+            iterations=k,
+            residual=residual,
+        )
+    return v @ (1.5 * eye - 0.5 * gram)
+
+
+def _principal_log(v: np.ndarray, k: int, residual: float) -> np.ndarray:
     try:
-        return kernel(v)
+        return linalg.logm(v)
     except ValueError as exc:
         raise StiefelLogError(
             f"principal log undefined at iteration {k}: {exc}",
             iterations=k,
             residual=residual,
         ) from exc
+
+
+#: The Sylvester step needs s_i + s_j < this for every eigenvalue pair of S:
+#: it bounds the step by 4 ||C||_F, four times the plain step -C.
+SYLVESTER_DENOM_MAX = -0.25
+
+
+def _step(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Generator X of the update V <- V diag(I, expm(X)) that cancels C.
+
+    Solves S X + X S = C with S = B B'/12 - I/2 through the eigenvectors P
+    of the symmetric S; falls back to the plain step X = -C when S is not
+    safely negative definite (see ``SYLVESTER_DENOM_MAX``).
+    """
+    s, p = np.linalg.eigh(b @ b.T / 12.0 - 0.5 * np.eye(b.shape[0]))
+    denom = s[:, np.newaxis] + s[np.newaxis, :]
+    if denom.max() >= SYLVESTER_DENOM_MAX:
+        return -c
+    x = p @ ((p.T @ c @ p) / denom) @ p.T
+    return 0.5 * (x - x.T)
 
 
 def stiefel_log(
@@ -328,17 +375,27 @@ def stiefel_log(
 
     Zimmermann's iteration (SIMAX 38(2), 2017): build an orthogonal
     2r x 2r completion V of the overlap/normal coordinates of ``target``,
-    then repeatedly replace V <- V diag(I, expm(-C)) where C is the
-    lower-right block of log(V), until ||C||_F <= tau.
+    with log(V) = [[A, -B'], [B, C]], then rotate the completion columns,
+    V <- V diag(I, expm(X)), until ||C||_F <= tau; then xi = U A + Q B.
 
+    * Polish: before each log V is replaced by V (3I - V'V) / 2, one
+      Newton-Schulz step towards the orthogonal polar factor.  A drift
+      ||V'V - I||_F above ``linalg.ORTH_TOL`` before the polish raises.
     * Kernel: each step takes ``linalg.logm``, the real-Schur log of an
-      orthogonal matrix; its output is exactly skew, so expm(-C) keeps V
-      orthogonal.
-    * Readout: A and B of xi = U A + Q B are read off ``linalg.logm_general``
-      (scipy ``logm``) of the converged V, once.  The velocity transport's
-      difference quotient amplifies the readout's round-off by 1/h; on the
-      snapshot transport sweep a Schur readout raised the h <= 1e-6 rows
-      2-3x, this one keeps them.
+      orthogonal matrix, exactly skew.  The Schur form of the polished V is
+      block diagonal to round-off, so the log of the last iterate is also
+      the readout: A and B come off the same matrix whose C passed tau.
+      (Without the polish, the Schur log drops an off-diagonal part of the
+      drift's size that differs between nearby targets, which the velocity
+      transport's difference quotient amplifies by 1/h.)
+    * Step: Zimmermann and Hueper (SIMAX 43(2), 2022).  The BCH formula,
+      truncated after its commutators of degree two in log(V), gives the
+      lower-right block of log(V diag(I, expm(X))) as
+      C + X - (B B' X + X B B')/12 up to terms of second order in C and X,
+      so X solving S X + X S = C with S = B B'/12 - I/2 cancels C to that
+      order; its skew part is the step.  For B = 0 this is the plain step X = -C,
+      which is taken whenever S is not safely negative definite.  The
+      correction about halves the number of steps of far logs.
     * Certificate: far from the base the iteration can settle on a V whose
       log is not the minimal geodesic.  A result whose canonical norm
       reaches ``LOG_NORM_MAX`` = pi / sqrt(CURVATURE_MAX) is rejected.
@@ -347,9 +404,10 @@ def stiefel_log(
     ------
     StiefelLogError
         If the iteration does not reach the threshold within ``max_iter``
-        steps, an intermediate principal logarithm is undefined, or the
-        converged vector fails the certificate; this is the operational
-        "target too far from base" boundary.
+        steps, an iterate loses orthogonality, an intermediate principal
+        logarithm is undefined, or the converged vector fails the
+        certificate; this is the operational "target too far from base"
+        boundary.
     """
     op_counter.log_calls += 1
     if tau <= 0.0:
@@ -371,10 +429,11 @@ def stiefel_log(
         v[:, -1] *= -1.0
     residual = np.inf
     for k in range(max_iter):
-        c = _principal_log(linalg.logm, v, k, residual)[r:, r:]
+        v = _polished(v, k, residual)
+        log_v = _principal_log(v, k, residual)
+        c = log_v[r:, r:]
         residual = float(np.linalg.norm(c))
         if residual <= tau:
-            log_v = _principal_log(linalg.logm_general, v, k, residual)
             xi = TangentVector(base, base.u @ log_v[:r, :r] + q @ log_v[r:, :r])
             length = norm(xi)
             if length >= LOG_NORM_MAX:
@@ -386,7 +445,7 @@ def stiefel_log(
                     residual=residual,
                 )
             return xi
-        v[:, r:] = v[:, r:] @ linalg.expm(-c)
+        v[:, r:] = v[:, r:] @ linalg.expm(_step(log_v[r:, :r], c))
     raise StiefelLogError(
         f"no convergence after {max_iter} iterations (||C||_F = {residual:.3g}); "
         "target may be too far from base",

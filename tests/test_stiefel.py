@@ -242,6 +242,97 @@ def test_round_trip_far_velocities(n, r, fraction):
     assert np.linalg.norm(rec.delta - delta.delta) <= 1e-12
 
 
+class TestLogIteration:
+    """The loop of ``stiefel_log``: polish, Schur-log kernel, Sylvester step."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record every iterate passed to ``linalg.logm`` with its log, and
+        every generator passed to ``linalg.expm``, in call order."""
+        calls = []
+        logm, expm = linalg.logm, linalg.expm
+
+        def spy_logm(v):
+            out = logm(v)
+            calls.append(("logm", v.copy(), out))
+            return out
+
+        def spy_expm(x):
+            calls.append(("expm", x.copy()))
+            return expm(x)
+
+        monkeypatch.setattr(linalg, "logm", spy_logm)
+        monkeypatch.setattr(linalg, "expm", spy_expm)
+        return calls
+
+    def test_far_pair_takes_at_most_nine_logs(self, monkeypatch):
+        # 0.57 pi apart at St(1000, 10), as in the fit_far benchmark; the
+        # plain step -C takes 14 logs here
+        rng = np.random.default_rng(0)
+        u = stiefel.random_point(rng, 1000, 10)
+        target = stiefel.stiefel_exp(stiefel.random_tangent(rng, u, scale=0.57 * np.pi))
+        calls = self._spy(monkeypatch)
+        stiefel.stiefel_log(u, target)
+        assert sum(1 for c in calls if c[0] == "logm") <= 9
+
+    @staticmethod
+    def _dominant_direction(rng, u):
+        # normal part with one singular value far above the rest, so that
+        # S = B B'/12 - I/2 is not safely negative definite
+        n, r = u.u.shape
+        w = rng.standard_normal((n, r))
+        w = np.linalg.qr(w - u.u @ (u.u.T @ w))[0]
+        z = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        sigma = np.full(r, 0.3)
+        sigma[0] = 2.4
+        a = rng.standard_normal((r, r))
+        delta = stiefel.TangentVector(u, w @ np.diag(sigma) @ z.T + 0.2 * u.u @ (a - a.T))
+        return (0.85 * np.pi / stiefel.norm(delta)) * delta
+
+    @pytest.mark.parametrize("branch", ["sylvester", "plain"])
+    def test_each_branch_runs_and_round_trips(self, monkeypatch, branch):
+        rng = np.random.default_rng(8)
+        u = stiefel.random_point(rng, 60, 6)
+        if branch == "sylvester":
+            delta = stiefel.random_tangent(rng, u, scale=0.85 * np.pi)
+        else:
+            delta = self._dominant_direction(rng, u)
+        target = stiefel.stiefel_exp(delta)
+        calls = self._spy(monkeypatch)
+        rec = stiefel.stiefel_log(u, target)
+        assert np.linalg.norm(rec.delta - delta.delta) <= 1e-12
+        # each generator follows the log whose C it cancels; the plain step
+        # is exactly -C
+        steps = []
+        for prev, call in zip(calls, calls[1:]):
+            if call[0] == "expm":
+                c = prev[2][u.r :, u.r :]
+                steps.append("plain" if np.array_equal(call[1], -c) else "sylvester")
+        assert steps and set(steps) == {branch}
+
+    @pytest.mark.parametrize("n, r, fraction", [(60, 6, 0.85), (1000, 10, 0.57), (8, 6, 0.6)])
+    def test_iterates_stay_orthogonal(self, monkeypatch, n, r, fraction):
+        rng = np.random.default_rng(9)
+        u = stiefel.random_point(rng, n, r)
+        target = stiefel.stiefel_exp(stiefel.random_tangent(rng, u, scale=fraction * np.pi))
+        calls = self._spy(monkeypatch)
+        stiefel.stiefel_log(u, target)
+        drifts = [np.linalg.norm(c[1].T @ c[1] - np.eye(2 * r)) for c in calls if c[0] == "logm"]
+        # polished: at most 8.6e-16 here; unpolished iterates reach 3-7e-15
+        assert drifts and max(drifts) <= 2e-15
+
+    def test_broken_update_raises(self, monkeypatch):
+        # a factor 1e-8 off orthogonal: one polish step would hide it
+        rng = np.random.default_rng(10)
+        u = stiefel.random_point(rng, 40, 4)
+        target = stiefel.stiefel_exp(stiefel.random_tangent(rng, u, scale=0.5))
+        expm = linalg.expm
+        monkeypatch.setattr(linalg, "expm", lambda x: (1.0 + 1e-8) * expm(x))
+        with pytest.raises(StiefelLogError, match="orthogonality at iteration 1") as info:
+            stiefel.stiefel_log(u, target)
+        assert info.value.iterations == 1
+
+
 @pytest.mark.parametrize("n, r", [(1001, 6), (30, 4), (8, 6)])
 def test_exp_is_the_split_formula_bit_for_bit(n, r):
     # The transport sweep's h <= 1e-6 rows are round-off of exactly this

@@ -321,8 +321,10 @@ def gen_lowrank_svd_experiment(
     differentiating, so that the sampled paths are differentiable.  Seeds
     giving near-repeated leading singular values at a node are regenerated.
     """
-    nodes = chebyshev_nodes(*config.interval, config.num_nodes)
     r = config.r
+    if config.m < r:
+        raise PreconditionError(f"an exact rank-r path needs m >= r, got m={config.m}, r={r}")
+    nodes = chebyshev_nodes(*config.interval, config.num_nodes)
     for attempt in range(max_attempts):
         seed = config.seed + attempt
         rng = np.random.default_rng(seed)

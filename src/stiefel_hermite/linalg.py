@@ -170,19 +170,14 @@ def svd_full(y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, vh.T.copy()
 
 
-def orth_complete(v_r, num: int | None = None) -> np.ndarray:
-    """Orthonormal completion of a matrix with orthonormal columns.
+def orth_complete(v_r) -> np.ndarray:
+    """m x (m - r) orthonormal completion of an m x r matrix with orthonormal columns.
 
     Runs modified Gram-Schmidt over the canonical basis vectors in index
     order, which is deterministic.  Candidates whose residual against the
     current basis falls below 1/(2*sqrt(m)) are skipped; that threshold is
     small enough that a full completion always exists among the canonical
     basis vectors.
-
-    Parameters
-    ----------
-    v_r : (m, r) array with orthonormal columns.
-    num : number of completion columns to return (default: all m - r).
     """
     v = _as_matrix(v_r, "v_r")
     m, r = v.shape
@@ -193,13 +188,10 @@ def orth_complete(v_r, num: int | None = None) -> np.ndarray:
         raise PreconditionError(
             f"orth_complete input is not orthonormal (||V'V - I|| = {gram_err:.3g})"
         )
-    want = m - r if num is None else int(num)
-    if want < 0 or want > m - r:
-        raise ShapeError(f"cannot produce {num} completion columns from shape {v.shape}")
     threshold = 0.5 / np.sqrt(m)
     cols: list[np.ndarray] = []
     for i in range(m):
-        if len(cols) == want:
+        if len(cols) == m - r:
             break
         cand = np.zeros(m)
         cand[i] = 1.0
@@ -210,7 +202,7 @@ def orth_complete(v_r, num: int | None = None) -> np.ndarray:
         nrm = np.linalg.norm(cand)
         if nrm > threshold:
             cols.append(cand / nrm)
-    if len(cols) < want:
+    if len(cols) < m - r:
         # Cannot happen for orthonormal input (trace argument bounds the
         # number of rejectable candidates), but fail loudly rather than
         # return a short basis.

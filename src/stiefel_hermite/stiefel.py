@@ -18,8 +18,8 @@ Every exponential runs through one kernel, ``TangentFrame.exp``: a frame
 keeps k tangent vectors at U as r x r blocks over one orthonormal basis of
 their normal parts, built once, so the exponential of any combination of
 them costs a 2r x 2r ``expm`` and the n x r products of its output.
-``stiefel_exp`` is that kernel on the one-vector frame of the horizontal
-split; fitted curves build their frames at fit time.
+``stiefel_exp`` is that kernel on the one-vector frame of its velocity;
+fitted curves build their frames at fit time.
 """
 
 from __future__ import annotations
@@ -137,19 +137,6 @@ class TangentVector:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class HorizontalSplit:
-    """Decomposition delta = U a + q r_factor of a tangent vector.
-
-    ``a = U'delta`` is skew; ``q``/``r_factor`` come from the QR of the
-    normal component (I - U U') delta.
-    """
-
-    a: np.ndarray
-    q: np.ndarray
-    r_factor: np.ndarray
-
-
 def project_tangent(base: StiefelPoint, x) -> TangentVector:
     """Orthogonal projection of an ambient n x r matrix onto the tangent space."""
     mat = np.asarray(x, dtype=float)
@@ -172,58 +159,6 @@ def metric(xi: TangentVector, eta: TangentVector) -> float:
 def norm(xi: TangentVector) -> float:
     """Canonical norm sqrt(metric(xi, xi))."""
     return float(np.sqrt(max(metric(xi, xi), 0.0)))
-
-
-def _split_deficient(u: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR of a rank-deficient normal component.
-
-    Modified Gram-Schmidt, zeroing the R-rows of columns that vanish and
-    filling the matching Q-columns deterministically from the orthogonal
-    complement of [U, kept columns].  The filled columns never contribute to
-    reconstructions because their R-rows are zero.
-    """
-    n, r = normal.shape
-    tol = linalg.RANK_EPS * np.linalg.norm(normal)
-    q = np.zeros((n, r))
-    rmat = np.zeros((r, r))
-    kept: list[int] = []
-    for j in range(r):
-        v = normal[:, j].copy()
-        for _ in range(2):
-            for i in kept:
-                coeff = q[:, i] @ v
-                v = v - coeff * q[:, i]
-                rmat[i, j] += coeff
-        nrm = np.linalg.norm(v)
-        if nrm > tol:
-            q[:, j] = v / nrm
-            rmat[j, j] = nrm
-            kept.append(j)
-        # else: row j of rmat stays zero; Q column filled below
-    missing = [j for j in range(r) if j not in kept]
-    if missing:
-        anchor = np.hstack([u, q[:, kept]])
-        if n - anchor.shape[1] < len(missing):
-            # n < 2r leaves no room orthogonal to both U and the kept
-            # columns; fillers only need to keep Q orthonormal (their
-            # R-rows are zero, so they never enter reconstructions).
-            anchor = q[:, kept]
-        fillers = linalg.orth_complete(anchor, num=len(missing))
-        for pos, j in enumerate(missing):
-            q[:, j] = fillers[:, pos]
-    return q, rmat
-
-
-def split_tangent(xi: TangentVector) -> HorizontalSplit:
-    """Split delta into U a + q r_factor with a = U'delta skew."""
-    u = xi.base.u
-    a = u.T @ xi.delta
-    normal = xi.delta - u @ a
-    qr = linalg.qr_econ(normal)
-    if not qr.rank_deficient:
-        return HorizontalSplit(a=a, q=qr.q, r_factor=qr.r_factor)
-    q, rmat = _split_deficient(u, normal)
-    return HorizontalSplit(a=a, q=q, r_factor=rmat)
 
 
 @dataclass(frozen=True)
@@ -303,15 +238,18 @@ def tangent_frame(base: StiefelPoint, deltas) -> TangentFrame:
     return TangentFrame(base, q, np.ascontiguousarray(coords))
 
 
+def split_tangent(xi: TangentVector) -> TangentFrame:
+    """The one-vector frame of xi: xi = U A + Q M with A = U'xi skew."""
+    return tangent_frame(xi.base, [xi.delta])
+
+
 def stiefel_exp(xi: TangentVector, t: float = 1.0) -> StiefelPoint:
     """Riemannian exponential: endpoint at time t of the geodesic with velocity xi.
 
-    The frame kernel on the horizontal split xi = U a + q r_factor, i.e.
-    (U, q) expm(t [[a, -r_factor'], [r_factor, 0]]) [I; 0].
+    The frame kernel on the one-vector frame xi = U A + Q M, i.e.
+    (U, Q) expm(t [[A, -M'], [M, 0]]) [I; 0].
     """
-    split = split_tangent(xi)
-    frame = TangentFrame(xi.base, split.q, np.vstack([split.a, split.r_factor])[np.newaxis])
-    return frame.exp((t,))
+    return split_tangent(xi).exp((t,))
 
 
 def _polished(v: np.ndarray, k: int, residual: float) -> np.ndarray:

@@ -178,6 +178,11 @@ class TestSVDExperiment:
             i = int(np.argmin(np.abs(grid - node)))
             assert rep.errors["hermite"][i] <= 1e-6
 
+    def test_m_below_r_rejected(self):
+        cfg = ex.ExperimentConfig(n=40, r=6, m=4)
+        with pytest.raises(PreconditionError, match="m=4, r=6"):
+            ex.gen_lowrank_svd_experiment(cfg)
+
     def test_rbf_not_supported(self):
         cfg = ex.ExperimentConfig(n=40, r=4, m=20, num_nodes=2, interval=(0.0, 0.5))
         with pytest.raises(PreconditionError):
@@ -383,6 +388,12 @@ class TestCLI:
         code = cli.main(["qr-interp", "--n", "5", "--r", "50"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["svd-interp", "tangent-vs-manifold"])
+    def test_m_below_r_exit_code(self, command, capsys):
+        code = cli.main([command, "--n", "40", "--r", "6", "--m", "4"])
+        assert code == 2
+        assert "m=4, r=6" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, capsys):
         # an unreachable log tolerance makes the first transport log fail

@@ -217,13 +217,6 @@ class TestOrthComplete:
         v = np.linalg.qr(rng.standard_normal((7, 2)))[0]
         assert np.array_equal(linalg.orth_complete(v), linalg.orth_complete(v.copy()))
 
-    def test_num_columns(self):
-        rng = np.random.default_rng(13)
-        v = np.linalg.qr(rng.standard_normal((10, 4)))[0]
-        out = linalg.orth_complete(v, num=2)
-        assert out.shape == (10, 2)
-        assert np.linalg.norm(v.T @ out) < 1e-12
-
     def test_non_orthonormal_rejected(self):
         with pytest.raises(PreconditionError):
             linalg.orth_complete(np.ones((5, 2)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import PreconditionError, ShapeError, StiefelLogError
@@ -82,42 +83,43 @@ class TestMetric:
         assert lhs == pytest.approx(2.0 * stiefel.metric(xi, eta) + stiefel.metric(eta, eta), rel=1e-10)
 
 
+def _rank_one_tangent(rng, n, r):
+    """Tangent vector at a random point whose normal part has rank one."""
+    u = stiefel.random_point(rng, n, r)
+    w = rng.standard_normal(n)
+    w -= u.u @ (u.u.T @ w)
+    return stiefel.project_tangent(u, np.outer(w, rng.standard_normal(r)))
+
+
 class TestSplitTangent:
     def test_pure_vertical(self, rng):
         u = stiefel.random_point(rng, 12, 4)
         a = rng.standard_normal((4, 4))
         a = a - a.T
         split = stiefel.split_tangent(stiefel.TangentVector(u, u.u @ a))
-        assert np.linalg.norm(split.a - a) < 1e-12
-        assert np.linalg.norm(split.r_factor) < 1e-12
+        assert np.linalg.norm(split.coords[0, :4] - a) < 1e-12
+        assert np.linalg.norm(split.coords[0, 4:]) < 1e-12
 
     def test_pure_normal(self, rng):
         u = stiefel.random_point(rng, 12, 4)
         t = rng.standard_normal((12, 4))
         normal = t - u.u @ (u.u.T @ t)
         split = stiefel.split_tangent(stiefel.TangentVector(u, normal))
-        assert np.linalg.norm(split.a) < 1e-12
+        assert np.linalg.norm(split.coords[0, :4]) < 1e-12
 
     def test_reconstruction(self, rng):
         u = stiefel.random_point(rng, 20, 5)
         xi = stiefel.random_tangent(rng, u, scale=1.3)
         split = stiefel.split_tangent(xi)
-        rec = u.u @ split.a + split.q @ split.r_factor
-        assert np.linalg.norm(rec - xi.delta) < 1e-12
-        assert np.linalg.norm(split.a + split.a.T) < 1e-10
+        assert np.linalg.norm(split.combination((1.0,)).delta - xi.delta) < 1e-12
+        a = split.coords[0, :5]
+        assert np.linalg.norm(a + a.T) < 1e-10
 
     def test_rank_deficient_normal_component(self, rng):
-        u = stiefel.random_point(rng, 20, 4)
-        w = rng.standard_normal(20)
-        w -= u.u @ (u.u.T @ w)
-        normal = np.outer(w, rng.standard_normal(4))  # rank one
-        xi = stiefel.project_tangent(u, normal)
+        xi = _rank_one_tangent(rng, 20, 4)
         split = stiefel.split_tangent(xi)
-        rec = u.u @ split.a + split.q @ split.r_factor
-        assert np.linalg.norm(rec - xi.delta) < 1e-11
+        assert np.linalg.norm(split.combination((1.0,)).delta - xi.delta) < 1e-11
         assert np.linalg.norm(split.q.T @ split.q - np.eye(4)) < 1e-12
-        assert np.linalg.norm(u.u.T @ split.q) < 1e-12
-        assert np.linalg.norm(np.tril(split.r_factor, -1)) == 0.0
 
 
 class TestExp:
@@ -333,22 +335,25 @@ class TestLogIteration:
         assert info.value.iterations == 1
 
 
-@pytest.mark.parametrize("n, r", [(1001, 6), (30, 4), (8, 6)])
-def test_exp_is_the_split_formula_bit_for_bit(n, r):
-    # The transport sweep's h <= 1e-6 rows are round-off of exactly this
-    # arithmetic; St(8, 6) takes the rank-deficient split.
+@pytest.mark.parametrize("n, r, rank_one", [(1001, 6, False), (30, 4, False), (8, 6, False), (20, 4, True)])
+def test_exp_matches_closed_form(n, r, rank_one):
+    # Edelman, Arias and Smith's geodesic from an independent factorization:
+    # numpy's QR of the normal part, whatever its signs, and scipy's expm.
+    # St(8, 6) has n < 2r; St(20, 4) a rank-one normal part built as in
+    # TestSplitTangent.test_rank_deficient_normal_component.
     rng = np.random.default_rng(11)
-    u = stiefel.random_point(rng, n, r)
-    xi = stiefel.random_tangent(rng, u, scale=0.9)
-    split = stiefel.split_tangent(xi)
-    gen = np.zeros((2 * r, 2 * r))
-    gen[:r, :r] = split.a
-    gen[:r, r:] = -split.r_factor.T
-    gen[r:, :r] = split.r_factor
+    if rank_one:
+        xi = _rank_one_tangent(rng, n, r)
+    else:
+        xi = stiefel.random_tangent(rng, stiefel.random_point(rng, n, r), scale=0.9)
+    u = xi.base.u
+    a = u.T @ xi.delta
+    q, m = np.linalg.qr(xi.delta - u @ a)
+    gen = np.block([[a, -m.T], [m, np.zeros((r, r))]])
     for t in (1e-7, -1e-7, 1e-4, -1e-4, 0.5, 1.0):
-        e = linalg.expm(t * gen)
-        expected = u.u @ e[:r, :r] + split.q @ e[r:, :r]
-        assert np.array_equal(stiefel.stiefel_exp(xi, t).u, expected)
+        e = scipy.linalg.expm(t * gen)
+        expected = u @ e[:r, :r] + q @ e[r:, :r]
+        assert np.linalg.norm(stiefel.stiefel_exp(xi, t).u - expected) <= 1e-13
 
 
 class TestTangentFrame:

@@ -1,6 +1,8 @@
 """Command-line harness for the interpolation error studies.
 
-Subcommands mirror the experiment runners; results are written as CSV to
+One subcommand per study command of ``experiments.STUDIES``.  With no flags
+a subcommand runs its first registry entry, the paper configuration; each
+flag given overrides that one field.  Results are written as CSV to
 ``--out`` or stdout.  Exit codes: 0 success, 2 configuration/precondition
 error, 3 numerical non-convergence.
 """
@@ -8,21 +10,11 @@ error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import experiments
 from .errors import ConvergenceError
-
-_EXPERIMENT_DEFAULTS = {
-    "transport-accuracy": dict(n=200, r=6, interval=(0.0, 1.0), num_nodes=2),
-    "qr-interp": dict(n=100, r=6, interval=(-1.1, 1.1), num_nodes=6),
-    "svd-interp": dict(n=100, r=6, m=50, interval=(0.0, 0.5), num_nodes=2,
-                       methods="hermite,geodesic"),
-    "snapshot-interp": dict(n=1001, r=6, interval=(1.7, 2.3), num_nodes=6),
-    "tangent-vs-manifold": dict(n=100, r=6, m=50, interval=(0.0, 0.5), num_nodes=2,
-                                methods="hermite"),
-    "bound-check": dict(n=40, r=4),
-}
 
 
 def _interval(text: str) -> tuple[float, float]:
@@ -32,39 +24,25 @@ def _interval(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _add_common(sub: argparse.ArgumentParser, defaults: dict) -> None:
-    sub.add_argument("--n", type=int, default=defaults.get("n", 100), help="ambient rows")
-    sub.add_argument("--r", type=int, default=defaults.get("r", 6), help="columns / rank")
-    sub.add_argument("--m", type=int, default=defaults.get("m", 50), help="right factor columns")
-    sub.add_argument("--nodes", type=int, default=defaults.get("num_nodes", 6),
+def _methods(text: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+def _add_flags(sub: argparse.ArgumentParser) -> None:
+    """Flags named after ``ExperimentConfig`` fields; only those given are set."""
+    sub.add_argument("--n", type=int, help="ambient rows")
+    sub.add_argument("--r", type=int, help="columns / rank")
+    sub.add_argument("--m", type=int, help="right factor columns")
+    sub.add_argument("--nodes", type=int, dest="num_nodes", metavar="NODES",
                      help="number of Chebyshev sample nodes")
-    sub.add_argument("--interval", type=_interval,
-                     default=defaults.get("interval", (-1.1, 1.1)),
-                     metavar="a,b", help="sampling interval")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--h", type=float, default=1e-4, help="FD step for velocity transport")
-    sub.add_argument("--tau", type=float, default=1e-14, help="log convergence threshold")
-    sub.add_argument("--centering", choices=["q", "p"], default="q")
-    sub.add_argument("--methods", default=defaults.get("methods", "hermite,geodesic,rbf"),
-                     help="comma list from hermite,geodesic,rbf")
-    sub.add_argument("--rbf-shape", type=float, default=1.0)
-    sub.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-
-
-def _config(args: argparse.Namespace) -> experiments.ExperimentConfig:
-    return experiments.ExperimentConfig(
-        n=args.n,
-        r=args.r,
-        m=args.m,
-        interval=tuple(args.interval),
-        num_nodes=args.nodes,
-        seed=args.seed,
-        h=args.h,
-        tau=args.tau,
-        centering=args.centering,
-        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        rbf_shape=args.rbf_shape,
-    )
+    sub.add_argument("--interval", type=_interval, metavar="a,b", help="sampling interval")
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--h", type=float, help="FD step for velocity transport")
+    sub.add_argument("--tau", type=float, help="log convergence threshold")
+    sub.add_argument("--centering", choices=["q", "p"])
+    sub.add_argument("--methods", type=_methods, help="comma list from hermite,geodesic,rbf")
+    sub.add_argument("--rbf-shape", type=float)
+    sub.add_argument("--out", help="CSV output path (default: stdout)")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -75,80 +53,38 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_transport(args) -> int:
-    table = experiments.run_transport_accuracy(_config(args))
-    lines = ["h,transport_rel_err"]
-    lines += [f"{h!r},{err!r}" for h, err in table]
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def _cmd_report(runner):
-    def cmd(args) -> int:
-        report = runner(_config(args))
-        _write(experiments.report_to_csv(report), args.out)
-        return 0
-
-    return cmd
-
-
-def _cmd_bound(args) -> int:
-    config = _config(args)
-    lines = ["delta,delta_tilde,s0,observed_dist,bound_flat,bound_max_curvature"]
-    worst = 0.0
-    for delta in (0.1, 0.2, 0.3):
-        row = experiments.bound_check_instance(config, delta, delta, 0.1)
-        lines.append(
-            ",".join(
-                repr(row[key])
-                for key in (
-                    "delta", "delta_tilde", "s0",
-                    "observed_dist", "bound_flat", "bound_max_curvature",
-                )
-            )
-        )
-        worst = max(
-            worst,
-            row["observed_dist"] - row["bound_flat"],
-            row["bound_max_curvature"] - row["observed_dist"],
-        )
-    _write("\n".join(lines) + "\n", args.out)
-    print(f"largest excursion beyond the curvature envelope: {worst:.3e}", file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stiefel-hermite",
         description="Hermite interpolation error studies on the Stiefel manifold",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    handlers = {
-        "transport-accuracy": _cmd_transport,
-        "qr-interp": _cmd_report(experiments.run_qr_interp),
-        "svd-interp": _cmd_report(experiments.run_svd_interp),
-        "snapshot-interp": _cmd_report(experiments.run_snapshot_experiment),
-        "tangent-vs-manifold": _cmd_report(experiments.run_tangent_vs_manifold),
-        "bound-check": _cmd_bound,
-    }
-    for name, handler in handlers.items():
-        sub = subs.add_parser(name)
-        _add_common(sub, _EXPERIMENT_DEFAULTS[name])
-        sub.set_defaults(func=handler)
+    for study in experiments.STUDIES:
+        if study.command in subs.choices:
+            continue
+        sub = subs.add_parser(
+            study.command,
+            argument_default=argparse.SUPPRESS,
+            description=f"Without flags, runs the paper study of results/{study.name}.csv.",
+        )
+        _add_flags(sub)
+        sub.set_defaults(defaults=study.config)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command, defaults, out = args.pop("command"), args.pop("defaults"), args.pop("out", None)
     try:
-        return args.func(args)
+        config = dataclasses.replace(defaults, **args)
+        _write(experiments.run_study(command, config), out)
     except ConvergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ Three data families drive the studies:
   compares against single-tangent-space interpolation, which needs logs
   between samples far apart).
 
+``STUDIES`` is the registry of the paper's seven runs; ``run_study`` runs a
+study command on a config and returns its CSV text.
+
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a seed
 pins the generated data; report bytes also depend on the BLAS build and
 thread count.
@@ -21,7 +24,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +40,7 @@ METHODS = ("hermite", "geodesic", "rbf")
 TRANSPORT_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Shared knobs for the experiment runners (desk-scale defaults)."""
 
@@ -56,6 +58,8 @@ class ExperimentConfig:
     grid_points: int = 100
 
     def __post_init__(self):
+        if self.r < 1:
+            raise PreconditionError(f"need r >= 1, got r={self.r}")
         if self.n < self.r:
             raise PreconditionError(f"need n >= r, got n={self.n}, r={self.r}")
         if self.num_nodes < 2:
@@ -252,21 +256,25 @@ def _method_curves(
     return curves
 
 
-def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
-    """Interpolate the Q-factor path and report relative Frobenius errors."""
-    data = gen_qr_experiment(config)
+def _factor_study(config: ExperimentConfig, data, reference) -> ErrorReport:
+    """Fit every method to ``data.samples``; relative Frobenius errors against ``reference``."""
     grid = _uniform_grid(data.nodes, config.grid_points)
-    reference = [data.reference(t) for t in grid]
+    refs = [reference(t) for t in grid]
     failures: dict[str, str] = {}
     curves = _method_curves(config, data.samples, failures)
     errors = {}
     for method, curve in curves.items():
-        errs = [
+        errors[method] = [
             np.linalg.norm(curve(t).u - ref.u) / np.linalg.norm(ref.u)
-            for t, ref in zip(grid, reference)
+            for t, ref in zip(grid, refs)
         ]
-        errors[method] = errs
     return _finalize(grid, errors, failures=failures)
+
+
+def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
+    """Interpolate the Q-factor path and report relative Frobenius errors."""
+    data = gen_qr_experiment(config)
+    return _factor_study(config, data, data.reference)
 
 
 # --------------------------------------------------------------------------
@@ -608,18 +616,7 @@ def run_snapshot_experiment(config: ExperimentConfig) -> ErrorReport:
     large local errors.  On the n=1001, r=6 study all six logs converge.
     """
     data = gen_snapshot_experiment(config)
-    grid = _uniform_grid(data.nodes, config.grid_points)
-    reference = [data.reference_u(mu) for mu in grid]
-    failures: dict[str, str] = {}
-    curves = _method_curves(config, data.samples, failures)
-    errors = {}
-    for method, curve in curves.items():
-        errs = [
-            np.linalg.norm(curve(mu).u - ref.u) / np.linalg.norm(ref.u)
-            for mu, ref in zip(grid, reference)
-        ]
-        errors[method] = errs
-    return _finalize(grid, errors, failures=failures)
+    return _factor_study(config, data, data.reference_u)
 
 
 def snapshot_transport_instance(
@@ -733,12 +730,10 @@ def report_to_csv(report: ErrorReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: ErrorReport, path) -> None:
-    """Write the CSV rendering of a report to ``path``."""
-    try:
-        Path(path).write_text(report_to_csv(report))
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+def table_to_csv(header: str, rows) -> str:
+    """Render rows of floats as CSV under ``header``, each float by ``repr``."""
+    lines = [header] + [",".join(repr(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def parse_report(text: str) -> ErrorReport:
@@ -784,3 +779,62 @@ def parse_report(text: str) -> ErrorReport:
         manifold_errors=manifold if has_manifold else None,
         failures=failures,
     )
+
+
+# --------------------------------------------------------------------------
+# The paper's studies
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Study:
+    """One paper run: the ``results/<name>.csv`` it writes, its CLI subcommand, its config."""
+
+    name: str
+    command: str
+    config: ExperimentConfig
+
+
+#: The seven runs of the paper's numerical section, in the order
+#: ``scripts/run_error_studies.py`` writes them.  A command's first entry is
+#: its CLI default.
+STUDIES = (
+    Study("transport_accuracy_snapshot", "transport-accuracy",
+          ExperimentConfig(n=1001, r=6, seed=0)),
+    Study("qr_interp_n500_r10", "qr-interp",
+          ExperimentConfig(n=500, r=10, interval=(-1.1, 1.1), num_nodes=6, seed=0)),
+    Study("svd_interp_n1000_m100_r10_q", "svd-interp",
+          ExperimentConfig(n=1000, r=10, m=100, interval=(0.0, 0.5), num_nodes=2, seed=0,
+                           centering="q", methods=("hermite", "geodesic"))),
+    Study("svd_interp_n1000_m100_r10_p", "svd-interp",
+          ExperimentConfig(n=1000, r=10, m=100, interval=(0.0, 0.5), num_nodes=2, seed=0,
+                           centering="p", methods=("hermite", "geodesic"))),
+    Study("tangent_vs_manifold", "tangent-vs-manifold",
+          ExperimentConfig(n=200, r=6, m=50, interval=(0.0, 0.5), num_nodes=2, seed=0,
+                           methods=("hermite",))),
+    Study("snapshot_interp_n1001_r6", "snapshot-interp",
+          ExperimentConfig(n=1001, r=6, interval=(1.7, 2.3), num_nodes=6)),
+    Study("bound_check", "bound-check", ExperimentConfig(n=40, r=4, seed=3)),
+)
+
+_REPORT_RUNNERS = {
+    "qr-interp": run_qr_interp,
+    "svd-interp": run_svd_interp,
+    "tangent-vs-manifold": run_tangent_vs_manifold,
+    "snapshot-interp": run_snapshot_experiment,
+}
+
+
+def run_study(command: str, config: ExperimentConfig) -> str:
+    """Run the study behind a CLI subcommand on ``config``; return its CSV text.
+
+    ``transport-accuracy`` sweeps the FD steps on the snapshot instance, and
+    ``bound-check`` measures equal tangent norms 0.1, 0.2, 0.3 at angle 0.1.
+    """
+    if command == "transport-accuracy":
+        table = run_transport_accuracy(config, use_snapshot_data=True)
+        return table_to_csv("h,transport_rel_err", table)
+    if command == "bound-check":
+        rows = [bound_check_instance(config, d, d, 0.1) for d in (0.1, 0.2, 0.3)]
+        return table_to_csv(",".join(rows[0]), [row.values() for row in rows])
+    return report_to_csv(_REPORT_RUNNERS[command](config))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from stiefel_hermite import cli, experiments as ex
 from stiefel_hermite import interpolate as interp
 from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import PreconditionError
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 class TestChebyshevNodes:
@@ -328,17 +332,6 @@ class TestReports:
         text = ex.report_to_csv(self._toy_report())
         assert text.splitlines()[0] == "t,hermite_rel_err,geodesic_rel_err"
 
-    def test_emit_surfaces_path_errors(self, tmp_path):
-        rep = self._toy_report()
-        with pytest.raises(OSError, match="no/such"):
-            ex.emit_report(rep, tmp_path / "no" / "such" / "dir.csv")
-
-    def test_emit_writes_file(self, tmp_path):
-        rep = self._toy_report()
-        out = tmp_path / "report.csv"
-        ex.emit_report(rep, out)
-        assert ex.parse_report(out.read_text()) == rep
-
     def test_rbf_log_failure_recorded_and_roundtrips(self):
         # the unreachable St(8, 6) outliers of the RBF far-sample test:
         # their logs from the center fail, and the study records which
@@ -395,8 +388,20 @@ class TestCLI:
         assert code == 2
         assert "m=4, r=6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", sorted({s.command for s in ex.STUDIES}))
+    def test_empty_rank_exit_code(self, command, capsys):
+        code = cli.main([command, "--r", "0"])
+        assert code == 2
+        assert "r=0" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir.csv"
+        code = cli.main(["bound-check", "--n", "12", "--r", "3", "--out", str(out)])
+        assert code == 2
+        assert "no/such" in capsys.readouterr().err
+
     def test_nonconvergence_exit_code(self, capsys):
-        # an unreachable log tolerance makes the first transport log fail
+        # an unreachable log tolerance makes the first log of the study fail
         code = cli.main([
             "transport-accuracy", "--n", "20", "--r", "3", "--tau", "1e-30",
         ])
@@ -421,3 +426,24 @@ class TestCLI:
         assert code == 0
         rep = ex.parse_report(out.read_text())
         assert set(rep.errors) == {"hermite", "geodesic"}
+
+
+class TestStudies:
+    def test_names_are_the_committed_results(self):
+        assert {s.name for s in ex.STUDIES} == {p.stem for p in RESULTS.glob("*.csv")}
+
+    def test_every_command_is_a_subcommand(self):
+        parser = cli.build_parser()
+        for study in ex.STUDIES:
+            assert parser.parse_args([study.command]).command == study.command
+
+    def test_bound_check_default_reproduces_results(self, capsys):
+        assert cli.main(["bound-check"]) == 0
+        got = capsys.readouterr().out.splitlines()
+        want = (RESULTS / "bound_check.csv").read_text().splitlines()
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        for row_got, row_want in zip(got[1:], want[1:]):
+            a = np.array(row_got.split(","), dtype=float)
+            b = np.array(row_want.split(","), dtype=float)
+            assert np.all(np.abs(a - b) <= np.maximum(1e-9 * np.maximum(abs(a), abs(b)), 1e-15))

@@ -2,9 +2,10 @@
 
 One subcommand per study command of ``experiments.STUDIES``.  With no flags
 a subcommand runs its first registry entry, the paper configuration; each
-flag given overrides that one field.  Results are written as CSV to
-``--out`` or stdout.  Exit codes: 0 success, 2 configuration/precondition
-error, 3 numerical non-convergence.
+flag given overrides that one field, and there is a flag only for each field
+the study reads.  Results are written as CSV to ``--out`` or stdout.  Exit
+codes: 0 success, 2 configuration/precondition error, 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -28,21 +29,30 @@ def _methods(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
-def _add_flags(sub: argparse.ArgumentParser) -> None:
-    """Flags named after ``ExperimentConfig`` fields; only those given are set."""
-    sub.add_argument("--n", type=int, help="ambient rows")
-    sub.add_argument("--r", type=int, help="columns / rank")
-    sub.add_argument("--m", type=int, help="right factor columns")
-    sub.add_argument("--nodes", type=int, dest="num_nodes", metavar="NODES",
-                     help="number of Chebyshev sample nodes")
-    sub.add_argument("--interval", type=_interval, metavar="a,b", help="sampling interval")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--h", type=float, help="FD step for velocity transport")
-    sub.add_argument("--tau", type=float, help="log convergence threshold")
-    sub.add_argument("--centering", choices=["q", "p"])
-    sub.add_argument("--methods", type=_methods, help="comma list from hermite,geodesic,rbf")
-    sub.add_argument("--rbf-shape", type=float)
-    sub.add_argument("--out", help="CSV output path (default: stdout)")
+#: One flag per ``ExperimentConfig`` field, named as typed after ``--``.
+_FLAGS = {
+    "n": dict(type=int, help="ambient rows"),
+    "r": dict(type=int, help="columns / rank"),
+    "m": dict(type=int, help="right factor columns"),
+    "nodes": dict(type=int, dest="num_nodes", metavar="NODES", help="Chebyshev sample nodes"),
+    "interval": dict(type=_interval, metavar="a,b", help="sampling interval"),
+    "seed": dict(type=int),
+    "h": dict(type=float, help="FD step for velocity transport"),
+    "tau": dict(type=float, help="log convergence threshold"),
+    "centering": dict(choices=["q", "p"]),
+    "methods": dict(type=_methods, help="comma list from hermite,geodesic,rbf"),
+    "rbf-shape": dict(type=float),
+}
+
+#: The flags of each subcommand: the fields its study reads.
+_COMMAND_FLAGS = {
+    "transport-accuracy": "n r tau",
+    "bound-check": "n r seed tau",
+    "qr-interp": "n r nodes interval seed h tau centering methods rbf-shape",
+    "svd-interp": "n r m nodes interval seed h tau centering methods",
+    "tangent-vs-manifold": "n r m nodes interval seed h tau centering",
+    "snapshot-interp": "n r nodes interval h tau centering methods rbf-shape",
+}
 
 
 def _write(text: str, out: str | None) -> None:
@@ -65,9 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(
             study.command,
             argument_default=argparse.SUPPRESS,
+            allow_abbrev=False,
             description=f"Without flags, runs the paper study of results/{study.name}.csv.",
         )
-        _add_flags(sub)
+        for flag in _COMMAND_FLAGS[study.command].split():
+            sub.add_argument(f"--{flag}", **_FLAGS[flag])
+        sub.add_argument("--out", help="CSV output path (default: stdout)")
         sub.set_defaults(defaults=study.config)
     return parser
 

@@ -173,11 +173,10 @@ def svd_full(y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def orth_complete(v_r) -> np.ndarray:
     """m x (m - r) orthonormal completion of an m x r matrix with orthonormal columns.
 
-    Runs modified Gram-Schmidt over the canonical basis vectors in index
-    order, which is deterministic.  Candidates whose residual against the
-    current basis falls below 1/(2*sqrt(m)) are skipped; that threshold is
-    small enough that a full completion always exists among the canonical
-    basis vectors.
+    The trailing m - r columns of one complete Householder QR (LAPACK
+    ``geqrf``/``orgqr``), which is deterministic.  Which completion comes
+    out matters only up to its span: ``stiefel_log`` rotates the columns
+    it returns into a canonical position (its Procrustes start).
     """
     v = _as_matrix(v_r, "v_r")
     m, r = v.shape
@@ -188,23 +187,4 @@ def orth_complete(v_r) -> np.ndarray:
         raise PreconditionError(
             f"orth_complete input is not orthonormal (||V'V - I|| = {gram_err:.3g})"
         )
-    threshold = 0.5 / np.sqrt(m)
-    cols: list[np.ndarray] = []
-    for i in range(m):
-        if len(cols) == m - r:
-            break
-        cand = np.zeros(m)
-        cand[i] = 1.0
-        for _ in range(2):  # MGS with one re-orthogonalization pass
-            cand = cand - v @ (v.T @ cand)
-            for c in cols:
-                cand = cand - c * (c @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > threshold:
-            cols.append(cand / nrm)
-    if len(cols) < m - r:
-        # Cannot happen for orthonormal input (trace argument bounds the
-        # number of rejectable candidates), but fail loudly rather than
-        # return a short basis.
-        raise PreconditionError("orth_complete could not build a full completion")
-    return np.column_stack(cols) if cols else np.zeros((m, 0))
+    return np.linalg.qr(v, mode="complete")[0][:, r:]

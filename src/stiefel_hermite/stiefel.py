@@ -7,12 +7,12 @@ matrix-exponential curves, and the logarithm is computed by the iterative
 algorithm that repeatedly rotates an orthogonal 2r x 2r completion until its
 matrix logarithm has the tangent block structure.
 
-The logarithm runs on one kernel, the real-Schur log of an orthogonal
-matrix (``linalg.logm``): each step polishes the completion back onto O(2r)
-with one Newton-Schulz step, takes its log, and rotates by the solution of
-a small Sylvester equation (Zimmermann and Hueper's first-order BCH
-correction of the plain step), which about halves the steps of far logs;
-the converged log is also the result.
+The logarithm starts from a completion in Procrustes position and runs on
+one kernel, the real-Schur log of an orthogonal matrix (``linalg.logm``):
+each step polishes the completion onto O(2r) with one Newton-Schulz step,
+takes its log, and rotates by the clipped solution of a small Sylvester
+equation (Zimmermann and Hueper's first-order BCH correction of the plain
+step), which about halves the steps of far logs; the last log is the result.
 
 Every exponential runs through one kernel, ``TangentFrame.exp``: a frame
 keeps k tangent vectors at U as r x r blocks over one orthonormal basis of
@@ -283,8 +283,8 @@ def _principal_log(v: np.ndarray, k: int, residual: float) -> np.ndarray:
         ) from exc
 
 
-#: The Sylvester step needs s_i + s_j < this for every eigenvalue pair of S:
-#: it bounds the step by 4 ||C||_F, four times the plain step -C.
+#: Each denominator s_i + s_j of the Sylvester step is clipped at this value,
+#: which bounds the step by 4 ||C||_F, four times the plain step -C.
 SYLVESTER_DENOM_MAX = -0.25
 
 
@@ -292,13 +292,11 @@ def _step(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Generator X of the update V <- V diag(I, expm(X)) that cancels C.
 
     Solves S X + X S = C with S = B B'/12 - I/2 through the eigenvectors P
-    of the symmetric S; falls back to the plain step X = -C when S is not
-    safely negative definite (see ``SYLVESTER_DENOM_MAX``).
+    of the symmetric S, each denominator s_i + s_j clipped at
+    ``SYLVESTER_DENOM_MAX``.
     """
     s, p = np.linalg.eigh(b @ b.T / 12.0 - 0.5 * np.eye(b.shape[0]))
-    denom = s[:, np.newaxis] + s[np.newaxis, :]
-    if denom.max() >= SYLVESTER_DENOM_MAX:
-        return -c
+    denom = np.minimum(s[:, np.newaxis] + s[np.newaxis, :], SYLVESTER_DENOM_MAX)
     x = p @ ((p.T @ c @ p) / denom) @ p.T
     return 0.5 * (x - x.T)
 
@@ -316,6 +314,11 @@ def stiefel_log(
     with log(V) = [[A, -B'], [B, C]], then rotate the completion columns,
     V <- V diag(I, expm(X)), until ||C||_F <= tau; then xi = U A + Q B.
 
+    * Start: Zimmermann and Hueper (SIMAX 43(2), 2022).  The completion
+      columns are rotated by Y X' from the SVD V22 = X Sigma Y', so V22 =
+      X Sigma X' is symmetric PSD and depends only on the completion's span;
+      if det V would be -1, X's last column (V22's smallest singular
+      direction) is negated first, since the principal log needs det V = +1.
     * Polish: before each log V is replaced by V (3I - V'V) / 2, one
       Newton-Schulz step towards the orthogonal polar factor.  A drift
       ||V'V - I||_F above ``linalg.ORTH_TOL`` before the polish raises.
@@ -326,14 +329,14 @@ def stiefel_log(
       (Without the polish, the Schur log drops an off-diagonal part of the
       drift's size that differs between nearby targets, which the velocity
       transport's difference quotient amplifies by 1/h.)
-    * Step: Zimmermann and Hueper (SIMAX 43(2), 2022).  The BCH formula,
+    * Step: the same paper.  The BCH formula,
       truncated after its commutators of degree two in log(V), gives the
       lower-right block of log(V diag(I, expm(X))) as
       C + X - (B B' X + X B B')/12 up to terms of second order in C and X,
       so X solving S X + X S = C with S = B B'/12 - I/2 cancels C to that
-      order; its skew part is the step.  For B = 0 this is the plain step X = -C,
-      which is taken whenever S is not safely negative definite.  The
-      correction about halves the number of steps of far logs.
+      order; its skew part is the step (the plain step -C for B = 0), with
+      each denominator s_i + s_j clipped at ``SYLVESTER_DENOM_MAX``, which
+      bounds it by 4 ||C||_F.  This about halves the steps of far logs.
     * Certificate: far from the base the iteration can settle on a V whose
       log is not the minimal geodesic.  A result whose canonical norm
       reaches ``LOG_NORM_MAX`` = pi / sqrt(CURVATURE_MAX) is rejected.
@@ -361,10 +364,11 @@ def stiefel_log(
     q, nfac = qr.q, qr.r_factor
     top = np.vstack([overlap, nfac])
     v = np.hstack([top, linalg.orth_complete(top)])
-    if np.linalg.det(v) < 0.0:
-        # Principal log of the completion needs det +1; the completion
-        # columns are free up to sign.
-        v[:, -1] *= -1.0
+    # Procrustes start, with det V = +1 (see "Start" above)
+    x, _, yt = np.linalg.svd(v[r:, r:])
+    if np.linalg.det(v) * np.linalg.det(x @ yt) < 0.0:
+        x[:, -1] *= -1.0
+    v[:, r:] = v[:, r:] @ yt.T @ x.T
     residual = np.inf
     for k in range(max_iter):
         v = _polished(v, k, residual)

@@ -268,8 +268,9 @@ class TestLogIteration:
         return calls
 
     def test_far_pair_takes_at_most_nine_logs(self, monkeypatch):
-        # 0.57 pi apart at St(1000, 10), as in the fit_far benchmark; the
-        # plain step -C takes 14 logs here
+        # 0.57 pi apart at St(1000, 10), as in the fit_far benchmark: 6 Schur
+        # logs here, where the plain step -C in place of the Sylvester step
+        # would take 11
         rng = np.random.default_rng(0)
         u = stiefel.random_point(rng, 1000, 10)
         target = stiefel.stiefel_exp(stiefel.random_tangent(rng, u, scale=0.57 * np.pi))
@@ -288,29 +289,46 @@ class TestLogIteration:
         sigma = np.full(r, 0.3)
         sigma[0] = 2.4
         a = rng.standard_normal((r, r))
-        delta = stiefel.TangentVector(u, w @ np.diag(sigma) @ z.T + 0.2 * u.u @ (a - a.T))
-        return (0.85 * np.pi / stiefel.norm(delta)) * delta
+        return stiefel.TangentVector(u, w @ np.diag(sigma) @ z.T + 0.2 * u.u @ (a - a.T))
 
-    @pytest.mark.parametrize("branch", ["sylvester", "plain"])
-    def test_each_branch_runs_and_round_trips(self, monkeypatch, branch):
+    @pytest.mark.parametrize("kind", ["rank_one", "dominant"])
+    @pytest.mark.parametrize("fraction", [0.6, 0.85])
+    def test_structured_targets_converge(self, monkeypatch, kind, fraction):
+        # a rank-one normal part puts an eigenvalue -1 into a completion whose
+        # det is fixed by flipping one column; a dominant direction leaves
+        # S = B B'/12 - I/2 indefinite, where the step is clipped
+        calls = self._spy(monkeypatch)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            if kind == "rank_one":
+                delta = _rank_one_tangent(rng, 60, 6)
+            else:
+                delta = self._dominant_direction(rng, stiefel.random_point(rng, 60, 6))
+            delta = (fraction * np.pi / stiefel.norm(delta)) * delta
+            target = stiefel.stiefel_exp(delta)
+            calls.clear()
+            rec = stiefel.stiefel_log(delta.base, target)
+            assert np.linalg.norm(rec.delta - delta.delta) <= 1e-12
+            assert sum(1 for c in calls if c[0] == "logm") <= 20
+
+    def test_clipped_step_is_bounded_and_round_trips(self, monkeypatch):
         rng = np.random.default_rng(8)
         u = stiefel.random_point(rng, 60, 6)
-        if branch == "sylvester":
-            delta = stiefel.random_tangent(rng, u, scale=0.85 * np.pi)
-        else:
-            delta = self._dominant_direction(rng, u)
+        delta = self._dominant_direction(rng, u)
+        delta = (0.85 * np.pi / stiefel.norm(delta)) * delta
         target = stiefel.stiefel_exp(delta)
         calls = self._spy(monkeypatch)
         rec = stiefel.stiefel_log(u, target)
         assert np.linalg.norm(rec.delta - delta.delta) <= 1e-12
-        # each generator follows the log whose C it cancels; the plain step
-        # is exactly -C
-        steps = []
+        # each generator follows the log whose B and C it is built from
+        clipped = 0
         for prev, call in zip(calls, calls[1:]):
             if call[0] == "expm":
-                c = prev[2][u.r :, u.r :]
-                steps.append("plain" if np.array_equal(call[1], -c) else "sylvester")
-        assert steps and set(steps) == {branch}
+                b, c = prev[2][u.r :, : u.r], prev[2][u.r :, u.r :]
+                s = np.linalg.eigvalsh(b @ b.T / 12.0 - 0.5 * np.eye(u.r))
+                clipped += s.max() * 2.0 >= stiefel.SYLVESTER_DENOM_MAX
+                assert np.linalg.norm(call[1]) <= 4.0 * np.linalg.norm(c) * (1.0 + 1e-12)
+        assert clipped > 0
 
     @pytest.mark.parametrize("n, r, fraction", [(60, 6, 0.85), (1000, 10, 0.57), (8, 6, 0.6)])
     def test_iterates_stay_orthogonal(self, monkeypatch, n, r, fraction):

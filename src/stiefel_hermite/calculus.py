@@ -2,10 +2,13 @@
 
 Contains the pieces needed to move Hermite velocity data between tangent
 spaces: derivative propagation through QR and (truncated) SVD factorizations,
-the directional derivative of the matrix exponential via the block-triangular
-exponential identity, the resulting closed form for the differential of the
-Stiefel exponential, and the central-difference transport of a sampled
-velocity into another tangent space together with its reconstruction check.
+which the studies use to sample factor velocities; the directional
+derivative of the matrix exponential via the block-triangular exponential
+identity; the differential of the Stiefel exponential, which is that
+derivative on a fixed tangent frame of both vectors (any rank, no
+derivative of the frame's basis); and the central-difference transport of a
+sampled velocity into another tangent space together with its
+reconstruction check.
 """
 
 from __future__ import annotations
@@ -204,42 +207,22 @@ def dexp_stiefel(xi0: stiefel.TangentVector, v: stiefel.TangentVector) -> np.nda
     """Directional derivative of the Stiefel exponential.
 
     Returns d/dt at t = 0 of Exp_U(xi0 + t v) as an ambient n x r matrix.
-    Differentiates the horizontal split (QR path of the normal component)
-    and the 2r x 2r matrix exponential, then applies the product rule:
-    result = Qdot E21 + U D11 + Q D21 with E = expm(M), D = dexp(M, Mdot).
-
-    The normal component of xi0 must have full column rank (the QR path is
-    not differentiable otherwise); the single exception is xi0 = 0, where
-    the differential of the exponential is the identity.
+    Both vectors go into one tangent frame, xi0 = U A + Q M and
+    v = U Adot + Q Mdot over one orthonormal basis Q of both normal parts
+    (n x min(n, 2r)).  The geodesic formula holds on any such Q
+    (``TangentFrame.exp``), and Q does not depend on t, so the result is
+    U D11 + Q D21 with D the Frechet derivative of ``expm`` at
+    [[A, -M'], [M, 0]] in the direction [[Adot, -Mdot'], [Mdot, 0]].  No
+    factor of the normal part is differentiated, so any rank works, a zero
+    or vertical xi0 and n < 2r included.
     """
     xi0._require_same_base(v)
-    if not np.any(xi0.delta):
-        return v.delta.copy()
     u = xi0.base.u
     r = xi0.base.r
-    a0 = u.T @ xi0.delta
-    normal0 = xi0.delta - u @ a0
-    qr0 = linalg.qr_econ(normal0)
-    if qr0.rank_deficient:
-        raise DomainError(
-            "dexp_stiefel: normal component of the base velocity is rank-deficient"
-        )
-    a_dot = u.T @ v.delta
-    normal_dot = v.delta - u @ a_dot
-    dqr = diff_qr(normal0, normal_dot, qr0)
-    gen = np.zeros((2 * r, 2 * r))
-    gen[:r, :r] = a0
-    gen[:r, r:] = -qr0.r_factor.T
-    gen[r:, :r] = qr0.r_factor
-    gen_dot = np.zeros((2 * r, 2 * r))
-    gen_dot[:r, :r] = a_dot
-    gen_dot[:r, r:] = -dqr.r_dot.T
-    gen_dot[r:, :r] = dqr.r_dot
-    blocks = mathias_dexp(gen, gen_dot)
-    e21 = blocks.exp_m[r:, :r]
-    d11 = blocks.dexp_block[:r, :r]
-    d21 = blocks.dexp_block[r:, :r]
-    return dqr.q_dot @ e21 + u @ d11 + qr0.q @ d21
+    frame = stiefel.tangent_frame(xi0.base, [xi0.delta, v.delta])
+    gen, gen_dot = (stiefel._generator(c[:r], c[r:]) for c in frame.coords)
+    d = mathias_dexp(gen, gen_dot).dexp_block
+    return u @ d[:r, :r] + frame.q @ d[r:, :r]
 
 
 def transport_velocity(
@@ -259,9 +242,10 @@ def transport_velocity(
         raise PreconditionError(f"h must be positive, got {h}")
     if v_p.base is not p and not np.array_equal(v_p.base.u, p.u):
         raise PreconditionError("v_p is not attached at p")
+    frame = stiefel.split_tangent(v_p)
     logs = []
     for s, side in ((h, "+h"), (-h, "-h")):
-        point = stiefel.stiefel_exp(v_p, s)
+        point = frame.exp((s,))
         try:
             logs.append(stiefel.stiefel_log(q, point, tau=tau))
         except StiefelLogError as exc:

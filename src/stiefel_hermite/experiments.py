@@ -230,7 +230,11 @@ def _method_curves(
     samples: list[interpolate.HermiteSample],
     failures: dict[str, str],
 ):
-    """Fit every enabled method; record failures instead of aborting."""
+    """Fit every enabled method; record failures instead of aborting.
+
+    A method's first recorded failure is kept, so several sample sets can
+    share one ``failures`` dict.
+    """
     curves = {}
     points = [(s.t, s.point) for s in samples]
     for method in config.methods:
@@ -252,7 +256,7 @@ def _method_curves(
                     )
                 curves[method] = curve
         except ArcFitError as exc:
-            failures[method] = str(exc)
+            failures.setdefault(method, str(exc))
     return curves
 
 
@@ -446,31 +450,13 @@ def run_svd_interp(config: ExperimentConfig) -> ErrorReport:
     data = gen_lowrank_svd_experiment(config)
     grid = _uniform_grid(data.nodes, config.grid_points)
     failures: dict[str, str] = {}
-    curves = {}
-    for method in config.methods:
-        try:
-            if method == "hermite":
-                curves[method] = (
-                    interpolate.fit_composite(
-                        data.samples_u, centering=config.centering, h=config.h, tau=config.tau
-                    ),
-                    interpolate.fit_composite(
-                        data.samples_v, centering=config.centering, h=config.h, tau=config.tau
-                    ),
-                    _PiecewiseHermite(data.nodes, data.sigma_values, data.sigma_slopes),
-                )
-            elif method == "geodesic":
-                curves[method] = (
-                    interpolate.geodesic_interp(
-                        [(s.t, s.point) for s in data.samples_u], tau=config.tau
-                    ),
-                    interpolate.geodesic_interp(
-                        [(s.t, s.point) for s in data.samples_v], tau=config.tau
-                    ),
-                    _PiecewiseLinear(data.nodes, data.sigma_values),
-                )
-        except ArcFitError as exc:
-            failures[method] = str(exc)
+    curves_u = _method_curves(config, data.samples_u, failures)
+    curves_v = _method_curves(config, data.samples_v, failures)
+    sigma = {
+        "hermite": _PiecewiseHermite(data.nodes, data.sigma_values, data.sigma_slopes),
+        "geodesic": _PiecewiseLinear(data.nodes, data.sigma_values),
+    }
+    curves = {m: (cu, curves_v[m], sigma[m]) for m, cu in curves_u.items() if m in curves_v}
     errors = {}
     for method, (cu, cv, cs) in curves.items():
         errs = []
@@ -504,7 +490,7 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
         gamma = interpolate.arc_tangent(arc, t)
         try:
             log_ref = stiefel.stiefel_log(arc.center, ref, tau=config.tau)
-            point = stiefel.stiefel_exp(gamma)
+            point = curve(t)
             manifold_errs.append(stiefel.dist(point, ref, tau=config.tau))
         except StiefelLogError:
             skipped.append(float(t))

@@ -161,6 +161,16 @@ def norm(xi: TangentVector) -> float:
     return float(np.sqrt(max(metric(xi, xi), 0.0)))
 
 
+def _generator(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The geodesic generator [[A, -M'], [M, 0]] for an r x r A and any k x r M."""
+    r, k = a.shape[0], m.shape[0]
+    gen = np.zeros((r + k, r + k))
+    gen[:r, :r] = a
+    gen[:r, r:] = -m.T
+    gen[r:, :r] = m
+    return gen
+
+
 @dataclass(frozen=True)
 class TangentFrame:
     """Tangent vectors D_1..D_k at one base point U, kept in a small basis.
@@ -215,11 +225,7 @@ class TangentFrame:
         basis = None
         if m.shape[0] > r:
             basis, m = linalg.qr_basis(m)
-        gen = np.zeros((2 * r, 2 * r))
-        gen[:r, :r] = a
-        gen[:r, r:] = -m.T
-        gen[r:, :r] = m
-        e = linalg.expm(gen)
+        e = linalg.expm(_generator(a, m))
         e21 = e[r:, :r] if basis is None else basis @ e[r:, :r]
         return StiefelPoint(self.base.u @ e[:r, :r] + self.q @ e21)
 

@@ -4,6 +4,8 @@ import pytest
 from stiefel_hermite import calculus, linalg, stiefel
 from stiefel_hermite.errors import DomainError, PreconditionError, VelocityTransportError
 
+from test_stiefel import _rank_one_tangent
+
 
 @pytest.fixture
 def rng():
@@ -271,7 +273,8 @@ class TestDexpStiefel:
         u = stiefel.random_point(rng, 20, 4)
         v = stiefel.random_tangent(rng, u)
         zero = stiefel.TangentVector(u, np.zeros((20, 4)))
-        assert np.array_equal(calculus.dexp_stiefel(zero, v), v.delta)
+        out = calculus.dexp_stiefel(zero, v)
+        assert np.linalg.norm(out - v.delta) <= 1e-14 * np.linalg.norm(v.delta)
 
     def test_zero_direction(self, rng):
         u = stiefel.random_point(rng, 20, 4)
@@ -279,23 +282,33 @@ class TestDexpStiefel:
         zero = stiefel.TangentVector(u, np.zeros((20, 4)))
         assert np.linalg.norm(calculus.dexp_stiefel(xi, zero)) < 1e-12
 
+    @staticmethod
+    def _fd(xi, v, h=1e-5):
+        return (stiefel.stiefel_exp(xi + h * v).u - stiefel.stiefel_exp(xi - h * v).u) / (2 * h)
+
     def test_matches_fd_oracle(self, rng):
         u = stiefel.random_point(rng, 40, 4)
         xi = stiefel.random_tangent(rng, u, scale=0.8)
         v = stiefel.random_tangent(rng, u, scale=1.0)
         out = calculus.dexp_stiefel(xi, v)
-        h = 1e-5
-        fd = (stiefel.stiefel_exp(xi + h * v).u - stiefel.stiefel_exp(xi - h * v).u) / (2 * h)
+        fd = self._fd(xi, v)
         assert np.linalg.norm(out - fd) <= 1e-6 * np.linalg.norm(fd)
 
-    def test_rank_deficient_rejected(self, rng):
-        u = stiefel.random_point(rng, 15, 3)
-        a = rng.standard_normal((3, 3))
-        a = a - a.T
-        vertical = stiefel.TangentVector(u, u.u @ a)  # zero normal component
-        v = stiefel.random_tangent(rng, u)
-        with pytest.raises(DomainError):
-            calculus.dexp_stiefel(vertical, v)
+    @pytest.mark.parametrize("kind", ["vertical", "rank_one", "n_below_2r"])
+    def test_rank_deficient_matches_fd_oracle(self, kind, rng):
+        # Normal parts of rank below r, and a frame basis of fewer than 2r columns.
+        if kind == "vertical":
+            u = stiefel.random_point(rng, 15, 3)
+            a = rng.standard_normal((3, 3))
+            xi = stiefel.TangentVector(u, u.u @ (a - a.T))
+        elif kind == "rank_one":
+            xi = _rank_one_tangent(rng, 20, 4)
+        else:
+            xi = stiefel.random_tangent(rng, stiefel.random_point(rng, 8, 6), scale=0.8)
+        v = stiefel.random_tangent(rng, xi.base)
+        out = calculus.dexp_stiefel(xi, v)
+        fd = self._fd(xi, v)
+        assert np.linalg.norm(out - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 class TestTransport:

@@ -367,6 +367,15 @@ class TestCLI:
         assert lines[0] == "h,transport_rel_err"
         assert len(lines) == 1 + len(ex.TRANSPORT_STEPS)
 
+    def test_transport_accuracy_n_below_2r(self, capsys):
+        # At n < 2r the normal part of an n x r tangent vector has rank < r.
+        code = cli.main(["transport-accuracy", "--n", "10", "--r", "6"])
+        assert code == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        errs = np.array([float(line.split(",")[1]) for line in rows])
+        assert errs.shape == (len(ex.TRANSPORT_STEPS),)
+        assert np.all(np.isfinite(errs)) and np.all(errs > 0.0)
+
     def test_qr_interp_to_file(self, tmp_path, capsys):
         out = tmp_path / "qr.csv"
         code = cli.main([

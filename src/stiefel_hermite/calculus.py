@@ -1,7 +1,7 @@
 """Differentials of matrix factorizations and of the Stiefel exponential.
 
 Contains the pieces needed to move Hermite velocity data between tangent
-spaces: derivative propagation through QR and (truncated) SVD factorizations,
+spaces: derivative propagation through QR and truncated SVD factorizations,
 which the studies use to sample factor velocities; the directional
 derivative of the matrix exponential via the block-triangular exponential
 identity; the differential of the Stiefel exponential, which is that
@@ -21,7 +21,8 @@ import scipy.linalg as sla
 from . import linalg, stiefel
 from .errors import DomainError, PreconditionError, ShapeError, StiefelLogError, VelocityTransportError
 
-#: Step size for the velocity-transport central difference.
+#: Step size for the velocity-transport central difference; the arc fits
+#: read it at call time.
 DEFAULT_FD_STEP = 1e-4
 
 #: Relative gap below which singular values count as repeated.
@@ -100,40 +101,19 @@ def _check_distinct(sigma: np.ndarray, what: str) -> None:
         )
 
 
-def diff_svd(y, y_dot, svd: tuple[np.ndarray, np.ndarray, np.ndarray]) -> SVDDerivative:
-    """Differentiate a full (economy) SVD y = u diag(sigma) v'.
-
-    Valid only for mutually distinct, positive singular values; the right
-    factor rotates by v_dot = v G where G is skew with
-    ``G_ij = (s_i p_ij + s_j p_ji) / (s_j^2 - s_i^2)`` and p = u' y_dot v.
-    """
-    u, sigma, v = svd
-    ydot = np.asarray(y_dot, dtype=float)
-    m = sigma.shape[0]
-    if ydot.shape != u.shape or v.shape != (m, m):
-        raise ShapeError("diff_svd: factor shapes inconsistent with y_dot")
-    _check_distinct(sigma, "diff_svd")
-    p = u.T @ ydot @ v
-    sigma_dot = np.diagonal(p).copy()
-    denom = sigma[np.newaxis, :] ** 2 - sigma[:, np.newaxis] ** 2
-    np.fill_diagonal(denom, 1.0)
-    gamma = (sigma[:, np.newaxis] * p + sigma[np.newaxis, :] * p.T) / denom
-    np.fill_diagonal(gamma, 0.0)
-    v_dot = v @ gamma
-    u_dot = (ydot @ v + u @ (sigma[:, np.newaxis] * gamma - np.diag(sigma_dot))) / sigma[np.newaxis, :]
-    return SVDDerivative(u_dot=u_dot, sigma_dot=sigma_dot, v_dot=v_dot)
-
-
 def diff_svd_truncated(
     y, y_dot, rank: int, svd: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> SVDDerivative:
     """Differentiate the rank-r truncated SVD of an exactly rank-r matrix.
 
+    Valid only for mutually distinct, positive leading singular values.  The
+    right factor rotates by v_dot = v G with p = u_r' y_dot v: the top r x r
+    block of G is skew with ``G_ij = (s_i p_ij + s_j p_ji) / (s_j^2 - s_i^2)``.
     ``svd`` must carry the full square right factor v (m x m): the rotation
     of the leading right singular vectors has components along all of its
     columns.  Rows of the rotation beyond the rank use the exact-rank
     shortcut ``G_ij = p_ji / s_j`` which needs no trailing singular values.
-    For rank == m this reduces to ``diff_svd``.
+    At rank == m this is the derivative of the full economy SVD.
     """
     u, sigma, v = svd
     ydot = np.asarray(y_dot, dtype=float)
@@ -230,7 +210,6 @@ def transport_velocity(
     p: stiefel.StiefelPoint,
     v_p: stiefel.TangentVector,
     h: float = DEFAULT_FD_STEP,
-    tau: float = stiefel.DEFAULT_LOG_TAU,
 ) -> stiefel.TangentVector:
     """Carry a velocity sampled at p into the tangent space at q.
 
@@ -247,7 +226,7 @@ def transport_velocity(
     for s, side in ((h, "+h"), (-h, "-h")):
         point = frame.exp((s,))
         try:
-            logs.append(stiefel.stiefel_log(q, point, tau=tau))
+            logs.append(stiefel.stiefel_log(q, point))
         except StiefelLogError as exc:
             raise VelocityTransportError(
                 f"logarithm failed at the {side} offset point: {exc}", side=side
@@ -262,7 +241,6 @@ def validate_transport(
     p: stiefel.StiefelPoint,
     v_p: stiefel.TangentVector,
     h: float = DEFAULT_FD_STEP,
-    tau: float = stiefel.DEFAULT_LOG_TAU,
 ) -> float:
     """Relative reconstruction error of the velocity transport.
 
@@ -270,8 +248,8 @@ def validate_transport(
     exponential at Log_q(p), and compares with the original velocity in the
     Frobenius norm.
     """
-    v_hat = transport_velocity(q, p, v_p, h=h, tau=tau)
-    delta_p = stiefel.stiefel_log(q, p, tau=tau)
+    v_hat = transport_velocity(q, p, v_p, h=h)
+    delta_p = stiefel.stiefel_log(q, p)
     v_rec = dexp_stiefel(delta_p, v_hat)
     return float(
         np.linalg.norm(v_rec - v_p.delta) / np.linalg.norm(v_p.delta)

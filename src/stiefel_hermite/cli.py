@@ -37,21 +37,18 @@ _FLAGS = {
     "nodes": dict(type=int, dest="num_nodes", metavar="NODES", help="Chebyshev sample nodes"),
     "interval": dict(type=_interval, metavar="a,b", help="sampling interval"),
     "seed": dict(type=int),
-    "h": dict(type=float, help="FD step for velocity transport"),
-    "tau": dict(type=float, help="log convergence threshold"),
     "centering": dict(choices=["q", "p"]),
     "methods": dict(type=_methods, help="comma list from hermite,geodesic,rbf"),
-    "rbf-shape": dict(type=float),
 }
 
 #: The flags of each subcommand: the fields its study reads.
 _COMMAND_FLAGS = {
-    "transport-accuracy": "n r tau",
-    "bound-check": "n r seed tau",
-    "qr-interp": "n r nodes interval seed h tau centering methods rbf-shape",
-    "svd-interp": "n r m nodes interval seed h tau centering methods",
-    "tangent-vs-manifold": "n r m nodes interval seed h tau centering",
-    "snapshot-interp": "n r nodes interval h tau centering methods rbf-shape",
+    "transport-accuracy": "n r",
+    "bound-check": "n r seed",
+    "qr-interp": "n r nodes interval seed centering methods",
+    "svd-interp": "n r m nodes interval seed centering methods",
+    "tangent-vs-manifold": "n r m nodes interval seed centering",
+    "snapshot-interp": "n r nodes interval centering methods",
 }
 
 

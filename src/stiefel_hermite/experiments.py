@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import interpolate, linalg, stiefel
-from .calculus import diff_qr, diff_svd, diff_svd_truncated, svd_sign_normalize, validate_transport
+from .calculus import diff_qr, diff_svd_truncated, svd_sign_normalize, validate_transport
 from .errors import ArcFitError, PreconditionError, StiefelLogError
 from .stiefel import CURVATURE_MAX
 
@@ -39,10 +39,24 @@ METHODS = ("hermite", "geodesic", "rbf")
 #: Finite-difference steps swept by the transport accuracy study.
 TRANSPORT_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
+#: The random generators try the seeds config.seed, config.seed + 1, ...
+#: this many times before they give up.
+GEN_MAX_ATTEMPTS = 20
+
+#: mu of the base, target and velocity-direction snapshots of the transport
+#: study.
+SNAPSHOT_TRANSPORT_MUS = (0.9, 1.4, 1.9)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs for the experiment runners (desk-scale defaults)."""
+    """Shared knobs for the experiment runners (desk-scale defaults).
+
+    The numerical constants of the method are not fields: every log runs to
+    ``stiefel.LOG_TAU``, every arc fit transports with the step
+    ``calculus.DEFAULT_FD_STEP``, and the RBF baseline uses the shape
+    ``interpolate.RBF_SHAPE``.
+    """
 
     n: int = 100
     r: int = 6
@@ -50,11 +64,8 @@ class ExperimentConfig:
     interval: tuple[float, float] = (-1.1, 1.1)
     num_nodes: int = 6
     seed: int = 0
-    h: float = 1e-4
-    tau: float = 1e-14
     centering: str = "q"
     methods: tuple[str, ...] = ("hermite", "geodesic", "rbf")
-    rbf_shape: float = 1.0
     grid_points: int = 100
 
     def __post_init__(self):
@@ -64,8 +75,6 @@ class ExperimentConfig:
             raise PreconditionError(f"need n >= r, got n={self.n}, r={self.r}")
         if self.num_nodes < 2:
             raise PreconditionError(f"need at least 2 nodes, got {self.num_nodes}")
-        if self.h <= 0 or self.tau <= 0:
-            raise PreconditionError("h and tau must be positive")
         if not self.interval[0] < self.interval[1]:
             raise PreconditionError(f"empty interval {self.interval}")
         if self.centering not in interpolate.CENTERINGS:
@@ -187,7 +196,7 @@ class QRExperimentData:
         return stiefel.StiefelPoint(linalg.qr_econ(self.y(t)).q)
 
 
-def gen_qr_experiment(config: ExperimentConfig, max_attempts: int = 20) -> QRExperimentData:
+def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
     """Random cubic matrix path and Hermite samples of its Q-factor.
 
     Coefficient entries are uniform on [0, 1] (constant term), [0, 0.5]
@@ -197,7 +206,7 @@ def gen_qr_experiment(config: ExperimentConfig, max_attempts: int = 20) -> QRExp
     """
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
     grid = _uniform_grid(nodes, config.grid_points)
-    for attempt in range(max_attempts):
+    for attempt in range(GEN_MAX_ATTEMPTS):
         seed = config.seed + attempt
         rng = np.random.default_rng(seed)
         coeffs = (
@@ -222,7 +231,7 @@ def gen_qr_experiment(config: ExperimentConfig, max_attempts: int = 20) -> QRExp
                 )
             )
         return data
-    raise PreconditionError(f"no full-rank QR path found in {max_attempts} attempts")
+    raise PreconditionError(f"no full-rank QR path found in {GEN_MAX_ATTEMPTS} attempts")
 
 
 def _method_curves(
@@ -240,15 +249,11 @@ def _method_curves(
     for method in config.methods:
         try:
             if method == "hermite":
-                curves[method] = interpolate.fit_composite(
-                    samples, centering=config.centering, h=config.h, tau=config.tau
-                )
+                curves[method] = interpolate.fit_composite(samples, centering=config.centering)
             elif method == "geodesic":
-                curves[method] = interpolate.geodesic_interp(points, tau=config.tau)
+                curves[method] = interpolate.geodesic_interp(points)
             elif method == "rbf":
-                curve = interpolate.tangent_rbf_interp(
-                    points, shape=config.rbf_shape, tau=config.tau, skip_failed=True
-                )
+                curve = interpolate.tangent_rbf_interp(points, skip_failed=True)
                 if curve.failed_indices:
                     failures[method] = (
                         "log did not converge for samples "
@@ -322,9 +327,7 @@ class SVDExperimentData:
         return stiefel.StiefelPoint(u_n)
 
 
-def gen_lowrank_svd_experiment(
-    config: ExperimentConfig, max_attempts: int = 20
-) -> SVDExperimentData:
+def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
     """Random exact-rank-r path W(t) = Y(t) Z(t) with truncated-SVD samples.
 
     Y is a cubic n x r polynomial (entries uniform on [0,1] / [0,0.5]),
@@ -337,7 +340,7 @@ def gen_lowrank_svd_experiment(
     if config.m < r:
         raise PreconditionError(f"an exact rank-r path needs m >= r, got m={config.m}, r={r}")
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
-    for attempt in range(max_attempts):
+    for attempt in range(GEN_MAX_ATTEMPTS):
         seed = config.seed + attempt
         rng = np.random.default_rng(seed)
         y_coeffs = (
@@ -362,28 +365,17 @@ def gen_lowrank_svd_experiment(
             sigma_slopes=np.zeros((len(nodes), r)),
             seed_used=seed,
         )
-        ok = True
-        for t in nodes:
-            sigma = linalg.svd_full(data.w(t))[1]
-            gaps = sigma[: r - 1] - sigma[1:r]
-            if sigma[r:].size and sigma[r] > 1e-10 * sigma[0]:
-                ok = False  # not numerically rank r
-            if np.min(gaps) < 1e-6 * sigma[0] or sigma[r - 1] < 1e-10 * sigma[0]:
-                ok = False
-            if not ok:
-                break
-        if not ok:
-            logger.warning("SVD path degenerate for seed %d; regenerating", seed)
-            continue
-        data.u_ref = linalg.svd_full(data.w(nodes[0]))[0][:, :r]
         for i, t in enumerate(nodes):
             w = data.w(t)
             u, sigma, v = linalg.svd_full(w)
-            u_n, v_head = svd_sign_normalize(u[:, :r], v[:, :r], data.u_ref)
-            u = u.copy()
-            v = v.copy()
-            u[:, :r] = u_n
-            v[:, :r] = v_head
+            gaps = sigma[: r - 1] - sigma[1:r]
+            if sigma[r:].size and sigma[r] > 1e-10 * sigma[0]:
+                break  # not numerically rank r
+            if np.min(gaps) < 1e-6 * sigma[0] or sigma[r - 1] < 1e-10 * sigma[0]:
+                break
+            if i == 0:
+                data.u_ref = u[:, :r].copy()  # normalizing against itself multiplies by 1.0
+            u[:, :r], v[:, :r] = svd_sign_normalize(u[:, :r], v[:, :r], data.u_ref)
             deriv = diff_svd_truncated(w, data.w_dot(t), r, (u, sigma, v))
             point_u = stiefel.StiefelPoint(u[:, :r])
             point_v = stiefel.StiefelPoint(v[:, :r])
@@ -399,9 +391,11 @@ def gen_lowrank_svd_experiment(
             )
             data.sigma_values[i] = sigma[:r]
             data.sigma_slopes[i] = deriv.sigma_dot
-        return data
+        else:
+            return data
+        logger.warning("SVD path degenerate for seed %d; regenerating", seed)
     raise PreconditionError(
-        f"no well-separated SVD path found in {max_attempts} attempts"
+        f"no well-separated SVD path found in {GEN_MAX_ATTEMPTS} attempts"
     )
 
 
@@ -478,9 +472,7 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
     manifold the latter is (slightly) smaller.
     """
     data = gen_lowrank_svd_experiment(config)
-    curve = interpolate.fit_composite(
-        data.samples_u, centering=config.centering, h=config.h, tau=config.tau
-    )
+    curve = interpolate.fit_composite(data.samples_u, centering=config.centering)
     grid = _uniform_grid(data.nodes, config.grid_points)
     kept, rel_errs, tangent_errs, manifold_errs = [], [], [], []
     skipped = []
@@ -489,9 +481,9 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
         arc = curve.arcs[curve.arc_index(t)]
         gamma = interpolate.arc_tangent(arc, t)
         try:
-            log_ref = stiefel.stiefel_log(arc.center, ref, tau=config.tau)
+            log_ref = stiefel.stiefel_log(arc.center, ref)
             point = curve(t)
-            manifold_errs.append(stiefel.dist(point, ref, tau=config.tau))
+            manifold_errs.append(stiefel.dist(point, ref))
         except StiefelLogError:
             skipped.append(float(t))
             continue
@@ -578,12 +570,13 @@ def gen_snapshot_experiment(config: ExperimentConfig) -> SnapshotExperimentData:
         u_ref=np.empty(0),
         samples=[],
     )
-    data.u_ref = linalg.svd_full(data.snapshot(nodes[0]))[0]
-    for mu in nodes:
+    for i, mu in enumerate(nodes):
         y = data.snapshot(mu)
         u, sigma, v = linalg.svd_full(y)
+        if i == 0:
+            data.u_ref = u  # normalizing against itself multiplies by 1.0
         u, v = svd_sign_normalize(u, v, data.u_ref)
-        deriv = diff_svd(y, data.snapshot_dot(mu), (u, sigma, v))
+        deriv = diff_svd_truncated(y, data.snapshot_dot(mu), config.r, (u, sigma, v))
         point = stiefel.StiefelPoint(u)
         data.samples.append(
             interpolate.HermiteSample(
@@ -607,24 +600,25 @@ def run_snapshot_experiment(config: ExperimentConfig) -> ErrorReport:
 
 def snapshot_transport_instance(
     config: ExperimentConfig,
-    mu_base: float = 0.9,
-    mu_target: float = 1.4,
-    mu_direction: float = 1.9,
 ) -> tuple[stiefel.StiefelPoint, stiefel.StiefelPoint, stiefel.TangentVector]:
-    """The (base, target, velocity) triple of the snapshot transport study."""
+    """The (base, target, velocity) triple of the snapshot transport study.
+
+    Snapshots at the three ``SNAPSHOT_TRANSPORT_MUS``; the velocity at the
+    base is the log of the direction snapshot.
+    """
+    mu_base, mu_target, mu_direction = SNAPSHOT_TRANSPORT_MUS
     wide = ExperimentConfig(
         n=config.n,
         r=config.r,
-        interval=(min(mu_base, mu_target, mu_direction), max(mu_base, mu_target, mu_direction)),
+        interval=(min(SNAPSHOT_TRANSPORT_MUS), max(SNAPSHOT_TRANSPORT_MUS)),
         num_nodes=2,
         seed=config.seed,
-        tau=config.tau,
     )
     data = gen_snapshot_experiment(wide)
     p = data.reference_u(mu_base)
     q = data.reference_u(mu_target)
     far = data.reference_u(mu_direction)
-    v_p = stiefel.stiefel_log(p, far, tau=config.tau)
+    v_p = stiefel.stiefel_log(p, far)
     return q, p, v_p
 
 
@@ -645,9 +639,7 @@ def run_transport_accuracy(
         p = stiefel.random_point(rng, config.n, config.r)
         q = stiefel.stiefel_exp(stiefel.random_tangent(rng, p, scale=0.8))
         v_p = stiefel.random_tangent(rng, p, scale=1.0)
-    return [
-        (h, validate_transport(q, p, v_p, h=h, tau=config.tau)) for h in TRANSPORT_STEPS
-    ]
+    return [(h, validate_transport(q, p, v_p, h=h)) for h in TRANSPORT_STEPS]
 
 
 def bound_check_instance(
@@ -667,9 +659,7 @@ def bound_check_instance(
     w_perp = (1.0 / stiefel.norm(ortho)) * ortho
     d1 = delta * w
     d2 = delta_tilde * (math.cos(s0) * w + math.sin(s0) * w_perp)
-    observed = stiefel.dist(
-        stiefel.stiefel_exp(d1), stiefel.stiefel_exp(d2), tau=config.tau
-    )
+    observed = stiefel.dist(stiefel.stiefel_exp(d1), stiefel.stiefel_exp(d2))
     return {
         "delta": delta,
         "delta_tilde": delta_tilde,

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import stiefel
-from .calculus import DEFAULT_FD_STEP, transport_velocity
+from . import calculus, stiefel
 from .errors import (
     ArcFitError,
     DomainError,
@@ -39,6 +38,10 @@ CENTERINGS = ("q", "p")
 
 #: Subintervals shorter than this fraction of the knot span are rejected.
 DEGENERATE_SPAN_EPS = 1e-12
+
+#: Shape parameter of the RBF baseline's inverse multiquadric kernel, on
+#: parameters rescaled to [-1, 1].  Read at call time.
+RBF_SHAPE = 1.0
 
 
 def hermite_coeffs(t: float, t0: float, t1: float) -> tuple[float, float, float, float]:
@@ -113,7 +116,7 @@ class HermiteArc:
 
 def _arc_coeffs(arc: HermiteArc, t: float) -> tuple[float, float, float]:
     """Coefficients of (delta_far, v_hat_start, v_hat_end) at parameter t."""
-    if t < arc.t0 or t > arc.t1:
+    if not arc.t0 <= t <= arc.t1:
         raise DomainError(f"t={t} outside arc [{arc.t0}, {arc.t1}]")
     a0, a1, b0, b1 = hermite_coeffs(t, arc.t0, arc.t1)
     return (a0 if arc.centering == "q" else a1), b0, b1
@@ -129,34 +132,24 @@ def eval_arc(arc: HermiteArc, t: float) -> stiefel.StiefelPoint:
     return arc.frame.exp(_arc_coeffs(arc, t))
 
 
-def fit_arc(
-    s0: HermiteSample,
-    s1: HermiteSample,
-    centering: str = "q",
-    h: float = DEFAULT_FD_STEP,
-    tau: float = stiefel.DEFAULT_LOG_TAU,
-) -> HermiteArc:
+def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> HermiteArc:
     """Fit one quasi-cubic arc between two Hermite samples.
 
     Costs 3 logarithms and 2 exponentials: one log for the far endpoint and
-    a central difference (2 logs + 2 exps) for the far velocity; the
-    velocity at the center is used as-is.
+    a central difference (2 logs + 2 exps, step ``calculus.DEFAULT_FD_STEP``)
+    for the far velocity; the velocity at the center is used as-is.  The
+    logs run to ``stiefel.LOG_TAU``.
     """
     if centering not in CENTERINGS:
         raise PreconditionError(f"centering must be one of {CENTERINGS}, got {centering!r}")
     if not s0.t < s1.t:
         raise DomainError(f"need s0.t < s1.t, got {s0.t}, {s1.t}")
+    near, far = (s1, s0) if centering == "q" else (s0, s1)
     try:
-        if centering == "q":
-            center = s1.point
-            delta_far = stiefel.stiefel_log(center, s0.point, tau=tau)
-            v_start = transport_velocity(center, s0.point, s0.velocity, h=h, tau=tau)
-            v_end = s1.velocity
-        else:
-            center = s0.point
-            delta_far = stiefel.stiefel_log(center, s1.point, tau=tau)
-            v_start = s0.velocity
-            v_end = transport_velocity(center, s1.point, s1.velocity, h=h, tau=tau)
+        delta_far = stiefel.stiefel_log(near.point, far.point)
+        v_far = calculus.transport_velocity(
+            near.point, far.point, far.velocity, h=calculus.DEFAULT_FD_STEP
+        )
     except (StiefelLogError, VelocityTransportError) as exc:
         raise ArcFitError(
             f"arc fit failed on [{s0.t}, {s1.t}]; samples may be too far apart, "
@@ -167,17 +160,17 @@ def fit_arc(
     return HermiteArc(
         t0=float(s0.t),
         t1=float(s1.t),
-        center=center,
+        center=near.point,
         delta_far=delta_far,
-        v_hat_start=v_start,
-        v_hat_end=v_end,
+        v_hat_start=v_far if centering == "q" else s0.velocity,
+        v_hat_end=s1.velocity if centering == "q" else v_far,
         centering=centering,
     )
 
 
 def _segment_index(knots: np.ndarray, t: float) -> int:
     """Right-closed lookup: t in [k_i, k_{i+1}) -> i; t == k_last -> last."""
-    if t < knots[0] or t > knots[-1]:
+    if not knots[0] <= t <= knots[-1]:
         raise DomainError(f"t={t} outside [{knots[0]}, {knots[-1]}]")
     if t == knots[-1]:
         return len(knots) - 2
@@ -198,12 +191,7 @@ class CompositeCurve:
         return eval_arc(self.arcs[self.arc_index(t)], t)
 
 
-def fit_composite(
-    samples: list[HermiteSample],
-    centering: str = "q",
-    h: float = DEFAULT_FD_STEP,
-    tau: float = stiefel.DEFAULT_LOG_TAU,
-) -> CompositeCurve:
+def fit_composite(samples: list[HermiteSample], centering: str = "q") -> CompositeCurve:
     """Fit arcs over consecutive sample pairs; the result is C^1 at the knots."""
     if len(samples) < 2:
         raise PreconditionError("need at least 2 samples")
@@ -214,8 +202,7 @@ def fit_composite(
     if np.any(np.diff(ts) < DEGENERATE_SPAN_EPS * span):
         raise PreconditionError("degenerate subinterval in the sample plan")
     arcs = tuple(
-        fit_arc(samples[i], samples[i + 1], centering=centering, h=h, tau=tau)
-        for i in range(len(samples) - 1)
+        fit_arc(samples[i], samples[i + 1], centering=centering) for i in range(len(samples) - 1)
     )
     return CompositeCurve(arcs=arcs, knots=ts)
 
@@ -238,10 +225,7 @@ class GeodesicCurve:
         return self.frames[i].exp((s,))
 
 
-def geodesic_interp(
-    samples: list[tuple[float, stiefel.StiefelPoint]],
-    tau: float = stiefel.DEFAULT_LOG_TAU,
-) -> GeodesicCurve:
+def geodesic_interp(samples: list[tuple[float, stiefel.StiefelPoint]]) -> GeodesicCurve:
     """Connect consecutive sample points by geodesics."""
     if len(samples) < 2:
         raise PreconditionError("need at least 2 samples")
@@ -251,9 +235,7 @@ def geodesic_interp(
     directions = []
     for i in range(len(samples) - 1):
         try:
-            directions.append(
-                stiefel.stiefel_log(samples[i][1], samples[i + 1][1], tau=tau)
-            )
+            directions.append(stiefel.stiefel_log(samples[i][1], samples[i + 1][1]))
         except StiefelLogError as exc:
             raise ArcFitError(
                 f"geodesic fit failed on [{ts[i]}, {ts[i + 1]}]: {exc}",
@@ -263,8 +245,8 @@ def geodesic_interp(
     return GeodesicCurve(knots=ts, directions=tuple(directions))
 
 
-def _inverse_multiquadric(d: np.ndarray, shape: float) -> np.ndarray:
-    return 1.0 / np.sqrt(1.0 + (shape * d) ** 2)
+def _inverse_multiquadric(d: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(1.0 + (RBF_SHAPE * d) ** 2)
 
 
 @dataclass(frozen=True)
@@ -272,16 +254,15 @@ class TangentRBFCurve:
     """RBF interpolant of log-images in a single tangent space.
 
     Sample parameters are affinely rescaled to [-1, 1] before the kernel is
-    applied, so ``shape`` is interval-independent.  ``failed_indices`` lists
-    samples whose logarithm to the center did not converge (only nonempty
-    when the curve was fit with ``skip_failed=True``).  ``frame`` holds the
+    applied, so ``RBF_SHAPE`` is interval-independent.  ``failed_indices``
+    lists samples whose logarithm to the center did not converge (only
+    nonempty when the curve was fit with ``skip_failed=True``).  ``frame`` holds the
     weight matrices, built once from ``center`` and ``weights``.
     """
 
     center: stiefel.StiefelPoint
     scaled_knots: np.ndarray
     weights: np.ndarray  # (k, n, r) stacked weight matrices
-    shape: float
     t_lo: float
     t_hi: float
     failed_indices: tuple[int, ...] = field(default=())
@@ -294,29 +275,23 @@ class TangentRBFCurve:
         return -1.0 + 2.0 * (t - self.t_lo) / (self.t_hi - self.t_lo)
 
     def __call__(self, t: float) -> stiefel.StiefelPoint:
-        phi = _inverse_multiquadric(
-            np.abs(self._rescale(t) - self.scaled_knots), self.shape
-        )
-        return self.frame.exp(phi)
+        return self.frame.exp(_inverse_multiquadric(np.abs(self._rescale(t) - self.scaled_knots)))
 
 
 def tangent_rbf_interp(
-    samples: list[tuple[float, stiefel.StiefelPoint]],
-    shape: float = 1.0,
-    tau: float = stiefel.DEFAULT_LOG_TAU,
-    skip_failed: bool = False,
+    samples: list[tuple[float, stiefel.StiefelPoint]], skip_failed: bool = False
 ) -> TangentRBFCurve:
     """Map all samples to the tangent space of the middle sample, RBF-interpolate.
 
-    The center is the sample with index ``len(samples) // 2``.  If the log of
-    some sample does not converge, raises TangentMapError listing the failed
-    indices, unless ``skip_failed`` is set, in which case those samples are
-    dropped from the interpolation problem and recorded on the curve.
+    The kernel is the inverse multiquadric with shape ``RBF_SHAPE`` on the
+    parameters rescaled to [-1, 1].  The center is the sample with index
+    ``len(samples) // 2``.  If the log of some sample does not converge,
+    raises TangentMapError listing the failed indices, unless
+    ``skip_failed`` is set, in which case those samples are dropped from the
+    interpolation problem and recorded on the curve.
     """
     if not samples:
         raise PreconditionError("need at least 1 sample")
-    if shape <= 0.0:
-        raise PreconditionError(f"RBF shape parameter must be positive, got {shape}")
     ts = np.asarray([t for t, _ in samples], dtype=float)
     if len(samples) > 1 and not np.all(np.diff(ts) > 0):
         raise PreconditionError("sample parameters must be strictly increasing")
@@ -329,7 +304,7 @@ def tangent_rbf_interp(
     failed: list[int] = []
     for i, (_, point) in enumerate(samples):
         try:
-            deltas.append(stiefel.stiefel_log(center, point, tau=tau).delta)
+            deltas.append(stiefel.stiefel_log(center, point).delta)
             kept.append(i)
         except StiefelLogError:
             failed.append(i)
@@ -342,14 +317,13 @@ def tangent_rbf_interp(
     if not kept:
         raise TangentMapError("no sample could be mapped to the center tangent space", failed)
     scaled = -1.0 + 2.0 * (ts[kept] - t_lo) / (t_hi - t_lo)
-    kernel = _inverse_multiquadric(np.abs(scaled[:, np.newaxis] - scaled[np.newaxis, :]), shape)
+    kernel = _inverse_multiquadric(np.abs(scaled[:, np.newaxis] - scaled[np.newaxis, :]))
     stacked = np.stack(deltas)  # (k, n, r)
     weights = np.linalg.solve(kernel, stacked.reshape(len(kept), -1)).reshape(stacked.shape)
     return TangentRBFCurve(
         center=center,
         scaled_knots=scaled,
         weights=weights,
-        shape=float(shape),
         t_lo=t_lo,
         t_hi=t_hi,
         failed_indices=tuple(failed),

@@ -35,8 +35,10 @@ from .errors import PreconditionError, ShapeError, StiefelLogError
 ORTH_TOL = linalg.ORTH_TOL
 TANGENT_TOL = 1e-8
 
-DEFAULT_LOG_TAU = 1e-14
-DEFAULT_LOG_MAX_ITER = 100
+#: ``stiefel_log`` stops when the residual ||C||_F reaches LOG_TAU, and
+#: raises after LOG_MAX_ITER steps.  Read at call time.
+LOG_TAU = 1e-14
+LOG_MAX_ITER = 100
 
 #: Sectional curvature of the canonical-metric Stiefel manifold lies in [0, 5/4].
 CURVATURE_MAX = 1.25
@@ -307,18 +309,14 @@ def _step(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return 0.5 * (x - x.T)
 
 
-def stiefel_log(
-    base: StiefelPoint,
-    target: StiefelPoint,
-    tau: float = DEFAULT_LOG_TAU,
-    max_iter: int = DEFAULT_LOG_MAX_ITER,
-) -> TangentVector:
+def stiefel_log(base: StiefelPoint, target: StiefelPoint) -> TangentVector:
     """Riemannian logarithm: the tangent vector xi with Exp_base(xi) = target.
 
     Zimmermann's iteration (SIMAX 38(2), 2017): build an orthogonal
     2r x 2r completion V of the overlap/normal coordinates of ``target``,
     with log(V) = [[A, -B'], [B, C]], then rotate the completion columns,
-    V <- V diag(I, expm(X)), until ||C||_F <= tau; then xi = U A + Q B.
+    V <- V diag(I, expm(X)), until ||C||_F <= ``LOG_TAU``; then
+    xi = U A + Q B.
 
     * Start: Zimmermann and Hueper (SIMAX 43(2), 2022).  The completion
       columns are rotated by Y X' from the SVD V22 = X Sigma Y', so V22 =
@@ -331,7 +329,8 @@ def stiefel_log(
     * Kernel: each step takes ``linalg.logm``, the real-Schur log of an
       orthogonal matrix, exactly skew.  The Schur form of the polished V is
       block diagonal to round-off, so the log of the last iterate is also
-      the readout: A and B come off the same matrix whose C passed tau.
+      the readout: A and B come off the same matrix whose C passed
+      ``LOG_TAU``.
       (Without the polish, the Schur log drops an off-diagonal part of the
       drift's size that differs between nearby targets, which the velocity
       transport's difference quotient amplifies by 1/h.)
@@ -350,15 +349,13 @@ def stiefel_log(
     Raises
     ------
     StiefelLogError
-        If the iteration does not reach the threshold within ``max_iter``
+        If the iteration does not reach ``LOG_TAU`` within ``LOG_MAX_ITER``
         steps, an iterate loses orthogonality, an intermediate principal
         logarithm is undefined, or the converged vector fails the
         certificate; this is the operational "target too far from base"
         boundary.
     """
     op_counter.log_calls += 1
-    if tau <= 0.0:
-        raise PreconditionError(f"tau must be positive, got {tau}")
     if base.u.shape != target.u.shape:
         raise ShapeError(
             f"base shape {base.u.shape} != target shape {target.u.shape}"
@@ -376,12 +373,12 @@ def stiefel_log(
         x[:, -1] *= -1.0
     v[:, r:] = v[:, r:] @ yt.T @ x.T
     residual = np.inf
-    for k in range(max_iter):
+    for k in range(LOG_MAX_ITER):
         v = _polished(v, k, residual)
         log_v = _principal_log(v, k, residual)
         c = log_v[r:, r:]
         residual = float(np.linalg.norm(c))
-        if residual <= tau:
+        if residual <= LOG_TAU:
             xi = TangentVector(base, base.u @ log_v[:r, :r] + q @ log_v[r:, :r])
             length = norm(xi)
             if length >= LOG_NORM_MAX:
@@ -395,18 +392,18 @@ def stiefel_log(
             return xi
         v[:, r:] = v[:, r:] @ linalg.expm(_step(log_v[r:, :r], c))
     raise StiefelLogError(
-        f"no convergence after {max_iter} iterations (||C||_F = {residual:.3g}); "
+        f"no convergence after {LOG_MAX_ITER} iterations (||C||_F = {residual:.3g}); "
         "target may be too far from base",
-        iterations=max_iter,
+        iterations=LOG_MAX_ITER,
         residual=residual,
     )
 
 
-def dist(p: StiefelPoint, q: StiefelPoint, tau: float = DEFAULT_LOG_TAU) -> float:
+def dist(p: StiefelPoint, q: StiefelPoint) -> float:
     """Riemannian distance: canonical norm of the logarithm."""
     if np.array_equal(p.u, q.u):
         return 0.0
-    return norm(stiefel_log(p, q, tau=tau))
+    return norm(stiefel_log(p, q))
 
 
 def random_point(rng: np.random.Generator, n: int, r: int) -> StiefelPoint:

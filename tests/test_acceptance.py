@@ -55,7 +55,7 @@ def test_criterion_2_interpolation_conditions():
             vel = stiefel.random_tangent(rng, point, scale=0.8)
             samples.append(interp.HermiteSample(t=t, point=point, velocity=vel))
             point = stiefel.stiefel_exp(stiefel.random_tangent(rng, point, scale=0.4))
-        curve = interp.fit_composite(samples, h=1e-4, tau=1e-14)
+        curve = interp.fit_composite(samples)
         for i, s in enumerate(samples):
             point_ok &= bool(np.linalg.norm(curve(s.t).u - s.point.u) <= 1e-8)
             if i == 0:
@@ -160,7 +160,7 @@ def test_criterion_5_differential_oracles():
         u, s, v = linalg.svd_full(y)
         if np.min(s[:-1] - s[1:]) < 1e-3 * s[0]:
             continue  # keep the oracle well conditioned
-        d = calculus.diff_svd(y, y_dot, (u, s, v))
+        d = calculus.diff_svd_truncated(y, y_dot, 6, (u, s, v))
 
         def norm_u(mat):
             uu, _, vv = linalg.svd_full(mat)
@@ -214,8 +214,8 @@ def test_criterion_5_differential_oracles():
         "differentials match central-FD oracles (10 instances each)",
         {
             "diff_qr": qr_ok,
-            "diff_svd": svd_ok,
-            "diff_svd_truncated": trunc_ok,
+            "diff_svd_truncated at rank = m": svd_ok,
+            "diff_svd_truncated at rank < m": trunc_ok,
             "dexp_stiefel": dexp_ok,
             "mathias_dexp": mathias_ok,
             "block structure equals expm(M) within 1e-12": blocks_ok,
@@ -231,7 +231,7 @@ def test_criterion_6_exp_log_consistency():
         scale = rng.uniform(0.05, 1.0)
         delta = stiefel.random_tangent(rng, u, scale=scale)
         target = stiefel.stiefel_exp(delta)
-        rec = stiefel.stiefel_log(u, target, tau=1e-14)
+        rec = stiefel.stiefel_log(u, target)
         round_ok &= bool(np.linalg.norm(rec.delta - delta.delta) <= 1e-9)
         radial_ok &= bool(abs(stiefel.dist(u, target) - scale) <= 1e-8 * scale)
     _criterion(
@@ -272,12 +272,12 @@ def test_criterion_7_curvature_sign_behavior():
     )
 
 
-def _log_certified(base, target, tau) -> bool:
+def _log_certified(base, target) -> bool:
     """Log_base(target) converges, round-trips, is symmetric in norm, and lies
     inside the conjugate radius pi / sqrt(K_max) of the canonical metric."""
     try:
-        xi = stiefel.stiefel_log(base, target, tau=tau)
-        back = stiefel.stiefel_log(target, base, tau=tau)
+        xi = stiefel.stiefel_log(base, target)
+        back = stiefel.stiefel_log(target, base)
     except StiefelLogError:
         return False
     fwd, rev = stiefel.norm(xi), stiefel.norm(back)
@@ -294,9 +294,7 @@ def test_criterion_8_snapshot_failure_mode():
     data = ex.gen_snapshot_experiment(cfg)
     points = [(s.t, s.point) for s in data.samples]
     center = points[len(points) // 2][1]
-    rbf = interp.tangent_rbf_interp(
-        points, shape=cfg.rbf_shape, tau=cfg.tau, skip_failed=True
-    )
+    rbf = interp.tangent_rbf_interp(points, skip_failed=True)
     _criterion(
         8,
         "snapshot study at n=1001, r=6 (RBF logs from the center sample)",
@@ -320,7 +318,7 @@ def test_criterion_8_snapshot_failure_mode():
             "rbf completed without failure": "rbf" in rep.errors
             and "rbf" not in rep.failures,
             "all six logs from the center certified": all(
-                _log_certified(center, p, cfg.tau) for _, p in points
+                _log_certified(center, p) for _, p in points
             ),
             "rbf curve reproduces every sample <= 1e-8": all(
                 np.linalg.norm(rbf(t).u - p.u) <= 1e-8 for t, p in points

@@ -79,19 +79,21 @@ def fd_svd(y, y_dot, u_ref, v_cols, h=1e-6):
 
 
 class TestDiffSVD:
+    """``diff_svd_truncated`` at rank = m: the full economy SVD."""
+
     def test_diagonal_case(self):
         y = np.zeros((5, 2))
         y[0, 0], y[1, 1] = 3.0, 1.0
         y_dot = np.zeros((5, 2))
         y_dot[0, 0], y_dot[1, 1] = 0.5, 0.2
-        d = calculus.diff_svd(y, y_dot, linalg.svd_full(y))
+        d = calculus.diff_svd_truncated(y, y_dot, 2, linalg.svd_full(y))
         assert np.allclose(d.sigma_dot, [0.5, 0.2], atol=1e-14)
         assert np.linalg.norm(d.u_dot) < 1e-12
         assert np.linalg.norm(d.v_dot) < 1e-12
 
     def test_zero_direction(self, rng):
         y = rng.standard_normal((10, 4))
-        d = calculus.diff_svd(y, np.zeros_like(y), linalg.svd_full(y))
+        d = calculus.diff_svd_truncated(y, np.zeros_like(y), 4, linalg.svd_full(y))
         assert np.linalg.norm(d.u_dot) < 1e-13
         assert np.linalg.norm(d.v_dot) < 1e-13
         assert np.linalg.norm(d.sigma_dot) < 1e-13
@@ -100,7 +102,7 @@ class TestDiffSVD:
         y = rng.standard_normal((12, 6))
         y_dot = rng.standard_normal((12, 6))
         u, s, v = linalg.svd_full(y)
-        d = calculus.diff_svd(y, y_dot, (u, s, v))
+        d = calculus.diff_svd_truncated(y, y_dot, 6, (u, s, v))
         fd_u, fd_s, fd_v = fd_svd(y, y_dot, u, 6)
         assert np.linalg.norm(d.u_dot - fd_u) <= 1e-6 * np.linalg.norm(fd_u)
         assert np.linalg.norm(d.sigma_dot - fd_s) <= 1e-6 * np.linalg.norm(fd_s)
@@ -110,7 +112,7 @@ class TestDiffSVD:
         y = rng.standard_normal((15, 5))
         y_dot = rng.standard_normal((15, 5))
         u, s, v = linalg.svd_full(y)
-        d = calculus.diff_svd(y, y_dot, (u, s, v))
+        d = calculus.diff_svd_truncated(y, y_dot, 5, (u, s, v))
         skew = u.T @ d.u_dot
         assert np.linalg.norm(skew + skew.T) < 1e-9
 
@@ -119,13 +121,13 @@ class TestDiffSVD:
         v = linalg.qr_econ(rng.standard_normal((3, 3))).q
         y = u @ np.diag([2.0, 1.0 + 1e-12, 1.0]) @ v.T
         with pytest.raises(DomainError):
-            calculus.diff_svd(y, rng.standard_normal((8, 3)), linalg.svd_full(y))
+            calculus.diff_svd_truncated(y, rng.standard_normal((8, 3)), 3, linalg.svd_full(y))
 
     def test_zero_singular_value_rejected(self, rng):
         y = np.zeros((6, 2))
         y[0, 0] = 1.0
         with pytest.raises(DomainError):
-            calculus.diff_svd(y, rng.standard_normal((6, 2)), linalg.svd_full(y))
+            calculus.diff_svd_truncated(y, rng.standard_normal((6, 2)), 2, linalg.svd_full(y))
 
 
 class TestDiffSVDTruncated:
@@ -152,16 +154,6 @@ class TestDiffSVDTruncated:
         d = calculus.diff_svd_truncated(w, np.zeros_like(w), 3, linalg.svd_full(w))
         assert np.linalg.norm(d.u_dot) < 1e-12
         assert np.linalg.norm(d.v_dot) < 1e-12
-
-    def test_full_rank_reduces_to_diff_svd(self, rng):
-        y = rng.standard_normal((12, 5))
-        y_dot = rng.standard_normal((12, 5))
-        svd = linalg.svd_full(y)
-        full = calculus.diff_svd(y, y_dot, svd)
-        trunc = calculus.diff_svd_truncated(y, y_dot, 5, svd)
-        assert np.array_equal(full.u_dot, trunc.u_dot)
-        assert np.array_equal(full.sigma_dot, trunc.sigma_dot)
-        assert np.array_equal(full.v_dot, trunc.v_dot)
 
     def test_matches_fd_oracle(self, rng):
         y1 = rng.uniform(0.0, 1.0, (30, 4))

@@ -1,3 +1,5 @@
+import argparse
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import PreconditionError
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestChebyshevNodes:
@@ -43,12 +46,6 @@ class TestConfig:
     def test_rejects_unknown_method(self):
         with pytest.raises(PreconditionError):
             ex.ExperimentConfig(methods=("hermite", "spline"))
-
-    def test_rejects_nonpositive_steps(self):
-        with pytest.raises(PreconditionError):
-            ex.ExperimentConfig(h=0.0)
-        with pytest.raises(PreconditionError):
-            ex.ExperimentConfig(tau=-1.0)
 
 
 class TestDistanceBound:
@@ -126,7 +123,7 @@ class TestQRExperiment:
     def test_composite_hits_all_six_nodes(self):
         cfg = ex.ExperimentConfig(n=60, r=5, num_nodes=6, seed=1)
         data = ex.gen_qr_experiment(cfg)
-        curve = interp.fit_composite(data.samples, h=cfg.h, tau=cfg.tau)
+        curve = interp.fit_composite(data.samples)
         for s in data.samples:
             assert np.linalg.norm(curve(s.t).u - s.point.u) <= 1e-8
 
@@ -359,6 +356,18 @@ class TestReports:
 
 
 class TestCLI:
+    def test_readme_flag_table_matches_parser(self):
+        rows = re.findall(r"^\| `([a-z-]+)` +\| `([^`]*)`", README.read_text(), re.MULTILINE)
+        documented = {cmd: set(re.findall(r"--[a-z-]+", flags)) for cmd, flags in rows}
+        (subs,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        registered = {
+            cmd: {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+            - {"--help", "--out"}
+            for cmd, sub in subs.choices.items()
+        }
+        assert documented == registered
+
     def test_transport_accuracy_stdout(self, capsys):
         code = cli.main(["transport-accuracy", "--n", "40", "--r", "3"])
         assert code == 0
@@ -413,6 +422,9 @@ class TestCLI:
         ["svd-interp", "--rbf-shape", "2"],
         ["tangent-vs-manifold", "--methods", "hermite"],
         ["snapshot-interp", "--seed", "1"],
+        ["qr-interp", "--tau", "1e-12"],
+        ["qr-interp", "--h", "1e-3"],
+        ["qr-interp", "--rbf-shape", "2"],
     ])
     def test_unread_flag_exit_code(self, argv, capsys):
         # a flag the study never reads would leave the CSV unchanged
@@ -427,11 +439,10 @@ class TestCLI:
         assert code == 2
         assert "no/such" in capsys.readouterr().err
 
-    def test_nonconvergence_exit_code(self, capsys):
+    def test_nonconvergence_exit_code(self, monkeypatch, capsys):
         # an unreachable log tolerance makes the first log of the study fail
-        code = cli.main([
-            "transport-accuracy", "--n", "20", "--r", "3", "--tau", "1e-30",
-        ])
+        monkeypatch.setattr(stiefel, "LOG_TAU", 1e-30)
+        code = cli.main(["transport-accuracy", "--n", "20", "--r", "3"])
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
 

@@ -154,8 +154,9 @@ class TestArc:
     def test_eval_outside_rejected(self, rng):
         samples = make_samples(rng, 15, 3, [0.0, 1.0])
         arc = interp.fit_arc(samples[0], samples[1])
-        with pytest.raises(DomainError):
-            interp.eval_arc(arc, 1.5)
+        for t in (1.5, float("nan")):
+            with pytest.raises(DomainError, match="outside"):
+                interp.eval_arc(arc, t)
 
     def test_cost_three_logs_two_exps(self, rng):
         samples = make_samples(rng, 20, 4, [0.0, 1.0])
@@ -299,11 +300,21 @@ class TestGeodesicInterp:
             interp.geodesic_interp([(0.0, a), (1.0, b)])
 
 
+@pytest.mark.parametrize("fit", [
+    interp.fit_composite,
+    lambda samples: interp.geodesic_interp([(s.t, s.point) for s in samples]),
+], ids=["composite", "geodesic"])
+def test_nan_parameter_rejected(rng, fit):
+    curve = fit(make_samples(rng, 20, 3, [0.0, 1.0, 2.0, 3.0]))
+    with pytest.raises(DomainError, match="outside"):
+        curve(float("nan"))
+
+
 class TestTangentRBF:
     def test_interpolates_at_knots(self, rng):
         samples = make_samples(rng, 25, 4, [0.0, 1.0, 2.0, 3.0])
         pts = [(s.t, s.point) for s in samples]
-        curve = interp.tangent_rbf_interp(pts, shape=1.0)
+        curve = interp.tangent_rbf_interp(pts)
         for t, p in pts:
             assert np.linalg.norm(curve(t).u - p.u) <= 1e-8
 
@@ -334,11 +345,6 @@ class TestTangentRBF:
             t, p = pts[idx]
             if idx not in curve.failed_indices:
                 assert np.linalg.norm(curve(t).u - p.u) <= 1e-8
-
-    def test_bad_shape_rejected(self, rng):
-        p = stiefel.random_point(rng, 10, 2)
-        with pytest.raises(PreconditionError):
-            interp.tangent_rbf_interp([(0.0, p)], shape=-1.0)
 
 
 @pytest.fixture(scope="module")
@@ -385,7 +391,7 @@ class TestFrameEvaluation:
         curve = interp.tangent_rbf_interp([(s.t, s.point) for s in qr_path.samples])
         for t in _knots_and_interior([s.t for s in qr_path.samples]):
             scaled = -1.0 + 2.0 * (t - curve.t_lo) / (curve.t_hi - curve.t_lo)
-            phi = 1.0 / np.sqrt(1.0 + (curve.shape * (scaled - curve.scaled_knots)) ** 2)
+            phi = 1.0 / np.sqrt(1.0 + (interp.RBF_SHAPE * (scaled - curve.scaled_knots)) ** 2)
             delta = np.tensordot(phi, curve.weights, axes=1)
             expected = stiefel.stiefel_exp(stiefel.TangentVector(curve.center, delta))
             assert np.linalg.norm(curve(t).u - expected.u) <= 1e-13

@@ -1,15 +1,16 @@
 """Experiment harness: synthetic data generators, error studies, CSV reports.
 
-Three data families drive the studies:
+Two kinds of sampled factor path drive the studies:
 
-* a cubic random matrix polynomial whose Q-factor path is Hermite-sampled
-  (QR study),
-* a product of random matrix polynomials with exact low rank whose truncated
-  SVD factors are Hermite-sampled (SVD study),
-* a deterministic snapshot family of a closed-form two-parameter function
-  whose left singular vectors are Hermite-sampled (snapshot study; it
-  compares against single-tangent-space interpolation, which needs logs
-  between samples far apart).
+* ``QRExperimentData``: the Q-factor path of a cubic random matrix
+  polynomial (QR study);
+* ``SVDExperimentData``: the truncated SVD factors of a rank-r matrix path,
+  all sampled by one loop.  Two families feed it: a product of random matrix
+  polynomials with exact low rank (SVD and tangent-vs-manifold studies), and
+  a deterministic snapshot family of a closed-form two-parameter function
+  whose left factor is interpolated (snapshot study; it compares against
+  single-tangent-space interpolation, which needs logs between samples far
+  apart).
 
 ``STUDIES`` is the registry of the paper's seven runs; ``run_study`` runs a
 study command on a config and returns its CSV text.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,7 +184,6 @@ class QRExperimentData:
     coeffs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     nodes: np.ndarray
     samples: list[interpolate.HermiteSample]
-    seed_used: int
 
     def y(self, t: float) -> np.ndarray:
         y0, y1, y2, y3 = self.coeffs
@@ -209,13 +210,8 @@ def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
     for attempt in range(GEN_MAX_ATTEMPTS):
         seed = config.seed + attempt
         rng = np.random.default_rng(seed)
-        coeffs = (
-            rng.uniform(0.0, 1.0, (config.n, config.r)),
-            rng.uniform(0.0, 0.5, (config.n, config.r)),
-            rng.uniform(0.0, 0.5, (config.n, config.r)),
-            rng.uniform(0.0, 0.2, (config.n, config.r)),
-        )
-        data = QRExperimentData(coeffs=coeffs, nodes=nodes, samples=[], seed_used=seed)
+        coeffs = tuple(rng.uniform(0.0, hi, (config.n, config.r)) for hi in (1.0, 0.5, 0.5, 0.2))
+        data = QRExperimentData(coeffs=coeffs, nodes=nodes, samples=[])
         if any(linalg.qr_econ(data.y(t)).rank_deficient for t in np.concatenate([nodes, grid])):
             logger.warning("QR path rank-deficient for seed %d; regenerating", seed)
             continue
@@ -265,12 +261,12 @@ def _method_curves(
     return curves
 
 
-def _factor_study(config: ExperimentConfig, data, reference) -> ErrorReport:
-    """Fit every method to ``data.samples``; relative Frobenius errors against ``reference``."""
-    grid = _uniform_grid(data.nodes, config.grid_points)
+def _factor_study(config: ExperimentConfig, samples, nodes, reference) -> ErrorReport:
+    """Fit every method to ``samples``; relative Frobenius errors against ``reference``."""
+    grid = _uniform_grid(nodes, config.grid_points)
     refs = [reference(t) for t in grid]
     failures: dict[str, str] = {}
-    curves = _method_curves(config, data.samples, failures)
+    curves = _method_curves(config, samples, failures)
     errors = {}
     for method, curve in curves.items():
         errors[method] = [
@@ -283,48 +279,75 @@ def _factor_study(config: ExperimentConfig, data, reference) -> ErrorReport:
 def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
     """Interpolate the Q-factor path and report relative Frobenius errors."""
     data = gen_qr_experiment(config)
-    return _factor_study(config, data, data.reference)
+    return _factor_study(config, data.samples, data.nodes, data.reference)
 
 
 # --------------------------------------------------------------------------
-# Low-rank SVD interpolation study
+# Sampled SVD-factor paths: the low-rank SVD and snapshot studies
 # --------------------------------------------------------------------------
 
 
 @dataclass
 class SVDExperimentData:
-    """Exact-rank-r matrix path W(t) = Y(t) Z(t) with truncated-SVD samples."""
+    """A matrix path W(t) of rank r and Hermite samples of its truncated SVD factors.
 
-    y_coeffs: tuple[np.ndarray, ...]
-    z_coeffs: tuple[np.ndarray, ...]
+    Every sampled and reference factor is sign-normalized against ``u_ref``,
+    the leading left factor at the first node, so that the sampled factor
+    paths are differentiable.
+    """
+
+    w: Callable[[float], np.ndarray]
+    w_dot: Callable[[float], np.ndarray]
+    rank: int
     nodes: np.ndarray
     u_ref: np.ndarray
     samples_u: list[interpolate.HermiteSample]
     samples_v: list[interpolate.HermiteSample]
     sigma_values: np.ndarray  # (k, r)
     sigma_slopes: np.ndarray  # (k, r)
-    seed_used: int
 
-    def w(self, t: float) -> np.ndarray:
-        y0, y1, y2, y3 = self.y_coeffs
-        z0, z1, z2 = self.z_coeffs
-        y = y0 + t * y1 + t * t * y2 + t**3 * y3
-        z = z0 + t * z1 + t * t * z2
-        return y @ z
-
-    def w_dot(self, t: float) -> np.ndarray:
-        y0, y1, y2, y3 = self.y_coeffs
-        z0, z1, z2 = self.z_coeffs
-        y = y0 + t * y1 + t * t * y2 + t**3 * y3
-        z = z0 + t * z1 + t * t * z2
-        ydot = y1 + 2.0 * t * y2 + 3.0 * t * t * y3
-        zdot = z1 + 2.0 * t * z2
-        return ydot @ z + y @ zdot
-
-    def reference_u(self, t: float, rank: int) -> stiefel.StiefelPoint:
+    def reference_u(self, t: float) -> stiefel.StiefelPoint:
         u, _, v = linalg.svd_full(self.w(t))
-        u_n, _ = svd_sign_normalize(u[:, :rank], v[:, :rank], self.u_ref)
+        r = self.rank
+        u_n, _ = svd_sign_normalize(u[:, :r], v[:, :r], self.u_ref)
         return stiefel.StiefelPoint(u_n)
+
+
+def _sample_svd_path(w, w_dot, rank: int, nodes: np.ndarray) -> SVDExperimentData | None:
+    """Hermite samples of the rank-``rank`` truncated SVD factors of W(t) at ``nodes``.
+
+    Returns None when W is not numerically of rank r at a node, or when its
+    leading singular values there are too close or too small to differentiate.
+    """
+    r = rank
+    samples_u, samples_v = [], []
+    sigma_values = np.zeros((len(nodes), r))
+    sigma_slopes = np.zeros((len(nodes), r))
+    for i, t in enumerate(nodes):
+        w_t = w(t)
+        u, sigma, v = linalg.svd_full(w_t)
+        if sigma[r:].size and sigma[r] > 1e-10 * sigma[0]:
+            return None  # not numerically rank r
+        min_gap = np.min(sigma[: r - 1] - sigma[1:r], initial=np.inf)  # no gap at r = 1
+        if min_gap < 1e-6 * sigma[0] or sigma[r - 1] < 1e-10 * sigma[0]:
+            return None
+        if i == 0:
+            u_ref = u[:, :r].copy()  # normalizing against itself multiplies by 1.0
+        u[:, :r], v[:, :r] = svd_sign_normalize(u[:, :r], v[:, :r], u_ref)
+        deriv = diff_svd_truncated(w_t, w_dot(t), r, (u, sigma, v))
+        for samples, factor, velocity in ((samples_u, u, deriv.u_dot), (samples_v, v, deriv.v_dot)):
+            point = stiefel.StiefelPoint(factor[:, :r])
+            samples.append(
+                interpolate.HermiteSample(
+                    t=float(t), point=point, velocity=stiefel.TangentVector(point, velocity)
+                )
+            )
+        sigma_values[i] = sigma[:r]
+        sigma_slopes[i] = deriv.sigma_dot
+    return SVDExperimentData(
+        w=w, w_dot=w_dot, rank=r, nodes=nodes, u_ref=u_ref, samples_u=samples_u,
+        samples_v=samples_v, sigma_values=sigma_values, sigma_slopes=sigma_slopes,
+    )
 
 
 def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
@@ -332,9 +355,8 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
 
     Y is a cubic n x r polynomial (entries uniform on [0,1] / [0,0.5]),
     Z a quadratic r x m polynomial (entries uniform on [0,1] / [0,0.5]).
-    Sampled factors are sign-normalized against the first node before
-    differentiating, so that the sampled paths are differentiable.  Seeds
-    giving near-repeated leading singular values at a node are regenerated.
+    Seeds giving near-repeated leading singular values at a node are
+    regenerated with the next seed.
     """
     r = config.r
     if config.m < r:
@@ -343,55 +365,19 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
     for attempt in range(GEN_MAX_ATTEMPTS):
         seed = config.seed + attempt
         rng = np.random.default_rng(seed)
-        y_coeffs = (
-            rng.uniform(0.0, 1.0, (config.n, r)),
-            rng.uniform(0.0, 0.5, (config.n, r)),
-            rng.uniform(0.0, 0.5, (config.n, r)),
-            rng.uniform(0.0, 0.5, (config.n, r)),
-        )
-        z_coeffs = (
-            rng.uniform(0.0, 1.0, (r, config.m)),
-            rng.uniform(0.0, 0.5, (r, config.m)),
-            rng.uniform(0.0, 0.5, (r, config.m)),
-        )
-        data = SVDExperimentData(
-            y_coeffs=y_coeffs,
-            z_coeffs=z_coeffs,
-            nodes=nodes,
-            u_ref=np.empty(0),
-            samples_u=[],
-            samples_v=[],
-            sigma_values=np.zeros((len(nodes), r)),
-            sigma_slopes=np.zeros((len(nodes), r)),
-            seed_used=seed,
-        )
-        for i, t in enumerate(nodes):
-            w = data.w(t)
-            u, sigma, v = linalg.svd_full(w)
-            gaps = sigma[: r - 1] - sigma[1:r]
-            if sigma[r:].size and sigma[r] > 1e-10 * sigma[0]:
-                break  # not numerically rank r
-            if np.min(gaps) < 1e-6 * sigma[0] or sigma[r - 1] < 1e-10 * sigma[0]:
-                break
-            if i == 0:
-                data.u_ref = u[:, :r].copy()  # normalizing against itself multiplies by 1.0
-            u[:, :r], v[:, :r] = svd_sign_normalize(u[:, :r], v[:, :r], data.u_ref)
-            deriv = diff_svd_truncated(w, data.w_dot(t), r, (u, sigma, v))
-            point_u = stiefel.StiefelPoint(u[:, :r])
-            point_v = stiefel.StiefelPoint(v[:, :r])
-            data.samples_u.append(
-                interpolate.HermiteSample(
-                    t=float(t), point=point_u, velocity=stiefel.TangentVector(point_u, deriv.u_dot)
-                )
-            )
-            data.samples_v.append(
-                interpolate.HermiteSample(
-                    t=float(t), point=point_v, velocity=stiefel.TangentVector(point_v, deriv.v_dot)
-                )
-            )
-            data.sigma_values[i] = sigma[:r]
-            data.sigma_slopes[i] = deriv.sigma_dot
-        else:
+        y0, y1, y2, y3 = (rng.uniform(0.0, hi, (config.n, r)) for hi in (1.0, 0.5, 0.5, 0.5))
+        z0, z1, z2 = (rng.uniform(0.0, hi, (r, config.m)) for hi in (1.0, 0.5, 0.5))
+
+        def w(t):
+            return (y0 + t * y1 + t * t * y2 + t**3 * y3) @ (z0 + t * z1 + t * t * z2)
+
+        def w_dot(t):
+            y = y0 + t * y1 + t * t * y2 + t**3 * y3
+            z = z0 + t * z1 + t * t * z2
+            return (y1 + 2.0 * t * y2 + 3.0 * t * t * y3) @ z + y @ (z1 + 2.0 * t * z2)
+
+        data = _sample_svd_path(w, w_dot, r, nodes)
+        if data is not None:
             return data
         logger.warning("SVD path degenerate for seed %d; regenerating", seed)
     raise PreconditionError(
@@ -477,7 +463,7 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
     kept, rel_errs, tangent_errs, manifold_errs = [], [], [], []
     skipped = []
     for t in grid:
-        ref = data.reference_u(t, config.r)
+        ref = data.reference_u(t)
         arc = curve.arcs[curve.arc_index(t)]
         gamma = interpolate.arc_tangent(arc, t)
         try:
@@ -511,77 +497,43 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class SnapshotExperimentData:
-    """Normalized snapshot family of f(x, t, mu) = x^t sin(pi/2 mu x).
+def gen_snapshot_experiment(config: ExperimentConfig) -> SVDExperimentData:
+    """Snapshot matrices Y(mu), their analytic mu-derivatives, and Hermite samples.
 
-    Snapshot columns are taken at r time instants 1.0, 1.6, ... and
-    normalized to unit trapezoidal L2 norm on the x-grid; the left singular
-    factor U(mu) is sampled with its mu-derivative at Chebyshev nodes.
+    The n x r snapshot matrix holds f(x, t, mu) = x^t sin(pi/2 mu x) on n
+    uniform points x in [0, 1] at the r time instants 1.0, 1.6, ..., each
+    column normalized to unit trapezoidal L2 norm; its left singular factor
+    U(mu) is sampled at Chebyshev nodes.
     """
-
-    x: np.ndarray
-    quad_weights: np.ndarray
-    t_snapshots: np.ndarray
-    nodes: np.ndarray
-    u_ref: np.ndarray
-    samples: list[interpolate.HermiteSample]
-
-    def snapshot(self, mu: float) -> np.ndarray:
-        cols = []
-        for t in self.t_snapshots:
-            f = self.x**t * np.sin(0.5 * np.pi * mu * self.x)
-            nrm = np.sqrt(self.quad_weights @ (f * f))
-            cols.append(f / nrm)
-        return np.column_stack(cols)
-
-    def snapshot_dot(self, mu: float) -> np.ndarray:
-        cols = []
-        for t in self.t_snapshots:
-            f = self.x**t * np.sin(0.5 * np.pi * mu * self.x)
-            fd = 0.5 * np.pi * self.x ** (t + 1.0) * np.cos(0.5 * np.pi * mu * self.x)
-            nrm = np.sqrt(self.quad_weights @ (f * f))
-            inner = self.quad_weights @ (f * fd)
-            cols.append(fd / nrm - inner / nrm**3 * f)
-        return np.column_stack(cols)
-
-    def reference_u(self, mu: float) -> stiefel.StiefelPoint:
-        u, _, v = linalg.svd_full(self.snapshot(mu))
-        u_n, _ = svd_sign_normalize(u, v, self.u_ref)
-        return stiefel.StiefelPoint(u_n)
-
-    def smallest_sigma(self, mu: float) -> float:
-        return float(linalg.svd_full(self.snapshot(mu))[1][-1])
-
-
-def gen_snapshot_experiment(config: ExperimentConfig) -> SnapshotExperimentData:
-    """Snapshot matrices, their analytic mu-derivatives, and Hermite samples."""
+    if config.n < 2:
+        raise PreconditionError(f"the trapezoidal x-grid needs n >= 2, got n={config.n}")
     x = np.linspace(0.0, 1.0, config.n)
     dx = x[1] - x[0]
     weights = np.full(config.n, dx)
     weights[0] = weights[-1] = 0.5 * dx
     t_snapshots = 1.0 + 0.6 * np.arange(config.r)
+
+    def columns(mu):
+        for t in t_snapshots:
+            f = x**t * np.sin(0.5 * np.pi * mu * x)
+            yield t, f, np.sqrt(weights @ (f * f))
+
+    def snapshot(mu):
+        return np.column_stack([f / nrm for _, f, nrm in columns(mu)])
+
+    def snapshot_dot(mu):
+        cols = []
+        for t, f, nrm in columns(mu):
+            fd = 0.5 * np.pi * x ** (t + 1.0) * np.cos(0.5 * np.pi * mu * x)
+            cols.append(fd / nrm - (weights @ (f * fd)) / nrm**3 * f)
+        return np.column_stack(cols)
+
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
-    data = SnapshotExperimentData(
-        x=x,
-        quad_weights=weights,
-        t_snapshots=t_snapshots,
-        nodes=nodes,
-        u_ref=np.empty(0),
-        samples=[],
-    )
-    for i, mu in enumerate(nodes):
-        y = data.snapshot(mu)
-        u, sigma, v = linalg.svd_full(y)
-        if i == 0:
-            data.u_ref = u  # normalizing against itself multiplies by 1.0
-        u, v = svd_sign_normalize(u, v, data.u_ref)
-        deriv = diff_svd_truncated(y, data.snapshot_dot(mu), config.r, (u, sigma, v))
-        point = stiefel.StiefelPoint(u)
-        data.samples.append(
-            interpolate.HermiteSample(
-                t=float(mu), point=point, velocity=stiefel.TangentVector(point, deriv.u_dot)
-            )
+    data = _sample_svd_path(snapshot, snapshot_dot, config.r, nodes)
+    if data is None:
+        raise PreconditionError(
+            f"the snapshot matrix at n={config.n}, r={config.r} is not of rank r "
+            "with separated singular values at every node"
         )
     return data
 
@@ -595,7 +547,7 @@ def run_snapshot_experiment(config: ExperimentConfig) -> ErrorReport:
     large local errors.  On the n=1001, r=6 study all six logs converge.
     """
     data = gen_snapshot_experiment(config)
-    return _factor_study(config, data, data.reference_u)
+    return _factor_study(config, data.samples_u, data.nodes, data.reference_u)
 
 
 def snapshot_transport_instance(
@@ -651,6 +603,12 @@ def bound_check_instance(
     norms and angle, measures the distance of their exponential images, and
     evaluates the distance bound at the extreme curvatures 0 and 5/4.
     """
+    dim = config.n * config.r - config.r * (config.r + 1) // 2
+    if dim < 2:
+        raise PreconditionError(
+            f"the tangent space of St({config.n}, {config.r}) has dimension {dim}; "
+            "the bound check needs two orthogonal directions (dimension >= 2)"
+        )
     rng = np.random.default_rng(config.seed)
     base = stiefel.random_point(rng, config.n, config.r)
     w = stiefel.random_tangent(rng, base, scale=1.0)

@@ -292,7 +292,7 @@ def test_criterion_8_snapshot_failure_mode():
     cfg = ex.ExperimentConfig(n=1001, r=6, interval=(1.7, 2.3), num_nodes=6)
     rep = ex.run_snapshot_experiment(cfg)
     data = ex.gen_snapshot_experiment(cfg)
-    points = [(s.t, s.point) for s in data.samples]
+    points = [(s.t, s.point) for s in data.samples_u]
     center = points[len(points) // 2][1]
     rbf = interp.tangent_rbf_interp(points, skip_failed=True)
     _criterion(

@@ -99,7 +99,6 @@ class TestQRExperiment:
                     np.zeros_like(data.coeffs[2]), np.zeros_like(data.coeffs[3])),
             nodes=data.nodes,
             samples=[],
-            seed_used=0,
         )
         from stiefel_hermite.calculus import diff_qr
 
@@ -160,11 +159,11 @@ class TestSVDExperiment:
             assert np.linalg.norm(rec - w_dot) <= 1e-7 * np.linalg.norm(w_dot)
 
     def test_sign_normalized_path_continuous(self, svd_data):
-        cfg, d = svd_data
+        _, d = svd_data
         ts = np.linspace(d.nodes[0], d.nodes[-1], 40)
-        prev = d.reference_u(ts[0], cfg.r).u
+        prev = d.reference_u(ts[0]).u
         for t in ts[1:]:
-            cur = d.reference_u(t, cfg.r).u
+            cur = d.reference_u(t).u
             assert np.linalg.norm(cur - prev) < 0.5
             prev = cur
 
@@ -234,22 +233,23 @@ def snapshot_data():
 class TestSnapshotExperiment:
 
     def test_columns_unit_norm(self, snapshot_data):
-        _, d = snapshot_data
+        cfg, d = snapshot_data
+        x = np.linspace(0.0, 1.0, cfg.n)
         for mu in (1.7, 2.0, 2.3):
-            y = d.snapshot(mu)
-            norms = d.quad_weights @ (y * y)
+            y = d.w(mu)
+            norms = np.trapezoid(y * y, x, axis=0)
             assert np.allclose(norms, 1.0, atol=1e-10)
 
     def test_derivative_matches_fd(self, snapshot_data):
         _, d = snapshot_data
         mu, h = 1.9, 1e-6
-        fd = (d.snapshot(mu + h) - d.snapshot(mu - h)) / (2 * h)
-        assert np.linalg.norm(d.snapshot_dot(mu) - fd) <= 1e-6 * np.linalg.norm(fd)
+        fd = (d.w(mu + h) - d.w(mu - h)) / (2 * h)
+        assert np.linalg.norm(d.w_dot(mu) - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def test_smallest_sigma_nonlinear_near_two(self, snapshot_data):
         _, d = snapshot_data
         mus = np.linspace(1.7, 2.3, 31)
-        vals = np.array([d.smallest_sigma(m) for m in mus])
+        vals = np.array([linalg.svd_full(d.w(m))[1][-1] for m in mus])
         second = np.abs(np.diff(vals, 2))
         knee = mus[1:-1][int(np.argmax(second))]
         assert 1.9 <= knee <= 2.2
@@ -258,7 +258,7 @@ class TestSnapshotExperiment:
 
     def test_samples_are_tangent(self, snapshot_data):
         _, d = snapshot_data
-        for s in d.samples:
+        for s in d.samples_u:
             ud = s.point.u.T @ s.velocity.delta
             assert np.linalg.norm(ud + ud.T) < 1e-9
 
@@ -406,6 +406,29 @@ class TestCLI:
         code = cli.main([command, "--n", "40", "--r", "6", "--m", "4"])
         assert code == 2
         assert "m=4, r=6" in capsys.readouterr().err
+
+    def test_svd_studies_at_rank_one(self, capsys):
+        # one singular value has no gap to its neighbour to check
+        assert cli.main(["svd-interp", "--n", "20", "--r", "1", "--m", "5"]) == 0
+        rep = ex.parse_report(capsys.readouterr().out)
+        assert rep.max_rel["hermite"] < rep.max_rel["geodesic"]
+        assert cli.main(["tangent-vs-manifold", "--n", "20", "--r", "1", "--m", "5"]) == 0
+        assert not ex.parse_report(capsys.readouterr().out).failures
+
+    def test_snapshot_single_point_grid_exit_code(self, capsys):
+        code = cli.main(["snapshot-interp", "--n", "1", "--r", "1"])
+        assert code == 2
+        assert "n >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, r", [(2, 1), (2, 2)])
+    def test_bound_check_one_dimensional_tangent_space(self, n, r, capsys):
+        code = cli.main(["bound-check", "--n", str(n), "--r", str(r)])
+        assert code == 2
+        assert f"St({n}, {r}) has dimension 1" in capsys.readouterr().err
+
+    def test_bound_check_two_dimensional_tangent_space(self, capsys):
+        assert cli.main(["bound-check", "--n", "3", "--r", "1"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
     @pytest.mark.parametrize("command", sorted({s.command for s in ex.STUDIES}))
     def test_empty_rank_exit_code(self, command, capsys):

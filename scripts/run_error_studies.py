@@ -34,7 +34,7 @@ def main():
     failed = 0
     for study in ex.STUDIES:
         path = OUT / f"{study.name}.csv"
-        text = ex.run_study(study.command, study.config)
+        text = ex.COMMANDS[study.command].run(study.config)
         path.write_text(text)
         footers = [ln[2:].split(",", 2) for ln in text.splitlines() if ln.startswith("# ")]
         summary = ", ".join(f"{m}={float(v):.4g}" for kind, m, v in footers if kind == "max_rel")

@@ -246,8 +246,13 @@ def validate_transport(
 
     Transports v_p into T_q, pushes it back through the differential of the
     exponential at Log_q(p), and compares with the original velocity in the
-    Frobenius norm.
+    Frobenius norm.  A zero velocity has no relative error and raises
+    PreconditionError.
     """
+    if not np.any(v_p.delta):
+        raise PreconditionError(
+            "the velocity v_p to transport is zero; its relative error is undefined"
+        )
     v_hat = transport_velocity(q, p, v_p, h=h)
     delta_p = stiefel.stiefel_log(q, p)
     v_rec = dexp_stiefel(delta_p, v_hat)

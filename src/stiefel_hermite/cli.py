@@ -1,11 +1,11 @@
 """Command-line harness for the interpolation error studies.
 
-One subcommand per study command of ``experiments.STUDIES``.  With no flags
-a subcommand runs its first registry entry, the paper configuration; each
-flag given overrides that one field, and there is a flag only for each field
-the study reads.  Results are written as CSV to ``--out`` or stdout.  Exit
-codes: 0 success, 2 configuration/precondition error, 3 numerical
-non-convergence.
+One subcommand per entry of ``experiments.COMMANDS``, with one flag per
+config field that the entry lists as read by its study.  With no flags a
+subcommand runs its first ``experiments.STUDIES`` entry, the paper
+configuration; each flag given overrides that one field.  Results are
+written as CSV to ``--out`` or stdout.  Exit codes: 0 success, 2
+configuration/precondition error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -29,26 +29,17 @@ def _methods(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
-#: One flag per ``ExperimentConfig`` field, named as typed after ``--``.
+#: The flag of each ``ExperimentConfig`` field a study may read, named
+#: ``--<field>`` except ``--nodes``.
 _FLAGS = {
     "n": dict(type=int, help="ambient rows"),
     "r": dict(type=int, help="columns / rank"),
     "m": dict(type=int, help="right factor columns"),
-    "nodes": dict(type=int, dest="num_nodes", metavar="NODES", help="Chebyshev sample nodes"),
+    "num_nodes": dict(type=int, metavar="NODES", help="Chebyshev sample nodes"),
     "interval": dict(type=_interval, metavar="a,b", help="sampling interval"),
     "seed": dict(type=int),
     "centering": dict(choices=["q", "p"]),
     "methods": dict(type=_methods, help="comma list from hermite,geodesic,rbf"),
-}
-
-#: The flags of each subcommand: the fields its study reads.
-_COMMAND_FLAGS = {
-    "transport-accuracy": "n r",
-    "bound-check": "n r seed",
-    "qr-interp": "n r nodes interval seed centering methods",
-    "svd-interp": "n r m nodes interval seed centering methods",
-    "tangent-vs-manifold": "n r m nodes interval seed centering",
-    "snapshot-interp": "n r nodes interval centering methods",
 }
 
 
@@ -75,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
             allow_abbrev=False,
             description=f"Without flags, runs the paper study of results/{study.name}.csv.",
         )
-        for flag in _COMMAND_FLAGS[study.command].split():
-            sub.add_argument(f"--{flag}", **_FLAGS[flag])
+        for name in experiments.COMMANDS[study.command].fields:
+            flag = "--nodes" if name == "num_nodes" else f"--{name}"
+            sub.add_argument(flag, dest=name, **_FLAGS[name])
         sub.add_argument("--out", help="CSV output path (default: stdout)")
         sub.set_defaults(defaults=study.config)
     return parser
@@ -87,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     command, defaults, out = args.pop("command"), args.pop("defaults"), args.pop("out", None)
     try:
         config = dataclasses.replace(defaults, **args)
-        _write(experiments.run_study(command, config), out)
+        _write(experiments.COMMANDS[command].run(config), out)
     except ConvergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

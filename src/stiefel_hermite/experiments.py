@@ -12,8 +12,11 @@ Two kinds of sampled factor path drive the studies:
   single-tangent-space interpolation, which needs logs between samples far
   apart).
 
-``STUDIES`` is the registry of the paper's seven runs; ``run_study`` runs a
-study command on a config and returns its CSV text.
+``STUDIES`` is the registry of the paper's seven runs.  ``COMMANDS`` maps
+each CLI subcommand to the config fields its study reads, which are its
+flags, and to the function that runs the study and returns its CSV text.
+An ``ErrorReport`` stores the error columns; its summaries ``max_rel`` and
+``l2_rel`` are computed from them.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a seed
 pins the generated data; report bytes also depend on the BLAS build and
@@ -90,48 +93,57 @@ class ExperimentConfig:
 
 @dataclass
 class ErrorReport:
-    """Per-method error curves on an evaluation grid plus summary metrics."""
+    """Per-method error curves on an evaluation grid; the summaries are computed from them.
+
+    The stored values are Python floats: numpy 2 writes an ``np.float64`` as
+    ``np.float64(...)``.
+    """
 
     eval_grid: list[float]
     errors: dict[str, list[float]]
-    max_rel: dict[str, float]
-    l2_rel: dict[str, float]
     tangent_errors: list[float] | None = None
     manifold_errors: list[float] | None = None
     failures: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        def floats(values):
+            return None if values is None else [float(x) for x in values]
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs of the curvature-aware distance bound.
+        self.eval_grid = floats(self.eval_grid)
+        self.errors = {m: floats(errs) for m, errs in self.errors.items()}
+        self.tangent_errors = floats(self.tangent_errors)
+        self.manifold_errors = floats(self.manifold_errors)
+
+    @property
+    def max_rel(self) -> dict[str, float]:
+        """Largest relative error of each method."""
+        return {m: float(np.max(errs)) for m, errs in self.errors.items()}
+
+    @property
+    def l2_rel(self) -> dict[str, float]:
+        """Trapezoidal L2 norm over the grid of each method's relative error."""
+        grid = np.asarray(self.eval_grid)
+        return {
+            m: float(np.sqrt(np.trapezoid(np.asarray(errs) ** 2, grid)))
+            for m, errs in self.errors.items()
+        }
+
+
+def eval_distance_bound(delta: float, delta_tilde: float, s0: float, curvature: float) -> float:
+    """Leading-order bound on dist(Exp(D), Exp(D~)) for tangent data D, D~.
 
     ``delta``/``delta_tilde`` are the tangent norms of the exact datum and
     its approximation, ``s0`` the angle between them, ``curvature`` the
-    sectional curvature of their plane.
-    """
-
-    delta: float
-    delta_tilde: float
-    s0: float
-    curvature: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.delta < 1.0 and 0.0 <= self.delta_tilde < 1.0):
-            raise PreconditionError("tangent norms must lie in [0, 1)")
-        if not 0.0 <= self.s0 <= math.pi / 2:
-            raise PreconditionError(f"angle s0 must lie in [0, pi/2], got {self.s0}")
-
-
-def eval_distance_bound(b: BoundInputs) -> float:
-    """Leading-order bound on dist(Exp(D), Exp(D~)) for tangent data D, D~.
-
+    sectional curvature of their plane.  The bound is
     |delta - delta~| + s0 * delta * (1 - K/6 * delta^2): the ray part plus the
     arc part contracted (K > 0) or stretched (K < 0) by curvature.  Remainder
     terms of order o(delta^2) and O(s0^2) are dropped.
     """
-    return abs(b.delta - b.delta_tilde) + b.s0 * b.delta * (
-        1.0 - b.curvature / 6.0 * b.delta**2
-    )
+    if not (0.0 <= delta < 1.0 and 0.0 <= delta_tilde < 1.0):
+        raise PreconditionError("tangent norms must lie in [0, 1)")
+    if not 0.0 <= s0 <= math.pi / 2:
+        raise PreconditionError(f"angle s0 must lie in [0, pi/2], got {s0}")
+    return abs(delta - delta_tilde) + s0 * delta * (1.0 - curvature / 6.0 * delta**2)
 
 
 def chebyshev_nodes(a: float, b: float, k: int) -> np.ndarray:
@@ -148,28 +160,6 @@ def chebyshev_nodes(a: float, b: float, k: int) -> np.ndarray:
 def _uniform_grid(nodes: np.ndarray, points: int) -> np.ndarray:
     """Evaluation grid: uniform points spanning the sampled range."""
     return np.linspace(nodes[0], nodes[-1], points)
-
-
-def _summaries(grid: np.ndarray, errs: np.ndarray) -> tuple[float, float]:
-    max_rel = float(np.max(errs))
-    l2_rel = float(np.sqrt(np.trapezoid(errs**2, grid)))
-    return max_rel, l2_rel
-
-
-def _finalize(grid, errors, tangent=None, manifold=None, failures=None) -> ErrorReport:
-    grid = np.asarray(grid, dtype=float)
-    max_rel, l2_rel = {}, {}
-    for method, errs in errors.items():
-        max_rel[method], l2_rel[method] = _summaries(grid, np.asarray(errs, dtype=float))
-    return ErrorReport(
-        eval_grid=[float(t) for t in grid],
-        errors={m: [float(e) for e in v] for m, v in errors.items()},
-        max_rel=max_rel,
-        l2_rel=l2_rel,
-        tangent_errors=None if tangent is None else [float(e) for e in tangent],
-        manifold_errors=None if manifold is None else [float(e) for e in manifold],
-        failures=dict(failures or {}),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -273,7 +263,7 @@ def _factor_study(config: ExperimentConfig, samples, nodes, reference) -> ErrorR
             np.linalg.norm(curve(t).u - ref.u) / np.linalg.norm(ref.u)
             for t, ref in zip(grid, refs)
         ]
-    return _finalize(grid, errors, failures=failures)
+    return ErrorReport(grid, errors, failures=failures)
 
 
 def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
@@ -445,7 +435,7 @@ def run_svd_interp(config: ExperimentConfig) -> ErrorReport:
             rec = (cu(t).u * cs(t)[np.newaxis, :]) @ cv(t).u.T
             errs.append(np.linalg.norm(rec - w) / np.linalg.norm(w))
         errors[method] = errs
-    return _finalize(grid, errors, failures=failures)
+    return ErrorReport(grid, errors, failures=failures)
 
 
 def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
@@ -483,11 +473,11 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
         failures["reference_scan"] = (
             f"log did not converge at {len(skipped)} grid points: {skipped}"
         )
-    return _finalize(
-        np.asarray(kept),
+    return ErrorReport(
+        kept,
         {"hermite": rel_errs},
-        tangent=tangent_errs,
-        manifold=manifold_errs,
+        tangent_errors=tangent_errs,
+        manifold_errors=manifold_errs,
         failures=failures,
     )
 
@@ -623,10 +613,8 @@ def bound_check_instance(
         "delta_tilde": delta_tilde,
         "s0": s0,
         "observed_dist": observed,
-        "bound_flat": eval_distance_bound(BoundInputs(delta, delta_tilde, s0, 0.0)),
-        "bound_max_curvature": eval_distance_bound(
-            BoundInputs(delta, delta_tilde, s0, CURVATURE_MAX)
-        ),
+        "bound_flat": eval_distance_bound(delta, delta_tilde, s0, 0.0),
+        "bound_max_curvature": eval_distance_bound(delta, delta_tilde, s0, CURVATURE_MAX),
     }
 
 
@@ -636,7 +624,7 @@ def bound_check_instance(
 
 
 def report_to_csv(report: ErrorReport) -> str:
-    """Render a report as CSV: data columns, then summary footer lines.
+    """Render a report as CSV: data columns, then the summary and failure footers.
 
     Floats are written with ``repr``, the shortest decimal that round-trips.
     """
@@ -655,10 +643,8 @@ def report_to_csv(report: ErrorReport) -> str:
         if report.manifold_errors is not None:
             row.append(repr(report.manifold_errors[i]))
         lines.append(",".join(row))
-    for m in methods:
-        lines.append(f"# max_rel,{m},{report.max_rel[m]!r}")
-    for m in methods:
-        lines.append(f"# l2_rel,{m},{report.l2_rel[m]!r}")
+    for kind, summary in (("max_rel", report.max_rel), ("l2_rel", report.l2_rel)):
+        lines += [f"# {kind},{m},{value!r}" for m, value in summary.items()]
     for key, message in report.failures.items():
         lines.append(f"# failure,{key},{message}")
     return "\n".join(lines) + "\n"
@@ -671,7 +657,11 @@ def table_to_csv(header: str, rows) -> str:
 
 
 def parse_report(text: str) -> ErrorReport:
-    """Inverse of ``report_to_csv`` (for report round-tripping)."""
+    """Inverse of ``report_to_csv``: reads the columns and the failure footers.
+
+    The summary footers are skipped; the report recomputes them from the
+    columns.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",")
     methods = [h[: -len("_rel_err")] for h in header[1:] if h.endswith("_rel_err")]
@@ -681,17 +671,11 @@ def parse_report(text: str) -> ErrorReport:
     errors: dict[str, list[float]] = {m: [] for m in methods}
     tangent: list[float] = []
     manifold: list[float] = []
-    max_rel: dict[str, float] = {}
-    l2_rel: dict[str, float] = {}
     failures: dict[str, str] = {}
     for line in lines[1:]:
         if line.startswith("#"):
             kind, key, value = line[1:].strip().split(",", 2)
-            if kind == "max_rel":
-                max_rel[key] = float(value)
-            elif kind == "l2_rel":
-                l2_rel[key] = float(value)
-            elif kind == "failure":
+            if kind == "failure":
                 failures[key] = value
             continue
         cells = line.split(",")
@@ -707,8 +691,6 @@ def parse_report(text: str) -> ErrorReport:
     return ErrorReport(
         eval_grid=grid,
         errors=errors,
-        max_rel=max_rel,
-        l2_rel=l2_rel,
         tangent_errors=tangent if has_tangent else None,
         manifold_errors=manifold if has_manifold else None,
         failures=failures,
@@ -751,24 +733,49 @@ STUDIES = (
     Study("bound_check", "bound-check", ExperimentConfig(n=40, r=4, seed=3)),
 )
 
-_REPORT_RUNNERS = {
-    "qr-interp": run_qr_interp,
-    "svd-interp": run_svd_interp,
-    "tangent-vs-manifold": run_tangent_vs_manifold,
-    "snapshot-interp": run_snapshot_experiment,
-}
 
+@dataclass(frozen=True)
+class Command:
+    """A CLI subcommand: the ``ExperimentConfig`` fields its study reads, and its runner.
 
-def run_study(command: str, config: ExperimentConfig) -> str:
-    """Run the study behind a CLI subcommand on ``config``; return its CSV text.
-
-    ``transport-accuracy`` sweeps the FD steps on the snapshot instance, and
-    ``bound-check`` measures equal tangent norms 0.1, 0.2, 0.3 at angle 0.1.
+    The fields are also the subcommand's flags; ``run`` runs the study on a
+    config and returns its CSV text.
     """
-    if command == "transport-accuracy":
-        table = run_transport_accuracy(config, use_snapshot_data=True)
-        return table_to_csv("h,transport_rel_err", table)
-    if command == "bound-check":
-        rows = [bound_check_instance(config, d, d, 0.1) for d in (0.1, 0.2, 0.3)]
-        return table_to_csv(",".join(rows[0]), [row.values() for row in rows])
-    return report_to_csv(_REPORT_RUNNERS[command](config))
+
+    fields: tuple[str, ...]
+    run: Callable[[ExperimentConfig], str]
+
+
+def _transport_csv(config: ExperimentConfig) -> str:
+    """The FD-step sweep on the deterministic snapshot instance."""
+    table = run_transport_accuracy(config, use_snapshot_data=True)
+    return table_to_csv("h,transport_rel_err", table)
+
+
+def _bound_csv(config: ExperimentConfig) -> str:
+    """Equal tangent norms 0.1, 0.2, 0.3 at angle 0.1."""
+    rows = [bound_check_instance(config, d, d, 0.1) for d in (0.1, 0.2, 0.3)]
+    return table_to_csv(",".join(rows[0]), [row.values() for row in rows])
+
+
+#: Every subcommand of the CLI, in the order of ``STUDIES``.
+COMMANDS = {
+    "transport-accuracy": Command(("n", "r"), _transport_csv),
+    "qr-interp": Command(
+        ("n", "r", "num_nodes", "interval", "seed", "centering", "methods"),
+        lambda config: report_to_csv(run_qr_interp(config)),
+    ),
+    "svd-interp": Command(
+        ("n", "r", "m", "num_nodes", "interval", "seed", "centering", "methods"),
+        lambda config: report_to_csv(run_svd_interp(config)),
+    ),
+    "tangent-vs-manifold": Command(
+        ("n", "r", "m", "num_nodes", "interval", "seed", "centering"),
+        lambda config: report_to_csv(run_tangent_vs_manifold(config)),
+    ),
+    "snapshot-interp": Command(
+        ("n", "r", "num_nodes", "interval", "centering", "methods"),
+        lambda config: report_to_csv(run_snapshot_experiment(config)),
+    ),
+    "bound-check": Command(("n", "r", "seed"), _bound_csv),
+}

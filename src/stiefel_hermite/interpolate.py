@@ -168,6 +168,23 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> Hermi
     )
 
 
+def _check_sample_plan(ts) -> np.ndarray:
+    """The parameters of a sample plan, checked for every fit.
+
+    A plan needs at least 2 samples, strictly increasing parameters, and no
+    subinterval shorter than ``DEGENERATE_SPAN_EPS`` times the span.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if len(ts) < 2:
+        raise PreconditionError("need at least 2 samples")
+    steps = np.diff(ts)
+    if not np.all(steps > 0):
+        raise PreconditionError("sample parameters must be strictly increasing")
+    if np.any(steps < DEGENERATE_SPAN_EPS * (ts[-1] - ts[0])):
+        raise PreconditionError("degenerate subinterval in the sample plan")
+    return ts
+
+
 def _segment_index(knots: np.ndarray, t: float) -> int:
     """Right-closed lookup: t in [k_i, k_{i+1}) -> i; t == k_last -> last."""
     if not knots[0] <= t <= knots[-1]:
@@ -193,14 +210,7 @@ class CompositeCurve:
 
 def fit_composite(samples: list[HermiteSample], centering: str = "q") -> CompositeCurve:
     """Fit arcs over consecutive sample pairs; the result is C^1 at the knots."""
-    if len(samples) < 2:
-        raise PreconditionError("need at least 2 samples")
-    ts = np.asarray([s.t for s in samples], dtype=float)
-    if not np.all(np.diff(ts) > 0):
-        raise PreconditionError("sample parameters must be strictly increasing")
-    span = ts[-1] - ts[0]
-    if np.any(np.diff(ts) < DEGENERATE_SPAN_EPS * span):
-        raise PreconditionError("degenerate subinterval in the sample plan")
+    ts = _check_sample_plan([s.t for s in samples])
     arcs = tuple(
         fit_arc(samples[i], samples[i + 1], centering=centering) for i in range(len(samples) - 1)
     )
@@ -227,11 +237,7 @@ class GeodesicCurve:
 
 def geodesic_interp(samples: list[tuple[float, stiefel.StiefelPoint]]) -> GeodesicCurve:
     """Connect consecutive sample points by geodesics."""
-    if len(samples) < 2:
-        raise PreconditionError("need at least 2 samples")
-    ts = np.asarray([t for t, _ in samples], dtype=float)
-    if not np.all(np.diff(ts) > 0):
-        raise PreconditionError("sample parameters must be strictly increasing")
+    ts = _check_sample_plan([t for t, _ in samples])
     directions = []
     for i in range(len(samples) - 1):
         try:
@@ -290,15 +296,9 @@ def tangent_rbf_interp(
     ``skip_failed`` is set, in which case those samples are dropped from the
     interpolation problem and recorded on the curve.
     """
-    if not samples:
-        raise PreconditionError("need at least 1 sample")
-    ts = np.asarray([t for t, _ in samples], dtype=float)
-    if len(samples) > 1 and not np.all(np.diff(ts) > 0):
-        raise PreconditionError("sample parameters must be strictly increasing")
+    ts = _check_sample_plan([t for t, _ in samples])
     center = samples[len(samples) // 2][1]
     t_lo, t_hi = float(ts[0]), float(ts[-1])
-    if t_hi == t_lo:  # single sample: constant curve
-        t_lo, t_hi = t_lo - 0.5, t_hi + 0.5
     deltas: list[np.ndarray] = []
     kept: list[int] = []
     failed: list[int] = []

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import re
 from pathlib import Path
 
@@ -50,23 +51,22 @@ class TestConfig:
 
 class TestDistanceBound:
     def test_identical_data_zero(self):
-        b = ex.BoundInputs(delta=0.3, delta_tilde=0.3, s0=0.0, curvature=1.0)
-        assert ex.eval_distance_bound(b) == 0.0
+        assert ex.eval_distance_bound(delta=0.3, delta_tilde=0.3, s0=0.0, curvature=1.0) == 0.0
 
     def test_flat_case_arc_plus_ray(self):
-        b = ex.BoundInputs(delta=0.4, delta_tilde=0.25, s0=0.2, curvature=0.0)
-        assert ex.eval_distance_bound(b) == pytest.approx(0.15 + 0.2 * 0.4)
+        bound = ex.eval_distance_bound(delta=0.4, delta_tilde=0.25, s0=0.2, curvature=0.0)
+        assert bound == pytest.approx(0.15 + 0.2 * 0.4)
 
     def test_positive_curvature_shrinks(self):
-        flat = ex.eval_distance_bound(ex.BoundInputs(0.3, 0.3, 0.1, 0.0))
-        curved = ex.eval_distance_bound(ex.BoundInputs(0.3, 0.3, 0.1, ex.CURVATURE_MAX))
+        flat = ex.eval_distance_bound(0.3, 0.3, 0.1, 0.0)
+        curved = ex.eval_distance_bound(0.3, 0.3, 0.1, ex.CURVATURE_MAX)
         assert curved < flat
 
     def test_hypothesis_validation(self):
-        with pytest.raises(PreconditionError):
-            ex.BoundInputs(delta=1.0, delta_tilde=0.2, s0=0.1, curvature=0.0)
-        with pytest.raises(PreconditionError):
-            ex.BoundInputs(delta=0.5, delta_tilde=0.2, s0=2.0, curvature=0.0)
+        with pytest.raises(PreconditionError, match="tangent norms"):
+            ex.eval_distance_bound(delta=1.0, delta_tilde=0.2, s0=0.1, curvature=0.0)
+        with pytest.raises(PreconditionError, match="angle s0"):
+            ex.eval_distance_bound(delta=0.5, delta_tilde=0.2, s0=2.0, curvature=0.0)
 
     @pytest.mark.parametrize("delta", [0.1, 0.2, 0.3])
     def test_observed_distance_inside_envelope(self, delta):
@@ -299,10 +299,16 @@ class TestReports:
         return ex.ErrorReport(
             eval_grid=[0.0, 0.5, 1.0],
             errors={"hermite": [0.1, 0.2, 0.3], "geodesic": [1.0, 2.0, 3.0]},
-            max_rel={"hermite": 0.3, "geodesic": 3.0},
-            l2_rel={"hermite": 0.2, "geodesic": 2.0},
             failures={"rbf": "log did not converge for samples [0, 1]"},
         )
+
+    def test_summaries_from_columns(self):
+        rep = self._toy_report()
+        assert rep.max_rel == {"hermite": 0.3, "geodesic": 3.0}
+        # trapezoid of e^2 on the grid: 0.25 * (0.01 + 2 * 0.04 + 0.09) = 0.045
+        assert rep.l2_rel["hermite"] == pytest.approx(np.sqrt(0.045))
+        assert rep.l2_rel["geodesic"] == pytest.approx(10.0 * np.sqrt(0.045))
+        assert all(type(v) is float for v in [*rep.max_rel.values(), *rep.l2_rel.values()])
 
     def test_roundtrip(self):
         rep = self._toy_report()
@@ -313,17 +319,25 @@ class TestReports:
         rep = ex.ErrorReport(
             eval_grid=[0.0, 1.0],
             errors={"hermite": [0.25, 0.5]},
-            max_rel={"hermite": 0.5},
-            l2_rel={"hermite": 0.3},
             tangent_errors=[1e-3, 2e-3],
             manifold_errors=[0.9e-3, 1.9e-3],
         )
         assert ex.parse_report(ex.report_to_csv(rep)) == rep
 
     def test_header_only_for_empty_grid(self):
-        rep = ex.ErrorReport(eval_grid=[], errors={}, max_rel={}, l2_rel={})
+        rep = ex.ErrorReport(eval_grid=[], errors={})
         text = ex.report_to_csv(rep)
         assert text == "t\n"
+
+    def test_summary_footers_are_the_properties(self):
+        cfg = ex.ExperimentConfig(n=20, r=3, num_nodes=3, seed=0, grid_points=9)
+        rep = ex.run_qr_interp(cfg)
+        footers = [ln[2:].split(",") for ln in ex.report_to_csv(rep).splitlines()
+                   if ln.startswith("# ")]
+        written = {kind: {m: float(v) for k, m, v in footers if k == kind}
+                   for kind in ("max_rel", "l2_rel")}
+        assert written == {"max_rel": rep.max_rel, "l2_rel": rep.l2_rel}
+        assert set(written["max_rel"]) == set(cfg.methods)
 
     def test_columns_match_method_set(self):
         text = ex.report_to_csv(self._toy_report())
@@ -349,7 +363,7 @@ class TestReports:
         curves = ex._method_curves(cfg, samples, failures)
         assert curves["rbf"].failed_indices == (0, 1)
         assert "samples [0, 1]" in failures["rbf"]
-        rep = ex.ErrorReport(eval_grid=[], errors={}, max_rel={}, l2_rel={}, failures=failures)
+        rep = ex.ErrorReport(eval_grid=[], errors={}, failures=failures)
         text = ex.report_to_csv(rep)
         assert f"# failure,rbf,{failures['rbf']}" in text.splitlines()
         assert ex.parse_report(text).failures == failures
@@ -384,6 +398,15 @@ class TestCLI:
         errs = np.array([float(line.split(",")[1]) for line in rows])
         assert errs.shape == (len(ex.TRANSPORT_STEPS),)
         assert np.all(np.isfinite(errs)) and np.all(errs > 0.0)
+
+    def test_transport_accuracy_zero_velocity_exit_code(self, capsys):
+        # at n = 2 the x-grid is {0, 1}, so the three snapshots coincide and v_p = 0
+        assert cli.main(["transport-accuracy", "--n", "2", "--r", "1"]) == 2
+        assert "velocity v_p to transport is zero" in capsys.readouterr().err
+        assert cli.main(["transport-accuracy", "--n", "3", "--r", "1"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        errs = np.array([float(line.split(",")[1]) for line in rows])
+        assert errs.shape == (len(ex.TRANSPORT_STEPS),) and np.all(np.isfinite(errs))
 
     def test_qr_interp_to_file(self, tmp_path, capsys):
         out = tmp_path / "qr.csv"
@@ -508,3 +531,37 @@ class TestStudies:
             a = np.array(row_got.split(","), dtype=float)
             b = np.array(row_want.split(","), dtype=float)
             assert np.all(np.abs(a - b) <= np.maximum(1e-9 * np.maximum(abs(a), abs(b)), 1e-15))
+
+    def test_commands_are_the_study_commands(self):
+        assert set(ex.COMMANDS) == {s.command for s in ex.STUDIES}
+        config_fields = {f.name for f in dataclasses.fields(ex.ExperimentConfig)}
+        for command in ex.COMMANDS.values():
+            assert set(command.fields) <= config_fields
+
+    # Toy sizes of each command's paper configuration.
+    TOY = {
+        "transport-accuracy": dict(n=101, r=3),
+        "qr-interp": dict(n=30, r=3),
+        "svd-interp": dict(n=40, r=3, m=10),
+        "tangent-vs-manifold": dict(n=40, r=3, m=10),
+        "snapshot-interp": dict(n=101, r=3),
+        "bound-check": dict(n=12, r=3),
+    }
+    # A valid value of every field that a flag sets, unlike the toy configs'.
+    ALTERED = dict(n=13, r=2, m=17, interval=(0.1, 0.4), num_nodes=3, seed=9, centering="p",
+                   methods=("geodesic",))
+
+    @pytest.mark.parametrize("command", sorted(ex.COMMANDS))
+    def test_unlisted_fields_leave_csv_unchanged(self, command):
+        # grid_points is set by no flag; it shrinks both runs alike
+        flagged = {f.name for f in dataclasses.fields(ex.ExperimentConfig)} - {"grid_points"}
+        assert set(self.ALTERED) == flagged
+        study = next(s for s in ex.STUDIES if s.command == command)
+        base = dataclasses.replace(study.config, grid_points=12, **self.TOY[command])
+        listed = ex.COMMANDS[command].fields
+        altered = dataclasses.replace(
+            base, **{k: v for k, v in self.ALTERED.items() if k not in listed}
+        )
+        assert all(getattr(base, k) != v for k, v in self.ALTERED.items())
+        run = ex.COMMANDS[command].run
+        assert run(altered) == run(base)

@@ -240,11 +240,6 @@ class TestComposite:
         with pytest.raises(PreconditionError):
             interp.fit_composite(bad)
 
-    def test_degenerate_subinterval_rejected(self, rng):
-        samples = make_samples(rng, 15, 3, [0.0, 1e-14, 1.0])
-        with pytest.raises(PreconditionError):
-            interp.fit_composite(samples)
-
     def test_linearity_of_tangent_image(self, rng):
         # scaling all three tangent data scales the tangent interpolant exactly
         samples = make_samples(rng, 20, 4, [0.0, 1.0])
@@ -310,6 +305,17 @@ def test_nan_parameter_rejected(rng, fit):
         curve(float("nan"))
 
 
+@pytest.mark.parametrize("fit", [
+    interp.fit_composite,
+    lambda samples: interp.geodesic_interp([(s.t, s.point) for s in samples]),
+    lambda samples: interp.tangent_rbf_interp([(s.t, s.point) for s in samples]),
+], ids=["composite", "geodesic", "rbf"])
+def test_degenerate_subinterval_rejected(rng, fit):
+    samples = make_samples(rng, 15, 3, [0.0, 1e-14, 1.0])
+    with pytest.raises(PreconditionError, match="degenerate subinterval"):
+        fit(samples)
+
+
 class TestTangentRBF:
     def test_interpolates_at_knots(self, rng):
         samples = make_samples(rng, 25, 4, [0.0, 1.0, 2.0, 3.0])
@@ -318,11 +324,10 @@ class TestTangentRBF:
         for t, p in pts:
             assert np.linalg.norm(curve(t).u - p.u) <= 1e-8
 
-    def test_single_sample_constant(self, rng):
+    def test_single_sample_rejected(self, rng):
         p = stiefel.random_point(rng, 12, 3)
-        curve = interp.tangent_rbf_interp([(0.5, p)])
-        for t in (-1.0, 0.5, 2.0):
-            assert np.linalg.norm(curve(t).u - p.u) < 1e-12
+        with pytest.raises(PreconditionError, match="at least 2 samples"):
+            interp.tangent_rbf_interp([(0.5, p)])
 
     def test_far_samples_fail_with_indices(self):
         rng = np.random.default_rng(101)

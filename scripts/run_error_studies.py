@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run every paper study at full scale and write results/<name>.csv for each.
 
-The studies and their configurations are ``experiments.STUDIES``.  Exits 1,
+The runs and their configurations are the ``studies`` of each
+``experiments.COMMANDS`` entry, written in the registry's order.  Exits 1,
 after writing every file, when any report records a failure.
 
 BLAS runs on one thread unless the environment sets the thread count: the
@@ -32,9 +33,11 @@ def main():
     OUT.mkdir(exist_ok=True)
     t0 = time.time()
     failed = 0
-    for study in ex.STUDIES:
-        path = OUT / f"{study.name}.csv"
-        text = ex.COMMANDS[study.command].run(study.config)
+    runs = [(stem, cmd.run, config) for cmd in ex.COMMANDS.values()
+            for stem, config in cmd.studies.items()]
+    for stem, run, config in runs:
+        path = OUT / f"{stem}.csv"
+        text = run(config)
         path.write_text(text)
         footers = [ln[2:].split(",", 2) for ln in text.splitlines() if ln.startswith("# ")]
         summary = ", ".join(f"{m}={float(v):.4g}" for kind, m, v in footers if kind == "max_rel")

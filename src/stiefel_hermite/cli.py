@@ -2,7 +2,7 @@
 
 One subcommand per entry of ``experiments.COMMANDS``, with one flag per
 config field that the entry lists as read by its study.  With no flags a
-subcommand runs its first ``experiments.STUDIES`` entry, the paper
+subcommand runs the first of the entry's ``studies``, the paper
 configuration; each flag given overrides that one field.  Results are
 written as CSV to ``--out`` or stdout.  Exit codes: 0 success, 2
 configuration/precondition error, 3 numerical non-convergence.
@@ -57,20 +57,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hermite interpolation error studies on the Stiefel manifold",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for study in experiments.STUDIES:
-        if study.command in subs.choices:
-            continue
+    for command, entry in experiments.COMMANDS.items():
+        stem, config = next(iter(entry.studies.items()))
         sub = subs.add_parser(
-            study.command,
+            command,
             argument_default=argparse.SUPPRESS,
             allow_abbrev=False,
-            description=f"Without flags, runs the paper study of results/{study.name}.csv.",
+            description=f"Without flags, runs the paper study of results/{stem}.csv.",
         )
-        for name in experiments.COMMANDS[study.command].fields:
+        for name in entry.fields:
             flag = "--nodes" if name == "num_nodes" else f"--{name}"
             sub.add_argument(flag, dest=name, **_FLAGS[name])
         sub.add_argument("--out", help="CSV output path (default: stdout)")
-        sub.set_defaults(defaults=study.config)
+        sub.set_defaults(defaults=config)
     return parser
 
 

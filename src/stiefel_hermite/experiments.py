@@ -12,11 +12,13 @@ Two kinds of sampled factor path drive the studies:
   single-tangent-space interpolation, which needs logs between samples far
   apart).
 
-``STUDIES`` is the registry of the paper's seven runs.  ``COMMANDS`` maps
-each CLI subcommand to the config fields its study reads, which are its
-flags, and to the function that runs the study and returns its CSV text.
-An ``ErrorReport`` stores the error columns; its summaries ``max_rel`` and
-``l2_rel`` are computed from them.
+``COMMANDS`` is the one study registry.  It maps each CLI subcommand to the
+config fields its study reads, which are its flags, to the function that
+runs the study and returns its CSV text, and to the paper's runs of that
+study (``studies``: results-file stem to config); the seven runs make up the
+paper's numerical section.  An ``ErrorReport`` stores the error columns; its
+summaries ``max_rel`` and ``l2_rel`` are computed from them, and one column
+table gives both its CSV layout and the parser's reading of it.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a seed
 pins the generated data; report bytes also depend on the BLAS build and
@@ -186,6 +188,28 @@ class QRExperimentData:
     def reference(self, t: float) -> stiefel.StiefelPoint:
         return stiefel.StiefelPoint(linalg.qr_econ(self.y(t)).q)
 
+    def sample(self, t: float) -> interpolate.HermiteSample:
+        """The Q-factor at t with its velocity."""
+        qr = linalg.qr_econ(self.y(t))
+        point = stiefel.StiefelPoint(qr.q)
+        q_dot = diff_qr(self.y(t), self.y_dot(t), qr).q_dot
+        return interpolate.HermiteSample(float(t), point, stiefel.TangentVector(point, q_dot))
+
+
+def _seeded_draw(seed: int, draw, warning: str, failure: str):
+    """The first result of ``draw(rng)`` that is not None, over the seeds seed, seed + 1, ...
+
+    Each seed gets a fresh ``default_rng``; a rejected seed is logged with
+    ``warning % seed``.  Raises PreconditionError after ``GEN_MAX_ATTEMPTS``
+    rejections.
+    """
+    for attempt in range(GEN_MAX_ATTEMPTS):
+        result = draw(np.random.default_rng(seed + attempt))
+        if result is not None:
+            return result
+        logger.warning(warning, seed + attempt)
+    raise PreconditionError(f"no {failure} found in {GEN_MAX_ATTEMPTS} attempts")
+
 
 def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
     """Random cubic matrix path and Hermite samples of its Q-factor.
@@ -197,27 +221,18 @@ def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
     """
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
     grid = _uniform_grid(nodes, config.grid_points)
-    for attempt in range(GEN_MAX_ATTEMPTS):
-        seed = config.seed + attempt
-        rng = np.random.default_rng(seed)
+
+    def draw(rng):
         coeffs = tuple(rng.uniform(0.0, hi, (config.n, config.r)) for hi in (1.0, 0.5, 0.5, 0.2))
         data = QRExperimentData(coeffs=coeffs, nodes=nodes, samples=[])
         if any(linalg.qr_econ(data.y(t)).rank_deficient for t in np.concatenate([nodes, grid])):
-            logger.warning("QR path rank-deficient for seed %d; regenerating", seed)
-            continue
-        for t in nodes:
-            qr = linalg.qr_econ(data.y(t))
-            point = stiefel.StiefelPoint(qr.q)
-            deriv = diff_qr(data.y(t), data.y_dot(t), qr)
-            data.samples.append(
-                interpolate.HermiteSample(
-                    t=float(t),
-                    point=point,
-                    velocity=stiefel.TangentVector(point, deriv.q_dot),
-                )
-            )
+            return None
+        data.samples.extend(data.sample(t) for t in nodes)
         return data
-    raise PreconditionError(f"no full-rank QR path found in {GEN_MAX_ATTEMPTS} attempts")
+
+    return _seeded_draw(
+        config.seed, draw, "QR path rank-deficient for seed %d; regenerating", "full-rank QR path"
+    )
 
 
 def _method_curves(
@@ -349,12 +364,14 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
     regenerated with the next seed.
     """
     r = config.r
-    if config.m < r:
-        raise PreconditionError(f"an exact rank-r path needs m >= r, got m={config.m}, r={r}")
+    if not r <= config.m <= config.n:
+        raise PreconditionError(
+            "an exact rank-r path of n x m matrices needs r <= m <= n, "
+            f"got n={config.n}, m={config.m}, r={r}"
+        )
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
-    for attempt in range(GEN_MAX_ATTEMPTS):
-        seed = config.seed + attempt
-        rng = np.random.default_rng(seed)
+
+    def draw(rng):
         y0, y1, y2, y3 = (rng.uniform(0.0, hi, (config.n, r)) for hi in (1.0, 0.5, 0.5, 0.5))
         z0, z1, z2 = (rng.uniform(0.0, hi, (r, config.m)) for hi in (1.0, 0.5, 0.5))
 
@@ -366,45 +383,12 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
             z = z0 + t * z1 + t * t * z2
             return (y1 + 2.0 * t * y2 + 3.0 * t * t * y3) @ z + y @ (z1 + 2.0 * t * z2)
 
-        data = _sample_svd_path(w, w_dot, r, nodes)
-        if data is not None:
-            return data
-        logger.warning("SVD path degenerate for seed %d; regenerating", seed)
-    raise PreconditionError(
-        f"no well-separated SVD path found in {GEN_MAX_ATTEMPTS} attempts"
+        return _sample_svd_path(w, w_dot, r, nodes)
+
+    return _seeded_draw(
+        config.seed, draw, "SVD path degenerate for seed %d; regenerating",
+        "well-separated SVD path",
     )
-
-
-class _PiecewiseHermite:
-    """Componentwise cubic Hermite interpolant of vector samples."""
-
-    def __init__(self, knots, values, slopes):
-        self.knots = np.asarray(knots, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        self.slopes = np.asarray(slopes, dtype=float)
-
-    def __call__(self, t: float) -> np.ndarray:
-        i = interpolate._segment_index(self.knots, t)
-        return interpolate.euclid_hermite(
-            self.values[i],
-            self.values[i + 1],
-            self.slopes[i],
-            self.slopes[i + 1],
-            t,
-            self.knots[i],
-            self.knots[i + 1],
-        )
-
-
-class _PiecewiseLinear:
-    def __init__(self, knots, values):
-        self.knots = np.asarray(knots, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-
-    def __call__(self, t: float) -> np.ndarray:
-        i = interpolate._segment_index(self.knots, t)
-        s = (t - self.knots[i]) / (self.knots[i + 1] - self.knots[i])
-        return (1.0 - s) * self.values[i] + s * self.values[i + 1]
 
 
 def run_svd_interp(config: ExperimentConfig) -> ErrorReport:
@@ -422,17 +406,24 @@ def run_svd_interp(config: ExperimentConfig) -> ErrorReport:
     failures: dict[str, str] = {}
     curves_u = _method_curves(config, data.samples_u, failures)
     curves_v = _method_curves(config, data.samples_v, failures)
-    sigma = {
-        "hermite": _PiecewiseHermite(data.nodes, data.sigma_values, data.sigma_slopes),
-        "geodesic": _PiecewiseLinear(data.nodes, data.sigma_values),
-    }
-    curves = {m: (cu, curves_v[m], sigma[m]) for m, cu in curves_u.items() if m in curves_v}
+
+    def sigma(method, t):
+        i = interpolate._segment_index(data.nodes, t)
+        t0, t1 = data.nodes[i], data.nodes[i + 1]
+        v0, v1 = data.sigma_values[i], data.sigma_values[i + 1]
+        if method == "hermite":
+            slopes = data.sigma_slopes
+            return interpolate.euclid_hermite(v0, v1, slopes[i], slopes[i + 1], t, t0, t1)
+        s = (t - t0) / (t1 - t0)
+        return (1.0 - s) * v0 + s * v1
+
+    curves = {m: (cu, curves_v[m]) for m, cu in curves_u.items() if m in curves_v}
     errors = {}
-    for method, (cu, cv, cs) in curves.items():
+    for method, (cu, cv) in curves.items():
         errs = []
         for t in grid:
             w = data.w(t)
-            rec = (cu(t).u * cs(t)[np.newaxis, :]) @ cv(t).u.T
+            rec = (cu(t).u * sigma(method, t)[np.newaxis, :]) @ cv(t).u.T
             errs.append(np.linalg.norm(rec - w) / np.linalg.norm(w))
         errors[method] = errs
     return ErrorReport(grid, errors, failures=failures)
@@ -623,31 +614,35 @@ def bound_check_instance(
 # --------------------------------------------------------------------------
 
 
+def _report_columns(report: ErrorReport) -> dict[str, list[float]]:
+    """The report's data columns by CSV header, in file order.
+
+    ``t``, one ``<method>_rel_err`` per method, then ``tangent_err`` and
+    ``manifold_err`` when the report has them.
+    """
+    columns = {"t": report.eval_grid}
+    columns.update({f"{m}_rel_err": errs for m, errs in report.errors.items()})
+    for name, values in (("tangent_err", report.tangent_errors),
+                         ("manifold_err", report.manifold_errors)):
+        if values is not None:
+            columns[name] = values
+    return columns
+
+
 def report_to_csv(report: ErrorReport) -> str:
     """Render a report as CSV: data columns, then the summary and failure footers.
 
     Floats are written with ``repr``, the shortest decimal that round-trips.
     """
-    methods = list(report.errors.keys())
-    header = ["t"] + [f"{m}_rel_err" for m in methods]
-    extra = []
-    if report.tangent_errors is not None:
-        extra.append("tangent_err")
-    if report.manifold_errors is not None:
-        extra.append("manifold_err")
-    lines = [",".join(header + extra)]
-    for i, t in enumerate(report.eval_grid):
-        row = [repr(t)] + [repr(report.errors[m][i]) for m in methods]
-        if report.tangent_errors is not None:
-            row.append(repr(report.tangent_errors[i]))
-        if report.manifold_errors is not None:
-            row.append(repr(report.manifold_errors[i]))
-        lines.append(",".join(row))
-    for kind, summary in (("max_rel", report.max_rel), ("l2_rel", report.l2_rel)):
-        lines += [f"# {kind},{m},{value!r}" for m, value in summary.items()]
-    for key, message in report.failures.items():
-        lines.append(f"# failure,{key},{message}")
-    return "\n".join(lines) + "\n"
+    columns = _report_columns(report)
+    footers = [
+        f"# {kind},{m},{value!r}"
+        for kind, summary in (("max_rel", report.max_rel), ("l2_rel", report.l2_rel))
+        for m, value in summary.items()
+    ]
+    footers += [f"# failure,{key},{message}" for key, message in report.failures.items()]
+    table = table_to_csv(",".join(columns), zip(*columns.values()))
+    return table + "".join(f"{line}\n" for line in footers)
 
 
 def table_to_csv(header: str, rows) -> str:
@@ -664,36 +659,19 @@ def parse_report(text: str) -> ErrorReport:
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",")
-    methods = [h[: -len("_rel_err")] for h in header[1:] if h.endswith("_rel_err")]
-    has_tangent = "tangent_err" in header
-    has_manifold = "manifold_err" in header
-    grid: list[float] = []
-    errors: dict[str, list[float]] = {m: [] for m in methods}
-    tangent: list[float] = []
-    manifold: list[float] = []
-    failures: dict[str, str] = {}
-    for line in lines[1:]:
-        if line.startswith("#"):
-            kind, key, value = line[1:].strip().split(",", 2)
-            if kind == "failure":
-                failures[key] = value
-            continue
-        cells = line.split(",")
-        grid.append(float(cells[0]))
-        for j, m in enumerate(methods):
-            errors[m].append(float(cells[1 + j]))
-        pos = 1 + len(methods)
-        if has_tangent:
-            tangent.append(float(cells[pos]))
-            pos += 1
-        if has_manifold:
-            manifold.append(float(cells[pos]))
+    rows = [ln.split(",") for ln in lines[1:] if not ln.startswith("#")]
+    columns = {name: [float(row[j]) for row in rows] for j, name in enumerate(header)}
+    footers = [ln[1:].strip().split(",", 2) for ln in lines[1:] if ln.startswith("#")]
     return ErrorReport(
-        eval_grid=grid,
-        errors=errors,
-        tangent_errors=tangent if has_tangent else None,
-        manifold_errors=manifold if has_manifold else None,
-        failures=failures,
+        eval_grid=columns["t"],
+        errors={
+            name.removesuffix("_rel_err"): column
+            for name, column in columns.items()
+            if name.endswith("_rel_err")
+        },
+        tangent_errors=columns.get("tangent_err"),
+        manifold_errors=columns.get("manifold_err"),
+        failures={key: value for kind, key, value in footers if kind == "failure"},
     )
 
 
@@ -703,47 +681,18 @@ def parse_report(text: str) -> ErrorReport:
 
 
 @dataclass(frozen=True)
-class Study:
-    """One paper run: the ``results/<name>.csv`` it writes, its CLI subcommand, its config."""
-
-    name: str
-    command: str
-    config: ExperimentConfig
-
-
-#: The seven runs of the paper's numerical section, in the order
-#: ``scripts/run_error_studies.py`` writes them.  A command's first entry is
-#: its CLI default.
-STUDIES = (
-    Study("transport_accuracy_snapshot", "transport-accuracy",
-          ExperimentConfig(n=1001, r=6, seed=0)),
-    Study("qr_interp_n500_r10", "qr-interp",
-          ExperimentConfig(n=500, r=10, interval=(-1.1, 1.1), num_nodes=6, seed=0)),
-    Study("svd_interp_n1000_m100_r10_q", "svd-interp",
-          ExperimentConfig(n=1000, r=10, m=100, interval=(0.0, 0.5), num_nodes=2, seed=0,
-                           centering="q", methods=("hermite", "geodesic"))),
-    Study("svd_interp_n1000_m100_r10_p", "svd-interp",
-          ExperimentConfig(n=1000, r=10, m=100, interval=(0.0, 0.5), num_nodes=2, seed=0,
-                           centering="p", methods=("hermite", "geodesic"))),
-    Study("tangent_vs_manifold", "tangent-vs-manifold",
-          ExperimentConfig(n=200, r=6, m=50, interval=(0.0, 0.5), num_nodes=2, seed=0,
-                           methods=("hermite",))),
-    Study("snapshot_interp_n1001_r6", "snapshot-interp",
-          ExperimentConfig(n=1001, r=6, interval=(1.7, 2.3), num_nodes=6)),
-    Study("bound_check", "bound-check", ExperimentConfig(n=40, r=4, seed=3)),
-)
-
-
-@dataclass(frozen=True)
 class Command:
-    """A CLI subcommand: the ``ExperimentConfig`` fields its study reads, and its runner.
+    """A CLI subcommand: the config fields its study reads, its runner, its paper runs.
 
     The fields are also the subcommand's flags; ``run`` runs the study on a
-    config and returns its CSV text.
+    config and returns its CSV text.  ``studies`` maps the stem of each
+    ``results/`` file the paper run writes to that run's config; the first
+    entry is the subcommand's default.
     """
 
     fields: tuple[str, ...]
     run: Callable[[ExperimentConfig], str]
+    studies: dict[str, ExperimentConfig]
 
 
 def _transport_csv(config: ExperimentConfig) -> str:
@@ -758,24 +707,44 @@ def _bound_csv(config: ExperimentConfig) -> str:
     return table_to_csv(",".join(rows[0]), [row.values() for row in rows])
 
 
-#: Every subcommand of the CLI, in the order of ``STUDIES``.
+_SVD_PAPER = dict(n=1000, r=10, m=100, interval=(0.0, 0.5), num_nodes=2, seed=0,
+                  methods=("hermite", "geodesic"))
+
+#: Every subcommand of the CLI with the paper's seven runs, in the order
+#: ``scripts/run_error_studies.py`` writes them.
 COMMANDS = {
-    "transport-accuracy": Command(("n", "r"), _transport_csv),
+    "transport-accuracy": Command(
+        ("n", "r"), _transport_csv,
+        {"transport_accuracy_snapshot": ExperimentConfig(n=1001, r=6, seed=0)},
+    ),
     "qr-interp": Command(
         ("n", "r", "num_nodes", "interval", "seed", "centering", "methods"),
         lambda config: report_to_csv(run_qr_interp(config)),
+        {"qr_interp_n500_r10": ExperimentConfig(n=500, r=10, interval=(-1.1, 1.1), num_nodes=6,
+                                                seed=0)},
     ),
     "svd-interp": Command(
         ("n", "r", "m", "num_nodes", "interval", "seed", "centering", "methods"),
         lambda config: report_to_csv(run_svd_interp(config)),
+        {
+            "svd_interp_n1000_m100_r10_q": ExperimentConfig(**_SVD_PAPER, centering="q"),
+            "svd_interp_n1000_m100_r10_p": ExperimentConfig(**_SVD_PAPER, centering="p"),
+        },
     ),
     "tangent-vs-manifold": Command(
         ("n", "r", "m", "num_nodes", "interval", "seed", "centering"),
         lambda config: report_to_csv(run_tangent_vs_manifold(config)),
+        {"tangent_vs_manifold": ExperimentConfig(n=200, r=6, m=50, interval=(0.0, 0.5),
+                                                 num_nodes=2, seed=0, methods=("hermite",))},
     ),
     "snapshot-interp": Command(
         ("n", "r", "num_nodes", "interval", "centering", "methods"),
         lambda config: report_to_csv(run_snapshot_experiment(config)),
+        {"snapshot_interp_n1001_r6": ExperimentConfig(n=1001, r=6, interval=(1.7, 2.3),
+                                                      num_nodes=6)},
     ),
-    "bound-check": Command(("n", "r", "seed"), _bound_csv),
+    "bound-check": Command(
+        ("n", "r", "seed"), _bound_csv,
+        {"bound_check": ExperimentConfig(n=40, r=4, seed=3)},
+    ),
 }

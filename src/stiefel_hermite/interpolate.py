@@ -281,6 +281,8 @@ class TangentRBFCurve:
         return -1.0 + 2.0 * (t - self.t_lo) / (self.t_hi - self.t_lo)
 
     def __call__(self, t: float) -> stiefel.StiefelPoint:
+        if not self.t_lo <= t <= self.t_hi:
+            raise DomainError(f"t={t} outside [{self.t_lo}, {self.t_hi}]")
         return self.frame.exp(_inverse_multiquadric(np.abs(self._rescale(t) - self.scaled_knots)))
 
 

@@ -251,13 +251,14 @@ def split_tangent(xi: TangentVector) -> TangentFrame:
     return tangent_frame(xi.base, [xi.delta])
 
 
-def stiefel_exp(xi: TangentVector, t: float = 1.0) -> StiefelPoint:
-    """Riemannian exponential: endpoint at time t of the geodesic with velocity xi.
+def stiefel_exp(xi: TangentVector) -> StiefelPoint:
+    """Riemannian exponential: endpoint at time 1 of the geodesic with velocity xi.
 
     The frame kernel on the one-vector frame xi = U A + Q M, i.e.
-    (U, Q) expm(t [[A, -M'], [M, 0]]) [I; 0].
+    (U, Q) expm([[A, -M'], [M, 0]]) [I; 0].  The point at time t is
+    ``stiefel_exp(t * xi)``.
     """
-    return split_tangent(xi).exp((t,))
+    return split_tangent(xi).exp((1.0,))
 
 
 def _polished(v: np.ndarray, k: int, residual: float) -> np.ndarray:

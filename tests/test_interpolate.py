@@ -139,7 +139,7 @@ class TestArc:
         # must follow that geodesic
         u = stiefel.random_point(rng, 25, 4)
         xi = stiefel.random_tangent(rng, u, scale=0.6)
-        p1 = stiefel.stiefel_exp(xi, 1.0)
+        p1 = stiefel.stiefel_exp(xi)
         # velocity of t -> Exp(t xi) at t=0 is xi; at t=1 transport by FD
         from stiefel_hermite.calculus import dexp_stiefel
 
@@ -148,7 +148,7 @@ class TestArc:
         s1 = interp.HermiteSample(1.0, p1, v1)
         arc = interp.fit_arc(s0, s1)
         mid_arc = interp.eval_arc(arc, 0.5)
-        mid_geo = stiefel.stiefel_exp(xi, 0.5)
+        mid_geo = stiefel.stiefel_exp(0.5 * xi)
         assert np.linalg.norm(mid_arc.u - mid_geo.u) <= 1e-8
 
     def test_eval_outside_rejected(self, rng):
@@ -298,7 +298,8 @@ class TestGeodesicInterp:
 @pytest.mark.parametrize("fit", [
     interp.fit_composite,
     lambda samples: interp.geodesic_interp([(s.t, s.point) for s in samples]),
-], ids=["composite", "geodesic"])
+    lambda samples: interp.tangent_rbf_interp([(s.t, s.point) for s in samples]),
+], ids=["composite", "geodesic", "rbf"])
 def test_nan_parameter_rejected(rng, fit):
     curve = fit(make_samples(rng, 20, 3, [0.0, 1.0, 2.0, 3.0]))
     with pytest.raises(DomainError, match="outside"):
@@ -323,6 +324,13 @@ class TestTangentRBF:
         curve = interp.tangent_rbf_interp(pts)
         for t, p in pts:
             assert np.linalg.norm(curve(t).u - p.u) <= 1e-8
+
+    def test_eval_outside_span_rejected(self, rng):
+        samples = make_samples(rng, 15, 3, [0.0, 1.0])
+        curve = interp.tangent_rbf_interp([(s.t, s.point) for s in samples])
+        for t in (5.0, -1e-9, 1.0 + 1e-9):
+            with pytest.raises(DomainError, match=r"outside \[0\.0, 1\.0\]"):
+                curve(t)
 
     def test_single_sample_rejected(self, rng):
         p = stiefel.random_point(rng, 12, 3)
@@ -389,7 +397,7 @@ class TestFrameEvaluation:
         for t in _knots_and_interior(knots):
             i = min(int(np.searchsorted(knots, t, side="right")) - 1, len(knots) - 2)
             s = (t - knots[i]) / (knots[i + 1] - knots[i])
-            expected = stiefel.stiefel_exp(curve.directions[i], s)
+            expected = stiefel.stiefel_exp(s * curve.directions[i])
             assert np.linalg.norm(curve(t).u - expected.u) <= 1e-13
 
     def test_rbf(self, qr_path):

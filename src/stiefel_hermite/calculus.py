@@ -60,20 +60,18 @@ class BlockExpResult:
     exp_m_repeat: np.ndarray
 
 
-def diff_qr(t, t_dot, qr: linalg.EconQR) -> QRDerivative:
+def diff_qr(t_dot, qr: linalg.EconQR) -> QRDerivative:
     """Differentiate the economy QR factorization along a path.
 
-    Given T = Q R (full column rank) and the path derivative Tdot, returns
-    (Qdot, Rdot) with Tdot = Qdot R + Q Rdot and Q'Qdot skew.  The key step
-    recovers X = Q'Qdot from the strictly lower triangle of Q'Tdot R^{-1}.
+    Given the factors ``qr`` of T = Q R (full column rank) and the path
+    derivative Tdot, returns (Qdot, Rdot) with Tdot = Qdot R + Q Rdot and
+    Q'Qdot skew.  The key step recovers X = Q'Qdot from the strictly lower
+    triangle of Q'Tdot R^{-1}.
     """
-    tmat = np.asarray(t, dtype=float)
     tdot = np.asarray(t_dot, dtype=float)
     q, rfac = qr.q, qr.r_factor
-    if tmat.shape != tdot.shape or tmat.shape != q.shape:
-        raise ShapeError(
-            f"inconsistent shapes: t {tmat.shape}, t_dot {tdot.shape}, q {q.shape}"
-        )
+    if tdot.shape != q.shape:
+        raise ShapeError(f"inconsistent shapes: t_dot {tdot.shape}, q {q.shape}")
     diag = np.abs(np.diagonal(rfac))
     if np.min(diag) <= linalg.RANK_EPS * max(1.0, np.linalg.norm(rfac)):
         raise DomainError("diff_qr: R factor is numerically singular")
@@ -102,13 +100,15 @@ def _check_distinct(sigma: np.ndarray, what: str) -> None:
 
 
 def diff_svd_truncated(
-    y, y_dot, rank: int, svd: tuple[np.ndarray, np.ndarray, np.ndarray]
+    y_dot, rank: int, svd: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> SVDDerivative:
-    """Differentiate the rank-r truncated SVD of an exactly rank-r matrix.
+    """Differentiate the rank-r truncated SVD of an exactly rank-r matrix y.
 
-    Valid only for mutually distinct, positive leading singular values.  The
-    right factor rotates by v_dot = v G with p = u_r' y_dot v: the top r x r
-    block of G is skew with ``G_ij = (s_i p_ij + s_j p_ji) / (s_j^2 - s_i^2)``.
+    ``svd`` = (u, sigma, v) are the factors of y and ``y_dot`` its path
+    derivative.  Valid only for mutually distinct, positive leading singular
+    values.  The right factor rotates by v_dot = v G with p = u_r' y_dot v:
+    the top r x r block of G is skew with
+    ``G_ij = (s_i p_ij + s_j p_ji) / (s_j^2 - s_i^2)``.
     ``svd`` must carry the full square right factor v (m x m): the rotation
     of the leading right singular vectors has components along all of its
     columns.  Rows of the rotation beyond the rank use the exact-rank
@@ -123,6 +123,8 @@ def diff_svd_truncated(
         raise ShapeError(f"rank {rank} out of range for m = {m}")
     if v.shape != (m, m):
         raise ShapeError("diff_svd_truncated needs the full square right factor")
+    if ydot.shape != (u.shape[0], m):
+        raise ShapeError(f"inconsistent shapes: y_dot {ydot.shape}, u {u.shape}, v {v.shape}")
     u_r = u[:, :r]
     s_r = sigma[:r]
     _check_distinct(s_r, "diff_svd_truncated")

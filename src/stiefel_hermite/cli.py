@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 from . import experiments
@@ -65,6 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
             allow_abbrev=False,
             description=f"Without flags, runs the paper study of results/{stem}.csv.",
         )
+        # argparse reads an argument that starts with a dash as a flag's value
+        # only if it matches this pattern; its default, a lone negative
+        # number, would refuse "--interval -1.1,1.1".
+        sub._negative_number_matcher = re.compile(r"-\.?\d")
         for name in entry.fields:
             flag = "--nodes" if name == "num_nodes" else f"--{name}"
             sub.add_argument(flag, dest=name, **_FLAGS[name])

@@ -82,13 +82,12 @@ class ExperimentConfig:
             raise PreconditionError(f"need n >= r, got n={self.n}, r={self.r}")
         if self.num_nodes < 2:
             raise PreconditionError(f"need at least 2 nodes, got {self.num_nodes}")
-        if not self.interval[0] < self.interval[1]:
-            raise PreconditionError(f"empty interval {self.interval}")
+        if not (np.all(np.isfinite(self.interval)) and self.interval[0] < self.interval[1]):
+            raise PreconditionError(f"interval must be finite with a < b, got {self.interval}")
         if self.centering not in interpolate.CENTERINGS:
             raise PreconditionError(f"centering must be 'q' or 'p', got {self.centering!r}")
-        bad = [m for m in self.methods if m not in METHODS]
-        if bad:
-            raise PreconditionError(f"unknown methods {bad}; choose from {METHODS}")
+        if not self.methods or not set(self.methods) <= set(METHODS):
+            raise PreconditionError(f"methods must be one or more of {METHODS}, got {self.methods}")
         if self.grid_points < 2:
             raise PreconditionError("need at least 2 grid points")
 
@@ -192,7 +191,7 @@ class QRExperimentData:
         """The Q-factor at t with its velocity."""
         qr = linalg.qr_econ(self.y(t))
         point = stiefel.StiefelPoint(qr.q)
-        q_dot = diff_qr(self.y(t), self.y_dot(t), qr).q_dot
+        q_dot = diff_qr(self.y_dot(t), qr).q_dot
         return interpolate.HermiteSample(float(t), point, stiefel.TangentVector(point, q_dot))
 
 
@@ -329,8 +328,7 @@ def _sample_svd_path(w, w_dot, rank: int, nodes: np.ndarray) -> SVDExperimentDat
     sigma_values = np.zeros((len(nodes), r))
     sigma_slopes = np.zeros((len(nodes), r))
     for i, t in enumerate(nodes):
-        w_t = w(t)
-        u, sigma, v = linalg.svd_full(w_t)
+        u, sigma, v = linalg.svd_full(w(t))
         if sigma[r:].size and sigma[r] > 1e-10 * sigma[0]:
             return None  # not numerically rank r
         min_gap = np.min(sigma[: r - 1] - sigma[1:r], initial=np.inf)  # no gap at r = 1
@@ -339,7 +337,7 @@ def _sample_svd_path(w, w_dot, rank: int, nodes: np.ndarray) -> SVDExperimentDat
         if i == 0:
             u_ref = u[:, :r].copy()  # normalizing against itself multiplies by 1.0
         u[:, :r], v[:, :r] = svd_sign_normalize(u[:, :r], v[:, :r], u_ref)
-        deriv = diff_svd_truncated(w_t, w_dot(t), r, (u, sigma, v))
+        deriv = diff_svd_truncated(w_dot(t), r, (u, sigma, v))
         for samples, factor, velocity in ((samples_u, u, deriv.u_dot), (samples_v, v, deriv.v_dot)):
             point = stiefel.StiefelPoint(factor[:, :r])
             samples.append(
@@ -448,7 +446,7 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
         arc = curve.arcs[curve.arc_index(t)]
         gamma = interpolate.arc_tangent(arc, t)
         try:
-            log_ref = stiefel.stiefel_log(arc.center, ref)
+            log_ref = stiefel.stiefel_log(arc.frame.base, ref)
             point = curve(t)
             manifold_errs.append(stiefel.dist(point, ref))
         except StiefelLogError:

@@ -12,14 +12,14 @@ Baselines: piecewise geodesics (no derivative data) and radial-basis-function
 interpolation in a single tangent space (inverse multiquadric kernel).
 
 Every curve evaluates as the exponential of a linear combination of tangent
-vectors fixed at fit time: each arc, geodesic segment and RBF curve builds a
-``stiefel.TangentFrame`` of them when it is constructed, so an evaluation
-does no n x r factorization.
+vectors fixed at fit time.  The fit puts them in a ``stiefel.TangentFrame``
+(one per arc, geodesic segment or RBF curve), and the curve stores only that
+frame, so an evaluation does no n x r factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,31 +91,21 @@ class HermiteSample:
 class HermiteArc:
     """Precomputed spline data for one subinterval [t0, t1].
 
-    ``center`` is the sample the normal coordinates are attached to: the
-    t1-sample for "q" centering (the default), the t0-sample for "p".
-    ``delta_far`` is the log of the far endpoint, ``v_hat_start``/``v_hat_end``
-    are the velocity translates multiplying the b0/b1 coefficient polynomials.
-    All three tangent vectors live at ``center``; ``frame`` holds them in the
-    small basis that evaluation uses, built once from these fields.
+    ``frame`` holds three tangent vectors at the arc's center ``frame.base``,
+    the sample the normal coordinates are attached to: the t1-sample for "q"
+    centering (the default), the t0-sample for "p".  In order they are the
+    log of the far endpoint and the velocity translates multiplying the b0
+    and b1 coefficient polynomials.
     """
 
     t0: float
     t1: float
-    center: stiefel.StiefelPoint
-    delta_far: stiefel.TangentVector
-    v_hat_start: stiefel.TangentVector
-    v_hat_end: stiefel.TangentVector
+    frame: stiefel.TangentFrame
     centering: str
-    frame: stiefel.TangentFrame = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        vectors = (self.delta_far, self.v_hat_start, self.v_hat_end)
-        frame = stiefel.tangent_frame(self.center, [v.delta for v in vectors])
-        object.__setattr__(self, "frame", frame)
 
 
 def _arc_coeffs(arc: HermiteArc, t: float) -> tuple[float, float, float]:
-    """Coefficients of (delta_far, v_hat_start, v_hat_end) at parameter t."""
+    """Coefficients of the arc's three frame vectors at parameter t."""
     if not arc.t0 <= t <= arc.t1:
         raise DomainError(f"t={t} outside arc [{arc.t0}, {arc.t1}]")
     a0, a1, b0, b1 = hermite_coeffs(t, arc.t0, arc.t1)
@@ -138,7 +128,8 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> Hermi
     Costs 3 logarithms and 2 exponentials: one log for the far endpoint and
     a central difference (2 logs + 2 exps, step ``calculus.DEFAULT_FD_STEP``)
     for the far velocity; the velocity at the center is used as-is.  The
-    logs run to ``stiefel.LOG_TAU``.
+    logs run to ``stiefel.LOG_TAU``.  The three tangent vectors go into the
+    arc's frame in the order whose coefficients ``_arc_coeffs`` returns.
     """
     if centering not in CENTERINGS:
         raise PreconditionError(f"centering must be one of {CENTERINGS}, got {centering!r}")
@@ -157,15 +148,9 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> Hermi
             t0=s0.t,
             t1=s1.t,
         ) from exc
-    return HermiteArc(
-        t0=float(s0.t),
-        t1=float(s1.t),
-        center=near.point,
-        delta_far=delta_far,
-        v_hat_start=v_far if centering == "q" else s0.velocity,
-        v_hat_end=s1.velocity if centering == "q" else v_far,
-        centering=centering,
-    )
+    v_start, v_end = (v_far, s1.velocity) if centering == "q" else (s0.velocity, v_far)
+    frame = stiefel.tangent_frame(near.point, [delta_far.delta, v_start.delta, v_end.delta])
+    return HermiteArc(t0=float(s0.t), t1=float(s1.t), frame=frame, centering=centering)
 
 
 def _check_sample_plan(ts) -> np.ndarray:
@@ -219,15 +204,13 @@ def fit_composite(samples: list[HermiteSample], centering: str = "q") -> Composi
 
 @dataclass(frozen=True)
 class GeodesicCurve:
-    """Piecewise-geodesic interpolant (manifold version of linear interpolation)."""
+    """Piecewise-geodesic interpolant (manifold version of linear interpolation).
+
+    ``frames[i]`` is the one-vector frame of Log_{p_i}(p_{i+1}) at p_i.
+    """
 
     knots: np.ndarray
-    directions: tuple[stiefel.TangentVector, ...]  # Log_{p_i}(p_{i+1})
-    frames: tuple[stiefel.TangentFrame, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        frames = tuple(stiefel.tangent_frame(d.base, [d.delta]) for d in self.directions)
-        object.__setattr__(self, "frames", frames)
+    frames: tuple[stiefel.TangentFrame, ...]
 
     def __call__(self, t: float) -> stiefel.StiefelPoint:
         i = _segment_index(self.knots, t)
@@ -248,11 +231,16 @@ def geodesic_interp(samples: list[tuple[float, stiefel.StiefelPoint]]) -> Geodes
                 t0=float(ts[i]),
                 t1=float(ts[i + 1]),
             ) from exc
-    return GeodesicCurve(knots=ts, directions=tuple(directions))
+    return GeodesicCurve(knots=ts, frames=tuple(map(stiefel.split_tangent, directions)))
 
 
 def _inverse_multiquadric(d: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(1.0 + (RBF_SHAPE * d) ** 2)
+
+
+def _rescale(t, t_lo: float, t_hi: float):
+    """The affine map of [t_lo, t_hi] onto [-1, 1], for a scalar or an array t."""
+    return -1.0 + 2.0 * (t - t_lo) / (t_hi - t_lo)
 
 
 @dataclass(frozen=True)
@@ -260,30 +248,23 @@ class TangentRBFCurve:
     """RBF interpolant of log-images in a single tangent space.
 
     Sample parameters are affinely rescaled to [-1, 1] before the kernel is
-    applied, so ``RBF_SHAPE`` is interval-independent.  ``failed_indices``
-    lists samples whose logarithm to the center did not converge (only
-    nonempty when the curve was fit with ``skip_failed=True``).  ``frame`` holds the
-    weight matrices, built once from ``center`` and ``weights``.
+    applied, so ``RBF_SHAPE`` is interval-independent.  ``frame`` holds one
+    weight matrix per kept sample, at the center sample ``frame.base``.
+    ``failed_indices`` lists samples whose logarithm to the center did not
+    converge (only nonempty when the curve was fit with ``skip_failed=True``).
     """
 
-    center: stiefel.StiefelPoint
+    frame: stiefel.TangentFrame
     scaled_knots: np.ndarray
-    weights: np.ndarray  # (k, n, r) stacked weight matrices
     t_lo: float
     t_hi: float
-    failed_indices: tuple[int, ...] = field(default=())
-    frame: stiefel.TangentFrame = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "frame", stiefel.tangent_frame(self.center, self.weights))
-
-    def _rescale(self, t: float) -> float:
-        return -1.0 + 2.0 * (t - self.t_lo) / (self.t_hi - self.t_lo)
+    failed_indices: tuple[int, ...]
 
     def __call__(self, t: float) -> stiefel.StiefelPoint:
         if not self.t_lo <= t <= self.t_hi:
             raise DomainError(f"t={t} outside [{self.t_lo}, {self.t_hi}]")
-        return self.frame.exp(_inverse_multiquadric(np.abs(self._rescale(t) - self.scaled_knots)))
+        phi = _inverse_multiquadric(np.abs(_rescale(t, self.t_lo, self.t_hi) - self.scaled_knots))
+        return self.frame.exp(phi)
 
 
 def tangent_rbf_interp(
@@ -318,14 +299,13 @@ def tangent_rbf_interp(
         )
     if not kept:
         raise TangentMapError("no sample could be mapped to the center tangent space", failed)
-    scaled = -1.0 + 2.0 * (ts[kept] - t_lo) / (t_hi - t_lo)
+    scaled = _rescale(ts[kept], t_lo, t_hi)
     kernel = _inverse_multiquadric(np.abs(scaled[:, np.newaxis] - scaled[np.newaxis, :]))
     stacked = np.stack(deltas)  # (k, n, r)
     weights = np.linalg.solve(kernel, stacked.reshape(len(kept), -1)).reshape(stacked.shape)
     return TangentRBFCurve(
-        center=center,
+        frame=stiefel.tangent_frame(center, weights),
         scaled_knots=scaled,
-        weights=weights,
         t_lo=t_lo,
         t_hi=t_hi,
         failed_indices=tuple(failed),

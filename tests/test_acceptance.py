@@ -150,7 +150,7 @@ def test_criterion_5_differential_oracles():
         t = rng.standard_normal((30, 5))
         t_dot = rng.standard_normal((30, 5))
         qr = linalg.qr_econ(t)
-        d = calculus.diff_qr(t, t_dot, qr)
+        d = calculus.diff_qr(t_dot, qr)
         fq = (linalg.qr_econ(t + h * t_dot).q - linalg.qr_econ(t - h * t_dot).q) / (2 * h)
         qr_ok &= bool(np.linalg.norm(d.q_dot - fq) <= tol * np.linalg.norm(fq))
 
@@ -160,7 +160,7 @@ def test_criterion_5_differential_oracles():
         u, s, v = linalg.svd_full(y)
         if np.min(s[:-1] - s[1:]) < 1e-3 * s[0]:
             continue  # keep the oracle well conditioned
-        d = calculus.diff_svd_truncated(y, y_dot, 6, (u, s, v))
+        d = calculus.diff_svd_truncated(y_dot, 6, (u, s, v))
 
         def norm_u(mat):
             uu, _, vv = linalg.svd_full(mat)
@@ -176,7 +176,7 @@ def test_criterion_5_differential_oracles():
         z2 = rng.uniform(0.0, 0.5, (4, 12))
         w, w_dot = y1 @ z1, y2 @ z1 + y1 @ z2
         u, s, v = linalg.svd_full(w)
-        d = calculus.diff_svd_truncated(w, w_dot, 4, (u, s, v))
+        d = calculus.diff_svd_truncated(w_dot, 4, (u, s, v))
 
         def trunc_u(tval):
             mat = (y1 + tval * y2) @ (z1 + tval * z2)

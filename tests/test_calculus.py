@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from stiefel_hermite import calculus, linalg, stiefel
-from stiefel_hermite.errors import DomainError, PreconditionError, VelocityTransportError
+from stiefel_hermite.errors import (
+    DomainError,
+    PreconditionError,
+    ShapeError,
+    VelocityTransportError,
+)
 
 from test_stiefel import _rank_one_tangent
 
@@ -21,7 +26,7 @@ def fd_qr(t, t_dot, h=1e-6):
 class TestDiffQR:
     def test_zero_direction(self, rng):
         t = rng.standard_normal((10, 4))
-        d = calculus.diff_qr(t, np.zeros_like(t), linalg.qr_econ(t))
+        d = calculus.diff_qr(np.zeros_like(t), linalg.qr_econ(t))
         assert np.linalg.norm(d.q_dot) < 1e-14
         assert np.linalg.norm(d.r_dot) < 1e-14
 
@@ -33,7 +38,7 @@ class TestDiffQR:
         t = q0 @ r0
         t_dot = q0 @ rdot0
         qr = linalg.qr_econ(t)
-        d = calculus.diff_qr(t, t_dot, qr)
+        d = calculus.diff_qr(t_dot, qr)
         fd_q, fd_r = fd_qr(t, t_dot)
         assert np.linalg.norm(d.q_dot) < 1e-10
         assert np.linalg.norm(d.q_dot - fd_q) < 1e-6
@@ -43,7 +48,7 @@ class TestDiffQR:
         t = rng.standard_normal((30, 5))
         t_dot = rng.standard_normal((30, 5))
         qr = linalg.qr_econ(t)
-        d = calculus.diff_qr(t, t_dot, qr)
+        d = calculus.diff_qr(t_dot, qr)
         fd_q, fd_r = fd_qr(t, t_dot)
         assert np.linalg.norm(d.q_dot - fd_q) <= 1e-6 * np.linalg.norm(fd_q)
         assert np.linalg.norm(d.r_dot - fd_r) <= 1e-6 * np.linalg.norm(fd_r)
@@ -52,7 +57,7 @@ class TestDiffQR:
         t = rng.standard_normal((20, 6))
         t_dot = rng.standard_normal((20, 6))
         qr = linalg.qr_econ(t)
-        d = calculus.diff_qr(t, t_dot, qr)
+        d = calculus.diff_qr(t_dot, qr)
         rec = d.q_dot @ qr.r_factor + qr.q @ d.r_dot
         assert np.linalg.norm(rec - t_dot) <= 1e-10 * np.linalg.norm(t_dot)
         x = qr.q.T @ d.q_dot
@@ -63,7 +68,12 @@ class TestDiffQR:
         t[:, 0] = 1.0
         qr = linalg.qr_econ(t)
         with pytest.raises(DomainError):
-            calculus.diff_qr(t, rng.standard_normal((8, 3)), qr)
+            calculus.diff_qr(rng.standard_normal((8, 3)), qr)
+
+    def test_shape_mismatch_rejected(self, rng):
+        qr = linalg.qr_econ(rng.standard_normal((8, 3)))
+        with pytest.raises(ShapeError, match="t_dot"):
+            calculus.diff_qr(rng.standard_normal((8, 2)), qr)
 
 
 def fd_svd(y, y_dot, u_ref, v_cols, h=1e-6):
@@ -86,14 +96,14 @@ class TestDiffSVD:
         y[0, 0], y[1, 1] = 3.0, 1.0
         y_dot = np.zeros((5, 2))
         y_dot[0, 0], y_dot[1, 1] = 0.5, 0.2
-        d = calculus.diff_svd_truncated(y, y_dot, 2, linalg.svd_full(y))
+        d = calculus.diff_svd_truncated(y_dot, 2, linalg.svd_full(y))
         assert np.allclose(d.sigma_dot, [0.5, 0.2], atol=1e-14)
         assert np.linalg.norm(d.u_dot) < 1e-12
         assert np.linalg.norm(d.v_dot) < 1e-12
 
     def test_zero_direction(self, rng):
         y = rng.standard_normal((10, 4))
-        d = calculus.diff_svd_truncated(y, np.zeros_like(y), 4, linalg.svd_full(y))
+        d = calculus.diff_svd_truncated(np.zeros_like(y), 4, linalg.svd_full(y))
         assert np.linalg.norm(d.u_dot) < 1e-13
         assert np.linalg.norm(d.v_dot) < 1e-13
         assert np.linalg.norm(d.sigma_dot) < 1e-13
@@ -102,7 +112,7 @@ class TestDiffSVD:
         y = rng.standard_normal((12, 6))
         y_dot = rng.standard_normal((12, 6))
         u, s, v = linalg.svd_full(y)
-        d = calculus.diff_svd_truncated(y, y_dot, 6, (u, s, v))
+        d = calculus.diff_svd_truncated(y_dot, 6, (u, s, v))
         fd_u, fd_s, fd_v = fd_svd(y, y_dot, u, 6)
         assert np.linalg.norm(d.u_dot - fd_u) <= 1e-6 * np.linalg.norm(fd_u)
         assert np.linalg.norm(d.sigma_dot - fd_s) <= 1e-6 * np.linalg.norm(fd_s)
@@ -112,7 +122,7 @@ class TestDiffSVD:
         y = rng.standard_normal((15, 5))
         y_dot = rng.standard_normal((15, 5))
         u, s, v = linalg.svd_full(y)
-        d = calculus.diff_svd_truncated(y, y_dot, 5, (u, s, v))
+        d = calculus.diff_svd_truncated(y_dot, 5, (u, s, v))
         skew = u.T @ d.u_dot
         assert np.linalg.norm(skew + skew.T) < 1e-9
 
@@ -121,13 +131,19 @@ class TestDiffSVD:
         v = linalg.qr_econ(rng.standard_normal((3, 3))).q
         y = u @ np.diag([2.0, 1.0 + 1e-12, 1.0]) @ v.T
         with pytest.raises(DomainError):
-            calculus.diff_svd_truncated(y, rng.standard_normal((8, 3)), 3, linalg.svd_full(y))
+            calculus.diff_svd_truncated(rng.standard_normal((8, 3)), 3, linalg.svd_full(y))
 
     def test_zero_singular_value_rejected(self, rng):
         y = np.zeros((6, 2))
         y[0, 0] = 1.0
         with pytest.raises(DomainError):
-            calculus.diff_svd_truncated(y, rng.standard_normal((6, 2)), 2, linalg.svd_full(y))
+            calculus.diff_svd_truncated(rng.standard_normal((6, 2)), 2, linalg.svd_full(y))
+
+    def test_shape_mismatch_rejected(self, rng):
+        svd = linalg.svd_full(rng.standard_normal((8, 3)))
+        for y_dot in (rng.standard_normal((7, 3)), rng.standard_normal((8, 2))):
+            with pytest.raises(ShapeError, match="y_dot"):
+                calculus.diff_svd_truncated(y_dot, 2, svd)
 
 
 class TestDiffSVDTruncated:
@@ -141,7 +157,7 @@ class TestDiffSVDTruncated:
     def test_reconstruction_derivative(self, rng):
         w, w_dot = self._rank_r_pair(rng, 40, 15, 4)
         u, s, v = linalg.svd_full(w)
-        d = calculus.diff_svd_truncated(w, w_dot, 4, (u, s, v))
+        d = calculus.diff_svd_truncated(w_dot, 4, (u, s, v))
         rec = (
             d.u_dot @ np.diag(s[:4]) @ v[:, :4].T
             + u[:, :4] @ np.diag(d.sigma_dot) @ v[:, :4].T
@@ -151,7 +167,7 @@ class TestDiffSVDTruncated:
 
     def test_zero_direction(self, rng):
         w, _ = self._rank_r_pair(rng, 20, 10, 3)
-        d = calculus.diff_svd_truncated(w, np.zeros_like(w), 3, linalg.svd_full(w))
+        d = calculus.diff_svd_truncated(np.zeros_like(w), 3, linalg.svd_full(w))
         assert np.linalg.norm(d.u_dot) < 1e-12
         assert np.linalg.norm(d.v_dot) < 1e-12
 
@@ -163,7 +179,7 @@ class TestDiffSVDTruncated:
         w = y1 @ z1
         w_dot = y2 @ z1 + y1 @ z2
         u, s, v = linalg.svd_full(w)
-        d = calculus.diff_svd_truncated(w, w_dot, 4, (u, s, v))
+        d = calculus.diff_svd_truncated(w_dot, 4, (u, s, v))
 
         def factors(t):
             mat = (y1 + t * y2) @ (z1 + t * z2)

@@ -41,12 +41,14 @@ class TestConfig:
             ex.ExperimentConfig(n=5, r=50)
 
     def test_rejects_bad_interval(self):
-        with pytest.raises(PreconditionError):
-            ex.ExperimentConfig(interval=(1.0, 1.0))
+        for interval in [(1.0, 1.0), (0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan)]:
+            with pytest.raises(PreconditionError, match="interval must be finite"):
+                ex.ExperimentConfig(interval=interval)
 
     def test_rejects_unknown_method(self):
-        with pytest.raises(PreconditionError):
-            ex.ExperimentConfig(methods=("hermite", "spline"))
+        for methods in [("hermite", "spline"), ()]:
+            with pytest.raises(PreconditionError, match="methods must be one or more"):
+                ex.ExperimentConfig(methods=methods)
 
 
 class TestDistanceBound:
@@ -123,6 +125,23 @@ class TestQRExperiment:
             assert np.linalg.norm(curve(s.t).u - s.point.u) <= 1e-8
 
 
+def _qr_family(cfg):
+    """The QR study's path: Hermite samples of its Q-factor at given nodes."""
+    data = ex.gen_qr_experiment(cfg)
+    return lambda nodes: ([data.sample(t) for t in nodes], data.reference)
+
+
+def _snapshot_family(cfg):
+    """The snapshot study's path: Hermite samples of its left factor at given nodes."""
+    path = ex.gen_snapshot_experiment(cfg)
+
+    def sample(nodes):
+        data = ex._sample_svd_path(path.w, path.w_dot, cfg.r, nodes)
+        return data.samples_u, data.reference_u
+
+    return sample
+
+
 class TestConvergenceOrder:
     """Observed order of the interpolants as the node spacing halves.
 
@@ -131,25 +150,29 @@ class TestConvergenceOrder:
     property of the method, not a reference number: a 1% error in the log or
     swapped b0/b1 coefficients leave the errors small but lower it.  A
     one-sided transport difference at the fit's h = 1e-4 does not; the
-    transport's own tests check that.
+    transport's own tests check that.  Two path families check that the
+    order is not a property of one generator.
     """
 
-    NODES = (5, 9, 17, 33)  # uniform on [-1, 1]: h = 1/2, 1/4, 1/8, 1/16
+    NODES = (5, 9, 17, 33)  # uniform: the spacing halves three times
 
-    def orders(self, centering: str, methods: tuple[str, ...]) -> dict[str, np.ndarray]:
-        cfg = ex.ExperimentConfig(n=40, r=3, interval=(-1.0, 1.0), seed=0,
-                                  centering=centering, methods=methods, grid_points=401)
-        data = ex.gen_qr_experiment(cfg)
+    def orders(self, family, config, centering, methods) -> dict[str, np.ndarray]:
+        cfg = dataclasses.replace(config, centering=centering, methods=methods, grid_points=401)
+        sample = family(cfg)
         errs = []
         for k in self.NODES:
-            nodes = np.linspace(-1.0, 1.0, k)
-            samples = [data.sample(t) for t in nodes]
-            errs.append(ex._factor_study(cfg, samples, nodes, data.reference).max_rel)
+            nodes = np.linspace(*cfg.interval, k)
+            samples, reference = sample(nodes)
+            errs.append(ex._factor_study(cfg, samples, nodes, reference).max_rel)
         return {m: np.log2([a[m] / b[m] for a, b in zip(errs, errs[1:])]) for m in methods}
 
-    def test_hermite_fourth_and_geodesic_second_order(self):
-        q = self.orders("q", ("hermite", "geodesic"))
-        p = self.orders("p", ("hermite",))
+    @pytest.mark.parametrize("family, config", [
+        (_qr_family, ex.ExperimentConfig(n=40, r=3, interval=(-1.0, 1.0), seed=0)),
+        (_snapshot_family, ex.ExperimentConfig(n=101, r=3, interval=(1.8, 2.2))),
+    ], ids=["qr", "snapshot"])
+    def test_hermite_fourth_and_geodesic_second_order(self, family, config):
+        q = self.orders(family, config, "q", ("hermite", "geodesic"))
+        p = self.orders(family, config, "p", ("hermite",))
         assert np.all(q["hermite"] >= 3.7), q["hermite"]
         assert np.all(p["hermite"] >= 3.7), p["hermite"]
         assert np.all(np.abs(q["geodesic"] - 2.0) <= 0.3), q["geodesic"]
@@ -446,6 +469,18 @@ class TestCLI:
         rep = ex.parse_report(out.read_text())
         assert set(rep.errors) == {"hermite", "geodesic", "rbf"}
         assert len(rep.eval_grid) == 100
+
+    @pytest.mark.parametrize("argv, interval", [
+        (["qr-interp", "--n", "12", "--r", "3"], "-1.1,1.1"),
+        (["svd-interp", "--n", "20", "--r", "2", "--m", "5"], "-0.5,0.5"),
+    ], ids=["qr-interp", "svd-interp"])
+    def test_interval_with_negative_start(self, argv, interval, capsys):
+        outputs = []
+        for form in (["--interval", interval], [f"--interval={interval}"]):
+            assert cli.main(argv + form) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert ex.parse_report(outputs[0]).eval_grid[0] < 0.0
 
     def test_config_error_exit_code(self, capsys):
         code = cli.main(["qr-interp", "--n", "5", "--r", "50"])

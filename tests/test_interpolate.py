@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiefel_hermite import calculus
 from stiefel_hermite import experiments as ex
 from stiefel_hermite import interpolate as interp
 from stiefel_hermite import stiefel
@@ -244,13 +245,11 @@ class TestComposite:
         # scaling all three tangent data scales the tangent interpolant exactly
         samples = make_samples(rng, 20, 4, [0.0, 1.0])
         arc = interp.fit_arc(samples[0], samples[1])
+        vectors = [arc.frame.combination(e).delta for e in np.eye(3)]
         scaled = interp.HermiteArc(
             t0=arc.t0,
             t1=arc.t1,
-            center=arc.center,
-            delta_far=2.5 * arc.delta_far,
-            v_hat_start=2.5 * arc.v_hat_start,
-            v_hat_end=2.5 * arc.v_hat_end,
+            frame=stiefel.tangent_frame(arc.frame.base, [2.5 * v for v in vectors]),
             centering=arc.centering,
         )
         for t in np.linspace(0.0, 1.0, 5):
@@ -371,57 +370,62 @@ def _knots_and_interior(knots):
     return [float(t) for t in knots] + [float(t) for t in interior]
 
 
-def _hermite_ambient(arc, t):
-    """The arc's tangent interpolant from its fields, bypassing its frame."""
-    a0, a1, b0, b1 = interp.hermite_coeffs(t, arc.t0, arc.t1)
-    far = a0 if arc.centering == "q" else a1
-    delta = far * arc.delta_far.delta + b0 * arc.v_hat_start.delta + b1 * arc.v_hat_end.delta
-    return stiefel.TangentVector(arc.center, delta)
+def _reference_arc(s0, s1, centering):
+    """An arc's center and its three tangent vectors, recomputed from its samples."""
+    near, far = (s1, s0) if centering == "q" else (s0, s1)
+    delta_far = stiefel.stiefel_log(near.point, far.point).delta
+    v_far = calculus.transport_velocity(
+        near.point, far.point, far.velocity, h=calculus.DEFAULT_FD_STEP
+    ).delta
+    if centering == "q":
+        return near.point, (delta_far, v_far, s1.velocity.delta)
+    return near.point, (delta_far, s0.velocity.delta, v_far)
 
 
 class TestFrameEvaluation:
-    """Every curve evaluates to stiefel_exp of its ambient tangent vector."""
+    """Every curve evaluates to stiefel_exp of its ambient tangent vector.
+
+    The reference tangent data is recomputed from the samples, not read from
+    the curve, so a fit that stores the wrong vectors cannot pass.
+    """
 
     @pytest.mark.parametrize("centering", interp.CENTERINGS)
     def test_composite(self, qr_path, centering):
-        curve = interp.fit_composite(qr_path.samples, centering=centering)
+        samples = qr_path.samples
+        curve = interp.fit_composite(samples, centering=centering)
         for t in _knots_and_interior(curve.knots):
-            arc = curve.arcs[curve.arc_index(t)]
-            ambient = _hermite_ambient(arc, t)
+            i = curve.arc_index(t)
+            center, (far, start, end) = _reference_arc(samples[i], samples[i + 1], centering)
+            a0, a1, b0, b1 = interp.hermite_coeffs(t, samples[i].t, samples[i + 1].t)
+            delta = (a0 if centering == "q" else a1) * far + b0 * start + b1 * end
+            ambient = stiefel.TangentVector(center, delta)
+            arc = curve.arcs[i]
             assert np.linalg.norm(interp.arc_tangent(arc, t).delta - ambient.delta) <= 1e-13
             assert np.linalg.norm(curve(t).u - stiefel.stiefel_exp(ambient).u) <= 1e-13
 
     def test_geodesic(self, qr_path):
+        points = [s.point for s in qr_path.samples]
         curve = interp.geodesic_interp([(s.t, s.point) for s in qr_path.samples])
         knots = curve.knots
         for t in _knots_and_interior(knots):
             i = min(int(np.searchsorted(knots, t, side="right")) - 1, len(knots) - 2)
             s = (t - knots[i]) / (knots[i + 1] - knots[i])
-            expected = stiefel.stiefel_exp(s * curve.directions[i])
+            expected = stiefel.stiefel_exp(s * stiefel.stiefel_log(points[i], points[i + 1]))
             assert np.linalg.norm(curve(t).u - expected.u) <= 1e-13
 
     def test_rbf(self, qr_path):
-        curve = interp.tangent_rbf_interp([(s.t, s.point) for s in qr_path.samples])
-        for t in _knots_and_interior([s.t for s in qr_path.samples]):
-            scaled = -1.0 + 2.0 * (t - curve.t_lo) / (curve.t_hi - curve.t_lo)
-            phi = 1.0 / np.sqrt(1.0 + (interp.RBF_SHAPE * (scaled - curve.scaled_knots)) ** 2)
-            delta = np.tensordot(phi, curve.weights, axes=1)
-            expected = stiefel.stiefel_exp(stiefel.TangentVector(curve.center, delta))
-            assert np.linalg.norm(curve(t).u - expected.u) <= 1e-13
+        ts = np.array([s.t for s in qr_path.samples])
+        center = qr_path.samples[len(ts) // 2].point
+        logs = np.stack([stiefel.stiefel_log(center, s.point).delta for s in qr_path.samples])
+        knots = -1.0 + 2.0 * (ts - ts[0]) / (ts[-1] - ts[0])
 
-    def test_directly_built_arc(self, rng):
-        # the frame must come from the fields given to the constructor
-        samples = make_samples(rng, 20, 4, [0.0, 1.0])
-        arc = interp.fit_arc(samples[0], samples[1], centering="p")
-        scaled = interp.HermiteArc(
-            t0=arc.t0,
-            t1=arc.t1,
-            center=arc.center,
-            delta_far=1.5 * arc.delta_far,
-            v_hat_start=-0.5 * arc.v_hat_start,
-            v_hat_end=2.0 * arc.v_hat_end,
-            centering=arc.centering,
-        )
-        for t in np.linspace(0.0, 1.0, 7):
-            expected = stiefel.stiefel_exp(_hermite_ambient(scaled, t))
-            assert np.linalg.norm(interp.eval_arc(scaled, t).u - expected.u) <= 1e-13
+        def phi(x):
+            return 1.0 / np.sqrt(1.0 + (interp.RBF_SHAPE * (x - knots)) ** 2)
+
+        kernel = np.array([phi(x) for x in knots])
+        weights = np.linalg.solve(kernel, logs.reshape(len(ts), -1)).reshape(logs.shape)
+        curve = interp.tangent_rbf_interp([(s.t, s.point) for s in qr_path.samples])
+        for t in _knots_and_interior(ts):
+            delta = np.tensordot(phi(-1.0 + 2.0 * (t - ts[0]) / (ts[-1] - ts[0])), weights, axes=1)
+            expected = stiefel.stiefel_exp(stiefel.TangentVector(center, delta))
+            assert np.linalg.norm(curve(t).u - expected.u) <= 1e-13

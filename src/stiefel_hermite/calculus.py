@@ -9,6 +9,15 @@ derivative on a fixed tangent frame of both vectors (any rank, no
 derivative of the frame's basis); and the central-difference transport of a
 sampled velocity into another tangent space together with its
 reconstruction check.
+
+Each factorization derivative is the one place that decides whether its
+factorization can be differentiated, and raises DomainError where it cannot:
+``diff_qr`` refuses exactly the factors that ``linalg.qr_econ`` flags as
+rank-deficient, and ``diff_svd_truncated`` tests rank and gaps against
+``SVD_RANK_EPS`` and ``SVD_GAP_EPS``.  The study generators reject a draw
+when a derivative refuses a node.  Each kernel returns the arrays its
+callers read: ``diff_qr`` the Q-factor derivative, ``mathias_dexp`` the
+derivative block.
 """
 
 from __future__ import annotations
@@ -25,16 +34,11 @@ from .errors import DomainError, PreconditionError, ShapeError, StiefelLogError,
 #: read it at call time.
 DEFAULT_FD_STEP = 1e-4
 
-#: Relative gap below which singular values count as repeated.
-SVD_GAP_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class QRDerivative:
-    """Derivatives (q_dot, r_dot) of the QR factors along a matrix path."""
-
-    q_dot: np.ndarray
-    r_dot: np.ndarray
+#: ``diff_svd_truncated`` refuses leading singular values closer than
+#: SVD_GAP_EPS * sigma_0, and counts a singular value at most SVD_RANK_EPS *
+#: sigma_0 as zero.
+SVD_GAP_EPS = 1e-6
+SVD_RANK_EPS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,57 +50,26 @@ class SVDDerivative:
     v_dot: np.ndarray
 
 
-@dataclass(frozen=True)
-class BlockExpResult:
-    """Blocks of expm([[M, Mdot], [0, M]]).
+def diff_qr(t_dot, qr: linalg.EconQR) -> np.ndarray:
+    """Derivative Qdot of the Q factor of the economy QR factorization along a path.
 
-    ``exp_m`` and ``exp_m_repeat`` are the two diagonal blocks (equal up to
-    roundoff, both expm(M)); ``dexp_block`` is the upper-right block, the
-    directional derivative of expm at M in direction Mdot.
-    """
-
-    exp_m: np.ndarray
-    dexp_block: np.ndarray
-    exp_m_repeat: np.ndarray
-
-
-def diff_qr(t_dot, qr: linalg.EconQR) -> QRDerivative:
-    """Differentiate the economy QR factorization along a path.
-
-    Given the factors ``qr`` of T = Q R (full column rank) and the path
-    derivative Tdot, returns (Qdot, Rdot) with Tdot = Qdot R + Q Rdot and
-    Q'Qdot skew.  The key step recovers X = Q'Qdot from the strictly lower
-    triangle of Q'Tdot R^{-1}.
+    Given the factors ``qr`` of T = Q R and the path derivative Tdot,
+    returns Qdot with Tdot = Qdot R + Q Rdot for an upper-triangular Rdot
+    and Q'Qdot skew.  The key step recovers X = Q'Qdot from the strictly
+    lower triangle of Q'Tdot R^{-1}.  Factors that ``linalg.qr_econ`` flags
+    as rank-deficient have no such derivative and raise DomainError.
     """
     tdot = np.asarray(t_dot, dtype=float)
     q, rfac = qr.q, qr.r_factor
     if tdot.shape != q.shape:
         raise ShapeError(f"inconsistent shapes: t_dot {tdot.shape}, q {q.shape}")
-    diag = np.abs(np.diagonal(rfac))
-    if np.min(diag) <= linalg.RANK_EPS * max(1.0, np.linalg.norm(rfac)):
-        raise DomainError("diff_qr: R factor is numerically singular")
+    if qr.rank_deficient:
+        raise DomainError("diff_qr: the factored matrix is numerically rank-deficient")
     # W = Tdot R^{-1}
     w = sla.solve_triangular(rfac.T, tdot.T, lower=True).T
     b = q.T @ w
     lower = np.tril(b, k=-1)
-    x = lower - lower.T
-    r_dot = q.T @ tdot - x @ rfac
-    q_dot = w - q @ b + q @ x
-    return QRDerivative(q_dot=q_dot, r_dot=r_dot)
-
-
-def _check_distinct(sigma: np.ndarray, what: str) -> None:
-    smax = float(sigma[0]) if sigma.size else 0.0
-    if smax <= 0.0:
-        raise DomainError(f"{what}: largest singular value is not positive")
-    if np.min(sigma) <= 1e-13 * smax:
-        raise DomainError(f"{what}: zero (or numerically zero) singular value")
-    gaps = sigma[:-1] - sigma[1:]
-    if sigma.size > 1 and np.min(gaps) < SVD_GAP_EPS * smax:
-        raise DomainError(
-            f"{what}: repeated or near-repeated singular values "
-            f"(min gap {np.min(gaps):.3g}, smax {smax:.3g})"
-        )
+    return w - q @ b + q @ (lower - lower.T)
 
 
 def diff_svd_truncated(
@@ -105,12 +78,14 @@ def diff_svd_truncated(
     """Differentiate the rank-r truncated SVD of an exactly rank-r matrix y.
 
     ``svd`` = (u, sigma, v) are the factors of y and ``y_dot`` its path
-    derivative.  Valid only for mutually distinct, positive leading singular
-    values.  The right factor rotates by v_dot = v G with p = u_r' y_dot v:
-    the top r x r block of G is skew with
-    ``G_ij = (s_i p_ij + s_j p_ji) / (s_j^2 - s_i^2)``.
-    ``svd`` must carry the full square right factor v (m x m): the rotation
-    of the leading right singular vectors has components along all of its
+    derivative.  y must be numerically of rank r with separated leading
+    singular values: a trailing singular value above ``SVD_RANK_EPS *
+    sigma_0``, sigma_{r-1} at or below it, or a leading gap below
+    ``SVD_GAP_EPS * sigma_0`` raises DomainError.  The right factor rotates
+    by v_dot = v G with p = u_r' y_dot v: the top r x r block of G is skew
+    with ``G_ij = (s_i p_ij + s_j p_ji) / (s_j^2 - s_i^2)``.  ``svd`` must
+    carry the full square right factor v (m x m): the rotation of the
+    leading right singular vectors has components along all of its
     columns.  Rows of the rotation beyond the rank use the exact-rank
     shortcut ``G_ij = p_ji / s_j`` which needs no trailing singular values.
     At rank == m this is the derivative of the full economy SVD.
@@ -125,9 +100,15 @@ def diff_svd_truncated(
         raise ShapeError("diff_svd_truncated needs the full square right factor")
     if ydot.shape != (u.shape[0], m):
         raise ShapeError(f"inconsistent shapes: y_dot {ydot.shape}, u {u.shape}, v {v.shape}")
+    smax = sigma[0]
+    if np.any(sigma[r:] > SVD_RANK_EPS * smax) or not sigma[r - 1] > SVD_RANK_EPS * smax:
+        raise DomainError(f"diff_svd_truncated: y is not numerically of rank {r}")
+    gap = np.min(sigma[: r - 1] - sigma[1:r], initial=np.inf)  # no gap at r = 1
+    if gap < SVD_GAP_EPS * smax:
+        raise DomainError(f"diff_svd_truncated: leading singular values only {gap:.3g} apart, "
+                          f"below SVD_GAP_EPS * sigma_0 = {SVD_GAP_EPS * smax:.3g}")
     u_r = u[:, :r]
     s_r = sigma[:r]
-    _check_distinct(s_r, "diff_svd_truncated")
     p = u_r.T @ ydot @ v  # p[i, j] = u_i' y_dot v_j, i < r, j < m
     p_top = p[:, :r]
     sigma_dot = np.diagonal(p_top).copy()
@@ -164,11 +145,11 @@ def svd_sign_normalize(u_t, v_t, u_ref) -> tuple[np.ndarray, np.ndarray]:
     return ut * s[np.newaxis, :], vt * s[np.newaxis, :]
 
 
-def mathias_dexp(m, m_dot) -> BlockExpResult:
-    """expm and its directional derivative from one block-triangular expm.
+def mathias_dexp(m, m_dot) -> np.ndarray:
+    """Directional derivative of expm at M in the direction Mdot.
 
-    expm([[M, Mdot], [0, M]]) carries expm(M) in both diagonal blocks and
-    d/dt expm(M + t Mdot) at t = 0 in the upper-right block.
+    d/dt expm(M + t Mdot) at t = 0 is the upper-right block of
+    expm([[M, Mdot], [0, M]]), computed by one block-triangular expm.
     """
     mm = np.asarray(m, dtype=float)
     md = np.asarray(m_dot, dtype=float)
@@ -179,10 +160,7 @@ def mathias_dexp(m, m_dot) -> BlockExpResult:
     big[:s, :s] = mm
     big[:s, s:] = md
     big[s:, s:] = mm
-    e = linalg.expm(big)
-    return BlockExpResult(
-        exp_m=e[:s, :s], dexp_block=e[:s, s:], exp_m_repeat=e[s:, s:]
-    )
+    return linalg.expm(big)[:s, s:]
 
 
 def dexp_stiefel(xi0: stiefel.TangentVector, v: stiefel.TangentVector) -> np.ndarray:
@@ -203,7 +181,7 @@ def dexp_stiefel(xi0: stiefel.TangentVector, v: stiefel.TangentVector) -> np.nda
     r = xi0.base.r
     frame = stiefel.tangent_frame(xi0.base, [xi0.delta, v.delta])
     gen, gen_dot = (stiefel._generator(c[:r], c[r:]) for c in frame.coords)
-    d = mathias_dexp(gen, gen_dot).dexp_block
+    d = mathias_dexp(gen, gen_dot)
     return u @ d[:r, :r] + frame.q @ d[r:, :r]
 
 

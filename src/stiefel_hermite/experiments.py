@@ -36,7 +36,7 @@ import numpy as np
 
 from . import interpolate, linalg, stiefel
 from .calculus import diff_qr, diff_svd_truncated, svd_sign_normalize, validate_transport
-from .errors import ArcFitError, PreconditionError, StiefelLogError
+from .errors import ArcFitError, DomainError, PreconditionError, StiefelLogError
 from .stiefel import CURVATURE_MAX
 
 logger = logging.getLogger(__name__)
@@ -191,22 +191,28 @@ class QRExperimentData:
         """The Q-factor at t with its velocity."""
         qr = linalg.qr_econ(self.y(t))
         point = stiefel.StiefelPoint(qr.q)
-        q_dot = diff_qr(self.y_dot(t), qr).q_dot
+        q_dot = diff_qr(self.y_dot(t), qr)
         return interpolate.HermiteSample(float(t), point, stiefel.TangentVector(point, q_dot))
 
 
-def _seeded_draw(seed: int, draw, warning: str, failure: str):
+def _seeded_draw(config: ExperimentConfig, draw, warning: str, failure: str):
     """The first result of ``draw(rng)`` that is not None, over the seeds seed, seed + 1, ...
 
     Each seed gets a fresh ``default_rng``; a rejected seed is logged with
     ``warning % seed``.  Raises PreconditionError after ``GEN_MAX_ATTEMPTS``
-    rejections.
+    rejections, and at once when evaluating the drawn path overflows
+    float64: the coefficients are bounded, so the overflow comes from the
+    interval's distance from 0, which no other seed mends.
     """
-    for attempt in range(GEN_MAX_ATTEMPTS):
-        result = draw(np.random.default_rng(seed + attempt))
+    for seed in range(config.seed, config.seed + GEN_MAX_ATTEMPTS):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                result = draw(np.random.default_rng(seed))
+        except FloatingPointError as exc:
+            raise PreconditionError(f"path overflows float64 on {config.interval}") from exc
         if result is not None:
             return result
-        logger.warning(warning, seed + attempt)
+        logger.warning(warning, seed)
     raise PreconditionError(f"no {failure} found in {GEN_MAX_ATTEMPTS} attempts")
 
 
@@ -216,21 +222,29 @@ def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
     Coefficient entries are uniform on [0, 1] (constant term), [0, 0.5]
     (linear and quadratic), [0, 0.2] (cubic).  Paths that go rank-deficient
     anywhere on the evaluation grid are rejected and regenerated with the
-    next seed, which is reported.
+    next seed, which is reported.  At n = r the Q factors lie in O(n), whose
+    two components no geodesic joins, so a path whose det Y changes sign
+    over the grid (Y is singular in between) is rejected too.
     """
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
-    grid = _uniform_grid(nodes, config.grid_points)
+    scan = np.concatenate([nodes, _uniform_grid(nodes, config.grid_points)])
 
     def draw(rng):
         coeffs = tuple(rng.uniform(0.0, hi, (config.n, config.r)) for hi in (1.0, 0.5, 0.5, 0.2))
         data = QRExperimentData(coeffs=coeffs, nodes=nodes, samples=[])
-        if any(linalg.qr_econ(data.y(t)).rank_deficient for t in np.concatenate([nodes, grid])):
+        det_signs = set()
+        for t in scan:
+            y = data.y(t)
+            if linalg.qr_econ(y).rank_deficient:
+                return None
+            det_signs.add(config.n > config.r or np.linalg.det(y) > 0.0)
+        if len(det_signs) > 1:
             return None
         data.samples.extend(data.sample(t) for t in nodes)
         return data
 
     return _seeded_draw(
-        config.seed, draw, "QR path rank-deficient for seed %d; regenerating", "full-rank QR path"
+        config, draw, "QR path singular on the grid for seed %d; regenerating", "full-rank QR path"
     )
 
 
@@ -320,8 +334,9 @@ class SVDExperimentData:
 def _sample_svd_path(w, w_dot, rank: int, nodes: np.ndarray) -> SVDExperimentData | None:
     """Hermite samples of the rank-``rank`` truncated SVD factors of W(t) at ``nodes``.
 
-    Returns None when W is not numerically of rank r at a node, or when its
-    leading singular values there are too close or too small to differentiate.
+    Returns None when ``diff_svd_truncated`` refuses a node: W is not
+    numerically of rank r there, or its leading singular values are too
+    close to differentiate.
     """
     r = rank
     samples_u, samples_v = [], []
@@ -329,15 +344,13 @@ def _sample_svd_path(w, w_dot, rank: int, nodes: np.ndarray) -> SVDExperimentDat
     sigma_slopes = np.zeros((len(nodes), r))
     for i, t in enumerate(nodes):
         u, sigma, v = linalg.svd_full(w(t))
-        if sigma[r:].size and sigma[r] > 1e-10 * sigma[0]:
-            return None  # not numerically rank r
-        min_gap = np.min(sigma[: r - 1] - sigma[1:r], initial=np.inf)  # no gap at r = 1
-        if min_gap < 1e-6 * sigma[0] or sigma[r - 1] < 1e-10 * sigma[0]:
-            return None
         if i == 0:
             u_ref = u[:, :r].copy()  # normalizing against itself multiplies by 1.0
         u[:, :r], v[:, :r] = svd_sign_normalize(u[:, :r], v[:, :r], u_ref)
-        deriv = diff_svd_truncated(w_dot(t), r, (u, sigma, v))
+        try:
+            deriv = diff_svd_truncated(w_dot(t), r, (u, sigma, v))
+        except DomainError:
+            return None
         for samples, factor, velocity in ((samples_u, u, deriv.u_dot), (samples_v, v, deriv.v_dot)):
             point = stiefel.StiefelPoint(factor[:, :r])
             samples.append(
@@ -384,7 +397,7 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
         return _sample_svd_path(w, w_dot, r, nodes)
 
     return _seeded_draw(
-        config.seed, draw, "SVD path degenerate for seed %d; regenerating",
+        config, draw, "SVD path degenerate for seed %d; regenerating",
         "well-separated SVD path",
     )
 

@@ -101,17 +101,14 @@ def logm(x) -> np.ndarray:
 class EconQR:
     """Economy-size QR factors with nonnegative R-diagonal.
 
-    ``deficient_cols`` lists columns whose R-diagonal entry is below
-    ``RANK_EPS * ||a||_F``; callers decide how to handle them.
+    ``rank_deficient`` is set when an R-diagonal entry is at most
+    ``RANK_EPS * ||a||_F``.  It is the package's one numerical rank test of
+    a QR factorization: ``calculus.diff_qr`` refuses exactly these factors.
     """
 
     q: np.ndarray
     r_factor: np.ndarray
-    deficient_cols: tuple[int, ...] = ()
-
-    @property
-    def rank_deficient(self) -> bool:
-        return len(self.deficient_cols) > 0
+    rank_deficient: bool
 
 
 def qr_econ(a) -> EconQR:
@@ -132,9 +129,8 @@ def qr_econ(a) -> EconQR:
         signs = np.where(flip, -1.0, 1.0)
         q = q * signs[np.newaxis, :]
         rf = rf * signs[:, np.newaxis]
-    threshold = RANK_EPS * np.linalg.norm(mat)
-    deficient = tuple(int(j) for j in np.where(np.abs(np.diagonal(rf)) <= threshold)[0])
-    return EconQR(q=q, r_factor=rf, deficient_cols=deficient)
+    deficient = bool(np.any(np.diagonal(rf) <= RANK_EPS * np.linalg.norm(mat)))
+    return EconQR(q=q, r_factor=rf, rank_deficient=deficient)
 
 
 def qr_basis(a) -> tuple[np.ndarray, np.ndarray]:

@@ -346,11 +346,14 @@ def stiefel_log(base: StiefelPoint, target: StiefelPoint) -> TangentVector:
     * Certificate: far from the base the iteration can settle on a V whose
       log is not the minimal geodesic.  A result whose canonical norm
       reaches ``LOG_NORM_MAX`` = pi / sqrt(CURVATURE_MAX) is rejected.
+    * At n = r the manifold is O(n), whose two components no geodesic
+      joins: a target with det(U'Y) = -1 is rejected before iterating.
 
     Raises
     ------
     StiefelLogError
-        If the iteration does not reach ``LOG_TAU`` within ``LOG_MAX_ITER``
+        If base and target lie in different components of O(n) (n = r),
+        the iteration does not reach ``LOG_TAU`` within ``LOG_MAX_ITER``
         steps, an iterate loses orthogonality, an intermediate principal
         logarithm is undefined, or the converged vector fails the
         certificate; this is the operational "target too far from base"
@@ -363,6 +366,11 @@ def stiefel_log(base: StiefelPoint, target: StiefelPoint) -> TangentVector:
         )
     r = base.r
     overlap = base.u.T @ target.u
+    if base.n == r and np.linalg.det(overlap) < 0.0:
+        raise StiefelLogError(
+            f"St({r}, {r}) = O({r}) has two components, det = +1 and det = -1; det(U'Y) = -1 "
+            "puts base and target in different ones, which no geodesic joins", 0, np.inf
+        )
     normal = target.u - base.u @ overlap
     qr = linalg.qr_econ(normal)
     q, nfac = qr.q, qr.r_factor

@@ -144,15 +144,14 @@ def test_criterion_5_differential_oracles():
     h = 1e-6
     tol = 1e-5
     rng = np.random.default_rng(11)
-    qr_ok = svd_ok = trunc_ok = dexp_ok = mathias_ok = blocks_ok = True
+    qr_ok = svd_ok = trunc_ok = dexp_ok = mathias_ok = True
 
     for _ in range(10):
         t = rng.standard_normal((30, 5))
         t_dot = rng.standard_normal((30, 5))
-        qr = linalg.qr_econ(t)
-        d = calculus.diff_qr(t_dot, qr)
+        q_dot = calculus.diff_qr(t_dot, linalg.qr_econ(t))
         fq = (linalg.qr_econ(t + h * t_dot).q - linalg.qr_econ(t - h * t_dot).q) / (2 * h)
-        qr_ok &= bool(np.linalg.norm(d.q_dot - fq) <= tol * np.linalg.norm(fq))
+        qr_ok &= bool(np.linalg.norm(q_dot - fq) <= tol * np.linalg.norm(fq))
 
     for _ in range(10):
         y = rng.standard_normal((24, 6))
@@ -202,12 +201,7 @@ def test_criterion_5_differential_oracles():
         m_dot = rng.standard_normal((8, 8))
         out = calculus.mathias_dexp(m, m_dot)
         fd = (linalg.expm(m + h * m_dot) - linalg.expm(m - h * m_dot)) / (2 * h)
-        mathias_ok &= bool(np.linalg.norm(out.dexp_block - fd) <= tol * np.linalg.norm(fd))
-        e = linalg.expm(m)
-        blocks_ok &= bool(
-            np.linalg.norm(out.exp_m - e) <= 1e-12 * max(1.0, np.linalg.norm(e))
-            and np.linalg.norm(out.exp_m_repeat - e) <= 1e-12 * max(1.0, np.linalg.norm(e))
-        )
+        mathias_ok &= bool(np.linalg.norm(out - fd) <= tol * np.linalg.norm(fd))
 
     _criterion(
         5,
@@ -218,7 +212,6 @@ def test_criterion_5_differential_oracles():
             "diff_svd_truncated at rank < m": trunc_ok,
             "dexp_stiefel": dexp_ok,
             "mathias_dexp": mathias_ok,
-            "block structure equals expm(M) within 1e-12": blocks_ok,
         },
     )
 

@@ -18,17 +18,13 @@ def rng():
 
 
 def fd_qr(t, t_dot, h=1e-6):
-    plus = linalg.qr_econ(t + h * t_dot)
-    minus = linalg.qr_econ(t - h * t_dot)
-    return (plus.q - minus.q) / (2 * h), (plus.r_factor - minus.r_factor) / (2 * h)
+    return (linalg.qr_econ(t + h * t_dot).q - linalg.qr_econ(t - h * t_dot).q) / (2 * h)
 
 
 class TestDiffQR:
     def test_zero_direction(self, rng):
         t = rng.standard_normal((10, 4))
-        d = calculus.diff_qr(np.zeros_like(t), linalg.qr_econ(t))
-        assert np.linalg.norm(d.q_dot) < 1e-14
-        assert np.linalg.norm(d.r_dot) < 1e-14
+        assert np.linalg.norm(calculus.diff_qr(np.zeros_like(t), linalg.qr_econ(t))) < 1e-14
 
     def test_pure_r_path(self, rng):
         # T(s) = Q0 (R0 + s Rdot0) with upper-triangular Rdot0: Q stays put
@@ -37,31 +33,56 @@ class TestDiffQR:
         rdot0 = np.triu(rng.standard_normal((4, 4)))
         t = q0 @ r0
         t_dot = q0 @ rdot0
-        qr = linalg.qr_econ(t)
-        d = calculus.diff_qr(t_dot, qr)
-        fd_q, fd_r = fd_qr(t, t_dot)
-        assert np.linalg.norm(d.q_dot) < 1e-10
-        assert np.linalg.norm(d.q_dot - fd_q) < 1e-6
-        assert np.linalg.norm(d.r_dot - fd_r) < 1e-6 * max(1.0, np.linalg.norm(fd_r))
+        q_dot = calculus.diff_qr(t_dot, linalg.qr_econ(t))
+        assert np.linalg.norm(q_dot) < 1e-10
+        assert np.linalg.norm(q_dot - fd_qr(t, t_dot)) < 1e-6
 
     def test_matches_fd_oracle(self, rng):
         t = rng.standard_normal((30, 5))
         t_dot = rng.standard_normal((30, 5))
+        q_dot = calculus.diff_qr(t_dot, linalg.qr_econ(t))
+        fd_q = fd_qr(t, t_dot)
+        assert np.linalg.norm(q_dot - fd_q) <= 1e-6 * np.linalg.norm(fd_q)
+
+    def test_tiny_full_rank_matrix_matches_fd_oracle(self, rng):
+        # Q is scale invariant, so a full-rank matrix of norm 1e-14 is as
+        # differentiable as its unit-scale version; qr_econ's rank test is
+        # relative to ||T||_F and diff_qr has no second one.
+        t = 1e-14 * rng.standard_normal((10, 3))
+        t_dot = 1e-14 * rng.standard_normal((10, 3))
         qr = linalg.qr_econ(t)
-        d = calculus.diff_qr(t_dot, qr)
-        fd_q, fd_r = fd_qr(t, t_dot)
-        assert np.linalg.norm(d.q_dot - fd_q) <= 1e-6 * np.linalg.norm(fd_q)
-        assert np.linalg.norm(d.r_dot - fd_r) <= 1e-6 * np.linalg.norm(fd_r)
+        assert not qr.rank_deficient
+        fd_q = fd_qr(t, t_dot)
+        assert np.linalg.norm(calculus.diff_qr(t_dot, qr) - fd_q) <= 1e-6 * np.linalg.norm(fd_q)
+
+    def test_raises_exactly_when_qr_econ_flags_rank_deficiency(self, rng):
+        # third column = first + eps * noise: deficient below eps ~ RANK_EPS
+        outcomes = set()
+        for scale in (1e-14, 1e-6, 1.0, 1e3):
+            for eps in np.logspace(-16, -10, 13):
+                a = rng.standard_normal((10, 3))
+                a[:, 2] = a[:, 0] + eps * rng.standard_normal(10)
+                qr = linalg.qr_econ(scale * a)
+                try:
+                    calculus.diff_qr(scale * rng.standard_normal((10, 3)), qr)
+                    raised = False
+                except DomainError:
+                    raised = True
+                assert raised == qr.rank_deficient, (scale, eps)
+                outcomes.add(raised)
+        assert outcomes == {True, False}
 
     def test_invariants(self, rng):
         t = rng.standard_normal((20, 6))
         t_dot = rng.standard_normal((20, 6))
         qr = linalg.qr_econ(t)
-        d = calculus.diff_qr(t_dot, qr)
-        rec = d.q_dot @ qr.r_factor + qr.q @ d.r_dot
-        assert np.linalg.norm(rec - t_dot) <= 1e-10 * np.linalg.norm(t_dot)
-        x = qr.q.T @ d.q_dot
+        q_dot = calculus.diff_qr(t_dot, qr)
+        x = qr.q.T @ q_dot
         assert np.linalg.norm(x + x.T) < 1e-10
+        # Tdot - Qdot R = Q Rdot with Rdot upper triangular
+        rest = t_dot - q_dot @ qr.r_factor
+        assert np.linalg.norm(rest - qr.q @ (qr.q.T @ rest)) <= 1e-10 * np.linalg.norm(t_dot)
+        assert np.linalg.norm(np.tril(qr.q.T @ rest, k=-1)) <= 1e-10 * np.linalg.norm(t_dot)
 
     def test_singular_r_rejected(self, rng):
         t = np.zeros((8, 3))
@@ -127,11 +148,15 @@ class TestDiffSVD:
         assert np.linalg.norm(skew + skew.T) < 1e-9
 
     def test_repeated_singular_values_rejected(self, rng):
+        # leading gaps of 1e-12 and 1e-7 sigma_0 are refused (SVD_GAP_EPS = 1e-6), 1e-5 is not
         u = linalg.qr_econ(rng.standard_normal((8, 3))).q
         v = linalg.qr_econ(rng.standard_normal((3, 3))).q
-        y = u @ np.diag([2.0, 1.0 + 1e-12, 1.0]) @ v.T
-        with pytest.raises(DomainError):
-            calculus.diff_svd_truncated(rng.standard_normal((8, 3)), 3, linalg.svd_full(y))
+        y_dot = rng.standard_normal((8, 3))
+        for gap in (1e-12, 1e-7):
+            svd = linalg.svd_full(u @ np.diag([2.0, 1.0 + gap, 1.0]) @ v.T)
+            with pytest.raises(DomainError, match="apart"):
+                calculus.diff_svd_truncated(y_dot, 3, svd)
+        calculus.diff_svd_truncated(y_dot, 3, linalg.svd_full(u @ np.diag([2.0, 1.0 + 1e-5, 1.0]) @ v.T))
 
     def test_zero_singular_value_rejected(self, rng):
         y = np.zeros((6, 2))
@@ -239,15 +264,12 @@ def expm_series(x, terms=60):
 class TestMathiasDexp:
     def test_zero_direction(self, rng):
         m = rng.standard_normal((6, 6))
-        out = calculus.mathias_dexp(m, np.zeros_like(m))
-        assert np.linalg.norm(out.dexp_block) < 1e-12
-        assert np.linalg.norm(out.exp_m - linalg.expm(m)) < 1e-12
+        assert np.linalg.norm(calculus.mathias_dexp(m, np.zeros_like(m))) < 1e-12
 
     def test_commuting_closed_form(self, rng):
         m = 0.6 * rng.standard_normal((5, 5))
-        out = calculus.mathias_dexp(m, m)
         expected = expm_series(m) @ m
-        assert np.linalg.norm(out.dexp_block - expected) < 1e-11
+        assert np.linalg.norm(calculus.mathias_dexp(m, m) - expected) < 1e-11
 
     def test_matches_fd_oracle_skew(self, rng):
         m = rng.standard_normal((8, 8))
@@ -256,24 +278,15 @@ class TestMathiasDexp:
         out = calculus.mathias_dexp(m, m_dot)
         h = 1e-5
         fd = (linalg.expm(m + h * m_dot) - linalg.expm(m - h * m_dot)) / (2 * h)
-        assert np.linalg.norm(out.dexp_block - fd) <= 1e-7 * max(1.0, np.linalg.norm(fd))
+        assert np.linalg.norm(out - fd) <= 1e-7 * max(1.0, np.linalg.norm(fd))
 
     def test_linearity(self, rng):
         m = rng.standard_normal((6, 6))
         e1 = rng.standard_normal((6, 6))
         e2 = rng.standard_normal((6, 6))
-        combo = calculus.mathias_dexp(m, 2.0 * e1 - 3.0 * e2).dexp_block
-        parts = (
-            2.0 * calculus.mathias_dexp(m, e1).dexp_block
-            - 3.0 * calculus.mathias_dexp(m, e2).dexp_block
-        )
+        combo = calculus.mathias_dexp(m, 2.0 * e1 - 3.0 * e2)
+        parts = 2.0 * calculus.mathias_dexp(m, e1) - 3.0 * calculus.mathias_dexp(m, e2)
         assert np.linalg.norm(combo - parts) <= 1e-12 * max(1.0, np.linalg.norm(parts))
-
-    def test_block_structure(self, rng):
-        m = rng.standard_normal((7, 7))
-        m_dot = rng.standard_normal((7, 7))
-        out = calculus.mathias_dexp(m, m_dot)
-        assert np.linalg.norm(out.exp_m - out.exp_m_repeat) <= 1e-12 * np.linalg.norm(out.exp_m)
 
 
 class TestDexpStiefel:

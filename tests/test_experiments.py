@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stiefel_hermite import cli, experiments as ex
+from stiefel_hermite import calculus, cli, experiments as ex
 from stiefel_hermite import interpolate as interp
 from stiefel_hermite import linalg, stiefel
-from stiefel_hermite.errors import PreconditionError
+from stiefel_hermite.errors import DomainError, PreconditionError
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -228,6 +228,27 @@ class TestSVDExperiment:
         for node in nodes:
             i = int(np.argmin(np.abs(grid - node)))
             assert rep.errors["hermite"][i] <= 1e-6
+
+    def test_close_leading_gap_rejected_by_the_derivative(self, monkeypatch):
+        # W(t) = (1 + t) U diag(1, 0.5 + 1e-7, 0.5) V': a 1e-7 sigma_0 leading gap at every node
+        rng = np.random.default_rng(0)
+        u = linalg.qr_econ(rng.standard_normal((12, 3))).q
+        v = linalg.qr_econ(rng.standard_normal((5, 3))).q
+        y = u @ np.diag([1.0, 0.5 + 1e-7, 0.5]) @ v.T
+        nodes = np.array([0.0, 0.5])
+
+        def w(t):
+            return (1.0 + t) * y
+
+        def w_dot(t):
+            return y
+
+        with pytest.raises(DomainError):
+            calculus.diff_svd_truncated(w_dot(0.0), 3, linalg.svd_full(w(0.0)))
+        assert ex._sample_svd_path(w, w_dot, 3, nodes) is None
+        # the sampler has no threshold of its own: it follows the derivative's
+        monkeypatch.setattr(calculus, "SVD_GAP_EPS", 1e-8)
+        assert ex._sample_svd_path(w, w_dot, 3, nodes) is not None
 
     def test_m_below_r_rejected(self):
         cfg = ex.ExperimentConfig(n=40, r=6, m=4)
@@ -481,6 +502,30 @@ class TestCLI:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert ex.parse_report(outputs[0]).eval_grid[0] < 0.0
+
+    def test_qr_interp_at_n_equal_r(self, capsys):
+        # St(3, 3) = O(3): the generator keeps det Y of one sign over the grid,
+        # so every log stays in one component or fails as a recorded failure
+        assert cli.main(["qr-interp", "--n", "3", "--r", "3"]) == 0
+        text = capsys.readouterr().out
+        rep = ex.parse_report(text)
+        assert set(rep.errors) == {"hermite", "geodesic", "rbf"}
+        for line in text.splitlines():
+            if "did not converge" in line or "component" in line:
+                assert line.startswith("# failure,")
+
+    @pytest.mark.parametrize("argv, interval", [
+        (["qr-interp", "--n", "12", "--r", "3", "--interval", "1e300,1.7e308"],
+         "(1e+300, 1.7e+308)"),
+        (["svd-interp", "--n", "12", "--r", "3", "--m", "5", "--interval", "1e200,1e201"],
+         "(1e+200, 1e+201)"),
+    ], ids=["qr-interp", "svd-interp"])
+    def test_overflowing_interval_exit_code(self, argv, interval, capsys, caplog):
+        # the cubic paths overflow float64 for every seed: one draw, no warning
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "overflows float64" in err and interval in err
+        assert "regenerating" not in caplog.text
 
     def test_config_error_exit_code(self, capsys):
         code = cli.main(["qr-interp", "--n", "5", "--r", "50"])

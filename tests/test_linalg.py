@@ -157,7 +157,6 @@ class TestQrEcon:
         a[:, 0] = 1.0
         out = linalg.qr_econ(a)
         assert out.rank_deficient
-        assert len(out.deficient_cols) == 2
         assert not linalg.qr_econ(np.eye(8)[:, :3]).rank_deficient
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -188,6 +188,22 @@ class TestLog:
             stiefel.stiefel_log(a, b)
         assert info.value.residual > 0
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_other_component_of_orthogonal_group_raises(self, n):
+        # At n = r, det(U'Y) = -1 puts Y in the other component of O(n).
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            u = stiefel.random_point(rng, n, n)
+            y = stiefel.random_point(rng, n, n).u
+            if np.linalg.det(u.u.T @ y) > 0.0:
+                y[:, 0] *= -1.0
+            with pytest.raises(StiefelLogError, match="two components"):
+                stiefel.stiefel_log(u, stiefel.StiefelPoint(y))
+        # the same component still has its log
+        xi = stiefel.random_tangent(rng, u, scale=0.5)
+        back = stiefel.stiefel_log(u, stiefel.stiefel_exp(xi))
+        assert np.linalg.norm(back.delta - xi.delta) < 1e-10
+
     def test_counter_increments(self, rng):
         u = stiefel.random_point(rng, 10, 3)
         xi = stiefel.random_tangent(rng, u, 0.3)

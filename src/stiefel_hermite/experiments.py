@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise PreconditionError(f"need at least 2 nodes, got {self.num_nodes}")
         if not (np.all(np.isfinite(self.interval)) and self.interval[0] < self.interval[1]):
             raise PreconditionError(f"interval must be finite with a < b, got {self.interval}")
+        if not math.isfinite(float(self.interval[1]) - float(self.interval[0])):
+            raise PreconditionError(f"the width b - a of interval {self.interval} overflows float64")
         if self.centering not in interpolate.CENTERINGS:
             raise PreconditionError(f"centering must be 'q' or 'p', got {self.centering!r}")
         if not self.methods or not set(self.methods) <= set(METHODS):

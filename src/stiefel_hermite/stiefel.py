@@ -31,8 +31,8 @@ import numpy as np
 from . import linalg
 from .errors import PreconditionError, ShapeError, StiefelLogError
 
-# Tolerances used when validating constructed points / tangent vectors.
-ORTH_TOL = linalg.ORTH_TOL
+# Tolerance used when validating constructed tangent vectors; points use
+# ``linalg.ORTH_TOL``.
 TANGENT_TOL = 1e-8
 
 #: ``stiefel_log`` stops when the residual ||C||_F reaches LOG_TAU, and
@@ -49,23 +49,6 @@ CURVATURE_MAX = 1.25
 LOG_NORM_MAX = np.pi / np.sqrt(CURVATURE_MAX)
 
 
-@dataclass
-class OpCounter:
-    """Counts Riemannian exp/log evaluations (process-global, not thread-safe)."""
-
-    exp_calls: int = 0
-    log_calls: int = 0
-
-    def reset(self) -> None:
-        self.exp_calls = 0
-        self.log_calls = 0
-
-
-#: Instrumentation for cost accounting: every exponential (`TangentFrame.exp`,
-#: which `stiefel_exp` calls) and every `stiefel_log` increments these counters.
-op_counter = OpCounter()
-
-
 @dataclass(frozen=True)
 class StiefelPoint:
     """A point on St(n, r): an n x r matrix with orthonormal columns."""
@@ -79,7 +62,7 @@ class StiefelPoint:
         if not np.all(np.isfinite(u)):
             raise PreconditionError("Stiefel point has non-finite entries")
         err = np.linalg.norm(u.T @ u - np.eye(u.shape[1]))
-        if err > ORTH_TOL:
+        if err > linalg.ORTH_TOL:
             raise PreconditionError(
                 f"columns are not orthonormal (||U'U - I||_F = {err:.3g})"
             )
@@ -129,9 +112,6 @@ class TangentVector:
     def __sub__(self, other: "TangentVector") -> "TangentVector":
         self._require_same_base(other)
         return TangentVector(self.base, self.delta - other.delta)
-
-    def __neg__(self) -> "TangentVector":
-        return TangentVector(self.base, -self.delta)
 
     def __mul__(self, scalar: float) -> "TangentVector":
         return TangentVector(self.base, float(scalar) * self.delta)
@@ -212,7 +192,7 @@ class TangentFrame:
         return TangentVector(self.base, self.base.u @ a + self.q @ m)
 
     def exp(self, coeffs) -> StiefelPoint:
-        """Riemannian exponential of sum c_i D_i (one exp for ``op_counter``).
+        """Riemannian exponential of sum c_i D_i.
 
         The geodesic of Edelman, Arias and Smith (SIMAX 20(2), 1998):
         U E11 + Q E21 with E = expm([[A, -M'], [M, 0]]).  The identity holds
@@ -221,7 +201,6 @@ class TangentFrame:
         replaced by its r x r coordinates in a basis of its own columns,
         which shrinks the generator to 2r x 2r.
         """
-        op_counter.exp_calls += 1
         a, m = self._blocks(coeffs)
         r = self.base.r
         basis = None
@@ -359,7 +338,6 @@ def stiefel_log(base: StiefelPoint, target: StiefelPoint) -> TangentVector:
         certificate; this is the operational "target too far from base"
         boundary.
     """
-    op_counter.log_calls += 1
     if base.u.shape != target.u.shape:
         raise ShapeError(
             f"base shape {base.u.shape} != target shape {target.u.shape}"

@@ -320,7 +320,7 @@ def test_criterion_8_snapshot_failure_mode():
     )
 
 
-def test_criterion_9_cost_accounting():
+def test_criterion_9_cost_accounting(kernel_calls):
     rng = np.random.default_rng(1)
     ts = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     point = stiefel.random_point(rng, 50, 5)
@@ -330,22 +330,19 @@ def test_criterion_9_cost_accounting():
         samples.append(interp.HermiteSample(t=t, point=point, velocity=vel))
         point = stiefel.stiefel_exp(stiefel.random_tangent(rng, point, scale=0.4))
     k = len(ts) - 1
-    stiefel.op_counter.reset()
+    kernel_calls.clear()
     curve = interp.fit_composite(samples)
-    fit_logs = stiefel.op_counter.log_calls
-    fit_exps = stiefel.op_counter.exp_calls
-    stiefel.op_counter.reset()
+    fit = kernel_calls.copy()
+    kernel_calls.clear()
     for t in np.linspace(0.0, 5.0, 17):
         curve(t)
-    eval_exps = stiefel.op_counter.exp_calls
-    eval_logs = stiefel.op_counter.log_calls
     _criterion(
         9,
         "cost accounting (3k logs, 2k exps to fit; 1 exp per evaluation)",
         {
-            f"fit uses exactly 3k = {3 * k} logs": fit_logs == 3 * k,
-            f"fit uses exactly 2k = {2 * k} exps": fit_exps == 2 * k,
-            "evaluation uses exactly 1 exp": eval_exps == 17,
-            "evaluation uses no logs": eval_logs == 0,
+            f"fit uses exactly 3k = {3 * k} logs": fit["log"] == 3 * k,
+            f"fit uses exactly 2k = {2 * k} exps": fit["exp"] == 2 * k,
+            "evaluation uses exactly 1 exp": kernel_calls["exp"] == 17,
+            "evaluation uses no logs": kernel_calls["log"] == 0,
         },
     )

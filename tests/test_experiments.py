@@ -45,6 +45,10 @@ class TestConfig:
             with pytest.raises(PreconditionError, match="interval must be finite"):
                 ex.ExperimentConfig(interval=interval)
 
+    def test_rejects_interval_whose_width_overflows(self):
+        with pytest.raises(PreconditionError, match=r"\(-1.7e\+308, 1.7e\+308\) overflows float64"):
+            ex.ExperimentConfig(interval=(-1.7e308, 1.7e308))
+
     def test_rejects_unknown_method(self):
         for methods in [("hermite", "spline"), ()]:
             with pytest.raises(PreconditionError, match="methods must be one or more"):
@@ -519,9 +523,15 @@ class TestCLI:
          "(1e+300, 1.7e+308)"),
         (["svd-interp", "--n", "12", "--r", "3", "--m", "5", "--interval", "1e200,1e201"],
          "(1e+200, 1e+201)"),
-    ], ids=["qr-interp", "svd-interp"])
+        # finite ends whose width b - a is not: the config refuses them
+        (["qr-interp", "--n", "12", "--r", "3", "--interval=-1.7e308,1.7e308"],
+         "(-1.7e+308, 1.7e+308)"),
+        (["snapshot-interp", "--n", "12", "--r", "3", "--interval=-1.7e308,1.7e308"],
+         "(-1.7e+308, 1.7e+308)"),
+    ], ids=["qr-interp", "svd-interp", "qr-interp-wide", "snapshot-interp-wide"])
     def test_overflowing_interval_exit_code(self, argv, interval, capsys, caplog):
-        # the cubic paths overflow float64 for every seed: one draw, no warning
+        # no warning and at most one draw: the first two cubic paths overflow
+        # float64 for every seed, the last two configs are refused
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "overflows float64" in err and interval in err

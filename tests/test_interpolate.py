@@ -159,12 +159,11 @@ class TestArc:
             with pytest.raises(DomainError, match="outside"):
                 interp.eval_arc(arc, t)
 
-    def test_cost_three_logs_two_exps(self, rng):
+    def test_cost_three_logs_two_exps(self, rng, kernel_calls):
         samples = make_samples(rng, 20, 4, [0.0, 1.0])
-        stiefel.op_counter.reset()
+        kernel_calls.clear()
         interp.fit_arc(samples[0], samples[1])
-        assert stiefel.op_counter.log_calls == 3
-        assert stiefel.op_counter.exp_calls == 2
+        assert kernel_calls == {"log": 3, "exp": 2}
 
     def test_far_samples_raise_arc_fit_error(self):
         rng = np.random.default_rng(101)
@@ -257,18 +256,16 @@ class TestComposite:
             g2 = interp.arc_tangent(scaled, t)
             assert np.linalg.norm(g2.delta - 2.5 * g1.delta) < 1e-12
 
-    def test_cost_accounting_composite(self, rng):
+    def test_cost_accounting_composite(self, rng, kernel_calls):
         ts = [0.0, 1.0, 2.0, 3.0, 4.0]
         samples = make_samples(rng, 25, 4, ts)
         k = len(ts) - 1
-        stiefel.op_counter.reset()
+        kernel_calls.clear()
         curve = interp.fit_composite(samples)
-        assert stiefel.op_counter.log_calls == 3 * k
-        assert stiefel.op_counter.exp_calls == 2 * k
-        stiefel.op_counter.reset()
+        assert kernel_calls == {"log": 3 * k, "exp": 2 * k}
+        kernel_calls.clear()
         curve(1.3)
-        assert stiefel.op_counter.exp_calls == 1
-        assert stiefel.op_counter.log_calls == 0
+        assert kernel_calls == {"exp": 1}
 
 
 class TestGeodesicInterp:

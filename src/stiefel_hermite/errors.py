@@ -23,7 +23,10 @@ class ConvergenceError(RuntimeError):
 
 
 class StiefelLogError(ConvergenceError):
-    """The iterative Stiefel logarithm did not converge.
+    """The iterative Stiefel logarithm did not converge, or its result is not certified.
+
+    At n > r a converged result of canonical norm at least pi / sqrt(5/4)
+    is refused: past that length a geodesic may have a conjugate point.
 
     Carries the iteration count and the last observed residual so callers
     can report how far the algorithm got before giving up.

@@ -281,18 +281,34 @@ def _method_curves(
     return curves
 
 
+def _relative_errors(grid, curves, reference, failures: dict[str, str]) -> dict[str, list[float]]:
+    """Relative Frobenius error of each method's matrix ``curves[m](t)`` against ``reference(t)``.
+
+    A method whose curve raises PreconditionError at a grid point, as the
+    RBF baseline's round-off does on many nodes, gets no column; its first
+    failure is recorded in ``failures`` with that t, as ``_method_curves``
+    records fit failures.
+    """
+    errors = {m: [] for m in curves}
+    for t in grid:
+        ref = reference(t)
+        scale = np.linalg.norm(ref)
+        for method in list(errors):
+            try:
+                errors[method].append(np.linalg.norm(curves[method](t) - ref) / scale)
+            except PreconditionError as exc:
+                failures.setdefault(method, f"evaluation failed at t={float(t)!r}: {exc}")
+                del errors[method]
+    return errors
+
+
 def _factor_study(config: ExperimentConfig, samples, nodes, reference) -> ErrorReport:
     """Fit every method to ``samples``; relative Frobenius errors against ``reference``."""
     grid = _uniform_grid(nodes, config.grid_points)
-    refs = [reference(t) for t in grid]
     failures: dict[str, str] = {}
-    curves = _method_curves(config, samples, failures)
-    errors = {}
-    for method, curve in curves.items():
-        errors[method] = [
-            np.linalg.norm(curve(t).u - ref.u) / np.linalg.norm(ref.u)
-            for t, ref in zip(grid, refs)
-        ]
+    fitted = _method_curves(config, samples, failures)
+    curves = {m: (lambda t, c=c: c(t).u) for m, c in fitted.items()}
+    errors = _relative_errors(grid, curves, lambda t: reference(t).u, failures)
     return ErrorReport(grid, errors, failures=failures)
 
 
@@ -311,16 +327,14 @@ def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
 class SVDExperimentData:
     """A matrix path W(t) of rank r and Hermite samples of its truncated SVD factors.
 
-    Every sampled and reference factor is sign-normalized against ``u_ref``,
-    the leading left factor at the first node, so that the sampled factor
-    paths are differentiable.
+    Every sampled and reference factor is sign-normalized against the
+    leading left factor at the first node, ``samples_u[0].point``, so that
+    the sampled factor paths are differentiable.
     """
 
     w: Callable[[float], np.ndarray]
     w_dot: Callable[[float], np.ndarray]
-    rank: int
     nodes: np.ndarray
-    u_ref: np.ndarray
     samples_u: list[interpolate.HermiteSample]
     samples_v: list[interpolate.HermiteSample]
     sigma_values: np.ndarray  # (k, r)
@@ -328,19 +342,19 @@ class SVDExperimentData:
 
     def reference_u(self, t: float) -> stiefel.StiefelPoint:
         u, _, v = linalg.svd_full(self.w(t))
-        r = self.rank
-        u_n, _ = svd_sign_normalize(u[:, :r], v[:, :r], self.u_ref)
+        u_ref = self.samples_u[0].point.u
+        r = u_ref.shape[1]
+        u_n, _ = svd_sign_normalize(u[:, :r], v[:, :r], u_ref)
         return stiefel.StiefelPoint(u_n)
 
 
-def _sample_svd_path(w, w_dot, rank: int, nodes: np.ndarray) -> SVDExperimentData | None:
-    """Hermite samples of the rank-``rank`` truncated SVD factors of W(t) at ``nodes``.
+def _sample_svd_path(w, w_dot, r: int, nodes: np.ndarray) -> SVDExperimentData | None:
+    """Hermite samples of the rank-``r`` truncated SVD factors of W(t) at ``nodes``.
 
     Returns None when ``diff_svd_truncated`` refuses a node: W is not
     numerically of rank r there, or its leading singular values are too
     close to differentiate.
     """
-    r = rank
     samples_u, samples_v = [], []
     sigma_values = np.zeros((len(nodes), r))
     sigma_slopes = np.zeros((len(nodes), r))
@@ -363,7 +377,7 @@ def _sample_svd_path(w, w_dot, rank: int, nodes: np.ndarray) -> SVDExperimentDat
         sigma_values[i] = sigma[:r]
         sigma_slopes[i] = deriv.sigma_dot
     return SVDExperimentData(
-        w=w, w_dot=w_dot, rank=r, nodes=nodes, u_ref=u_ref, samples_u=samples_u,
+        w=w, w_dot=w_dot, nodes=nodes, samples_u=samples_u,
         samples_v=samples_v, sigma_values=sigma_values, sigma_slopes=sigma_slopes,
     )
 
@@ -430,15 +444,11 @@ def run_svd_interp(config: ExperimentConfig) -> ErrorReport:
         s = (t - t0) / (t1 - t0)
         return (1.0 - s) * v0 + s * v1
 
-    curves = {m: (cu, curves_v[m]) for m, cu in curves_u.items() if m in curves_v}
-    errors = {}
-    for method, (cu, cv) in curves.items():
-        errs = []
-        for t in grid:
-            w = data.w(t)
-            rec = (cu(t).u * sigma(method, t)[np.newaxis, :]) @ cv(t).u.T
-            errs.append(np.linalg.norm(rec - w) / np.linalg.norm(w))
-        errors[method] = errs
+    def reconstruction(method, cu, cv):
+        return lambda t: (cu(t).u * sigma(method, t)[np.newaxis, :]) @ cv(t).u.T
+
+    curves = {m: reconstruction(m, cu, curves_v[m]) for m, cu in curves_u.items() if m in curves_v}
+    errors = _relative_errors(grid, curves, data.w, failures)
     return ErrorReport(grid, errors, failures=failures)
 
 
@@ -458,10 +468,9 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
     skipped = []
     for t in grid:
         ref = data.reference_u(t)
-        arc = curve.arcs[curve.arc_index(t)]
-        gamma = interpolate.arc_tangent(arc, t)
+        gamma = interpolate.arc_tangent(curve, t)
         try:
-            log_ref = stiefel.stiefel_log(arc.frame.base, ref)
+            log_ref = stiefel.stiefel_log(gamma.base, ref)
             point = curve(t)
             manifold_errs.append(stiefel.dist(point, ref))
         except StiefelLogError:

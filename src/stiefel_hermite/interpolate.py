@@ -13,8 +13,8 @@ interpolation in a single tangent space (inverse multiquadric kernel).
 
 Every curve evaluates as the exponential of a linear combination of tangent
 vectors fixed at fit time.  The fit puts them in a ``stiefel.TangentFrame``
-(one per arc, geodesic segment or RBF curve), and the curve stores only that
-frame, so an evaluation does no n x r factorization.
+(one per arc, geodesic segment or RBF curve), and a curve stores only its
+knots and those frames, so an evaluation does no n x r factorization.
 """
 
 from __future__ import annotations
@@ -87,49 +87,15 @@ class HermiteSample:
             raise PreconditionError("sample velocity is not attached at the sample point")
 
 
-@dataclass(frozen=True)
-class HermiteArc:
-    """Precomputed spline data for one subinterval [t0, t1].
-
-    ``frame`` holds three tangent vectors at the arc's center ``frame.base``,
-    the sample the normal coordinates are attached to: the t1-sample for "q"
-    centering (the default), the t0-sample for "p".  In order they are the
-    log of the far endpoint and the velocity translates multiplying the b0
-    and b1 coefficient polynomials.
-    """
-
-    t0: float
-    t1: float
-    frame: stiefel.TangentFrame
-    centering: str
-
-
-def _arc_coeffs(arc: HermiteArc, t: float) -> tuple[float, float, float]:
-    """Coefficients of the arc's three frame vectors at parameter t."""
-    if not arc.t0 <= t <= arc.t1:
-        raise DomainError(f"t={t} outside arc [{arc.t0}, {arc.t1}]")
-    a0, a1, b0, b1 = hermite_coeffs(t, arc.t0, arc.t1)
-    return (a0 if arc.centering == "q" else a1), b0, b1
-
-
-def arc_tangent(arc: HermiteArc, t: float) -> stiefel.TangentVector:
-    """Tangent-space interpolant of an arc at parameter t (before the exp)."""
-    return arc.frame.combination(_arc_coeffs(arc, t))
-
-
-def eval_arc(arc: HermiteArc, t: float) -> stiefel.StiefelPoint:
-    """Evaluate the arc: one Riemannian exponential of the frame combination."""
-    return arc.frame.exp(_arc_coeffs(arc, t))
-
-
-def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> HermiteArc:
-    """Fit one quasi-cubic arc between two Hermite samples.
+def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stiefel.TangentFrame:
+    """Fit one quasi-cubic arc between two Hermite samples; returns its frame.
 
     Costs 3 logarithms and 2 exponentials: one log for the far endpoint and
     a central difference (2 logs + 2 exps, step ``calculus.DEFAULT_FD_STEP``)
     for the far velocity; the velocity at the center is used as-is.  The
-    logs run to ``stiefel.LOG_TAU``.  The three tangent vectors go into the
-    arc's frame in the order whose coefficients ``_arc_coeffs`` returns.
+    logs run to ``stiefel.LOG_TAU``.  The frame is attached at the arc's
+    center and holds its three tangent vectors in the order whose
+    coefficients ``CompositeCurve._coeffs`` returns.
     """
     if centering not in CENTERINGS:
         raise PreconditionError(f"centering must be one of {CENTERINGS}, got {centering!r}")
@@ -149,8 +115,7 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> Hermi
             t1=s1.t,
         ) from exc
     v_start, v_end = (v_far, s1.velocity) if centering == "q" else (s0.velocity, v_far)
-    frame = stiefel.tangent_frame(near.point, [delta_far.delta, v_start.delta, v_end.delta])
-    return HermiteArc(t0=float(s0.t), t1=float(s1.t), frame=frame, centering=centering)
+    return stiefel.tangent_frame(near.point, [delta_far.delta, v_start.delta, v_end.delta])
 
 
 def _check_sample_plan(ts) -> np.ndarray:
@@ -181,25 +146,45 @@ def _segment_index(knots: np.ndarray, t: float) -> int:
 
 @dataclass(frozen=True)
 class CompositeCurve:
-    """Piecewise quasi-cubic curve through a full Hermite sample set."""
+    """Piecewise quasi-cubic curve through a full Hermite sample set.
 
-    arcs: tuple[HermiteArc, ...]
+    ``frames[i]`` is the arc on [knots[i], knots[i + 1]]: three tangent
+    vectors at the arc's center ``frames[i].base``, the sample at knots[i + 1]
+    for "q" centering, at knots[i] for "p".  In order they are the log of
+    the far endpoint and the velocity translates multiplying the b0 and b1
+    coefficient polynomials.
+    """
+
     knots: np.ndarray
+    frames: tuple[stiefel.TangentFrame, ...]
+    centering: str
 
     def arc_index(self, t: float) -> int:
         return _segment_index(self.knots, t)
 
+    def _coeffs(self, i: int, t: float) -> tuple[float, float, float]:
+        """Coefficients of arc i's three frame vectors at parameter t."""
+        a0, a1, b0, b1 = hermite_coeffs(t, float(self.knots[i]), float(self.knots[i + 1]))
+        return (a0 if self.centering == "q" else a1), b0, b1
+
     def __call__(self, t: float) -> stiefel.StiefelPoint:
-        return eval_arc(self.arcs[self.arc_index(t)], t)
+        i = self.arc_index(t)
+        return self.frames[i].exp(self._coeffs(i, t))
+
+
+def arc_tangent(curve: CompositeCurve, t: float) -> stiefel.TangentVector:
+    """Tangent-space interpolant of the curve at t (before the exp), at its arc's center."""
+    i = curve.arc_index(t)
+    return curve.frames[i].combination(curve._coeffs(i, t))
 
 
 def fit_composite(samples: list[HermiteSample], centering: str = "q") -> CompositeCurve:
     """Fit arcs over consecutive sample pairs; the result is C^1 at the knots."""
     ts = _check_sample_plan([s.t for s in samples])
-    arcs = tuple(
+    frames = tuple(
         fit_arc(samples[i], samples[i + 1], centering=centering) for i in range(len(samples) - 1)
     )
-    return CompositeCurve(arcs=arcs, knots=ts)
+    return CompositeCurve(knots=ts, frames=frames, centering=centering)
 
 
 @dataclass(frozen=True)

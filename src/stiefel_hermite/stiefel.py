@@ -43,7 +43,7 @@ LOG_MAX_ITER = 100
 #: Sectional curvature of the canonical-metric Stiefel manifold lies in [0, 5/4].
 CURVATURE_MAX = 1.25
 
-#: ``stiefel_log`` rejects results whose canonical norm reaches
+#: At n > r ``stiefel_log`` rejects results whose canonical norm reaches
 #: pi / sqrt(CURVATURE_MAX): geodesics shorter than that have no conjugate
 #: points (Rauch comparison).
 LOG_NORM_MAX = np.pi / np.sqrt(CURVATURE_MAX)
@@ -323,10 +323,20 @@ def stiefel_log(base: StiefelPoint, target: StiefelPoint) -> TangentVector:
       each denominator s_i + s_j clipped at ``SYLVESTER_DENOM_MAX``, which
       bounds it by 4 ||C||_F.  This about halves the steps of far logs.
     * Certificate: far from the base the iteration can settle on a V whose
-      log is not the minimal geodesic.  A result whose canonical norm
-      reaches ``LOG_NORM_MAX`` = pi / sqrt(CURVATURE_MAX) is rejected.
+      log is not the minimal geodesic.  At n > r a result whose canonical
+      norm reaches ``LOG_NORM_MAX`` = pi / sqrt(CURVATURE_MAX) is rejected.
+      A shorter result has no conjugate point before its end (Rauch
+      comparison: the sectional curvature is at most ``CURVATURE_MAX``), so
+      it is locally minimizing; that does not prove that no shorter
+      geodesic reaches the target.
     * At n = r the manifold is O(n), whose two components no geodesic
       joins: a target with det(U'Y) = -1 is rejected before iterating.
+      There the canonical metric is (1/2) tr(D'D), which is bi-invariant,
+      the geodesics are U expm(tA), and the normal part is zero, so the
+      first log is the result: U A with A the principal log of U'Y, which
+      is the minimal geodesic.  No norm bound applies (a canonical norm
+      ||A||_F / sqrt(2) can pass ``LOG_NORM_MAX`` while ||A||_2 < pi); a
+      rotation by pi has no principal log, and ``linalg.logm`` raises.
 
     Raises
     ------
@@ -334,8 +344,8 @@ def stiefel_log(base: StiefelPoint, target: StiefelPoint) -> TangentVector:
         If base and target lie in different components of O(n) (n = r),
         the iteration does not reach ``LOG_TAU`` within ``LOG_MAX_ITER``
         steps, an iterate loses orthogonality, an intermediate principal
-        logarithm is undefined, or the converged vector fails the
-        certificate; this is the operational "target too far from base"
+        logarithm is undefined, or, at n > r, the converged vector fails
+        the certificate; this is the operational "target too far from base"
         boundary.
     """
     if base.u.shape != target.u.shape:
@@ -368,11 +378,12 @@ def stiefel_log(base: StiefelPoint, target: StiefelPoint) -> TangentVector:
         if residual <= LOG_TAU:
             xi = TangentVector(base, base.u @ log_v[:r, :r] + q @ log_v[r:, :r])
             length = norm(xi)
-            if length >= LOG_NORM_MAX:
+            if base.n > r and length >= LOG_NORM_MAX:
                 raise StiefelLogError(
                     f"converged after {k} iterations to a tangent vector of norm "
                     f"{length / np.pi:.3g} pi, not below pi/sqrt({CURVATURE_MAX}) = "
-                    f"{LOG_NORM_MAX / np.pi:.3g} pi; target may be too far from base",
+                    f"{LOG_NORM_MAX / np.pi:.3g} pi, the length before which no geodesic "
+                    "has a conjugate point; target may be too far from base",
                     iterations=k,
                     residual=residual,
                 )

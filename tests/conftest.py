@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from stiefel_hermite import stiefel
@@ -27,3 +28,26 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(stiefel, "stiefel_log", counted("log", stiefel.stiefel_log))
     monkeypatch.setattr(stiefel.TangentFrame, "exp", counted("exp", stiefel.TangentFrame.exp))
     return calls
+
+
+def _orthogonal_pairs(count):
+    """Seeded (U, A) with U in O(n), n in 2..7, A skew, ||A||_2 in 0.1 pi .. 0.99 pi.
+
+    St(n, n) = O(n), where Exp_U(U A) = U expm(A) and, for ||A||_2 < pi, U A
+    is the log.  The canonical norm of U A is ||A||_F / sqrt(2), which passes
+    ``stiefel.LOG_NORM_MAX`` on some of the far pairs.
+    """
+    rng = np.random.default_rng(9)
+    for i in range(count):
+        n = 2 + i % 6
+        u = stiefel.random_point(rng, n, n).u
+        g = rng.standard_normal((n, n))
+        a = g - g.T
+        a *= np.pi * (0.1 + 0.89 * i / (count - 1)) / np.linalg.norm(a, 2)
+        yield u, a, rng
+
+
+@pytest.fixture
+def orthogonal_pairs():
+    """``orthogonal_pairs(count)`` yields ``count`` seeded (U, A, rng) on O(n)."""
+    return _orthogonal_pairs

@@ -58,20 +58,11 @@ def test_criterion_2_interpolation_conditions():
         curve = interp.fit_composite(samples)
         for i, s in enumerate(samples):
             point_ok &= bool(np.linalg.norm(curve(s.t).u - s.point.u) <= 1e-8)
+            # one-sided differences at the ends, inside the first and last arcs
             if i == 0:
-                arc = curve.arcs[0]
-                est = (
-                    -3 * interp.eval_arc(arc, s.t).u
-                    + 4 * interp.eval_arc(arc, s.t + fd).u
-                    - interp.eval_arc(arc, s.t + 2 * fd).u
-                ) / (2 * fd)
+                est = (-3 * curve(s.t).u + 4 * curve(s.t + fd).u - curve(s.t + 2 * fd).u) / (2 * fd)
             elif i == len(samples) - 1:
-                arc = curve.arcs[-1]
-                est = (
-                    3 * interp.eval_arc(arc, s.t).u
-                    - 4 * interp.eval_arc(arc, s.t - fd).u
-                    + interp.eval_arc(arc, s.t - 2 * fd).u
-                ) / (2 * fd)
+                est = (3 * curve(s.t).u - 4 * curve(s.t - fd).u + curve(s.t - 2 * fd).u) / (2 * fd)
             else:
                 est = (curve(s.t + fd).u - curve(s.t - fd).u) / (2 * fd)
             rel = np.linalg.norm(est - s.velocity.delta) / np.linalg.norm(s.velocity.delta)

@@ -518,6 +518,20 @@ class TestCLI:
             if "did not converge" in line or "component" in line:
                 assert line.startswith("# failure,")
 
+    @pytest.mark.parametrize("argv", [
+        ["qr-interp", "--n", "12", "--r", "3", "--nodes", "24"],
+        ["snapshot-interp", "--n", "101", "--r", "3", "--nodes", "30"],
+    ], ids=["qr-interp", "snapshot-interp"])
+    def test_many_nodes_record_rbf_evaluation_failure(self, argv, capsys):
+        # On 23 or more rescaled Chebyshev nodes the RBF kernel's condition
+        # number passes 1e13; the round-off of its weights breaks the point
+        # check of an evaluation, which drops the rbf column, not the study.
+        assert cli.main(argv) == 0
+        rep = ex.parse_report(capsys.readouterr().out)
+        assert set(rep.errors) == {"hermite", "geodesic"}
+        assert list(rep.failures) == ["rbf"]
+        assert rep.failures["rbf"].startswith("evaluation failed at t=")
+
     @pytest.mark.parametrize("argv, interval", [
         (["qr-interp", "--n", "12", "--r", "3", "--interval", "1e300,1.7e308"],
          "(1e+300, 1.7e+308)"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,28 +114,30 @@ class TestEuclidHermite:
 
 
 class TestArc:
+    """One arc: the composite of two samples."""
+
     def test_degenerate_samples_constant_curve(self, rng):
         point = stiefel.random_point(rng, 15, 3)
         zero = stiefel.TangentVector(point, np.zeros((15, 3)))
         s0 = interp.HermiteSample(0.0, point, zero)
         s1 = interp.HermiteSample(1.0, point, zero)
-        arc = interp.fit_arc(s0, s1)
+        arc = interp.fit_composite([s0, s1])
         for t in (0.0, 0.4, 1.0):
-            assert np.linalg.norm(interp.eval_arc(arc, t).u - point.u) < 1e-12
+            assert np.linalg.norm(arc(t).u - point.u) < 1e-12
 
     def test_endpoint_exact_at_center(self, rng):
         samples = make_samples(rng, 30, 4, [0.0, 1.0])
-        arc = interp.fit_arc(samples[0], samples[1], centering="q")
+        arc = interp.fit_composite(samples, centering="q")
         # center endpoint is reproduced exactly (all coefficients vanish)
-        assert np.linalg.norm(interp.eval_arc(arc, 1.0).u - samples[1].point.u) <= 1e-10
+        assert np.linalg.norm(arc(1.0).u - samples[1].point.u) <= 1e-10
         # far endpoint within the log/exp round-trip tolerance
-        assert np.linalg.norm(interp.eval_arc(arc, 0.0).u - samples[0].point.u) <= 1e-8
+        assert np.linalg.norm(arc(0.0).u - samples[0].point.u) <= 1e-8
 
     def test_p_centered_swaps_exact_endpoint(self, rng):
         samples = make_samples(rng, 30, 4, [0.0, 1.0])
-        arc = interp.fit_arc(samples[0], samples[1], centering="p")
-        assert np.linalg.norm(interp.eval_arc(arc, 0.0).u - samples[0].point.u) <= 1e-10
-        assert np.linalg.norm(interp.eval_arc(arc, 1.0).u - samples[1].point.u) <= 1e-8
+        arc = interp.fit_composite(samples, centering="p")
+        assert np.linalg.norm(arc(0.0).u - samples[0].point.u) <= 1e-10
+        assert np.linalg.norm(arc(1.0).u - samples[1].point.u) <= 1e-8
 
     def test_geodesic_data_reproduces_geodesic(self, rng):
         # samples taken from a geodesic with its true velocities: the arc
@@ -147,17 +151,17 @@ class TestArc:
         v1 = stiefel.project_tangent(p1, dexp_stiefel(xi, xi))
         s0 = interp.HermiteSample(0.0, u, xi)
         s1 = interp.HermiteSample(1.0, p1, v1)
-        arc = interp.fit_arc(s0, s1)
-        mid_arc = interp.eval_arc(arc, 0.5)
+        arc = interp.fit_composite([s0, s1])
+        mid_arc = arc(0.5)
         mid_geo = stiefel.stiefel_exp(0.5 * xi)
         assert np.linalg.norm(mid_arc.u - mid_geo.u) <= 1e-8
 
     def test_eval_outside_rejected(self, rng):
         samples = make_samples(rng, 15, 3, [0.0, 1.0])
-        arc = interp.fit_arc(samples[0], samples[1])
+        arc = interp.fit_composite(samples)
         for t in (1.5, float("nan")):
             with pytest.raises(DomainError, match="outside"):
-                interp.eval_arc(arc, t)
+                arc(t)
 
     def test_cost_three_logs_two_exps(self, rng, kernel_calls):
         samples = make_samples(rng, 20, 4, [0.0, 1.0])
@@ -182,9 +186,11 @@ class TestComposite:
     def test_two_samples_equals_single_arc(self, rng):
         samples = make_samples(rng, 20, 4, [0.0, 1.0])
         curve = interp.fit_composite(samples)
-        arc = interp.fit_arc(samples[0], samples[1])
-        for t in np.linspace(0.0, 1.0, 5):
-            assert np.allclose(curve(t).u, interp.eval_arc(arc, t).u)
+        frame = interp.fit_arc(samples[0], samples[1])
+        (stored,) = curve.frames
+        assert stored.base is samples[1].point
+        assert np.array_equal(stored.q, frame.q)
+        assert np.array_equal(stored.coords, frame.coords)
 
     def test_interpolation_conditions(self, rng):
         ts = [0.0, 0.8, 1.7, 2.5]
@@ -193,20 +199,11 @@ class TestComposite:
         h = 1e-6
         for i, s in enumerate(samples):
             assert np.linalg.norm(curve(s.t).u - s.point.u) <= 1e-8
+            # one-sided differences at the ends, inside the first and last arcs
             if i == 0:
-                arc = curve.arcs[0]
-                fd = (
-                    -3 * interp.eval_arc(arc, s.t).u
-                    + 4 * interp.eval_arc(arc, s.t + h).u
-                    - interp.eval_arc(arc, s.t + 2 * h).u
-                ) / (2 * h)
+                fd = (-3 * curve(s.t).u + 4 * curve(s.t + h).u - curve(s.t + 2 * h).u) / (2 * h)
             elif i == len(samples) - 1:
-                arc = curve.arcs[-1]
-                fd = (
-                    3 * interp.eval_arc(arc, s.t).u
-                    - 4 * interp.eval_arc(arc, s.t - h).u
-                    + interp.eval_arc(arc, s.t - 2 * h).u
-                ) / (2 * h)
+                fd = (3 * curve(s.t).u - 4 * curve(s.t - h).u + curve(s.t - 2 * h).u) / (2 * h)
             else:
                 fd = (curve(s.t + h).u - curve(s.t - h).u) / (2 * h)
             rel = np.linalg.norm(fd - s.velocity.delta) / np.linalg.norm(s.velocity.delta)
@@ -243,16 +240,14 @@ class TestComposite:
     def test_linearity_of_tangent_image(self, rng):
         # scaling all three tangent data scales the tangent interpolant exactly
         samples = make_samples(rng, 20, 4, [0.0, 1.0])
-        arc = interp.fit_arc(samples[0], samples[1])
-        vectors = [arc.frame.combination(e).delta for e in np.eye(3)]
-        scaled = interp.HermiteArc(
-            t0=arc.t0,
-            t1=arc.t1,
-            frame=stiefel.tangent_frame(arc.frame.base, [2.5 * v for v in vectors]),
-            centering=arc.centering,
+        curve = interp.fit_composite(samples)
+        (frame,) = curve.frames
+        vectors = [frame.combination(e).delta for e in np.eye(3)]
+        scaled = dataclasses.replace(
+            curve, frames=(stiefel.tangent_frame(frame.base, [2.5 * v for v in vectors]),)
         )
         for t in np.linspace(0.0, 1.0, 5):
-            g1 = interp.arc_tangent(arc, t)
+            g1 = interp.arc_tangent(curve, t)
             g2 = interp.arc_tangent(scaled, t)
             assert np.linalg.norm(g2.delta - 2.5 * g1.delta) < 1e-12
 
@@ -396,8 +391,7 @@ class TestFrameEvaluation:
             a0, a1, b0, b1 = interp.hermite_coeffs(t, samples[i].t, samples[i + 1].t)
             delta = (a0 if centering == "q" else a1) * far + b0 * start + b1 * end
             ambient = stiefel.TangentVector(center, delta)
-            arc = curve.arcs[i]
-            assert np.linalg.norm(interp.arc_tangent(arc, t).delta - ambient.delta) <= 1e-13
+            assert np.linalg.norm(interp.arc_tangent(curve, t).delta - ambient.delta) <= 1e-13
             assert np.linalg.norm(curve(t).u - stiefel.stiefel_exp(ambient).u) <= 1e-13
 
     def test_geodesic(self, qr_path):

@@ -194,7 +194,7 @@ class QRExperimentData:
         qr = linalg.qr_econ(self.y(t))
         point = stiefel.StiefelPoint(qr.q)
         q_dot = diff_qr(self.y_dot(t), qr)
-        return interpolate.HermiteSample(float(t), point, stiefel.TangentVector(point, q_dot))
+        return interpolate.HermiteSample(float(t), stiefel.TangentVector(point, q_dot))
 
 
 def _seeded_draw(config: ExperimentConfig, draw, warning: str, failure: str):
@@ -368,12 +368,8 @@ def _sample_svd_path(w, w_dot, r: int, nodes: np.ndarray) -> SVDExperimentData |
         except DomainError:
             return None
         for samples, factor, velocity in ((samples_u, u, deriv.u_dot), (samples_v, v, deriv.v_dot)):
-            point = stiefel.StiefelPoint(factor[:, :r])
-            samples.append(
-                interpolate.HermiteSample(
-                    t=float(t), point=point, velocity=stiefel.TangentVector(point, velocity)
-                )
-            )
+            tangent = stiefel.TangentVector(stiefel.StiefelPoint(factor[:, :r]), velocity)
+            samples.append(interpolate.HermiteSample(float(t), tangent))
         sigma_values[i] = sigma[:r]
         sigma_slopes[i] = deriv.sigma_dot
     return SVDExperimentData(
@@ -555,11 +551,12 @@ def run_snapshot_experiment(config: ExperimentConfig) -> ErrorReport:
 
 def snapshot_transport_instance(
     config: ExperimentConfig,
-) -> tuple[stiefel.StiefelPoint, stiefel.StiefelPoint, stiefel.TangentVector]:
-    """The (base, target, velocity) triple of the snapshot transport study.
+) -> tuple[stiefel.StiefelPoint, stiefel.TangentVector]:
+    """The (target, velocity) pair of the snapshot transport study.
 
-    Snapshots at the three ``SNAPSHOT_TRANSPORT_MUS``; the velocity at the
-    base is the log of the direction snapshot.
+    Snapshots at the three ``SNAPSHOT_TRANSPORT_MUS``; the velocity is the
+    log of the direction snapshot at the base snapshot, which it carries as
+    its base point.
     """
     mu_base, mu_target, mu_direction = SNAPSHOT_TRANSPORT_MUS
     wide = ExperimentConfig(
@@ -573,8 +570,7 @@ def snapshot_transport_instance(
     p = data.reference_u(mu_base)
     q = data.reference_u(mu_target)
     far = data.reference_u(mu_direction)
-    v_p = stiefel.stiefel_log(p, far)
-    return q, p, v_p
+    return q, stiefel.stiefel_log(p, far)
 
 
 def run_transport_accuracy(
@@ -588,13 +584,13 @@ def run_transport_accuracy(
     snapshot study; set ``use_snapshot_data`` for the deterministic variant.
     """
     if use_snapshot_data:
-        q, p, v_p = snapshot_transport_instance(config)
+        q, v_p = snapshot_transport_instance(config)
     else:
         rng = np.random.default_rng(config.seed)
         p = stiefel.random_point(rng, config.n, config.r)
         q = stiefel.stiefel_exp(stiefel.random_tangent(rng, p, scale=0.8))
         v_p = stiefel.random_tangent(rng, p, scale=1.0)
-    return [(h, validate_transport(q, p, v_p, h=h)) for h in TRANSPORT_STEPS]
+    return [(h, validate_transport(q, v_p, h=h)) for h in TRANSPORT_STEPS]
 
 
 def bound_check_instance(

@@ -74,17 +74,14 @@ def euclid_hermite(p, q, v0, v1, t: float, t0: float, t1: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermiteSample:
-    """One sampled datum: parameter value, point, velocity at that point."""
+    """One sampled datum: parameter value and velocity; the point is its base."""
 
     t: float
-    point: stiefel.StiefelPoint
     velocity: stiefel.TangentVector
 
-    def __post_init__(self):
-        if self.velocity.base is not self.point and not np.array_equal(
-            self.velocity.base.u, self.point.u
-        ):
-            raise PreconditionError("sample velocity is not attached at the sample point")
+    @property
+    def point(self) -> stiefel.StiefelPoint:
+        return self.velocity.base
 
 
 def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stiefel.TangentFrame:
@@ -104,9 +101,7 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stief
     near, far = (s1, s0) if centering == "q" else (s0, s1)
     try:
         delta_far = stiefel.stiefel_log(near.point, far.point)
-        v_far = calculus.transport_velocity(
-            near.point, far.point, far.velocity, h=calculus.DEFAULT_FD_STEP
-        )
+        v_far = calculus.transport_velocity(near.point, far.velocity, h=calculus.DEFAULT_FD_STEP)
     except (StiefelLogError, VelocityTransportError) as exc:
         raise ArcFitError(
             f"arc fit failed on [{s0.t}, {s1.t}]; samples may be too far apart, "

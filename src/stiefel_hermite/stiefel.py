@@ -90,6 +90,8 @@ class TangentVector:
             raise ShapeError(
                 f"tangent vector shape {d.shape} != base shape {self.base.u.shape}"
             )
+        if not np.all(np.isfinite(d)):
+            raise PreconditionError("tangent vector has non-finite entries")
         ud = self.base.u.T @ d
         err = np.linalg.norm(ud + ud.T)
         if err > TANGENT_TOL * max(1.0, np.linalg.norm(d)):

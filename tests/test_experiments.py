@@ -429,9 +429,7 @@ class TestReports:
             chain.append(stiefel.stiefel_exp(stiefel.random_tangent(rng, chain[-1], 0.3)))
         outliers = [stiefel.random_point(rng, 8, 6) for _ in range(2)]
         samples = [
-            interp.HermiteSample(
-                t=float(t), point=p, velocity=stiefel.TangentVector(p, np.zeros((8, 6)))
-            )
+            interp.HermiteSample(t=float(t), velocity=stiefel.TangentVector(p, np.zeros((8, 6))))
             for t, p in enumerate(outliers + chain)
         ]
         cfg = ex.ExperimentConfig(n=8, r=6, methods=("rbf",))

@@ -22,6 +22,9 @@ class TestTypes:
         u = stiefel.random_point(rng, 10, 3)
         with pytest.raises(PreconditionError):
             stiefel.TangentVector(u, rng.standard_normal((10, 3)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(PreconditionError, match="non-finite"):
+                stiefel.TangentVector(u, np.full((10, 3), bad))
         with pytest.raises(ShapeError):
             stiefel.TangentVector(u, np.zeros((10, 2)))
 

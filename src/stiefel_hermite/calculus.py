@@ -195,22 +195,24 @@ def transport_velocity(
 
 
 def validate_transport(
-    q: stiefel.StiefelPoint, v_p: stiefel.TangentVector, h: float = DEFAULT_FD_STEP
-) -> float:
-    """Relative reconstruction error of the velocity transport.
+    q: stiefel.StiefelPoint, v_p: stiefel.TangentVector, steps
+) -> list[float]:
+    """Relative reconstruction error of the velocity transport at each step h of ``steps``.
 
-    Transports v_p into T_q, pushes it back through the differential of the
-    exponential at Log_q(p), p = v_p.base, and compares with the original
-    velocity in the Frobenius norm.  A zero velocity has no relative error
-    and raises PreconditionError.
+    Transports v_p into T_q with step h, pushes it back through the
+    differential of the exponential at Log_q(p), p = v_p.base, and compares
+    with the original velocity in the Frobenius norm.  Log_q(p) and the
+    norm of v_p are computed once for all steps.  A zero velocity has no
+    relative error and raises PreconditionError.
     """
     if not np.any(v_p.delta):
         raise PreconditionError(
             "the velocity v_p to transport is zero; its relative error is undefined"
         )
-    v_hat = transport_velocity(q, v_p, h=h)
     delta_p = stiefel.stiefel_log(q, v_p.base)
-    v_rec = dexp_stiefel(delta_p, v_hat)
-    return float(
-        np.linalg.norm(v_rec - v_p.delta) / np.linalg.norm(v_p.delta)
-    )
+    scale = np.linalg.norm(v_p.delta)
+    errors = []
+    for h in steps:
+        v_rec = dexp_stiefel(delta_p, transport_velocity(q, v_p, h=h))
+        errors.append(float(np.linalg.norm(v_rec - v_p.delta) / scale))
+    return errors

@@ -10,7 +10,8 @@ Two kinds of sampled factor path drive the studies:
   a deterministic snapshot family of a closed-form two-parameter function
   whose left factor is interpolated (snapshot study; it compares against
   single-tangent-space interpolation, which needs logs between samples far
-  apart).
+  apart).  The transport study samples the same family at its own three
+  parameters.
 
 ``COMMANDS`` is the one study registry.  It maps each CLI subcommand to the
 config fields its study reads, which are its flags, to the function that
@@ -84,8 +85,10 @@ class ExperimentConfig:
             raise PreconditionError(f"need at least 2 nodes, got {self.num_nodes}")
         if not (np.all(np.isfinite(self.interval)) and self.interval[0] < self.interval[1]):
             raise PreconditionError(f"interval must be finite with a < b, got {self.interval}")
-        if not math.isfinite(float(self.interval[1]) - float(self.interval[0])):
-            raise PreconditionError(f"the width b - a of interval {self.interval} overflows float64")
+        a, b = (float(end) for end in self.interval)
+        if not (math.isfinite(b - a) and math.isfinite(a + b)):
+            raise PreconditionError(f"the width b - a or the sum a + b of interval {self.interval} "
+                                    "overflows float64")
         if self.centering not in interpolate.CENTERINGS:
             raise PreconditionError(f"centering must be 'q' or 'p', got {self.centering!r}")
         if not self.methods or not set(self.methods) <= set(METHODS):
@@ -496,21 +499,22 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
 # --------------------------------------------------------------------------
 
 
-def gen_snapshot_experiment(config: ExperimentConfig) -> SVDExperimentData:
-    """Snapshot matrices Y(mu), their analytic mu-derivatives, and Hermite samples.
+def _sample_snapshot_path(n: int, r: int, mus) -> SVDExperimentData:
+    """Hermite samples of the snapshot family's left factor U(mu) at the parameters ``mus``.
 
     The n x r snapshot matrix holds f(x, t, mu) = x^t sin(pi/2 mu x) on n
     uniform points x in [0, 1] at the r time instants 1.0, 1.6, ..., each
-    column normalized to unit trapezoidal L2 norm; its left singular factor
-    U(mu) is sampled at Chebyshev nodes.
+    column normalized to unit trapezoidal L2 norm; its mu-derivative is
+    analytic.  Raises PreconditionError when the matrix is not of rank r
+    with separated singular values at one of ``mus``.
     """
-    if config.n < 2:
-        raise PreconditionError(f"the trapezoidal x-grid needs n >= 2, got n={config.n}")
-    x = np.linspace(0.0, 1.0, config.n)
+    if n < 2:
+        raise PreconditionError(f"the trapezoidal x-grid needs n >= 2, got n={n}")
+    x = np.linspace(0.0, 1.0, n)
     dx = x[1] - x[0]
-    weights = np.full(config.n, dx)
+    weights = np.full(n, dx)
     weights[0] = weights[-1] = 0.5 * dx
-    t_snapshots = 1.0 + 0.6 * np.arange(config.r)
+    t_snapshots = 1.0 + 0.6 * np.arange(r)
 
     def columns(mu):
         for t in t_snapshots:
@@ -527,14 +531,19 @@ def gen_snapshot_experiment(config: ExperimentConfig) -> SVDExperimentData:
             cols.append(fd / nrm - (weights @ (f * fd)) / nrm**3 * f)
         return np.column_stack(cols)
 
-    nodes = chebyshev_nodes(*config.interval, config.num_nodes)
-    data = _sample_svd_path(snapshot, snapshot_dot, config.r, nodes)
+    data = _sample_svd_path(snapshot, snapshot_dot, r, np.asarray(mus, dtype=float))
     if data is None:
         raise PreconditionError(
-            f"the snapshot matrix at n={config.n}, r={config.r} is not of rank r "
-            "with separated singular values at every node"
+            f"the snapshot matrix at n={n}, r={r} is not of rank r "
+            f"with separated singular values at each mu in {[float(mu) for mu in mus]}"
         )
     return data
+
+
+def gen_snapshot_experiment(config: ExperimentConfig) -> SVDExperimentData:
+    """The snapshot family's left factor U(mu), sampled at Chebyshev nodes of the interval."""
+    nodes = chebyshev_nodes(*config.interval, config.num_nodes)
+    return _sample_snapshot_path(config.n, config.r, nodes)
 
 
 def run_snapshot_experiment(config: ExperimentConfig) -> ErrorReport:
@@ -554,34 +563,29 @@ def snapshot_transport_instance(
 ) -> tuple[stiefel.StiefelPoint, stiefel.TangentVector]:
     """The (target, velocity) pair of the snapshot transport study.
 
-    Snapshots at the three ``SNAPSHOT_TRANSPORT_MUS``; the velocity is the
-    log of the direction snapshot at the base snapshot, which it carries as
-    its base point.
+    The snapshot family of ``config.n`` and ``config.r`` is sampled at the
+    base, target and direction parameters ``SNAPSHOT_TRANSPORT_MUS``, with
+    signs normalized against the base U(0.9).  The velocity is the log of
+    the direction snapshot at the base snapshot, which it carries as its
+    base point.
     """
-    mu_base, mu_target, mu_direction = SNAPSHOT_TRANSPORT_MUS
-    wide = ExperimentConfig(
-        n=config.n,
-        r=config.r,
-        interval=(min(SNAPSHOT_TRANSPORT_MUS), max(SNAPSHOT_TRANSPORT_MUS)),
-        num_nodes=2,
-        seed=config.seed,
-    )
-    data = gen_snapshot_experiment(wide)
-    p = data.reference_u(mu_base)
-    q = data.reference_u(mu_target)
-    far = data.reference_u(mu_direction)
+    data = _sample_snapshot_path(config.n, config.r, SNAPSHOT_TRANSPORT_MUS)
+    p, q, far = (s.point for s in data.samples_u)
     return q, stiefel.stiefel_log(p, far)
 
 
 def run_transport_accuracy(
     config: ExperimentConfig, use_snapshot_data: bool = False
 ) -> list[tuple[float, float]]:
-    """Velocity transport reconstruction error over a sweep of FD steps.
+    """Velocity transport reconstruction error at each FD step of ``TRANSPORT_STEPS``.
 
     The error curve is V-shaped: the central difference improves like h^2
-    until roundoff in the log/exp evaluations takes over.  By default the
-    points and the velocity are random at comparable separations to the
-    snapshot study; set ``use_snapshot_data`` for the deterministic variant.
+    until roundoff in the log/exp evaluations takes over.  The sweep takes
+    Log_q(p) once and a central difference (2 logs, 2 exps) per step; the
+    snapshot instance adds the log of its velocity, 14 logs in all.  By
+    default the points and the velocity are random at comparable
+    separations to the snapshot study; set ``use_snapshot_data`` for the
+    deterministic variant.
     """
     if use_snapshot_data:
         q, v_p = snapshot_transport_instance(config)
@@ -590,7 +594,7 @@ def run_transport_accuracy(
         p = stiefel.random_point(rng, config.n, config.r)
         q = stiefel.stiefel_exp(stiefel.random_tangent(rng, p, scale=0.8))
         v_p = stiefel.random_tangent(rng, p, scale=1.0)
-    return [(h, validate_transport(q, v_p, h=h)) for h in TRANSPORT_STEPS]
+    return list(zip(TRANSPORT_STEPS, validate_transport(q, v_p, TRANSPORT_STEPS)))
 
 
 def bound_check_instance(

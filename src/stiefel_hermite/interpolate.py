@@ -48,19 +48,17 @@ def hermite_coeffs(t: float, t0: float, t1: float) -> tuple[float, float, float,
     """Cubic Hermite coefficient polynomials (a0, a1, b0, b1) on [t0, t1].
 
     Cardinal basis: a0/a1 are 1 at t0/t1 with zero derivatives at both ends;
-    b0/b1 have zero values and unit derivative at t0/t1 respectively.
-    a0 + a1 == 1 everywhere.
+    b0/b1 have zero values and unit derivative at t0/t1 respectively.  They
+    are evaluated in the scale-free variable s = (t - t0) / (t1 - t0), so no
+    power of the span under- or overflows, and a0 = 1 - a1 makes
+    a0 + a1 == 1 exactly for t in [t0, t1].
     """
     if not t0 < t1:
         raise DomainError(f"need t0 < t1, got t0={t0}, t1={t1}")
     span = t1 - t0
-    u = t - t0
-    w = t - t1
-    a0 = 1.0 - u * u / span**2 + 2.0 * u * u * w / span**3
-    a1 = u * u / span**2 - 2.0 * u * u * w / span**3
-    b0 = u - u * u / span + u * u * w / span**2
-    b1 = u * u * w / span**2
-    return a0, a1, b0, b1
+    s = (t - t0) / span
+    a1 = s * s * (3.0 - 2.0 * s)
+    return 1.0 - a1, a1, span * s * (1.0 - s) ** 2, span * s * s * (s - 1.0)
 
 
 def euclid_hermite(p, q, v0, v1, t: float, t0: float, t1: float) -> np.ndarray:

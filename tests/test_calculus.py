@@ -371,24 +371,21 @@ def instance():
 class TestValidateTransport:
     def test_coarse_step(self, instance):
         q, v = instance
-        err = calculus.validate_transport(q, v, h=1e-2)
+        (err,) = calculus.validate_transport(q, v, (1e-2,))
         assert 1e-9 < err < 1e-5  # second-order error at coarse step
 
     def test_tuned_step(self, instance):
         q, v = instance
-        assert calculus.validate_transport(q, v, h=1e-4) <= 1e-8
+        (err,) = calculus.validate_transport(q, v, (1e-4,))
+        assert err <= 1e-8
 
     def test_roundoff_regime(self, instance):
         q, v = instance
-        fine = calculus.validate_transport(q, v, h=1e-7)
-        tuned = calculus.validate_transport(q, v, h=1e-4)
+        fine, tuned = calculus.validate_transport(q, v, (1e-7, 1e-4))
         assert fine > tuned  # roundoff dominates below the sweet spot
 
     def test_v_shape(self, instance):
         q, v = instance
-        errs = [
-            calculus.validate_transport(q, v, h=h)
-            for h in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-        ]
+        errs = calculus.validate_transport(q, v, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7))
         best = int(np.argmin(errs))
         assert 0 < best < len(errs) - 1

@@ -357,6 +357,33 @@ class TestTransportAccuracy:
         for (h, err), ref in zip(table, reference):
             assert ref / 4 <= err <= 4 * ref, (h, err, ref)
 
+    def test_snapshot_instance(self):
+        # p, q and the direction are the left factors at 0.9, 1.4 and 1.9,
+        # each column's sign fixed against U(0.9)
+        cfg = ex.ExperimentConfig(n=40, r=3)
+        w = ex.gen_snapshot_experiment(dataclasses.replace(cfg, interval=(1.7, 2.3))).w
+        u_ref = linalg.svd_full(w(0.9))[0][:, :3]
+        p, q, far = (
+            stiefel.StiefelPoint(calculus.svd_sign_normalize(u[:, :3], v[:, :3], u_ref)[0])
+            for u, _, v in (linalg.svd_full(w(mu)) for mu in ex.SNAPSHOT_TRANSPORT_MUS)
+        )
+        q_got, v_p = ex.snapshot_transport_instance(cfg)
+        assert np.array_equal(q_got.u, q.u)
+        assert np.array_equal(v_p.base.u, p.u)
+        assert np.array_equal(v_p.delta, stiefel.stiefel_log(p, far).delta)
+
+    def test_snapshot_instance_refuses_its_own_parameters(self):
+        # every snapshot has a zero row at x = 0, so at n = r it has rank < r
+        with pytest.raises(PreconditionError, match=re.escape("n=3, r=3")) as info:
+            ex.snapshot_transport_instance(ex.ExperimentConfig(n=3, r=3))
+        assert "[0.9, 1.4, 1.9]" in str(info.value)
+
+    def test_sweep_cost(self, kernel_calls):
+        # one log for the velocity, Log_q(p) once, and a central difference
+        # (2 logs, 2 exps) per step
+        ex.run_transport_accuracy(ex.ExperimentConfig(n=40, r=3), use_snapshot_data=True)
+        assert kernel_calls == {"log": 14, "exp": 12}
+
     def test_v_shape_and_quadratic_regime(self):
         cfg = ex.ExperimentConfig(n=200, r=6, seed=3)
         table = ex.run_transport_accuracy(cfg)
@@ -540,14 +567,32 @@ class TestCLI:
          "(-1.7e+308, 1.7e+308)"),
         (["snapshot-interp", "--n", "12", "--r", "3", "--interval=-1.7e308,1.7e308"],
          "(-1.7e+308, 1.7e+308)"),
-    ], ids=["qr-interp", "svd-interp", "qr-interp-wide", "snapshot-interp-wide"])
+        # a finite width whose midpoint (a + b) / 2 is not: refused as well
+        (["qr-interp", "--n", "12", "--r", "3", "--interval=1e308,1.7e308"],
+         "(1e+308, 1.7e+308)"),
+        (["snapshot-interp", "--n", "12", "--r", "3", "--interval=1e308,1.7e308"],
+         "(1e+308, 1.7e+308)"),
+    ], ids=["qr-interp", "svd-interp", "qr-interp-wide", "snapshot-interp-wide",
+            "qr-interp-far", "snapshot-interp-far"])
     def test_overflowing_interval_exit_code(self, argv, interval, capsys, caplog):
         # no warning and at most one draw: the first two cubic paths overflow
-        # float64 for every seed, the last two configs are refused
+        # float64 for every seed, the last four configs are refused
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "overflows float64" in err and interval in err
         assert "regenerating" not in caplog.text
+
+    @pytest.mark.parametrize("argv", [
+        ["qr-interp", "--n", "12", "--r", "3", "--interval=0,1e-120"],
+        ["svd-interp", "--n", "12", "--r", "3", "--m", "5", "--interval=0,1e-200"],
+    ], ids=["qr-interp", "svd-interp"])
+    def test_tiny_interval(self, argv, capsys):
+        # the cube of the node span underflows float64; the Hermite
+        # coefficients never form it
+        assert cli.main(argv) == 0
+        rep = ex.parse_report(capsys.readouterr().out)
+        assert not rep.failures
+        assert rep.max_rel["hermite"] < 1e-14
 
     def test_config_error_exit_code(self, capsys):
         code = cli.main(["qr-interp", "--n", "5", "--r", "50"])

@@ -8,7 +8,8 @@ Stiefel exponential, which is the Frechet derivative of ``expm``
 fixed tangent frame of both vectors (any rank, no derivative of the frame's
 basis); and the central-difference transport of a sampled velocity into
 another tangent space together with its reconstruction check.  A velocity
-carries its base point, so the transport takes the vector alone.
+carries its base point p, and the transport takes it with Log_q(p), whose
+base is q and from which its two logs start.
 
 Each factorization derivative is the one place that decides whether its
 factorization can be differentiated, and raises DomainError where it cannot:
@@ -169,22 +170,28 @@ def dexp_stiefel(xi0: stiefel.TangentVector, v: stiefel.TangentVector) -> np.nda
 
 
 def transport_velocity(
-    q: stiefel.StiefelPoint, v_p: stiefel.TangentVector, h: float = DEFAULT_FD_STEP
+    delta: stiefel.TangentVector, v_p: stiefel.TangentVector, h: float = DEFAULT_FD_STEP
 ) -> stiefel.TangentVector:
     """Carry a velocity sampled at p = v_p.base into the tangent space at q.
 
-    Central difference of the normal-coordinate transition map:
+    ``delta`` is Log_q(p), so q = delta.base.  Central difference of the
+    normal-coordinate transition map:
     (Log_q(Exp_p(h v_p)) - Log_q(Exp_p(-h v_p))) / (2h).  Second-order
-    accurate in h.
+    accurate in h.  Both logs are warm-started (``stiefel_log``'s
+    ``start``): the +h log from ``delta``, the -h log from its reflection
+    2 delta - Log_q(Exp_p(h v_p)), which is O(h^2) from its answer.  The
+    starts change how many steps the logs take, not what they return, so
+    the result depends on ``delta`` only through q.
     """
-    if h <= 0.0:
-        raise PreconditionError(f"h must be positive, got {h}")
+    if not (np.isfinite(h) and h > 0.0):
+        raise PreconditionError(f"the step h must be positive and finite, got {h}")
+    q = delta.base
     frame = stiefel.split_tangent(v_p)
     logs = []
     for s, side in ((h, "+h"), (-h, "-h")):
-        point = frame.exp((s,))
+        start = delta if not logs else 2.0 * delta - logs[0]
         try:
-            logs.append(stiefel.stiefel_log(q, point))
+            logs.append(stiefel.stiefel_log(q, frame.exp((s,)), start=start))
         except StiefelLogError as exc:
             raise VelocityTransportError(
                 f"logarithm failed at the {side} offset point: {exc}", side=side
@@ -202,8 +209,10 @@ def validate_transport(
     Transports v_p into T_q with step h, pushes it back through the
     differential of the exponential at Log_q(p), p = v_p.base, and compares
     with the original velocity in the Frobenius norm.  Log_q(p) and the
-    norm of v_p are computed once for all steps.  A zero velocity has no
-    relative error and raises PreconditionError.
+    norm of v_p are computed once for all steps; the transport starts its
+    logs from that Log_q(p).  A zero velocity has no relative error, and a
+    step h that is not positive and finite has no transport; both raise
+    PreconditionError.
     """
     if not np.any(v_p.delta):
         raise PreconditionError(
@@ -213,6 +222,6 @@ def validate_transport(
     scale = np.linalg.norm(v_p.delta)
     errors = []
     for h in steps:
-        v_rec = dexp_stiefel(delta_p, transport_velocity(q, v_p, h=h))
+        v_rec = dexp_stiefel(delta_p, transport_velocity(delta_p, v_p, h=h))
         errors.append(float(np.linalg.norm(v_rec - v_p.delta) / scale))
     return errors

@@ -88,9 +88,11 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stief
     Costs 3 logarithms and 2 exponentials: one log for the far endpoint and
     a central difference (2 logs + 2 exps, step ``calculus.DEFAULT_FD_STEP``)
     for the far velocity; the velocity at the center is used as-is.  The
-    logs run to ``stiefel.LOG_TAU``.  The frame is attached at the arc's
-    center and holds its three tangent vectors in the order whose
-    coefficients ``CompositeCurve._coeffs`` returns.
+    logs run to ``stiefel.LOG_TAU``; the transport's two start from the
+    far endpoint's log, which cuts a fit_far arc from 18 Schur logs to 14.
+    The frame is attached at the arc's center and holds its three tangent
+    vectors in the order whose coefficients ``CompositeCurve._coeffs``
+    returns.
     """
     if centering not in CENTERINGS:
         raise PreconditionError(f"centering must be one of {CENTERINGS}, got {centering!r}")
@@ -99,7 +101,7 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stief
     near, far = (s1, s0) if centering == "q" else (s0, s1)
     try:
         delta_far = stiefel.stiefel_log(near.point, far.point)
-        v_far = calculus.transport_velocity(near.point, far.velocity, h=calculus.DEFAULT_FD_STEP)
+        v_far = calculus.transport_velocity(delta_far, far.velocity, h=calculus.DEFAULT_FD_STEP)
     except (StiefelLogError, VelocityTransportError) as exc:
         raise ArcFitError(
             f"arc fit failed on [{s0.t}, {s1.t}]; samples may be too far apart, "

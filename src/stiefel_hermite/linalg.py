@@ -17,6 +17,7 @@ the conventions, the domain checks, and typed errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -52,6 +53,28 @@ def expm(x) -> np.ndarray:
     return sla.expm(_as_square(x, "expm"))
 
 
+def _unsorted(re_part, im_part) -> None:
+    """``dgees`` eigenvalue selector for an unsorted Schur form."""
+
+
+@lru_cache(maxsize=None)
+def _schur_lwork(n: int) -> int:
+    """Optimal ``dgees`` workspace for n x n input; it depends on n only."""
+    return int(lapack.dgees(_unsorted, np.eye(n), lwork=-1)[-2][0])
+
+
+def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur form ``a = z t z'`` by one ``dgees`` call.
+
+    The factors of ``scipy.linalg.schur(a, output="real")``, without its
+    per-call workspace query and second finiteness check.
+    """
+    t, _, _, _, z, _, info = lapack.dgees(_unsorted, a, lwork=_schur_lwork(a.shape[0]))
+    if info != 0:
+        raise DomainError(f"logm: dgees found no Schur form (info = {info})")
+    return t, z
+
+
 def logm(x) -> np.ndarray:
     """Principal logarithm of an orthogonal matrix, exactly skew-symmetric.
 
@@ -59,7 +82,9 @@ def logm(x) -> np.ndarray:
     block diagonal up to round-off: 2 x 2 rotation blocks and 1 x 1 blocks
     equal to +1 or -1.  The log maps each rotation block to its angle in
     (-pi, pi) (``atan2``) and each +1 to 0; ``Z Theta Z'`` is then
-    skew-symmetrized (Higham, *Functions of Matrices*, section 11).
+    skew-symmetrized (Higham, *Functions of Matrices*, section 11).  The
+    Schur form is one LAPACK ``dgees`` call with its workspace size cached
+    per n (``_real_schur``).
 
     Raises
     ------
@@ -76,7 +101,7 @@ def logm(x) -> np.ndarray:
         raise PreconditionError(
             f"logm input is not orthogonal (||X'X - I||_F = {drift:.3g})"
         )
-    t, z = sla.schur(a, output="real")
+    t, z = _real_schur(a)
     theta = np.zeros((n, n))
     i = 0
     while i < n:

@@ -330,33 +330,64 @@ class TestTransport:
     def test_same_point_recovers_velocity(self, rng):
         p = stiefel.random_point(rng, 20, 4)
         v = stiefel.random_tangent(rng, p, scale=0.9)
-        out = calculus.transport_velocity(p, v, h=1e-4)
+        out = calculus.transport_velocity(stiefel.TangentVector(p, np.zeros((20, 4))), v, h=1e-4)
         assert np.linalg.norm(out.delta - v.delta) <= 1e-7
 
     def test_output_is_tangent_at_target(self, rng):
         p = stiefel.random_point(rng, 25, 4)
         q = stiefel.stiefel_exp(stiefel.random_tangent(rng, p, 0.5))
         v = stiefel.random_tangent(rng, p)
-        out = calculus.transport_velocity(q, v)
+        out = calculus.transport_velocity(stiefel.stiefel_log(q, p), v)
         ud = q.u.T @ out.delta
         assert np.linalg.norm(ud + ud.T) < 1e-10
         assert np.array_equal(out.base.u, q.u)
 
-    def test_failure_names_side(self, rng):
-        # target so far away the +h log cannot converge
-        rng2 = np.random.default_rng(101)
-        p = stiefel.random_point(rng2, 8, 6)
-        q = stiefel.random_point(rng2, 8, 6)
-        v = stiefel.random_tangent(rng2, p)
-        with pytest.raises(VelocityTransportError) as info:
-            calculus.transport_velocity(q, v, h=1e-4)
-        assert info.value.side in ("+h", "-h")
+    def test_failure_names_side(self):
+        # Log_q(p) just below the certificate's LOG_NORM_MAX; v_p runs along
+        # the geodesic away from q, so the +h log passes the bound
+        rng = np.random.default_rng(101)
+        xi = _rank_one_tangent(rng, 8, 3)
+        xi = (stiefel.LOG_NORM_MAX * (1.0 - 5e-5) / stiefel.norm(xi)) * xi
+        p = stiefel.stiefel_exp(xi)
+        v = stiefel.project_tangent(p, calculus.dexp_stiefel(xi, xi))
+        delta = stiefel.stiefel_log(xi.base, p)
+        with pytest.raises(VelocityTransportError, match="not below") as info:
+            calculus.transport_velocity(delta, v, h=1e-4)
+        assert info.value.side == "+h"
 
-    def test_bad_h_rejected(self, rng):
+    @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
+    def test_bad_h_rejected(self, rng, h):
         p = stiefel.random_point(rng, 10, 2)
         v = stiefel.random_tangent(rng, p)
-        with pytest.raises(PreconditionError):
-            calculus.transport_velocity(p, v, h=0.0)
+        with pytest.raises(PreconditionError, match="step h"):
+            calculus.transport_velocity(stiefel.TangentVector(p, np.zeros((10, 2))), v, h=h)
+
+    @staticmethod
+    def _pairs():
+        """Seeded (Log_q(p), v_p): a generic pair, n = r, a rank-one normal
+        part at 0.85 pi and a zero velocity."""
+        rng = np.random.default_rng(12)
+        generic = stiefel.random_tangent(rng, stiefel.random_point(rng, 40, 3), 0.57 * np.pi)
+        square = stiefel.random_tangent(rng, stiefel.random_point(rng, 5, 5), 0.5 * np.pi)
+        rank_one = _rank_one_tangent(rng, 60, 6)
+        rank_one = (0.85 * np.pi / stiefel.norm(rank_one)) * rank_one
+        for xi, zero in ((generic, False), (square, False), (rank_one, False), (generic, True)):
+            p = stiefel.stiefel_exp(xi)
+            v = stiefel.random_tangent(rng, p)
+            yield stiefel.stiefel_log(xi.base, p), (0.0 if zero else 1.0) * v
+
+    def test_warm_started_logs_match_cold_ones(self):
+        # the transport starts the +h log from Log_q(p) and the -h log from
+        # 2 Log_q(p) - Log_q(p+); both land on the cold-started logs
+        h = calculus.DEFAULT_FD_STEP
+        for delta, v in self._pairs():
+            q = delta.base
+            frame = stiefel.split_tangent(v)
+            plus, minus = frame.exp((h,)), frame.exp((-h,))
+            warm_plus = stiefel.stiefel_log(q, plus, start=delta)
+            warm_minus = stiefel.stiefel_log(q, minus, start=2.0 * delta - warm_plus)
+            assert np.linalg.norm(warm_plus.delta - stiefel.stiefel_log(q, plus).delta) <= 1e-13
+            assert np.linalg.norm(warm_minus.delta - stiefel.stiefel_log(q, minus).delta) <= 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +414,12 @@ class TestValidateTransport:
         q, v = instance
         fine, tuned = calculus.validate_transport(q, v, (1e-7, 1e-4))
         assert fine > tuned  # roundoff dominates below the sweet spot
+
+    @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
+    def test_bad_step_rejected(self, instance, h):
+        q, v = instance
+        with pytest.raises(PreconditionError, match="step h"):
+            calculus.validate_transport(q, v, (1e-4, h))
 
     def test_v_shape(self, instance):
         q, v = instance

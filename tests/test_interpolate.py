@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stiefel_hermite import calculus
 from stiefel_hermite import experiments as ex
 from stiefel_hermite import interpolate as interp
-from stiefel_hermite import stiefel
+from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import (
     ArcFitError,
     DomainError,
@@ -171,6 +171,25 @@ class TestArc:
         kernel_calls.clear()
         interp.fit_arc(samples[0], samples[1])
         assert kernel_calls == {"log": 3, "exp": 2}
+
+    def test_at_most_fourteen_schur_logs(self, monkeypatch):
+        # cold, each of the three logs takes 5-6 Schur logs (15-18 per arc);
+        # with the transport's two started from Log_q(p), an arc takes 12-13
+        cfg = ex.ExperimentConfig(n=40, r=3, interval=(-1.1, 1.1), num_nodes=3, seed=0)
+        samples = ex.gen_qr_experiment(cfg).samples
+        counts = []
+        logm = linalg.logm
+
+        def spy_logm(v):
+            counts[-1] += 1
+            return logm(v)
+
+        monkeypatch.setattr(linalg, "logm", spy_logm)
+        for centering in interp.CENTERINGS:
+            for s0, s1 in zip(samples, samples[1:]):
+                counts.append(0)
+                interp.fit_arc(s0, s1, centering=centering)
+        assert max(counts) <= 14
 
     def test_far_samples_raise_arc_fit_error(self):
         rng = np.random.default_rng(101)
@@ -366,11 +385,11 @@ def _knots_and_interior(knots):
 def _reference_arc(s0, s1, centering):
     """An arc's center and its three tangent vectors, recomputed from its samples."""
     near, far = (s1, s0) if centering == "q" else (s0, s1)
-    delta_far = stiefel.stiefel_log(near.point, far.point).delta
-    v_far = calculus.transport_velocity(near.point, far.velocity, h=calculus.DEFAULT_FD_STEP).delta
+    delta_far = stiefel.stiefel_log(near.point, far.point)
+    v_far = calculus.transport_velocity(delta_far, far.velocity, h=calculus.DEFAULT_FD_STEP).delta
     if centering == "q":
-        return near.point, (delta_far, v_far, s1.velocity.delta)
-    return near.point, (delta_far, s0.velocity.delta, v_far)
+        return near.point, (delta_far.delta, v_far, s1.velocity.delta)
+    return near.point, (delta_far.delta, s0.velocity.delta, v_far)
 
 
 class TestFrameEvaluation:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +94,17 @@ class TestLogm:
         rng = np.random.default_rng(21)
         out = linalg.logm(linalg.expm(rotation_generator(rng, [2.5, 1.0, 0.3], 6)))
         assert np.array_equal(out + out.T, np.zeros((6, 6)))
+
+    def test_schur_factors_match_scipy_bitwise(self):
+        # one dgees call with the workspace cached per n, as scipy.linalg.schur
+        # computes it with a workspace query per call
+        rng = np.random.default_rng(23)
+        for i in range(200):
+            n = 2 + i % 23
+            v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            t, z = linalg._real_schur(v)
+            t_ref, z_ref = scipy.linalg.schur(v, output="real")
+            assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
 
     def test_rotation_by_pi_rejected(self):
         v = np.eye(5)

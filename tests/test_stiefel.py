@@ -219,6 +219,24 @@ class TestLog:
         assert past_bound > 0
         assert err <= 1e-14  # measured 2.8e-15
 
+    @pytest.mark.parametrize("n, r, fraction", [(40, 3, 0.57), (60, 6, 0.85), (5, 5, 0.5)])
+    def test_any_start_gives_the_cold_log(self, n, r, fraction):
+        # a start near the target is used; at n > r one whose geodesic ends
+        # far from it (zero, reversed, random) falls back to the Procrustes start
+        rng = np.random.default_rng(11)
+        u = stiefel.random_point(rng, n, r)
+        xi = stiefel.random_tangent(rng, u, fraction * np.pi)
+        target = stiefel.stiefel_exp(xi)
+        cold = stiefel.stiefel_log(u, target)
+        for start in (0.0 * xi, -1.0 * xi, stiefel.random_tangent(rng, u, 1.5), 0.5 * xi):
+            warm = stiefel.stiefel_log(u, target, start=start)
+            assert np.linalg.norm(warm.delta - cold.delta) <= 1e-13
+
+    def test_start_at_another_base_rejected(self, rng):
+        u, w = stiefel.random_point(rng, 10, 3), stiefel.random_point(rng, 10, 3)
+        with pytest.raises(PreconditionError, match="start"):
+            stiefel.stiefel_log(u, w, start=stiefel.random_tangent(rng, w))
+
     def test_counter_increments(self, rng, kernel_calls):
         u = stiefel.random_point(rng, 10, 3)
         xi = stiefel.random_tangent(rng, u, 0.3)

@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise PreconditionError(f"centering must be 'q' or 'p', got {self.centering!r}")
         if not self.methods or not set(self.methods) <= set(METHODS):
             raise PreconditionError(f"methods must be one or more of {METHODS}, got {self.methods}")
+        if len(set(self.methods)) < len(self.methods):
+            raise PreconditionError(f"methods must not repeat, got {self.methods}")
         if self.grid_points < 2:
             raise PreconditionError("need at least 2 grid points")
 

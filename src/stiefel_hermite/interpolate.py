@@ -11,14 +11,21 @@ pairs gives a C^1 composite curve through all samples.
 Baselines: piecewise geodesics (no derivative data) and radial-basis-function
 interpolation in a single tangent space (inverse multiquadric kernel).
 
-Every curve evaluates as the exponential of a linear combination of tangent
-vectors fixed at fit time.  The fit puts them in a ``stiefel.TangentFrame``
-(one per arc, geodesic segment or RBF curve), and a curve stores only its
-knots and those frames, so an evaluation does no n x r factorization.
+Every fit returns one curve type, ``CompositeCurve(knots, frames, coeffs)``.
+On [knots[i], knots[i + 1]] it is the exponential of the combination of the
+tangent vectors in ``frames[i]``, a ``stiefel.TangentFrame`` built at fit
+time, with the coefficients ``coeffs(i, t)``.  A fit binds its coefficient
+rule: the Hermite polynomials of an arc, the fraction of a geodesic segment,
+or the RBF kernel values on the one interval [t_first, t_last].  An
+evaluation does no n x r factorization.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +95,11 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stief
     Costs 3 logarithms and 2 exponentials: one log for the far endpoint and
     a central difference (2 logs + 2 exps, step ``calculus.DEFAULT_FD_STEP``)
     for the far velocity; the velocity at the center is used as-is.  The
-    logs run to ``stiefel.LOG_TAU``; the transport's two start from the
-    far endpoint's log, which cuts a fit_far arc from 18 Schur logs to 14.
-    The frame is attached at the arc's center and holds its three tangent
-    vectors in the order whose coefficients ``CompositeCurve._coeffs``
-    returns.
+    logs run to ``stiefel.LOG_TAU``, and the transport's two start from the
+    far endpoint's log: an arc of the fit_far benchmark takes 6 + 5 + 3
+    Schur logs.  The frame is attached at the arc's center and holds its
+    three tangent vectors in the order whose coefficients
+    ``_hermite_arc_coeffs`` returns.
     """
     if centering not in CENTERINGS:
         raise PreconditionError(f"centering must be one of {CENTERINGS}, got {centering!r}")
@@ -116,16 +123,20 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stief
 def _check_sample_plan(ts) -> np.ndarray:
     """The parameters of a sample plan, checked for every fit.
 
-    A plan needs at least 2 samples, strictly increasing parameters, and no
-    subinterval shorter than ``DEGENERATE_SPAN_EPS`` times the span.
+    A plan needs at least 2 samples, strictly increasing parameters, a
+    finite span ts[-1] - ts[0] (which refuses an infinite parameter too),
+    and no subinterval shorter than ``DEGENERATE_SPAN_EPS`` times the span.
     """
     ts = np.asarray(ts, dtype=float)
     if len(ts) < 2:
         raise PreconditionError("need at least 2 samples")
-    steps = np.diff(ts)
-    if not np.all(steps > 0):
+    # numpy warns when a difference overflows: compare, and subtract Python floats
+    if not np.all(ts[1:] > ts[:-1]):
         raise PreconditionError("sample parameters must be strictly increasing")
-    if np.any(steps < DEGENERATE_SPAN_EPS * (ts[-1] - ts[0])):
+    span = float(ts[-1]) - float(ts[0])
+    if not math.isfinite(span):
+        raise PreconditionError(f"the sample span [{ts[0]}, {ts[-1]}] is not finite in float64")
+    if np.any(np.diff(ts) < DEGENERATE_SPAN_EPS * span):
         raise PreconditionError("degenerate subinterval in the sample plan")
     return ts
 
@@ -136,82 +147,66 @@ def _segment_index(knots: np.ndarray, t: float) -> int:
         raise DomainError(f"t={t} outside [{knots[0]}, {knots[-1]}]")
     if t == knots[-1]:
         return len(knots) - 2
-    return int(np.searchsorted(knots, t, side="right")) - 1
+    return bisect.bisect_right(knots, t) - 1  # on a few knots, a fifth of np.searchsorted's cost
 
 
 @dataclass(frozen=True)
 class CompositeCurve:
-    """Piecewise quasi-cubic curve through a full Hermite sample set.
+    """A fitted curve: one exponential of a fixed tangent frame per evaluation.
 
-    ``frames[i]`` is the arc on [knots[i], knots[i + 1]]: three tangent
-    vectors at the arc's center ``frames[i].base``, the sample at knots[i + 1]
-    for "q" centering, at knots[i] for "p".  In order they are the log of
-    the far endpoint and the velocity translates multiplying the b0 and b1
-    coefficient polynomials.
+    On [knots[i], knots[i + 1]] the curve is ``frames[i].exp(coeffs(i, t))``.
+    ``failed_indices`` lists the samples the fit dropped; only
+    ``tangent_rbf_interp(..., skip_failed=True)`` drops any.
     """
 
     knots: np.ndarray
     frames: tuple[stiefel.TangentFrame, ...]
-    centering: str
-
-    def arc_index(self, t: float) -> int:
-        return _segment_index(self.knots, t)
-
-    def _coeffs(self, i: int, t: float) -> tuple[float, float, float]:
-        """Coefficients of arc i's three frame vectors at parameter t."""
-        a0, a1, b0, b1 = hermite_coeffs(t, float(self.knots[i]), float(self.knots[i + 1]))
-        return (a0 if self.centering == "q" else a1), b0, b1
+    coeffs: Callable[[int, float], tuple[float, ...] | np.ndarray]
+    failed_indices: tuple[int, ...] = ()
 
     def __call__(self, t: float) -> stiefel.StiefelPoint:
-        i = self.arc_index(t)
-        return self.frames[i].exp(self._coeffs(i, t))
+        i = _segment_index(self.knots, t)
+        return self.frames[i].exp(self.coeffs(i, t))
 
 
 def arc_tangent(curve: CompositeCurve, t: float) -> stiefel.TangentVector:
-    """Tangent-space interpolant of the curve at t (before the exp), at its arc's center."""
-    i = curve.arc_index(t)
-    return curve.frames[i].combination(curve._coeffs(i, t))
+    """Tangent-space image of the curve at t (before the exp), at its frame's base."""
+    i = _segment_index(curve.knots, t)
+    return curve.frames[i].combination(curve.coeffs(i, t))
+
+
+def _hermite_arc_coeffs(centering: str, knots: np.ndarray, i: int, t: float) -> tuple:
+    """Arc i's coefficients: the far sample's a0 or a1, then b0 and b1 (see ``fit_arc``)."""
+    a0, a1, b0, b1 = hermite_coeffs(t, float(knots[i]), float(knots[i + 1]))
+    return (a0 if centering == "q" else a1), b0, b1
 
 
 def fit_composite(samples: list[HermiteSample], centering: str = "q") -> CompositeCurve:
     """Fit arcs over consecutive sample pairs; the result is C^1 at the knots."""
     ts = _check_sample_plan([s.t for s in samples])
-    frames = tuple(
-        fit_arc(samples[i], samples[i + 1], centering=centering) for i in range(len(samples) - 1)
-    )
-    return CompositeCurve(knots=ts, frames=frames, centering=centering)
+    frames = tuple(fit_arc(s0, s1, centering=centering) for s0, s1 in zip(samples, samples[1:]))
+    return CompositeCurve(ts, frames, functools.partial(_hermite_arc_coeffs, centering, ts))
 
 
-@dataclass(frozen=True)
-class GeodesicCurve:
-    """Piecewise-geodesic interpolant (manifold version of linear interpolation).
-
-    ``frames[i]`` is the one-vector frame of Log_{p_i}(p_{i+1}) at p_i.
-    """
-
-    knots: np.ndarray
-    frames: tuple[stiefel.TangentFrame, ...]
-
-    def __call__(self, t: float) -> stiefel.StiefelPoint:
-        i = _segment_index(self.knots, t)
-        s = (t - self.knots[i]) / (self.knots[i + 1] - self.knots[i])
-        return self.frames[i].exp((s,))
+def _geodesic_coeffs(knots: np.ndarray, i: int, t: float) -> tuple[float]:
+    """Coefficient of Log_{p_i}(p_{i+1}): the fraction of segment i at t."""
+    return ((t - knots[i]) / (knots[i + 1] - knots[i]),)
 
 
-def geodesic_interp(samples: list[tuple[float, stiefel.StiefelPoint]]) -> GeodesicCurve:
-    """Connect consecutive sample points by geodesics."""
+def geodesic_interp(samples: list[tuple[float, stiefel.StiefelPoint]]) -> CompositeCurve:
+    """Connect consecutive sample points by geodesics (piecewise-linear interpolation)."""
     ts = _check_sample_plan([t for t, _ in samples])
-    directions = []
-    for i in range(len(samples) - 1):
+    frames = []
+    for i, ((_, p0), (_, p1)) in enumerate(zip(samples, samples[1:])):
         try:
-            directions.append(stiefel.stiefel_log(samples[i][1], samples[i + 1][1]))
+            frames.append(stiefel.split_tangent(stiefel.stiefel_log(p0, p1)))
         except StiefelLogError as exc:
             raise ArcFitError(
                 f"geodesic fit failed on [{ts[i]}, {ts[i + 1]}]: {exc}",
                 t0=float(ts[i]),
                 t1=float(ts[i + 1]),
             ) from exc
-    return GeodesicCurve(knots=ts, frames=tuple(map(stiefel.split_tangent, directions)))
+    return CompositeCurve(ts, tuple(frames), functools.partial(_geodesic_coeffs, ts))
 
 
 def _inverse_multiquadric(d: np.ndarray) -> np.ndarray:
@@ -219,45 +214,28 @@ def _inverse_multiquadric(d: np.ndarray) -> np.ndarray:
 
 
 def _rescale(t, t_lo: float, t_hi: float):
-    """The affine map of [t_lo, t_hi] onto [-1, 1], for a scalar or an array t."""
-    return -1.0 + 2.0 * (t - t_lo) / (t_hi - t_lo)
+    """Map [t_lo, t_hi] onto [-1, 1]; halving the span, not doubling t - t_lo, cannot overflow."""
+    return -1.0 + (t - t_lo) / (0.5 * (t_hi - t_lo))
 
 
-@dataclass(frozen=True)
-class TangentRBFCurve:
-    """RBF interpolant of log-images in a single tangent space.
-
-    Sample parameters are affinely rescaled to [-1, 1] before the kernel is
-    applied, so ``RBF_SHAPE`` is interval-independent.  ``frame`` holds one
-    weight matrix per kept sample, at the center sample ``frame.base``.
-    ``failed_indices`` lists samples whose logarithm to the center did not
-    converge (only nonempty when the curve was fit with ``skip_failed=True``).
-    """
-
-    frame: stiefel.TangentFrame
-    scaled_knots: np.ndarray
-    t_lo: float
-    t_hi: float
-    failed_indices: tuple[int, ...]
-
-    def __call__(self, t: float) -> stiefel.StiefelPoint:
-        if not self.t_lo <= t <= self.t_hi:
-            raise DomainError(f"t={t} outside [{self.t_lo}, {self.t_hi}]")
-        phi = _inverse_multiquadric(np.abs(_rescale(t, self.t_lo, self.t_hi) - self.scaled_knots))
-        return self.frame.exp(phi)
+def _rbf_coeffs(scaled_knots: np.ndarray, t_lo: float, t_hi: float, i: int, t: float) -> np.ndarray:
+    """Kernel values of the rescaled t against the rescaled kept sample parameters."""
+    return _inverse_multiquadric(np.abs(_rescale(t, t_lo, t_hi) - scaled_knots))
 
 
 def tangent_rbf_interp(
     samples: list[tuple[float, stiefel.StiefelPoint]], skip_failed: bool = False
-) -> TangentRBFCurve:
+) -> CompositeCurve:
     """Map all samples to the tangent space of the middle sample, RBF-interpolate.
 
-    The kernel is the inverse multiquadric with shape ``RBF_SHAPE`` on the
-    parameters rescaled to [-1, 1].  The center is the sample with index
-    ``len(samples) // 2``.  If the log of some sample does not converge,
-    raises TangentMapError listing the failed indices, unless
-    ``skip_failed`` is set, in which case those samples are dropped from the
-    interpolation problem and recorded on the curve.
+    The center is the sample with index ``len(samples) // 2``.  The curve
+    has one interval [t_first, t_last] and one frame, of one weight matrix
+    per kept sample at the center; its coefficients at t are the inverse
+    multiquadric kernel (shape ``RBF_SHAPE``) of t against the kept sample
+    parameters, all rescaled to [-1, 1].  If the log of some sample does not
+    converge, raises TangentMapError listing the failed indices, unless
+    ``skip_failed`` is set: then those samples are dropped from the
+    interpolation problem and recorded in the curve's ``failed_indices``.
     """
     ts = _check_sample_plan([t for t, _ in samples])
     center = samples[len(samples) // 2][1]
@@ -283,10 +261,6 @@ def tangent_rbf_interp(
     kernel = _inverse_multiquadric(np.abs(scaled[:, np.newaxis] - scaled[np.newaxis, :]))
     stacked = np.stack(deltas)  # (k, n, r)
     weights = np.linalg.solve(kernel, stacked.reshape(len(kept), -1)).reshape(stacked.shape)
-    return TangentRBFCurve(
-        frame=stiefel.tangent_frame(center, weights),
-        scaled_knots=scaled,
-        t_lo=t_lo,
-        t_hi=t_hi,
-        failed_indices=tuple(failed),
-    )
+    frame = stiefel.tangent_frame(center, weights)
+    coeffs = functools.partial(_rbf_coeffs, scaled, t_lo, t_hi)
+    return CompositeCurve(np.array([t_lo, t_hi]), (frame,), coeffs, tuple(failed))

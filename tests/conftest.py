@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from stiefel_hermite import stiefel
+from stiefel_hermite import experiments, stiefel
 
 
 @pytest.fixture
@@ -51,3 +51,10 @@ def _orthogonal_pairs(count):
 def orthogonal_pairs():
     """``orthogonal_pairs(count)`` yields ``count`` seeded (U, A, rng) on O(n)."""
     return _orthogonal_pairs
+
+
+@pytest.fixture(scope="module")
+def qr_path():
+    """The QR study's 6-node path at St(100, 6), seed 0."""
+    cfg = experiments.ExperimentConfig(n=100, r=6, interval=(-1.1, 1.1), num_nodes=6, seed=0)
+    return experiments.gen_qr_experiment(cfg)

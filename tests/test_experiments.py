@@ -54,6 +54,12 @@ class TestConfig:
             with pytest.raises(PreconditionError, match="methods must be one or more"):
                 ex.ExperimentConfig(methods=methods)
 
+    def test_rejects_repeated_method(self):
+        # a repeated method would be fitted twice and written as one column
+        for methods in [("hermite", "hermite", "geodesic"), ("rbf", "geodesic", "rbf")]:
+            with pytest.raises(PreconditionError, match="methods must not repeat"):
+                ex.ExperimentConfig(methods=methods)
+
 
 class TestDistanceBound:
     def test_identical_data_zero(self):
@@ -598,6 +604,13 @@ class TestCLI:
         code = cli.main(["qr-interp", "--n", "5", "--r", "50"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_repeated_method_exit_code(self, capsys):
+        argv = ["qr-interp", "--n", "12", "--r", "3", "--methods", "hermite,hermite,geodesic"]
+        code = cli.main(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "methods must not repeat" in captured.err and not captured.out
 
     @pytest.mark.parametrize("command", ["svd-interp", "tangent-vs-manifold"])
     def test_m_below_r_exit_code(self, command, capsys):

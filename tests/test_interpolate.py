@@ -243,9 +243,10 @@ class TestComposite:
     def test_knot_lookup_convention(self, rng):
         samples = make_samples(rng, 15, 3, [0.0, 1.0, 2.0])
         curve = interp.fit_composite(samples)
-        assert curve.arc_index(0.0) == 0
-        assert curve.arc_index(1.0) == 1  # interior knots belong to the right arc
-        assert curve.arc_index(2.0) == 1  # the last knot belongs to the last arc
+        assert interp._segment_index(curve.knots, 0.0) == 0
+        # interior knots belong to the right arc, the last knot to the last arc
+        assert interp._segment_index(curve.knots, 1.0) == 1
+        assert interp._segment_index(curve.knots, 2.0) == 1
         with pytest.raises(DomainError):
             curve(2.1)
 
@@ -306,25 +307,48 @@ class TestGeodesicInterp:
             interp.geodesic_interp([(0.0, a), (1.0, b)])
 
 
-@pytest.mark.parametrize("fit", [
+#: The three fits, each called on Hermite samples.
+every_fit = pytest.mark.parametrize("fit", [
     interp.fit_composite,
     lambda samples: interp.geodesic_interp([(s.t, s.point) for s in samples]),
     lambda samples: interp.tangent_rbf_interp([(s.t, s.point) for s in samples]),
 ], ids=["composite", "geodesic", "rbf"])
+
+
+@every_fit
+def test_one_curve_type(rng, fit):
+    # every fit returns a CompositeCurve, whose tangent image arc_tangent reads
+    curve = fit(make_samples(rng, 20, 3, [0.0, 1.0, 2.0, 3.0]))
+    assert type(curve) is interp.CompositeCurve and curve.failed_indices == ()
+    for t in (0.0, 1.4, 2.0, 3.0):
+        mapped = stiefel.stiefel_exp(interp.arc_tangent(curve, t))
+        assert np.linalg.norm(mapped.u - curve(t).u) <= 1e-13
+
+
+@every_fit
 def test_nan_parameter_rejected(rng, fit):
     curve = fit(make_samples(rng, 20, 3, [0.0, 1.0, 2.0, 3.0]))
     with pytest.raises(DomainError, match="outside"):
         curve(float("nan"))
 
 
-@pytest.mark.parametrize("fit", [
-    interp.fit_composite,
-    lambda samples: interp.geodesic_interp([(s.t, s.point) for s in samples]),
-    lambda samples: interp.tangent_rbf_interp([(s.t, s.point) for s in samples]),
-], ids=["composite", "geodesic", "rbf"])
+@every_fit
 def test_degenerate_subinterval_rejected(rng, fit):
     samples = make_samples(rng, 15, 3, [0.0, 1e-14, 1.0])
     with pytest.raises(PreconditionError, match="degenerate subinterval"):
+        fit(samples)
+
+
+@every_fit
+@pytest.mark.parametrize("ts", [
+    [0.0, np.inf],
+    [-np.inf, 0.0, 1.0],
+    [-1e308, 0.0, 1e308],
+], ids=["inf", "minus-inf", "overflowing-span"])
+def test_infinite_span_rejected(rng, fit, ts):
+    # unrefused, such a plan fits and then evaluates wrongly or not at all
+    samples = make_samples(rng, 15, 3, ts)
+    with pytest.raises(PreconditionError, match=r"sample span \[.*\] is not finite"):
         fit(samples)
 
 
@@ -342,6 +366,14 @@ class TestTangentRBF:
         for t in (5.0, -1e-9, 1.0 + 1e-9):
             with pytest.raises(DomainError, match=r"outside \[0\.0, 1\.0\]"):
                 curve(t)
+
+    def test_span_past_half_the_float64_range(self, rng):
+        # 2 (t - t_first) overflows here; the rescaling halves the span instead
+        samples = make_samples(rng, 15, 3, [0.0, 0.5e308, 1.5e308])
+        pts = [(s.t, s.point) for s in samples]
+        curve = interp.tangent_rbf_interp(pts)
+        for t, p in pts:
+            assert np.linalg.norm(curve(t).u - p.u) <= 1e-8
 
     def test_single_sample_rejected(self, rng):
         p = stiefel.random_point(rng, 12, 3)
@@ -371,12 +403,6 @@ class TestTangentRBF:
                 assert np.linalg.norm(curve(t).u - p.u) <= 1e-8
 
 
-@pytest.fixture(scope="module")
-def qr_path():
-    cfg = ex.ExperimentConfig(n=100, r=6, interval=(-1.1, 1.1), num_nodes=6, seed=0)
-    return ex.gen_qr_experiment(cfg)
-
-
 def _knots_and_interior(knots):
     interior = np.random.default_rng(3).uniform(knots[0], knots[-1], 50)
     return [float(t) for t in knots] + [float(t) for t in interior]
@@ -404,7 +430,7 @@ class TestFrameEvaluation:
         samples = qr_path.samples
         curve = interp.fit_composite(samples, centering=centering)
         for t in _knots_and_interior(curve.knots):
-            i = curve.arc_index(t)
+            i = interp._segment_index(curve.knots, t)
             center, (far, start, end) = _reference_arc(samples[i], samples[i + 1], centering)
             a0, a1, b0, b1 = interp.hermite_coeffs(t, samples[i].t, samples[i + 1].t)
             delta = (a0 if centering == "q" else a1) * far + b0 * start + b1 * end

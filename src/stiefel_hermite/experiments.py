@@ -3,7 +3,9 @@
 Two kinds of sampled factor path drive the studies:
 
 * ``QRExperimentData``: the Q-factor path of a cubic random matrix
-  polynomial (QR study);
+  polynomial (QR study), factored once: its rank scan, samples and
+  references each cost one min(n, 4r) x r QR of the path's coordinates in
+  one orthonormal basis of its coefficients;
 * ``SVDExperimentData``: the truncated SVD factors of a rank-r matrix path,
   all sampled by one loop.  Two families feed it: a product of random matrix
   polynomials with exact low rank (SVD and tangent-vs-manifold studies), and
@@ -177,26 +179,50 @@ def _uniform_grid(nodes: np.ndarray, points: int) -> np.ndarray:
 
 @dataclass
 class QRExperimentData:
-    """Cubic matrix polynomial Y(t) and Hermite samples of its Q-factor."""
+    """Cubic matrix polynomial Y(t) and Hermite samples of its Q-factor.
+
+    The path is factored once: ``qr_basis`` of the stacked coefficients
+    [Y0 Y1 Y2 Y3] (n x 4r) gives an orthonormal Q4 (n x m, m = min(n, 4r))
+    and coordinates C, so Y(t) = Q4 C(t) with C(t) = C0 + t C1 + t^2 C2 +
+    t^3 C3 (m x r).  Since Q4'Q4 = I, the QR of Y(t) is Q4 q, R with q, R
+    the QR of C(t): in exact arithmetic the same R, sign convention and
+    ||.||_F, hence the same rank verdict.  A scan point then costs one
+    m x r QR; a reference adds the n x m by m x r product of the lift
+    Q = Q4 q, and a sample also ``diff_qr`` of the n x r Ydot(t).
+    """
 
     coeffs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     nodes: np.ndarray
     samples: list[interpolate.HermiteSample]
+    basis: np.ndarray = field(init=False, repr=False)  # Q4, n x m
+    coords: np.ndarray = field(init=False, repr=False)  # (4, m, r): C0 .. C3
 
-    def y(self, t: float) -> np.ndarray:
-        y0, y1, y2, y3 = self.coeffs
-        return y0 + t * y1 + t * t * y2 + t**3 * y3
+    def __post_init__(self):
+        r = self.coeffs[0].shape[1]
+        self.basis, stacked = linalg.qr_basis(np.hstack(self.coeffs))
+        # Columns k r .. (k + 1) r - 1 of Q4'[Y0 Y1 Y2 Y3] are C_k.
+        self.coords = np.ascontiguousarray(stacked.reshape(-1, 4, r).transpose(1, 0, 2))
+
+    def coordinates(self, t: float) -> np.ndarray:
+        """C(t) = Q4'Y(t), the m x r coordinates of Y(t) in the path's basis."""
+        c0, c1, c2, c3 = self.coords
+        return c0 + t * c1 + t * t * c2 + t**3 * c3
 
     def y_dot(self, t: float) -> np.ndarray:
         _, y1, y2, y3 = self.coeffs
         return y1 + 2.0 * t * y2 + 3.0 * t * t * y3
 
+    def factor(self, t: float) -> linalg.EconQR:
+        """QR of Y(t): the m x r QR of C(t), with Q lifted to n rows."""
+        qr = linalg.qr_econ(self.coordinates(t))
+        return linalg.EconQR(self.basis @ qr.q, qr.r_factor, qr.rank_deficient)
+
     def reference(self, t: float) -> stiefel.StiefelPoint:
-        return stiefel.StiefelPoint(linalg.qr_econ(self.y(t)).q)
+        return stiefel.StiefelPoint(self.factor(t).q)
 
     def sample(self, t: float) -> interpolate.HermiteSample:
         """The Q-factor at t with its velocity."""
-        qr = linalg.qr_econ(self.y(t))
+        qr = self.factor(t)
         point = stiefel.StiefelPoint(qr.q)
         q_dot = diff_qr(self.y_dot(t), qr)
         return interpolate.HermiteSample(float(t), stiefel.TangentVector(point, q_dot))
@@ -231,7 +257,11 @@ def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
     anywhere on the evaluation grid are rejected and regenerated with the
     next seed, which is reported.  At n = r the Q factors lie in O(n), whose
     two components no geodesic joins, so a path whose det Y changes sign
-    over the grid (Y is singular in between) is rejected too.
+    over the grid (Y is singular in between) is rejected too; the scan reads
+    det C(t), which is det Y(t) times the constant det Q4 = +-1.
+
+    Each drawn path is factored once (see ``QRExperimentData``), so a scan
+    point costs one min(n, 4r) x r QR of its coordinates and no n-row work.
     """
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
     scan = np.concatenate([nodes, _uniform_grid(nodes, config.grid_points)])
@@ -241,10 +271,10 @@ def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
         data = QRExperimentData(coeffs=coeffs, nodes=nodes, samples=[])
         det_signs = set()
         for t in scan:
-            y = data.y(t)
-            if linalg.qr_econ(y).rank_deficient:
+            c = data.coordinates(t)
+            if linalg.qr_econ(c).rank_deficient:
                 return None
-            det_signs.add(config.n > config.r or np.linalg.det(y) > 0.0)
+            det_signs.add(config.n > config.r or np.linalg.det(c) > 0.0)
         if len(det_signs) > 1:
             return None
         data.samples.extend(data.sample(t) for t in nodes)

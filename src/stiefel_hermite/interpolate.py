@@ -182,8 +182,21 @@ def _hermite_arc_coeffs(centering: str, knots: np.ndarray, i: int, t: float) -> 
 
 
 def fit_composite(samples: list[HermiteSample], centering: str = "q") -> CompositeCurve:
-    """Fit arcs over consecutive sample pairs; the result is C^1 at the knots."""
+    """Fit arcs over consecutive sample pairs; the result is C^1 at the knots.
+
+    An evaluation scales the unit-time velocities by b0 and b1, with
+    |b0| + |b1| = span s (1 - s) <= span / 4, and takes the Frobenius norm
+    of the combination.  A plan whose span / 4 times the largest velocity
+    norm has no finite square would overflow there, so it is refused.
+    """
     ts = _check_sample_plan([s.t for s in samples])
+    span = float(ts[-1]) - float(ts[0])
+    scale = 0.25 * span * max(float(np.linalg.norm(s.velocity.delta)) for s in samples)
+    if not math.isfinite(scale * scale):
+        raise PreconditionError(
+            f"the sample span [{ts[0]}, {ts[-1]}] scales the velocities to norm {scale:.3g}, "
+            "whose square overflows float64 at evaluation"
+        )
     frames = tuple(fit_arc(s0, s1, centering=centering) for s0, s1 in zip(samples, samples[1:]))
     return CompositeCurve(ts, frames, functools.partial(_hermite_arc_coeffs, centering, ts))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -350,6 +351,16 @@ def test_infinite_span_rejected(rng, fit, ts):
     samples = make_samples(rng, 15, 3, ts)
     with pytest.raises(PreconditionError, match=r"sample span \[.*\] is not finite"):
         fit(samples)
+
+
+@pytest.mark.parametrize("ts", [[0.0, 0.5e308, 1.5e308], [0.0, 1e160]])
+def test_composite_velocity_overflow_refused(rng, ts):
+    # a finite span that scales the unit-time velocities past 1e154: the
+    # Frobenius norm of an evaluation's combination would overflow
+    samples = make_samples(rng, 15, 3, ts)
+    span = re.escape(f"sample span [0.0, {ts[-1]:g}]")
+    with pytest.raises(PreconditionError, match=rf"{span}.*overflows float64"):
+        interp.fit_composite(samples)
 
 
 class TestTangentRBF:

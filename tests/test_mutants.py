@@ -1,43 +1,105 @@
 """The suite's sensitivity: named checks must catch small deliberate faults.
 
 Each test patches one module-level function of the library with a mutant
-that is wrong by 1-2%, calls the checks that must catch it as plain
-functions, and asserts that each of them fails.  A fit looks its coefficient
-rule up on ``interpolate`` when it binds it, so a patch made before fitting
-reaches the curve.  ``hermite_coeffs`` is not patched: the checks build
-their reference from it.
+that is wrong by 1-5%, calls the checks that must catch it as plain
+functions, and asserts that each of them fails.  The library reaches its
+kernels through module attributes, so a patch reaches every caller; a fit
+looks its coefficient rule up on ``interpolate`` when it binds it, so a
+patch made before fitting reaches the curve.  ``hermite_coeffs`` is not
+patched: the checks build their reference from it.
 """
 
+import numpy as np
 import pytest
+import test_acceptance
+import test_calculus
+import test_experiments
 import test_interpolate
+import test_oracles
+import test_stiefel
 
+from stiefel_hermite import calculus, linalg, stiefel
+from stiefel_hermite import experiments as ex
 from stiefel_hermite import interpolate as interp
 
-#: The checks, imported as a module so that this one does not collect them again.
-checks = test_interpolate.TestFrameEvaluation()
+# The checks, imported as modules so that this one does not collect them again;
+# each is called with the generator its module's ``rng`` fixture returns.
+frames = test_interpolate.TestFrameEvaluation()
+sphere = test_oracles.TestSphereOracle()
 
 
-def _mutate(monkeypatch, name, change):
-    """Replace ``interpolate.<name>`` by ``change`` applied to its output."""
-    rule = getattr(interp, name)
-    monkeypatch.setattr(interp, name, lambda *args: change(rule(*args)))
+def _mutate(monkeypatch, module, name, change):
+    """Replace ``module.<name>`` by ``change`` applied to its output."""
+    kernel = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: change(kernel(*args, **kwargs)))
 
 
 @pytest.mark.parametrize("centering", interp.CENTERINGS)
 def test_hermite_b0_mutant(monkeypatch, qr_path, centering):
-    _mutate(monkeypatch, "_hermite_arc_coeffs", lambda c: (c[0], 1.02 * c[1], c[2]))
+    _mutate(monkeypatch, interp, "_hermite_arc_coeffs", lambda c: (c[0], 1.02 * c[1], c[2]))
     with pytest.raises(AssertionError):
-        checks.test_composite(qr_path, centering)
+        frames.test_composite(qr_path, centering)
 
 
 def test_geodesic_fraction_mutant(monkeypatch, qr_path):
-    _mutate(monkeypatch, "_geodesic_coeffs", lambda c: (1.01 * c[0],))
+    _mutate(monkeypatch, interp, "_geodesic_coeffs", lambda c: (1.01 * c[0],))
     with pytest.raises(AssertionError):
-        checks.test_geodesic(qr_path)
+        frames.test_geodesic(qr_path)
 
 
 def test_rbf_weights_mutant(monkeypatch, qr_path):
     # the coefficients multiply the weights, so this scales every weight
-    _mutate(monkeypatch, "_rbf_coeffs", lambda c: 1.01 * c)
+    _mutate(monkeypatch, interp, "_rbf_coeffs", lambda c: 1.01 * c)
     with pytest.raises(AssertionError):
-        checks.test_rbf(qr_path)
+        frames.test_rbf(qr_path)
+
+
+def test_log_mutant(monkeypatch):
+    _mutate(monkeypatch, stiefel, "stiefel_log", lambda xi: 1.01 * xi)
+    with pytest.raises(AssertionError):
+        sphere.test_log()
+    with pytest.raises(AssertionError):
+        test_stiefel.TestLog().test_round_trip(np.random.default_rng(42))
+
+
+def test_dexp_mutant(monkeypatch):
+    _mutate(monkeypatch, calculus, "dexp_stiefel", lambda d: 1.01 * d)
+    with pytest.raises(AssertionError):
+        sphere.test_exp_and_dexp()
+    with pytest.raises(AssertionError):
+        test_calculus.TestDexpStiefel().test_matches_fd_oracle(np.random.default_rng(0))
+
+
+def test_dist_mutant(monkeypatch):
+    _mutate(monkeypatch, stiefel, "dist", lambda d: 1.05 * d)
+    with pytest.raises(AssertionError):
+        test_stiefel.TestDist().test_radial_isometry(np.random.default_rng(42))
+    with pytest.raises(AssertionError):
+        test_oracles.test_observed_curvature_tends_to_oneill(12, 1, 0)
+
+
+def _one_sided_transport(delta, v_p, h=calculus.DEFAULT_FD_STEP):
+    """(Log_q(Exp_p(h v_p)) - Log_q(p)) / h: first order in h, where the transport is second."""
+    q = delta.base
+    plus = stiefel.stiefel_log(q, stiefel.split_tangent(v_p).exp((h,)), start=delta)
+    return stiefel.project_tangent(q, (plus.delta - delta.delta) / h)
+
+
+def test_one_sided_transport_mutant(monkeypatch):
+    monkeypatch.setattr(calculus, "transport_velocity", _one_sided_transport)
+    with pytest.raises(AssertionError):
+        sphere.test_transport_is_the_derivative_of_the_log()
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_1_transport_accuracy()
+
+
+def test_qr_lift_sign_mutant(monkeypatch):
+    # the lift of the coordinates' QR without qr_econ's sign convention:
+    # the Householder signs that LAPACK leaves
+    def unsigned_factor(data, t):
+        q, r_factor = np.linalg.qr(data.coordinates(t))
+        return linalg.EconQR(data.basis @ q, r_factor, False)
+
+    monkeypatch.setattr(ex.QRExperimentData, "factor", unsigned_factor)
+    with pytest.raises(AssertionError):
+        test_experiments.TestQRExperiment().test_factored_path_matches_direct_qr(100, 6, False)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import calculus, stiefel
+from . import calculus, linalg, stiefel
 from .errors import (
     ArcFitError,
     DomainError,
@@ -45,6 +45,12 @@ CENTERINGS = ("q", "p")
 
 #: Subintervals shorter than this fraction of the knot span are rejected.
 DEGENERATE_SPAN_EPS = 1e-12
+
+#: ``TangentFrame.exp`` of a combination D drifts from orthonormality by
+#: ||U'U - I||_F <= EXP_DRIFT_PER_NORM * ||D||_F * eps, linearly in ||D||_F:
+#: measured at most 109 over 60 random directions each on St(5, 5), St(6, 3),
+#: St(15, 3), St(100, 6) and St(1000, 10), at ||D||_F from 1 to 3e8.
+EXP_DRIFT_PER_NORM = 128.0
 
 #: Shape parameter of the RBF baseline's inverse multiquadric kernel, on
 #: parameters rescaled to [-1, 1].  Read at call time.
@@ -97,9 +103,9 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stief
     for the far velocity; the velocity at the center is used as-is.  The
     logs run to ``stiefel.LOG_TAU``, and the transport's two start from the
     far endpoint's log: an arc of the fit_far benchmark takes 6 + 5 + 3
-    Schur logs.  The frame is attached at the arc's center and holds its
-    three tangent vectors in the order whose coefficients
-    ``_hermite_arc_coeffs`` returns.
+    kernel logs (``linalg.logm`` calls).  The frame is attached at the
+    arc's center and holds its three tangent vectors in the order whose
+    coefficients ``_hermite_arc_coeffs`` returns.
     """
     if centering not in CENTERINGS:
         raise PreconditionError(f"centering must be one of {CENTERINGS}, got {centering!r}")
@@ -185,17 +191,23 @@ def fit_composite(samples: list[HermiteSample], centering: str = "q") -> Composi
     """Fit arcs over consecutive sample pairs; the result is C^1 at the knots.
 
     An evaluation scales the unit-time velocities by b0 and b1, with
-    |b0| + |b1| = span s (1 - s) <= span / 4, and takes the Frobenius norm
-    of the combination.  A plan whose span / 4 times the largest velocity
-    norm has no finite square would overflow there, so it is refused.
+    |b0| + |b1| = span s (1 - s) <= span / 4, takes the Frobenius norm of
+    the combination and its exponential.  So the plan's scale, span / 4
+    times the largest velocity norm, is refused when its square overflows
+    float64, and when it passes ``linalg.ORTH_TOL / (EXP_DRIFT_PER_NORM *
+    eps)`` (3.5e3): past that the exponential's drift (c ||D||_F eps, c
+    measured at most 109) can fail the point check of an evaluation.
     """
     ts = _check_sample_plan([s.t for s in samples])
     span = float(ts[-1]) - float(ts[0])
     scale = 0.25 * span * max(float(np.linalg.norm(s.velocity.delta)) for s in samples)
-    if not math.isfinite(scale * scale):
+    limit = linalg.ORTH_TOL / (EXP_DRIFT_PER_NORM * np.finfo(float).eps)
+    if scale > limit:
         raise PreconditionError(
             f"the sample span [{ts[0]}, {ts[-1]}] scales the velocities to norm {scale:.3g}, "
-            "whose square overflows float64 at evaluation"
+            + ("whose square overflows float64 at evaluation" if not math.isfinite(scale * scale)
+               else f"past the {limit:.3g} at which an evaluation's exponential may drift "
+               f"from orthonormality by ORTH_TOL = {linalg.ORTH_TOL:g}")
         )
     frames = tuple(fit_arc(s0, s1, centering=centering) for s0, s1 in zip(samples, samples[1:]))
     return CompositeCurve(ts, frames, functools.partial(_hermite_arc_coeffs, centering, ts))

@@ -7,7 +7,10 @@ Everything downstream depends on two conventions established here:
   of the input on the set of full-column-rank matrices.  Library QR routines
   fix signs arbitrarily and can jump along a smooth matrix path.
 * ``logm`` is the principal logarithm of an *orthogonal* matrix, read off
-  its real Schur form; its output is exactly skew-symmetric.  It is the
+  one symmetric eigendecomposition of (V + V')/2 (the inverse Rodrigues
+  formula); its output is exactly skew-symmetric.  It is accurate to
+  round-off near the identity and for a single angle near pi, and raises
+  ``DomainError`` for an eigenvalue within round-off of -1.  It is the
   kernel of each step of the Stiefel log and reads off its result.
 
 The heavy lifting is delegated to LAPACK via numpy/scipy; the wrappers add
@@ -17,7 +20,6 @@ the conventions, the domain checks, and typed errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,6 +32,9 @@ RANK_EPS = 1e-13
 
 # Largest ||V'V - I||_F accepted as orthonormal input.
 ORTH_TOL = 1e-10
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -53,46 +58,39 @@ def expm(x) -> np.ndarray:
     return sla.expm(_as_square(x, "expm"))
 
 
-def _unsorted(re_part, im_part) -> None:
-    """``dgees`` eigenvalue selector for an unsorted Schur form."""
-
-
-@lru_cache(maxsize=None)
-def _schur_lwork(n: int) -> int:
-    """Optimal ``dgees`` workspace for n x n input; it depends on n only."""
-    return int(lapack.dgees(_unsorted, np.eye(n), lwork=-1)[-2][0])
-
-
-def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real Schur form ``a = z t z'`` by one ``dgees`` call.
-
-    The factors of ``scipy.linalg.schur(a, output="real")``, without its
-    per-call workspace query and second finiteness check.
-    """
-    t, _, _, _, z, _, info = lapack.dgees(_unsorted, a, lwork=_schur_lwork(a.shape[0]))
-    if info != 0:
-        raise DomainError(f"logm: dgees found no Schur form (info = {info})")
-    return t, z
-
-
 def logm(x) -> np.ndarray:
     """Principal logarithm of an orthogonal matrix, exactly skew-symmetric.
 
-    An orthogonal matrix is normal, so its real Schur form ``Z T Z'`` is
-    block diagonal up to round-off: 2 x 2 rotation blocks and 1 x 1 blocks
-    equal to +1 or -1.  The log maps each rotation block to its angle in
-    (-pi, pi) (``atan2``) and each +1 to 0; ``Z Theta Z'`` is then
-    skew-symmetrized (Higham, *Functions of Matrices*, section 11).  The
-    Schur form is one LAPACK ``dgees`` call with its workspace size cached
-    per n (``_real_schur``).
+    The inverse Rodrigues formula in matrix form.  For orthogonal V the
+    parts H = (V + V')/2 and S = (V - V')/2 commute: on a rotation plane of
+    angle theta in [0, pi], H is cos(theta) I and S is sin(theta) times a
+    unit skew matrix.  One LAPACK ``dsyevd`` call gives H = P diag(c) P'.
+    With T = P'SP, s_k is the norm of row k of T (the measured sin of angle
+    k), theta_k = atan2(s_k, c_k), and log V = P (M o T) P' with
+    M_kj = (theta_k + theta_j) cos((theta_k - theta_j) / 2) / (s_k + s_j).
+    Within a plane (theta_k = theta_j) that is theta / s, which tends to 1
+    as s -> 0.  T couples different planes only by round-off; there M_kj
+    is the larger modulus of the log's divided differences between their
+    eigenvalues, (theta_k + theta_j) / (2 sin((theta_k + theta_j) / 2)),
+    so round-off that couples a plane near pi to the others is amplified
+    no more than by the log itself, not by theta_k / s_k.
+
+    Accuracy: near the identity the relative error stays at round-off (a
+    rotation by 1e-9 comes back to ~1e-15).  Dividing by the measured s_k,
+    not by sqrt(1 - c_k^2), keeps an angle near pi accurate: a rotation by
+    pi - 1e-6 round-trips through ``expm`` to ~1e-15.  Two different
+    angles theta_1, theta_2 near pi lose accuracy like eps / |cos theta_1 -
+    cos theta_2|, because the eigenvectors of H separate them by their
+    cosines only.
 
     Raises
     ------
     PreconditionError
         If ``||X'X - I||_F`` exceeds ``ORTH_TOL``.
     DomainError
-        If ``x`` has a real eigenvalue <= 0 (a rotation by pi), where the
-        principal logarithm is not defined.
+        If ``x`` has an eigenvalue within round-off of -1, where the
+        principal logarithm is not defined: an angle theta_k >= pi - 8 n eps,
+        that is c_k < 0 with s_k <= 8 n eps to round-off.
     """
     a = _as_square(x, "logm")
     n = a.shape[0]
@@ -101,24 +99,25 @@ def logm(x) -> np.ndarray:
         raise PreconditionError(
             f"logm input is not orthogonal (||X'X - I||_F = {drift:.3g})"
         )
-    t, z = _real_schur(a)
-    theta = np.zeros((n, n))
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            # LAPACK's standardized block [[c, b], [s, c]] with b * s < 0.
-            b, s = t[i, i + 1], t[i + 1, i]
-            angle = np.arctan2(np.sign(s) * np.sqrt(-b * s), t[i, i])
-            theta[i + 1, i] = angle
-            theta[i, i + 1] = -angle
-            i += 2
-        else:
-            if t[i, i] <= 0.0:
-                raise DomainError(
-                    f"logm: eigenvalue {t[i, i]:.6g} lies on the closed negative real axis"
-                )
-            i += 1
-    out = z @ theta @ z.T
+    # 2H = V + V' = P diag(c) P' and 2T = P'(V - V')P: c, s and T are all
+    # doubled, which leaves theta and the product M o T unchanged.
+    c, p, info = lapack.dsyevd(a + a.T)
+    if info != 0:
+        raise DomainError(f"logm: dsyevd did not converge (info = {info})")
+    t = p.T @ (a - a.T) @ p
+    s = np.sqrt(np.einsum("ij,ij->i", t, t))
+    # A zero s_k is a zero row of T, where the mask need only be finite: the
+    # floor at the smallest normal float keeps s_k + s_j from being 0.
+    np.maximum(s, _TINY, out=s)
+    theta = np.arctan2(s, c)
+    # For c_k < 0, pi - theta_k = s_k / |c_k| to round-off, with |c_k| = 1.
+    if theta.max() >= np.pi - 8 * n * _EPS:
+        raise DomainError(
+            "logm: an eigenvalue lies within round-off of -1 "
+            f"(largest angle pi - {np.pi - theta.max():.3g})"
+        )
+    mask = np.add.outer(theta, theta) * np.cos(0.5 * np.subtract.outer(theta, theta))
+    out = p @ (mask / np.add.outer(s, s) * t) @ p.T
     return 0.5 * (out - out.T)
 
 
@@ -136,18 +135,34 @@ class EconQR:
     rank_deficient: bool
 
 
+def _householder(mat: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR by LAPACK ``dgeqrf``/``dorgqr``: Q (n x min(n, k)) and the packed factors.
+
+    R is the upper triangle of the packed factors' first min(n, k) rows.
+    """
+    packed, tau, _, info = lapack.dgeqrf(mat)
+    if info == 0:
+        q, _, info = lapack.dorgqr(packed[:, : tau.shape[0]], tau)
+    if info != 0:
+        raise PreconditionError(f"{op}: LAPACK returned info = {info}")
+    return q, packed
+
+
 def qr_econ(a) -> EconQR:
     """Economy-size QR with deterministic signs (R-diagonal >= 0).
 
     For full-column-rank input this is the unique QR factorization with a
     positive R-diagonal, hence continuous along full-rank matrix paths.
-    Rank deficiency is flagged on the result, not raised.
+    Rank deficiency is flagged on the result, not raised.  The factors come
+    from the LAPACK ``dgeqrf``/``dorgqr`` pair that ``qr_basis`` calls, with
+    R read off ``dgeqrf``'s output.
     """
     mat = _as_matrix(a, "a")
     n, r = mat.shape
     if n < r:
         raise ShapeError(f"qr_econ needs n >= r, got {mat.shape}")
-    q, rf = np.linalg.qr(mat, mode="reduced")
+    q, packed = _householder(mat, "qr_econ")
+    rf = np.triu(packed[:r])
     diag = np.diagonal(rf).copy()
     flip = diag < 0.0
     if np.any(flip):
@@ -168,11 +183,7 @@ def qr_basis(a) -> tuple[np.ndarray, np.ndarray]:
     need some orthonormal basis of the span skip ``qr_econ``'s overhead.
     """
     mat = _as_matrix(a, "a")
-    qr, tau, _, info = lapack.dgeqrf(mat)
-    if info == 0:
-        q, _, info = lapack.dorgqr(qr[:, : tau.shape[0]], tau)
-    if info != 0:
-        raise PreconditionError(f"qr_basis: LAPACK returned info = {info}")
+    q, _ = _householder(mat, "qr_basis")
     return q, q.T @ mat
 
 

@@ -9,7 +9,8 @@ matrix logarithm has the tangent block structure.
 
 The logarithm starts from a completion in Procrustes position, or from the
 geodesic of a nearby tangent vector when the caller has one, and runs on
-one kernel, the real-Schur log of an orthogonal matrix (``linalg.logm``):
+one kernel, the log of an orthogonal matrix read off one symmetric
+eigendecomposition (``linalg.logm``, the inverse Rodrigues formula):
 each step polishes the completion onto O(2r) with one Newton-Schulz step,
 takes its log, and rotates by the clipped solution of a small Sylvester
 equation (Zimmermann and Hueper's first-order BCH correction of the plain
@@ -247,7 +248,7 @@ def _polished(v: np.ndarray, k: int, residual: float) -> np.ndarray:
     """One Newton-Schulz polar step V (3I - V'V) / 2 of an orthogonal iterate.
 
     It squares the drift ||V'V - I||, so round-off cannot build up over the
-    steps and the Schur log sees a matrix orthogonal to machine precision.
+    steps and the kernel log sees a matrix orthogonal to machine precision.
     A drift above ``linalg.ORTH_TOL`` means a broken update, not round-off,
     and raises instead of being polished away.
     """
@@ -355,21 +356,21 @@ def stiefel_log(
       matrix (last column negated if det V would be -1).  The first
       residual then scales with the distance of Exp(start) from the target,
       not with that of base: the velocity transport's logs start from logs
-      that end O(h) and O(h^2) from their targets and take 5 and 3 Schur
+      that end O(h) and O(h^2) from their targets and take 5 and 3 kernel
       logs where a cold start takes 6 (fit_far, 0.57 pi apart).  A Gram
       singular value below ``WARM_START_MIN_SQ`` means the start is far
       off, and the Procrustes start is used instead.
     * Polish: before each log V is replaced by V (3I - V'V) / 2, one
       Newton-Schulz step towards the orthogonal polar factor.  A drift
       ||V'V - I||_F above ``linalg.ORTH_TOL`` before the polish raises.
-    * Kernel: each step takes ``linalg.logm``, the real-Schur log of an
-      orthogonal matrix, exactly skew.  The Schur form of the polished V is
-      block diagonal to round-off, so the log of the last iterate is also
-      the readout: A and B come off the same matrix whose C passed
-      ``LOG_TAU``.
-      (Without the polish, the Schur log drops an off-diagonal part of the
-      drift's size that differs between nearby targets, which the velocity
-      transport's difference quotient amplifies by 1/h.)
+    * Kernel: each step takes ``linalg.logm``, the log of an orthogonal
+      matrix from one symmetric eigendecomposition of (V + V')/2 (inverse
+      Rodrigues formula), exactly skew.  The polished V is orthogonal to
+      round-off, so the log of the last iterate is also the readout: A and
+      B come off the same matrix whose C passed ``LOG_TAU``.
+      (The polish keeps the iterates' drift out of the log: a drift that
+      differs between nearby targets would be amplified by 1/h in the
+      velocity transport's difference quotient.)
     * Step: the same paper.  The BCH formula,
       truncated after its commutators of degree two in log(V), gives the
       lower-right block of log(V diag(I, expm(X))) as

@@ -299,7 +299,7 @@ def test_criterion_8_snapshot_failure_mode():
             # into the center tangent space. Convergence of the Stiefel log
             # is guaranteed only for close points, so that failure belongs to
             # one run, not to the method. Here all six logs converge (norms
-            # 0.36-0.66 pi, 6-9 Schur logs); what is checked is that they
+            # 0.36-0.66 pi, 6-9 kernel logs); what is checked is that they
             # are certified and that the RBF baseline keeps every sample.
             "rbf completed without failure": "rbf" in rep.errors
             and "rbf" not in rep.failures,

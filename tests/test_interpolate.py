@@ -174,7 +174,7 @@ class TestArc:
         assert kernel_calls == {"log": 3, "exp": 2}
 
     def test_at_most_fourteen_schur_logs(self, monkeypatch):
-        # cold, each of the three logs takes 5-6 Schur logs (15-18 per arc);
+        # cold, each of the three logs takes 5-6 kernel logs (15-18 per arc);
         # with the transport's two started from Log_q(p), an arc takes 12-13
         cfg = ex.ExperimentConfig(n=40, r=3, interval=(-1.1, 1.1), num_nodes=3, seed=0)
         samples = ex.gen_qr_experiment(cfg).samples
@@ -362,6 +362,22 @@ def test_composite_velocity_overflow_refused(rng, ts):
     with pytest.raises(PreconditionError, match=rf"{span}.*overflows float64"):
         interp.fit_composite(samples)
 
+
+
+def test_composite_exp_drift_refused():
+    # span 1e6 scales the velocities to norm 2.1e5, where 12 of 21 evaluations
+    # on a uniform grid failed the point check before the fit refused the plan
+    samples = make_samples(np.random.default_rng(0), 15, 3, [0.0, 1e6 / 3, 1e6])
+    with pytest.raises(PreconditionError, match=r"sample span \[0\.0, 1000000\.0\].*drift"):
+        interp.fit_composite(samples)
+
+
+@pytest.mark.parametrize("span", [1.0, 1e2, 1e4])
+def test_composite_wide_span_evaluates_everywhere(span):
+    samples = make_samples(np.random.default_rng(0), 15, 3, [0.0, span / 3, span])
+    curve = interp.fit_composite(samples)
+    for t in np.linspace(0.0, span, 21):
+        curve(t)
 
 class TestTangentRBF:
     def test_interpolates_at_knots(self, rng):

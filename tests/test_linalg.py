@@ -95,16 +95,48 @@ class TestLogm:
         out = linalg.logm(linalg.expm(rotation_generator(rng, [2.5, 1.0, 0.3], 6)))
         assert np.array_equal(out + out.T, np.zeros((6, 6)))
 
-    def test_schur_factors_match_scipy_bitwise(self):
-        # one dgees call with the workspace cached per n, as scipy.linalg.schur
-        # computes it with a workspace query per call
+    def test_matches_scipy_logm(self):
+        # sizes 2-24, angles up to 0.99 pi, some repeated, some zero (+1
+        # eigenvalues); measured 2.3e-14 at worst
         rng = np.random.default_rng(23)
         for i in range(200):
             n = 2 + i % 23
-            v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            t, z = linalg._real_schur(v)
-            t_ref, z_ref = scipy.linalg.schur(v, output="real")
-            assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
+            angles = rng.uniform(0.0, 0.99 * np.pi, n // 2)
+            if i % 5 == 1:
+                angles[: n // 4 + 1] = angles[0]
+            if i % 7 == 2:
+                angles[n // 4 :] = 0.0
+            v = scipy.linalg.expm(rotation_generator(rng, angles, n))
+            ref = scipy.linalg.logm(v).real
+            err = np.linalg.norm(linalg.logm(v) - ref)
+            assert err <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+    def test_rotation_near_identity(self):
+        # measured 1.4e-15 at worst; a real-Schur-form log lost 2.4e-6 here
+        rng = np.random.default_rng(24)
+        for i in range(200):
+            s = rotation_generator(rng, [1e-9], 2 + i % 23)
+            rec = linalg.logm(scipy.linalg.expm(s))
+            assert np.linalg.norm(rec - s) <= 1e-12 * np.linalg.norm(s)
+
+    def test_reflection_rejected(self):
+        rng = np.random.default_rng(25)
+        for n in (1, 2, 5, 12):
+            z = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            v = z @ np.diag([-1.0] + [1.0] * (n - 1)) @ z.T
+            with pytest.raises(DomainError):
+                linalg.logm(v)
+
+    @pytest.mark.parametrize("others", [[], [0.5], [0.5, 2.0, 1e-3]])
+    def test_rotation_near_pi_round_trips(self, others):
+        # measured 3.2e-15 and 8.1e-16 at worst: a plane near pi keeps its
+        # accuracy next to planes at other angles
+        rng = np.random.default_rng(26)
+        s = rotation_generator(rng, [np.pi - 1e-6, *others], 9)
+        v = scipy.linalg.expm(s)
+        rec = linalg.logm(v)
+        assert np.linalg.norm(scipy.linalg.expm(rec) - v) <= 1e-13
+        assert np.linalg.norm(rec - s) <= 1e-13 * np.linalg.norm(s)
 
     def test_rotation_by_pi_rejected(self):
         v = np.eye(5)

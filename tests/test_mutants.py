@@ -62,6 +62,30 @@ def test_log_mutant(monkeypatch):
         test_stiefel.TestLog().test_round_trip(np.random.default_rng(42))
 
 
+def _log_with_sin_from_cos(x):
+    """The inverse Rodrigues log scaling S by arccos(c) / sqrt(1 - c^2), not by theta / s.
+
+    It reads each sin off the cosine instead of measuring it on S, which
+    loses accuracy as an angle nears pi.
+    """
+    v = np.asarray(x, dtype=float)
+    c, p = np.linalg.eigh(0.5 * (v + v.T))
+    c = np.clip(c, -1.0, 1.0)
+    sin = np.sqrt(1.0 - c * c)
+    scale = np.ones_like(c)
+    scale[sin > 0.0] = np.arccos(c[sin > 0.0]) / sin[sin > 0.0]
+    out = (p * scale) @ (p.T @ (0.5 * (v - v.T)))
+    return 0.5 * (out - out.T)
+
+
+def test_log_kernel_mutant(monkeypatch, orthogonal_pairs):
+    monkeypatch.setattr(linalg, "logm", _log_with_sin_from_cos)
+    with pytest.raises(AssertionError):
+        test_stiefel.TestLog().test_orthogonal_group_log_is_principal_log(orthogonal_pairs)
+    with pytest.raises(AssertionError):
+        test_oracles.TestOrthogonalGroupOracle().test_log(orthogonal_pairs)
+
+
 def test_dexp_mutant(monkeypatch):
     _mutate(monkeypatch, calculus, "dexp_stiefel", lambda d: 1.01 * d)
     with pytest.raises(AssertionError):

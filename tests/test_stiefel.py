@@ -288,7 +288,7 @@ def test_round_trip_far_velocities(n, r, fraction):
 
 
 class TestLogIteration:
-    """The loop of ``stiefel_log``: polish, Schur-log kernel, Sylvester step."""
+    """The loop of ``stiefel_log``: polish, log kernel, Sylvester step."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -311,7 +311,7 @@ class TestLogIteration:
         return calls
 
     def test_far_pair_takes_at_most_nine_logs(self, monkeypatch):
-        # 0.57 pi apart at St(1000, 10), as in the fit_far benchmark: 6 Schur
+        # 0.57 pi apart at St(1000, 10), as in the fit_far benchmark: 6 kernel
         # logs here, where the plain step -C in place of the Sylvester step
         # would take 11
         rng = np.random.default_rng(0)

@@ -189,7 +189,7 @@ def transport_velocity(
     frame = stiefel.split_tangent(v_p)
     logs = []
     for s, side in ((h, "+h"), (-h, "-h")):
-        start = delta if not logs else 2.0 * delta - logs[0]
+        start = delta if not logs else stiefel.TangentVector(q, 2.0 * delta.delta - logs[0].delta)
         try:
             logs.append(stiefel.stiefel_log(q, frame.exp((s,)), start=start))
         except StiefelLogError as exc:

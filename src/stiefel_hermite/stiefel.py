@@ -21,12 +21,13 @@ keeps k tangent vectors at U as r x r blocks over one orthonormal basis of
 their normal parts, built once, so the exponential of any combination of
 them costs a 2r x 2r ``expm`` and the n x r products of its output.
 ``stiefel_exp`` is that kernel on the one-vector frame of its velocity;
-fitted curves build their frames at fit time.
+fitted curves build their frames at fit time.  The checks of points,
+tangent vectors and frames use ``linalg``'s cached identities and norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,13 +62,9 @@ class StiefelPoint:
         u = np.asarray(self.u, dtype=float)
         if u.ndim != 2 or u.shape[0] < u.shape[1]:
             raise ShapeError(f"Stiefel point needs an n x r matrix with n >= r, got {u.shape}")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise PreconditionError("Stiefel point has non-finite entries")
-        err = np.linalg.norm(u.T @ u - np.eye(u.shape[1]))
-        if err > linalg.ORTH_TOL:
-            raise PreconditionError(
-                f"columns are not orthonormal (||U'U - I||_F = {err:.3g})"
-            )
+        linalg._check_orthonormal(u, "columns are not orthonormal (||U'U - I||_F = {:.3g})")
         object.__setattr__(self, "u", u)
 
     @property
@@ -92,11 +89,11 @@ class TangentVector:
             raise ShapeError(
                 f"tangent vector shape {d.shape} != base shape {self.base.u.shape}"
             )
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise PreconditionError("tangent vector has non-finite entries")
         ud = self.base.u.T @ d
-        err = np.linalg.norm(ud + ud.T)
-        if err > TANGENT_TOL * max(1.0, np.linalg.norm(d)):
+        err = linalg._frobenius(ud + ud.T)
+        if err > TANGENT_TOL * max(1.0, linalg._frobenius(d)):
             raise PreconditionError(
                 f"not tangent at base (||U'D + D'U||_F = {err:.3g}); "
                 "use project_tangent for raw matrices"
@@ -138,7 +135,8 @@ def metric(xi: TangentVector, eta: TangentVector) -> float:
     xi._require_same_base(eta)
     u = xi.base.u
     full = float(np.sum(xi.delta * eta.delta))
-    vertical = float(np.sum((u.T @ xi.delta) * (u.T @ eta.delta)))
+    u_xi = u.T @ xi.delta
+    vertical = float(np.sum(u_xi * (u_xi if eta is xi else u.T @ eta.delta)))
     return full - 0.5 * vertical
 
 
@@ -167,24 +165,36 @@ class TangentFrame:
     U A + Q M with A = sum c_i A_i and M = sum c_i M_i, so its exponential
     needs no n x r factorization: only an r x r check, a small QR when
     m > r, a 2r x 2r ``expm`` and the n x r products of the output.
+
+    The layout is fixed at construction: ``flat`` is the (k, (r + m) r) view
+    of ``coords``, one contraction per combination, and ``coeff_max`` bounds
+    sum |c_i| so that no sum or square of a combination overflows.
     """
 
     base: StiefelPoint
     q: np.ndarray
     coords: np.ndarray  # (k, r + m, r)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    coeff_max: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "flat", self.coords.reshape(len(self.coords), -1))
+        # ||sum c_i D_i||_F <= sum |c_i| sum |flat|, and (1e153)^2 < float max / 100
+        object.__setattr__(self, "coeff_max", 1e153 / max(1.0, float(np.abs(self.flat).sum())))
 
     def _blocks(self, coeffs) -> tuple[np.ndarray, np.ndarray]:
         """A and M of the combination with the given coefficients; checks A skew."""
-        k = self.coords.shape[0]
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (k,):
-            raise ShapeError(f"frame of {k} tangent vectors got coefficients of shape {c.shape}")
+        if c.shape != self.flat.shape[:1]:
+            raise ShapeError(f"frame of {len(self.flat)} tangent vectors got coefficients of shape {c.shape}")
+        if not sum(map(abs, c.tolist())) <= self.coeff_max:  # NaN fails the comparison too
+            raise PreconditionError(f"coefficients {c} are not finite or may overflow the combination")
         r = self.base.r
-        x = (c @ self.coords.reshape(k, -1)).reshape(-1, r)
+        x = (c @ self.flat).reshape(-1, r)
         a = x[:r]
         # ||D||_F^2 = ||A||_F^2 + ||M||_F^2: the TangentVector test in r x r terms.
-        err = np.linalg.norm(a + a.T)
-        if err > TANGENT_TOL * max(1.0, np.linalg.norm(x)):
+        err = linalg._frobenius(a + a.T)
+        if err > TANGENT_TOL * max(1.0, linalg._frobenius(x)):
             raise PreconditionError(
                 f"combination is not tangent at base (||A + A'||_F = {err:.3g})"
             )
@@ -253,8 +263,8 @@ def _polished(v: np.ndarray, k: int, residual: float) -> np.ndarray:
     and raises instead of being polished away.
     """
     gram = v.T @ v
-    eye = np.eye(v.shape[1])
-    drift = float(np.linalg.norm(gram - eye))
+    eye = linalg._identity(v.shape[1])
+    drift = linalg._frobenius(gram - eye)
     if drift > linalg.ORTH_TOL:
         raise StiefelLogError(
             f"iterate lost orthogonality at iteration {k} (||V'V - I||_F = {drift:.3g})",
@@ -287,7 +297,7 @@ def _step(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     of the symmetric S, each denominator s_i + s_j clipped at
     ``SYLVESTER_DENOM_MAX``.
     """
-    s, p = np.linalg.eigh(b @ b.T / 12.0 - 0.5 * np.eye(b.shape[0]))
+    s, p = np.linalg.eigh(b @ b.T / 12.0 - 0.5 * linalg._identity(b.shape[0]))
     denom = np.minimum(s[:, np.newaxis] + s[np.newaxis, :], SYLVESTER_DENOM_MAX)
     x = p @ ((p.T @ c @ p) / denom) @ p.T
     return 0.5 * (x - x.T)
@@ -428,7 +438,7 @@ def stiefel_log(
         v = _polished(v, k, residual)
         log_v = _principal_log(v, k, residual)
         c = log_v[r:, r:]
-        residual = float(np.linalg.norm(c))
+        residual = linalg._frobenius(c)
         if residual <= LOG_TAU:
             xi = TangentVector(base, base.u @ log_v[:r, :r] + q @ log_v[r:, :r])
             length = norm(xi)

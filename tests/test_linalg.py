@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefel_hermite import linalg
+from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import DomainError, PreconditionError, ShapeError
 
 
@@ -212,6 +212,21 @@ class TestQrEcon:
         assert np.linalg.norm(out.q @ out.r_factor - a) < 1e-12 * max(1.0, np.linalg.norm(a))
         assert np.linalg.norm(out.q.T @ out.q - np.eye(4)) < 1e-13
         assert np.all(np.diagonal(out.r_factor) >= 0)
+
+
+class TestNoRows:
+    # LAPACK's dgeqrf refuses the leading dimension 0 and prints to stderr
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_qr_basis(self, shape, capfd):
+        q, coords = linalg.qr_basis(np.zeros(shape))
+        assert q.shape == (0, 0) and coords.shape == shape
+        assert capfd.readouterr() == ("", "")
+
+    def test_qr_econ_and_random_point(self, capfd):
+        out = linalg.qr_econ(np.zeros((0, 0)))
+        assert out.q.shape == out.r_factor.shape == (0, 0) and not out.rank_deficient
+        assert stiefel.random_point(np.random.default_rng(0), 0, 0).u.shape == (0, 0)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestSvdFull:

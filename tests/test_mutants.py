@@ -1,12 +1,14 @@
 """The suite's sensitivity: named checks must catch small deliberate faults.
 
-Each test patches one module-level function of the library with a mutant
-that is wrong by 1-5%, calls the checks that must catch it as plain
-functions, and asserts that each of them fails.  The library reaches its
-kernels through module attributes, so a patch reaches every caller; a fit
-looks its coefficient rule up on ``interpolate`` when it binds it, so a
-patch made before fitting reaches the curve.  ``hermite_coeffs`` is not
-patched: the checks build their reference from it.
+Each test patches one module-level function of the library, or one check
+of its types, with a mutant that is wrong by 1-5% or compares with the
+wrong bound, calls the checks that must catch it as plain functions, and
+asserts that each of them fails.  The library reaches its kernels through
+module attributes and its checks through class attributes, so a patch
+reaches every caller; a fit looks its coefficient rule up on
+``interpolate`` when it binds it, so a patch made before fitting reaches
+the curve.  ``hermite_coeffs`` is not patched: the checks build their
+reference from it.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ import test_stiefel
 from stiefel_hermite import calculus, linalg, stiefel
 from stiefel_hermite import experiments as ex
 from stiefel_hermite import interpolate as interp
+from stiefel_hermite.errors import PreconditionError
 
 # The checks, imported as modules so that this one does not collect them again;
 # each is called with the generator its module's ``rng`` fixture returns.
@@ -84,6 +87,37 @@ def test_log_kernel_mutant(monkeypatch, orthogonal_pairs):
         test_stiefel.TestLog().test_orthogonal_group_log_is_principal_log(orthogonal_pairs)
     with pytest.raises(AssertionError):
         test_oracles.TestOrthogonalGroupOracle().test_log(orthogonal_pairs)
+
+
+def _point_check_on_squared_drift(self):
+    """StiefelPoint's check comparing ||U'U - I||_F^2, not ||U'U - I||_F, with ORTH_TOL."""
+    u = np.asarray(self.u, dtype=float)
+    if np.linalg.norm(u.T @ u - np.eye(u.shape[1])) ** 2 > linalg.ORTH_TOL:
+        raise PreconditionError("columns are not orthonormal")
+    object.__setattr__(self, "u", u)
+
+
+def test_point_check_mutant(monkeypatch):
+    monkeypatch.setattr(stiefel.StiefelPoint, "__post_init__", _point_check_on_squared_drift)
+    with pytest.raises(AssertionError):
+        test_stiefel.TestTypes().test_point_drift_threshold(np.random.default_rng(42))
+
+
+def _blocks_without_scale(self, coeffs):
+    """TangentFrame._blocks comparing ||A + A'||_F with TANGENT_TOL, not TANGENT_TOL max(1, ||x||_F)."""
+    c = np.asarray(coeffs, dtype=float)
+    r = self.base.r
+    x = (c @ self.coords.reshape(len(c), -1)).reshape(-1, r)
+    a = x[:r]
+    if np.linalg.norm(a + a.T) > stiefel.TANGENT_TOL:
+        raise PreconditionError("combination is not tangent at base")
+    return a, x[r:]
+
+
+def test_combination_check_mutant(monkeypatch):
+    monkeypatch.setattr(stiefel.TangentFrame, "_blocks", _blocks_without_scale)
+    with pytest.raises(AssertionError):
+        test_stiefel.TestTangentFrame().test_combination_skew_threshold(np.random.default_rng(42), 4.0)
 
 
 def test_dexp_mutant(monkeypatch):

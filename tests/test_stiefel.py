@@ -11,12 +11,59 @@ def rng():
     return np.random.default_rng(42)
 
 
+def _refusal(build):
+    """The message of the PreconditionError that ``build()`` raises, or "" if it returns."""
+    try:
+        build()
+    except PreconditionError as exc:
+        return str(exc)
+    return ""
+
+
+def _with_symmetric_part(rng, u, fraction, normal_norm):
+    """An n x r matrix D = U S + N at ``u`` whose tangency error is ``fraction`` of its bound.
+
+    S is symmetric and N normal with ||N||_F = ``normal_norm``, and S is
+    scaled so that ||U'D + D'U||_F = 2 ||S||_F is ``fraction`` times
+    TANGENT_TOL max(1, ||D||_F), to round-off far below the 10% margins the
+    threshold tests leave.
+    """
+    g = rng.standard_normal(u.u.shape)
+    normal = g - u.u @ (u.u.T @ g)
+    normal *= normal_norm / np.linalg.norm(normal)
+    sym = rng.standard_normal((u.r, u.r))
+    sym = (sym + sym.T) / np.linalg.norm(sym + sym.T)
+    s = 0.5 * fraction * stiefel.TANGENT_TOL * max(1.0, normal_norm)
+    return u.u @ (s * sym) + normal
+
+
 class TestTypes:
     def test_point_validation(self, rng):
         with pytest.raises(PreconditionError):
             stiefel.StiefelPoint(rng.standard_normal((8, 3)))
         with pytest.raises(ShapeError):
             stiefel.StiefelPoint(np.eye(3)[:, :2].T)  # wide
+        for bad in (np.nan, np.inf):
+            u = stiefel.random_point(rng, 8, 3).u.copy()
+            u[2, 1] = bad
+            with pytest.raises(PreconditionError, match="non-finite"):
+                stiefel.StiefelPoint(u)
+
+    def test_point_drift_threshold(self, rng):
+        # Q (1 + e) has ||U'U - I||_F = sqrt(r) ((1 + e)^2 - 1): e sets the drift
+        # to 0.9 and 1.1 times ORTH_TOL, with round-off near 1e-15.
+        q = stiefel.random_point(rng, 12, 4).u
+        for fraction, accepted in ((0.9, True), (1.1, False)):
+            e = np.sqrt(1.0 + fraction * linalg.ORTH_TOL / np.sqrt(q.shape[1])) - 1.0
+            assert (_refusal(lambda: stiefel.StiefelPoint(q * (1.0 + e))) == "") == accepted
+
+    @pytest.mark.parametrize("normal_norm", [0.5, 4.0])
+    def test_tangent_skew_threshold(self, rng, normal_norm):
+        # ||D||_F = 0.5 compares with TANGENT_TOL, ||D||_F = 4 with 4 TANGENT_TOL
+        u = stiefel.random_point(rng, 12, 4)
+        for fraction, accepted in ((0.9, True), (1.1, False)):
+            d = _with_symmetric_part(rng, u, fraction, normal_norm)
+            assert (_refusal(lambda: stiefel.TangentVector(u, d)) == "") == accepted
 
     def test_tangent_validation(self, rng):
         u = stiefel.random_point(rng, 10, 3)
@@ -84,6 +131,12 @@ class TestMetric:
         assert stiefel.metric(xi, eta) == pytest.approx(stiefel.metric(eta, xi), rel=1e-12)
         lhs = stiefel.metric(2.0 * xi + eta, eta)
         assert lhs == pytest.approx(2.0 * stiefel.metric(xi, eta) + stiefel.metric(eta, eta), rel=1e-10)
+
+    def test_norm_is_metric_of_a_copy_bitwise(self, rng):
+        # norm(xi) forms U'xi once; a copy of xi takes the two-product path
+        xi = stiefel.random_tangent(rng, stiefel.random_point(rng, 30, 5), scale=1.7)
+        twin = stiefel.TangentVector(xi.base, xi.delta.copy())
+        assert stiefel.norm(xi) == np.sqrt(stiefel.metric(xi, twin))
 
 
 def _rank_one_tangent(rng, n, r):
@@ -446,6 +499,56 @@ class TestTangentFrame:
             u = stiefel.random_point(rng, n, r)
             vecs = np.stack([stiefel.random_tangent(rng, u).delta for _ in range(k)])
             assert np.array_equal(stiefel.tangent_frame(u, vecs).exp(np.zeros(k)).u, u.u)
+
+    @pytest.mark.parametrize("n, r, k", [(40, 4, 1), (40, 4, 3), (40, 4, 6), (8, 6, 3)])
+    def test_exp_is_its_kernels_bitwise(self, n, r, k):
+        # k = 1 has m = r; k = 3 and 6 have m > r and a QR of M; St(8, 6) has n < k r.
+        # The transport's rows at h <= 1e-5 are round-off over h, so an exp that
+        # is not bitwise this formula moves them.
+        rng = np.random.default_rng(17)
+        u = stiefel.random_point(rng, n, r)
+        frame = stiefel.tangent_frame(u, [stiefel.random_tangent(rng, u).delta for _ in range(k)])
+        assert np.shares_memory(frame.flat, frame.coords)
+        for c in rng.uniform(-1.0, 1.0, (3, k)):
+            x = (c @ frame.coords.reshape(k, -1)).reshape(-1, r)
+            a, m = x[:r], x[r:]
+            basis = None
+            if m.shape[0] > r:
+                basis, m = linalg.qr_basis(m)
+            e = linalg.expm(np.block([[a, -m.T], [m, np.zeros((r, r))]]))
+            e21 = e[r:, :r] if basis is None else basis @ e[r:, :r]
+            assert np.array_equal(frame.exp(c).u, u.u @ e[:r, :r] + frame.q @ e21)
+        xi = stiefel.random_tangent(rng, u, scale=1.2)
+        split = stiefel.split_tangent(xi)
+        a, m = split.coords[0, :r], split.coords[0, r:]
+        e = linalg.expm(np.block([[a, -m.T], [m, np.zeros((r, r))]]))
+        assert np.array_equal(stiefel.stiefel_exp(xi).u, u.u @ e[:r, :r] + split.q @ e[r:, :r])
+
+    @pytest.mark.parametrize("method", ["exp", "combination"])
+    @pytest.mark.parametrize(
+        "coeffs", [(np.inf, 0, 0), (-np.inf, 0, 0), (np.nan, 0, 0), (1e200, 0, 0), (1e300, 1e300, 0)]
+    )
+    def test_non_finite_or_overflowing_coefficients_refused(self, method, coeffs):
+        # refused before any arithmetic, so nothing warns (warnings are errors here)
+        rng = np.random.default_rng(3)
+        u = stiefel.random_point(rng, 10, 3)
+        frame = stiefel.tangent_frame(u, [stiefel.random_tangent(rng, u).delta for _ in range(3)])
+        with pytest.raises(PreconditionError, match="not finite or may overflow"):
+            getattr(frame, method)(coeffs)
+        # at the bound the combination and its norm stay finite
+        assert np.isfinite(stiefel.norm(frame.combination((frame.coeff_max, 0.0, 0.0))))
+
+    @pytest.mark.parametrize("normal_norm", [0.5, 4.0])
+    def test_combination_skew_threshold(self, rng, normal_norm):
+        # the TangentVector threshold test on a frame: at 0.9 of the bound the
+        # combination passes; at 1.1 the r x r check refuses it before any exp
+        u = stiefel.random_point(rng, 12, 4)
+        passing, failing = (
+            stiefel.tangent_frame(u, [_with_symmetric_part(rng, u, fraction, normal_norm)])
+            for fraction in (0.9, 1.1)
+        )
+        assert _refusal(lambda: passing.combination((1.0,))) == ""
+        assert _refusal(lambda: failing.exp((1.0,))).startswith("combination is not tangent")
 
     def test_one_exp_and_no_log_per_evaluation(self, rng, kernel_calls):
         u = stiefel.random_point(rng, 20, 3)

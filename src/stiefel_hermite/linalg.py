@@ -155,16 +155,22 @@ class EconQR:
     rank_deficient: bool
 
 
-def _householder(mat: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR by LAPACK ``dgeqrf``/``dorgqr``: Q (n x min(n, k)) and the packed factors.
+def _householder(mat: np.ndarray, op: str, complete: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR by LAPACK ``dgeqrf``/``dorgqr``: Q and the packed factors.
 
-    R is the upper triangle of the packed factors' first min(n, k) rows.
+    Q is n x min(n, k), or n x n if ``complete``.  R is the upper triangle
+    of the packed factors' first min(n, k) rows.
     """
-    if mat.shape[0] == 0:  # LAPACK refuses the leading dimension 0
+    n, k = mat.shape
+    if n == 0:  # LAPACK refuses the leading dimension 0
         return np.empty((0, 0)), mat
     packed, tau, _, info = lapack.dgeqrf(mat)
     if info == 0:
-        q, _, info = lapack.dorgqr(packed[:, : tau.shape[0]], tau)
+        reflectors = packed[:, : tau.shape[0]]
+        if complete and n > k:  # dorgqr makes one column of Q per column it is given
+            reflectors = np.zeros((n, n), order="F")
+            reflectors[:, :k] = packed
+        q, _, info = lapack.dorgqr(reflectors, tau)
     if info != 0:
         raise PreconditionError(f"{op}: LAPACK returned info = {info}")
     return q, packed
@@ -227,14 +233,14 @@ def svd_full(y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def orth_complete(v_r) -> np.ndarray:
     """m x (m - r) orthonormal completion of an m x r matrix with orthonormal columns.
 
-    The trailing m - r columns of one complete Householder QR (LAPACK
-    ``geqrf``/``orgqr``), which is deterministic.  Which completion comes
-    out matters only up to its span: ``stiefel_log`` rotates the columns
-    it returns into a canonical position (its Procrustes start).
+    The trailing m - r columns of the complete Q of the LAPACK ``dgeqrf``/
+    ``dorgqr`` pair that ``qr_econ`` calls, numpy's complete QR bit for bit.
+    Which completion comes out matters only up to its span: ``stiefel_log``
+    rotates the columns it returns into Procrustes position.
     """
     v = _as_matrix(v_r, "v_r")
     m, r = v.shape
     if r > m:
         raise ShapeError(f"orth_complete needs m >= r, got {v.shape}")
     _check_orthonormal(v, "orth_complete input is not orthonormal (||V'V - I|| = {:.3g})")
-    return np.linalg.qr(v, mode="complete")[0][:, r:]
+    return _householder(v, "orth_complete", complete=True)[0][:, r:]

@@ -7,9 +7,9 @@ matrix-exponential curves, and the logarithm is computed by the iterative
 algorithm that repeatedly rotates an orthogonal 2r x 2r completion until its
 matrix logarithm has the tangent block structure.
 
-The logarithm starts from a completion in Procrustes position, or from the
-geodesic of a nearby tangent vector when the caller has one, and runs on
-one kernel, the log of an orthogonal matrix read off one symmetric
+The logarithm starts from the completion nearest to the last r columns of
+expm of a start's geodesic generator, [0; I] for the zero (cold) start, and
+runs on one kernel, the log of an orthogonal matrix read off one symmetric
 eigendecomposition (``linalg.logm``, the inverse Rodrigues formula):
 each step polishes the completion onto O(2r) with one Newton-Schulz step,
 takes its log, and rotates by the clipped solution of a small Sylvester
@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import linalg
 from .errors import PreconditionError, ShapeError, StiefelLogError
@@ -290,56 +291,39 @@ def _principal_log(v: np.ndarray, k: int, residual: float) -> np.ndarray:
 SYLVESTER_DENOM_MAX = -0.25
 
 
-def _step(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _step(b: np.ndarray, c: np.ndarray, k: int, residual: float) -> np.ndarray:
     """Generator X of the update V <- V diag(I, expm(X)) that cancels C.
 
     Solves S X + X S = C with S = B B'/12 - I/2 through the eigenvectors P
-    of the symmetric S, each denominator s_i + s_j clipped at
-    ``SYLVESTER_DENOM_MAX``.
+    of the symmetric S (one LAPACK ``dsyevd`` call), each denominator
+    s_i + s_j clipped at ``SYLVESTER_DENOM_MAX``.
     """
-    s, p = np.linalg.eigh(b @ b.T / 12.0 - 0.5 * linalg._identity(b.shape[0]))
+    s, p, info = lapack.dsyevd(b @ b.T / 12.0 - 0.5 * linalg._identity(b.shape[0]), lower=1)
+    if info != 0:
+        raise StiefelLogError(f"step: dsyevd did not converge at iteration {k} (info = {info})", k, residual)
     denom = np.minimum(s[:, np.newaxis] + s[np.newaxis, :], SYLVESTER_DENOM_MAX)
     x = p @ ((p.T @ c @ p) / denom) @ p.T
     return 0.5 * (x - x.T)
 
 
-def _procrustes_start(top: np.ndarray) -> np.ndarray:
-    """The completion [top, W] whose lower-right block is symmetric PSD, with det +1."""
+def _completion(top: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, float]:
+    """[top, W] with det +1 and W the completion nearest to ``rest``; sigma_min^2.
+
+    W = W0 Y X' from W0 = ``orth_complete(top)`` and rest'W0 = X Sigma Y',
+    X's last column negated if det [top, W] would be -1 (see ``stiefel_log``).
+    """
     r = top.shape[1]
     v = np.hstack([top, linalg.orth_complete(top)])
-    x, _, yt = np.linalg.svd(v[r:, r:])
+    x, sigma, yt = np.linalg.svd(rest.T @ v[:, r:])
     if np.linalg.det(v) * np.linalg.det(x @ yt) < 0.0:
         x[:, -1] *= -1.0
     v[:, r:] = v[:, r:] @ yt.T @ x.T
-    return v
+    return v, sigma[-1] ** 2
 
 
-#: A warm start whose projected completion columns have a squared singular
-#: value below this is too far from the target; the Procrustes start is used.
+#: A start whose sigma_min^2 (of rest'W0, see ``_completion``) is below this
+#: lies too far from the target; the cold start is used instead.
 WARM_START_MIN_SQ = 0.25
-
-
-def _warm_start(
-    base: StiefelPoint, start: TangentVector, q: np.ndarray, top: np.ndarray
-) -> np.ndarray | None:
-    """The completion of ``top`` read off the geodesic generator of ``start``.
-
-    None if those columns are nearly dependent on ``top``, which means
-    Exp(start) is far from the target.
-    """
-    if start.base is not base and not np.array_equal(start.base.u, base.u):
-        raise PreconditionError("start is not a tangent vector at base")
-    r = base.r
-    a_s = base.u.T @ start.delta
-    rest = linalg.expm(_generator(a_s, q.T @ (start.delta - base.u @ a_s)))[:, r:]
-    rest -= top @ (top.T @ rest)
-    x, sigma_sq, yt = np.linalg.svd(rest.T @ rest)
-    if sigma_sq[-1] < WARM_START_MIN_SQ:
-        return None
-    v = np.hstack([top, rest @ (x / np.sqrt(sigma_sq)) @ yt])
-    if np.linalg.det(v) < 0.0:
-        v[:, -1] *= -1.0
-    return v
 
 
 def stiefel_log(
@@ -353,23 +337,21 @@ def stiefel_log(
     V <- V diag(I, expm(X)), until ||C||_F <= ``LOG_TAU``; then
     xi = U A + Q B.
 
-    * Start: Zimmermann and Hueper (SIMAX 43(2), 2022).  The completion
-      columns are rotated by Y X' from the SVD V22 = X Sigma Y', so V22 =
-      X Sigma X' is symmetric PSD and depends only on the completion's span;
-      if det V would be -1, X's last column (V22's smallest singular
-      direction) is negated first, since the principal log needs det V = +1.
-      A tangent vector ``start`` at ``base`` whose exponential lies near
-      ``target`` replaces this start (warm start): with s = U A_s + N_s,
-      the completion columns of expm([[A_s, -M_s'], [M_s, 0]]), M_s = Q'N_s
-      over the target's normal basis Q, are projected off the first r
-      columns of V and orthonormalized through the SVD of their r x r Gram
-      matrix (last column negated if det V would be -1).  The first
-      residual then scales with the distance of Exp(start) from the target,
-      not with that of base: the velocity transport's logs start from logs
-      that end O(h) and O(h^2) from their targets and take 5 and 3 kernel
-      logs where a cold start takes 6 (fit_far, 0.57 pi apart).  A Gram
-      singular value below ``WARM_START_MIN_SQ`` means the start is far
-      off, and the Procrustes start is used instead.
+    * Start: Zimmermann and Hueper (SIMAX 43(2), 2022), one orthogonal
+      Procrustes fit of V's completion columns W0 to r target columns
+      ``rest``: W = W0 Y X' from the SVD rest'W0 = X Sigma Y' makes
+      rest'W = X Sigma X' symmetric PSD; if det V would be -1, X's last
+      column is negated first (the principal log needs det V = +1).  The
+      cold start takes rest = [0; I], the last r columns of the identity,
+      so rest'W0 = V22.  A tangent vector ``start`` at ``base`` (warm start)
+      takes the last r columns of expm([[A_s, -M_s'], [M_s, 0]]) with
+      s = U A_s + N_s and M_s = Q'N_s over the target's normal basis Q;
+      s = 0 is the cold start.  The first residual then scales with the
+      distance of Exp(start) from the target, not with that of base: the
+      velocity transport's logs start from logs that end O(h) and O(h^2)
+      from their targets and take 5 and 3 kernel logs where a cold start
+      takes 6 (fit_far, 0.57 pi apart).  A start with sigma_min^2 below
+      ``WARM_START_MIN_SQ`` is far off, and the cold start is used instead.
     * Polish: before each log V is replaced by V (3I - V'V) / 2, one
       Newton-Schulz step towards the orthogonal polar factor.  A drift
       ||V'V - I||_F above ``linalg.ORTH_TOL`` before the polish raises.
@@ -430,9 +412,15 @@ def stiefel_log(
     qr = linalg.qr_econ(normal)
     q, nfac = qr.q, qr.r_factor
     top = np.vstack([overlap, nfac])
-    v = None if start is None else _warm_start(base, start, q, top)
-    if v is None:
-        v = _procrustes_start(top)
+    rest = cold = linalg._identity(2 * r)[:, r:]
+    if start is not None:
+        if start.base is not base and not np.array_equal(start.base.u, base.u):
+            raise PreconditionError("start is not a tangent vector at base")
+        a_s = base.u.T @ start.delta
+        rest = linalg.expm(_generator(a_s, q.T @ (start.delta - base.u @ a_s)))[:, r:]
+    v, sigma_sq = _completion(top, rest)
+    if rest is not cold and sigma_sq < WARM_START_MIN_SQ:
+        v, _ = _completion(top, cold)
     residual = np.inf
     for k in range(LOG_MAX_ITER):
         v = _polished(v, k, residual)
@@ -452,7 +440,7 @@ def stiefel_log(
                     residual=residual,
                 )
             return xi
-        v[:, r:] = v[:, r:] @ linalg.expm(_step(log_v[r:, :r], c))
+        v[:, r:] = v[:, r:] @ linalg.expm(_step(log_v[r:, :r], c, k, residual))
     raise StiefelLogError(
         f"no convergence after {LOG_MAX_ITER} iterations (||C||_F = {residual:.3g}); "
         "target may be too far from base",

@@ -279,6 +279,13 @@ class TestOrthComplete:
         with pytest.raises(PreconditionError):
             linalg.orth_complete(np.ones((5, 2)))
 
+    @pytest.mark.parametrize("m, r", [(6, 3), (12, 6), (20, 10), (4, 0), (4, 4)])
+    def test_is_numpy_complete_qr_bitwise(self, m, r):
+        rng = np.random.default_rng(m + r)
+        v = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        reference = np.linalg.qr(v, mode="complete")[0][:, r:]
+        assert np.array_equal(linalg.orth_complete(v), reference)
+
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_completion_property(self, seed):

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -272,16 +274,22 @@ class TestLog:
         assert past_bound > 0
         assert err <= 1e-14  # measured 2.8e-15
 
-    @pytest.mark.parametrize("n, r, fraction", [(40, 3, 0.57), (60, 6, 0.85), (5, 5, 0.5)])
+    @pytest.mark.parametrize(
+        "n, r, fraction", [(40, 3, 0.57), (60, 6, 0.85), (5, 5, 0.5), (40, 3, 0.2)]
+    )
     def test_any_start_gives_the_cold_log(self, n, r, fraction):
         # a start near the target is used; at n > r one whose geodesic ends
-        # far from it (zero, reversed, random) falls back to the Procrustes start
+        # far from it (reversed, random, zero unless the target is near)
+        # falls back to the cold start.  The zero start's geodesic ends at
+        # base, whose completion columns are the cold start's [0; I], so it
+        # gives the cold log bit for bit whether it is used or not.
         rng = np.random.default_rng(11)
         u = stiefel.random_point(rng, n, r)
         xi = stiefel.random_tangent(rng, u, fraction * np.pi)
         target = stiefel.stiefel_exp(xi)
         cold = stiefel.stiefel_log(u, target)
-        for start in (0.0 * xi, -1.0 * xi, stiefel.random_tangent(rng, u, 1.5), 0.5 * xi):
+        assert np.array_equal(stiefel.stiefel_log(u, target, start=0.0 * xi).delta, cold.delta)
+        for start in (-1.0 * xi, stiefel.random_tangent(rng, u, 1.5), 0.5 * xi):
             warm = stiefel.stiefel_log(u, target, start=start)
             assert np.linalg.norm(warm.delta - cold.delta) <= 1e-13
 
@@ -425,6 +433,27 @@ class TestLogIteration:
                 clipped += s.max() * 2.0 >= stiefel.SYLVESTER_DENOM_MAX
                 assert np.linalg.norm(call[1]) <= 4.0 * np.linalg.norm(c) * (1.0 + 1e-12)
         assert clipped > 0
+
+    @pytest.mark.parametrize("r", [3, 6, 10])
+    def test_step_is_the_eigh_solution_bitwise(self, r):
+        rng = np.random.default_rng(r)
+        b, c = 2.0 * rng.standard_normal((r, r)), rng.standard_normal((r, r))
+        c = c - c.T
+        s, p = np.linalg.eigh(b @ b.T / 12.0 - 0.5 * np.eye(r))
+        denom = np.minimum(s[:, np.newaxis] + s[np.newaxis, :], stiefel.SYLVESTER_DENOM_MAX)
+        x = p @ ((p.T @ c @ p) / denom) @ p.T
+        assert np.array_equal(stiefel._step(b, c, 0, 1.0), 0.5 * (x - x.T))
+
+    def test_step_eigensolver_failure_raises(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        u = stiefel.random_point(rng, 40, 4)
+        target = stiefel.stiefel_exp(stiefel.random_tangent(rng, u, scale=0.5))
+        dsyevd = stiefel.lapack.dsyevd
+        failing = types.SimpleNamespace(dsyevd=lambda *a, **kw: (*dsyevd(*a, **kw)[:2], 3))
+        monkeypatch.setattr(stiefel, "lapack", failing)  # the step's solver only, not logm's
+        with pytest.raises(StiefelLogError, match="iteration 0 .*info = 3") as info:
+            stiefel.stiefel_log(u, target)
+        assert info.value.iterations == 0
 
     @pytest.mark.parametrize("n, r, fraction", [(60, 6, 0.85), (1000, 10, 0.57), (8, 6, 0.6)])
     def test_iterates_stay_orthogonal(self, monkeypatch, n, r, fraction):

@@ -15,7 +15,7 @@ import dataclasses
 import re
 import sys
 
-from . import experiments
+from . import experiments, interpolate
 from .errors import ConvergenceError
 
 
@@ -39,7 +39,7 @@ _FLAGS = {
     "num_nodes": dict(type=int, metavar="NODES", help="Chebyshev sample nodes"),
     "interval": dict(type=_interval, metavar="a,b", help="sampling interval"),
     "seed": dict(type=int),
-    "centering": dict(choices=["q", "p"]),
+    "centering": dict(choices=interpolate.CENTERINGS),
     "methods": dict(type=_methods, help="comma list from hermite,geodesic,rbf"),
 }
 

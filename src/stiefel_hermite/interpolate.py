@@ -46,12 +46,6 @@ CENTERINGS = ("q", "p")
 #: Subintervals shorter than this fraction of the knot span are rejected.
 DEGENERATE_SPAN_EPS = 1e-12
 
-#: ``TangentFrame.exp`` of a combination D drifts from orthonormality by
-#: ||U'U - I||_F <= EXP_DRIFT_PER_NORM * ||D||_F * eps, linearly in ||D||_F:
-#: measured at most 109 over 60 random directions each on St(5, 5), St(6, 3),
-#: St(15, 3), St(100, 6) and St(1000, 10), at ||D||_F from 1 to 3e8.
-EXP_DRIFT_PER_NORM = 128.0
-
 #: Shape parameter of the RBF baseline's inverse multiquadric kernel, on
 #: parameters rescaled to [-1, 1].  Read at call time.
 RBF_SHAPE = 1.0
@@ -194,19 +188,17 @@ def fit_composite(samples: list[HermiteSample], centering: str = "q") -> Composi
     |b0| + |b1| = span s (1 - s) <= span / 4, takes the Frobenius norm of
     the combination and its exponential.  So the plan's scale, span / 4
     times the largest velocity norm, is refused when its square overflows
-    float64, and when it passes ``linalg.ORTH_TOL / (EXP_DRIFT_PER_NORM *
-    eps)`` (3.5e3): past that the exponential's drift (c ||D||_F eps, c
-    measured at most 109) can fail the point check of an evaluation.
+    float64, and when it passes ``stiefel.EXP_NORM_MAX`` (3.5e3), where
+    ``TangentFrame.exp`` would refuse an evaluation.
     """
     ts = _check_sample_plan([s.t for s in samples])
     span = float(ts[-1]) - float(ts[0])
     scale = 0.25 * span * max(float(np.linalg.norm(s.velocity.delta)) for s in samples)
-    limit = linalg.ORTH_TOL / (EXP_DRIFT_PER_NORM * np.finfo(float).eps)
-    if scale > limit:
+    if scale > stiefel.EXP_NORM_MAX:
         raise PreconditionError(
             f"the sample span [{ts[0]}, {ts[-1]}] scales the velocities to norm {scale:.3g}, "
             + ("whose square overflows float64 at evaluation" if not math.isfinite(scale * scale)
-               else f"past the {limit:.3g} at which an evaluation's exponential may drift "
+               else f"past the {stiefel.EXP_NORM_MAX:.3g} at which an evaluation's exponential may drift "
                f"from orthonormality by ORTH_TOL = {linalg.ORTH_TOL:g}")
         )
     frames = tuple(fit_arc(s0, s1, centering=centering) for s0, s1 in zip(samples, samples[1:]))

@@ -103,6 +103,22 @@ def test_point_check_mutant(monkeypatch):
         test_stiefel.TestTypes().test_point_drift_threshold(np.random.default_rng(42))
 
 
+def _nudged_first_row(point):
+    """The point with its first ambient row moved by 1e-9, re-orthonormalized."""
+    u = point.u.copy()
+    u[0] += 1e-9
+    return stiefel.StiefelPoint(linalg.qr_econ(u).q)
+
+
+def test_ambient_basis_exp_mutant(monkeypatch, qr_path):
+    # an exponential that reads the ambient basis: rotating the input does not rotate the output
+    _mutate(monkeypatch, stiefel.TangentFrame, "exp", _nudged_first_row)
+    with pytest.raises(AssertionError):
+        test_oracles.TestIsometryOracle().test_orthogonal_map(40, 3, 0.57)
+    with pytest.raises(AssertionError):
+        test_oracles.TestIsometryOracle().test_embedding(qr_path)
+
+
 def _blocks_without_scale(self, coeffs):
     """TangentFrame._blocks comparing ||A + A'||_F with TANGENT_TOL, not TANGENT_TOL max(1, ||x||_F)."""
     c = np.asarray(coeffs, dtype=float)
@@ -111,7 +127,7 @@ def _blocks_without_scale(self, coeffs):
     a = x[:r]
     if np.linalg.norm(a + a.T) > stiefel.TANGENT_TOL:
         raise PreconditionError("combination is not tangent at base")
-    return a, x[r:]
+    return a, x[r:], np.linalg.norm(x)
 
 
 def test_combination_check_mutant(monkeypatch):

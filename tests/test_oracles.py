@@ -11,7 +11,10 @@ transport with ``dexp_stiefel``).  Here the answers come from elsewhere:
 * the Hermite composite of samples of a geodesic, with their true
   velocities, is that geodesic;
 * the sectional curvature of a plane is O'Neill's bracket formula, and the
-  distance between two nearby geodesic endpoints must show it.
+  distance between two nearby geodesic endpoints must show it;
+* U -> Theta U for Theta in O(n) is an isometry, and X -> B X for an
+  orthonormal n x m B embeds St(m, r) in St(n, r) as a totally geodesic
+  submanifold, so every map and fit must commute with both.
 
 Each bound sits a few times above the value measured at one BLAS thread:
 round-off for the log, the exp and dExp, the h^2 term of the central
@@ -19,11 +22,15 @@ difference for the transport, and the first-order term in delta for the
 curvature.
 """
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from stiefel_hermite import calculus, interpolate as interp, stiefel
+from stiefel_hermite.interpolate import HermiteSample
+from stiefel_hermite.stiefel import StiefelPoint, TangentVector
 
 
 def _unit(v):
@@ -207,6 +214,61 @@ class TestGeodesicReproduction:
                 for t in np.linspace(0.0, 1.0, 33):
                     err = max(err, np.linalg.norm(curve(t).u - sample(t).base.u))
         assert err <= 2e-12  # measured 5.8e-13
+
+
+def _relative(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestIsometryOracle:
+    """The canonical metric does not see the ambient basis.
+
+    ``TangentFrame`` relies on it ("any orthonormal Q whose span holds the
+    normal part"); a kernel that reads the basis, a sign or a row order of
+    the ambient space breaks it.
+    """
+
+    @pytest.mark.parametrize("n, r, fraction", [(40, 3, 0.57), (60, 6, 0.85), (5, 5, 0.5), (12, 1, 0.8)])
+    def test_orthogonal_map(self, n, r, fraction):
+        # Exp, Log and the transport at Theta U of Theta-mapped arguments are
+        # Theta times their values at U.  The transport's central difference
+        # amplifies the logs' round-off by 1/(2h), so it runs at h = 1e-2,
+        # where it measures at most 2.8e-13; the identity holds at every h.
+        rng = np.random.default_rng(n + r)
+        theta = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        u = stiefel.random_point(rng, n, r)
+        xi = stiefel.random_tangent(rng, u, fraction * np.pi)
+        y = stiefel.stiefel_exp(xi)
+        w = stiefel.random_tangent(rng, y)
+        log = stiefel.stiefel_log(u, y)
+        tu, ty = StiefelPoint(theta @ u.u), StiefelPoint(theta @ y.u)
+        t_log = TangentVector(tu, theta @ log.delta)
+        errs = [
+            _relative(stiefel.stiefel_exp(TangentVector(tu, theta @ xi.delta)).u, theta @ y.u),
+            _relative(stiefel.stiefel_log(tu, ty).delta, theta @ log.delta),
+            _relative(calculus.transport_velocity(t_log, TangentVector(ty, theta @ w.delta), 1e-2).delta,
+                      theta @ calculus.transport_velocity(log, w, 1e-2).delta),
+        ]
+        assert max(errs) <= 1e-12  # exp and log measured at most 2.0e-15
+
+    def test_embedding(self, qr_path):
+        # The QR path's samples in its 4r coordinates (St(24, 6)) and lifted
+        # back to St(100, 6) by its basis B: each fit of the lifted samples
+        # is B times the fit of the coordinates.
+        b = qr_path.basis
+        small = [HermiteSample(s.t, TangentVector(StiefelPoint(b.T @ s.point.u), b.T @ s.velocity.delta))
+                 for s in qr_path.samples]
+        lifted = [HermiteSample(s.t, TangentVector(StiefelPoint(b @ s.point.u), b @ s.velocity.delta))
+                  for s in small]
+        fits = [functools.partial(interp.fit_composite, centering=c) for c in interp.CENTERINGS]
+        fits += [lambda ss: interp.geodesic_interp([(s.t, s.point) for s in ss]),
+                 lambda ss: interp.tangent_rbf_interp([(s.t, s.point) for s in ss])]
+        err = 0.0
+        for fit in fits:
+            curve, reduced = fit(lifted), fit(small)
+            for t in np.linspace(curve.knots[0], curve.knots[-1], 23):
+                err = max(err, _relative(curve(t).u, b @ reduced(t).u))
+        assert err <= 1e-12  # measured 3.4e-13
 
 
 def _plane_curvature(base, x, y):

@@ -1,3 +1,4 @@
+import re
 import types
 
 import numpy as np
@@ -246,6 +247,21 @@ class TestLog:
             stiefel.stiefel_log(a, b)
         assert info.value.residual > 0
 
+    def test_stalled_log_raises_with_its_residuals(self, monkeypatch, rng):
+        # ||C||_F cannot fall below round-off, so at LOG_TAU = 1e-30 the log
+        # stalls; it raises soon after, not after LOG_MAX_ITER steps
+        monkeypatch.setattr(stiefel, "LOG_TAU", 1e-30)
+        u = stiefel.random_point(rng, 20, 3)
+        target = stiefel.stiefel_exp(stiefel.random_tangent(rng, u, 0.5 * np.pi))
+        with pytest.raises(StiefelLogError, match=r"iteration \d+: \|\|C\|\|_F stopped falling") as info:
+            stiefel.stiefel_log(u, target)
+        listed = re.search(r"by iteration: \[(.*)\]", str(info.value)).group(1)
+        residuals = [float(x) for x in listed.split(", ")]
+        assert len(residuals) == info.value.iterations + 1
+        assert residuals[-1] == pytest.approx(info.value.residual, rel=1e-2)
+        assert max(residuals[-2:]) <= 1e-14
+        assert info.value.iterations <= 2 * int(np.argmin(residuals))
+
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_other_component_of_orthogonal_group_raises(self, n):
         # At n = r, det(U'Y) = -1 puts Y in the other component of O(n).
@@ -442,7 +458,7 @@ class TestLogIteration:
         s, p = np.linalg.eigh(b @ b.T / 12.0 - 0.5 * np.eye(r))
         denom = np.minimum(s[:, np.newaxis] + s[np.newaxis, :], stiefel.SYLVESTER_DENOM_MAX)
         x = p @ ((p.T @ c @ p) / denom) @ p.T
-        assert np.array_equal(stiefel._step(b, c, 0, 1.0), 0.5 * (x - x.T))
+        assert np.array_equal(stiefel._step(b, c), 0.5 * (x - x.T))
 
     def test_step_eigensolver_failure_raises(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -451,7 +467,7 @@ class TestLogIteration:
         dsyevd = stiefel.lapack.dsyevd
         failing = types.SimpleNamespace(dsyevd=lambda *a, **kw: (*dsyevd(*a, **kw)[:2], 3))
         monkeypatch.setattr(stiefel, "lapack", failing)  # the step's solver only, not logm's
-        with pytest.raises(StiefelLogError, match="iteration 0 .*info = 3") as info:
+        with pytest.raises(StiefelLogError, match="iteration 0: step: dsyevd .*info = 3") as info:
             stiefel.stiefel_log(u, target)
         assert info.value.iterations == 0
 
@@ -473,7 +489,7 @@ class TestLogIteration:
         target = stiefel.stiefel_exp(stiefel.random_tangent(rng, u, scale=0.5))
         expm = linalg.expm
         monkeypatch.setattr(linalg, "expm", lambda x: (1.0 + 1e-8) * expm(x))
-        with pytest.raises(StiefelLogError, match="orthogonality at iteration 1") as info:
+        with pytest.raises(StiefelLogError, match="iteration 1: polish: .*orthogonality") as info:
             stiefel.stiefel_log(u, target)
         assert info.value.iterations == 1
 
@@ -566,6 +582,19 @@ class TestTangentFrame:
             getattr(frame, method)(coeffs)
         # at the bound the combination and its norm stay finite
         assert np.isfinite(stiefel.norm(frame.combination((frame.coeff_max, 0.0, 0.0))))
+
+    def test_exp_refuses_norms_past_the_drift_bound(self):
+        # refused before expm, whose squarings overflow and warn at 1e20
+        # (warnings are errors here); the combination itself is still built
+        rng = np.random.default_rng(3)
+        u = stiefel.random_point(rng, 10, 3)
+        frame = stiefel.tangent_frame(u, [stiefel.random_tangent(rng, u).delta for _ in range(3)])
+        unit = 1.0 / np.linalg.norm(frame.combination((1.0, 0.0, 0.0)).delta)
+        for c in (1e20, 1.01 * stiefel.EXP_NORM_MAX * unit):
+            with pytest.raises(PreconditionError, match="passes EXP_NORM_MAX"):
+                frame.exp((c, 0.0, 0.0))
+            assert np.isfinite(frame.combination((c, 0.0, 0.0)).delta).all()
+        frame.exp((0.99 * stiefel.EXP_NORM_MAX * unit, 0.0, 0.0))
 
     @pytest.mark.parametrize("normal_norm", [0.5, 4.0])
     def test_combination_skew_threshold(self, rng, normal_norm):

@@ -2,7 +2,8 @@
 """Run every paper study at full scale and write results/<name>.csv for each.
 
 The runs and their configurations are the ``studies`` of each
-``experiments.COMMANDS`` entry, written in the registry's order.  Exits 1,
+``experiments.COMMANDS`` entry, written in the registry's order; each line
+gives the study's wall time in ms, and the last line the total.  Exits 1,
 after writing every file, when any report records a failure.
 
 BLAS runs on one thread unless the environment sets the thread count: the
@@ -31,22 +32,24 @@ OUT = ROOT / "results"
 
 def main():
     OUT.mkdir(exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     failed = 0
     runs = [(stem, cmd.run, config) for cmd in ex.COMMANDS.values()
             for stem, config in cmd.studies.items()]
     for stem, run, config in runs:
         path = OUT / f"{stem}.csv"
+        start = time.perf_counter()
         text = run(config)
+        wall_ms = 1e3 * (time.perf_counter() - start)
         path.write_text(text)
         footers = [ln[2:].split(",", 2) for ln in text.splitlines() if ln.startswith("# ")]
         summary = ", ".join(f"{m}={float(v):.4g}" for kind, m, v in footers if kind == "max_rel")
-        print(f"wrote {path}" + (f"  (max_rel: {summary})" if summary else ""))
+        print(f"wrote {path}  {wall_ms:.1f} ms" + (f"  (max_rel: {summary})" if summary else ""))
         for kind, key, msg in footers:
             if kind == "failure":
                 print(f"  failure [{key}]: {msg}")
                 failed += 1
-    print(f"total {time.time() - t0:.1f}s")
+    print(f"total {1e3 * (time.perf_counter() - t0):.1f} ms")
     if failed:
         print(f"{failed} recorded failure(s) in {OUT}", file=sys.stderr)
         return 1

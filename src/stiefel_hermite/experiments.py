@@ -7,10 +7,15 @@ Two kinds of sampled factor path drive the studies:
   references each cost one min(n, 4r) x r QR of the path's coordinates in
   one orthonormal basis of its coefficients;
 * ``SVDExperimentData``: the truncated SVD factors of a rank-r matrix path,
-  all sampled by one loop.  Two families feed it: a product of random matrix
-  polynomials with exact low rank (SVD and tangent-vs-manifold studies), and
-  a deterministic snapshot family of a closed-form two-parameter function
-  whose left factor is interpolated (snapshot study; it compares against
+  all sampled by one loop from the path's own factorization ``svd(t)``,
+  which its references call too.  Two families feed it: a product
+  Y(t) Z(t) of random matrix polynomials with exact low rank (SVD and
+  tangent-vs-manifold studies), factored once like the QR path: its
+  ``svd(t)`` is one min(n, 4r) x m SVD of the coordinates of W(t) in one
+  orthonormal basis of Y's coefficients, lifted to n rows; and a
+  deterministic snapshot family of a closed-form two-parameter function
+  whose left factor is interpolated, whose ``svd(t)`` is the SVD of its
+  n x r snapshot itself (snapshot study; it compares against
   single-tangent-space interpolation, which needs logs between samples far
   apart).  The transport study samples the same family at its own three
   parameters.
@@ -177,6 +182,24 @@ def _uniform_grid(nodes: np.ndarray, points: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+def _coefficient_basis(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal basis of the coefficients Y0 .. Y3 of a cubic path, and their coordinates.
+
+    ``qr_basis`` of the stacked [Y0 Y1 Y2 Y3] (n x 4r) gives Q4 (n x k,
+    k = min(n, 4r)) and Q4'[Y0 Y1 Y2 Y3], whose columns j r .. (j + 1) r - 1
+    are C_j; returns Q4 and C0 .. C3 as one (4, k, r) array, so Y_j = Q4 C_j.
+    """
+    r = coeffs[0].shape[1]
+    basis, stacked = linalg.qr_basis(np.hstack(coeffs))
+    return basis, np.ascontiguousarray(stacked.reshape(-1, 4, r).transpose(1, 0, 2))
+
+
+def _cubic(coeffs, t: float) -> np.ndarray:
+    """C0 + t C1 + t^2 C2 + t^3 C3."""
+    c0, c1, c2, c3 = coeffs
+    return c0 + t * c1 + t * t * c2 + t**3 * c3
+
+
 @dataclass
 class QRExperimentData:
     """Cubic matrix polynomial Y(t) and Hermite samples of its Q-factor.
@@ -198,15 +221,11 @@ class QRExperimentData:
     coords: np.ndarray = field(init=False, repr=False)  # (4, m, r): C0 .. C3
 
     def __post_init__(self):
-        r = self.coeffs[0].shape[1]
-        self.basis, stacked = linalg.qr_basis(np.hstack(self.coeffs))
-        # Columns k r .. (k + 1) r - 1 of Q4'[Y0 Y1 Y2 Y3] are C_k.
-        self.coords = np.ascontiguousarray(stacked.reshape(-1, 4, r).transpose(1, 0, 2))
+        self.basis, self.coords = _coefficient_basis(self.coeffs)
 
     def coordinates(self, t: float) -> np.ndarray:
         """C(t) = Q4'Y(t), the m x r coordinates of Y(t) in the path's basis."""
-        c0, c1, c2, c3 = self.coords
-        return c0 + t * c1 + t * t * c2 + t**3 * c3
+        return _cubic(self.coords, t)
 
     def y_dot(self, t: float) -> np.ndarray:
         _, y1, y2, y3 = self.coeffs
@@ -362,13 +381,20 @@ def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
 class SVDExperimentData:
     """A matrix path W(t) of rank r and Hermite samples of its truncated SVD factors.
 
-    Every sampled and reference factor is sign-normalized against the
-    leading left factor at the first node, ``samples_u[0].point``, so that
-    the sampled factor paths are differentiable.
+    ``svd(t)`` is the path's own factorization (u, sigma, v) of W(t): u has
+    n rows and at least r columns, sigma holds at least r singular values in
+    descending order, and v is the full m x m right factor that
+    ``diff_svd_truncated`` needs.  The samples and the references call it
+    and no other SVD; ``w`` and ``w_dot`` give W(t) and its derivative as
+    n x m matrices.  Every sampled and reference factor is sign-normalized
+    against the leading left factor at the first node,
+    ``samples_u[0].point``, so that the sampled factor paths are
+    differentiable.
     """
 
     w: Callable[[float], np.ndarray]
     w_dot: Callable[[float], np.ndarray]
+    svd: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
     nodes: np.ndarray
     samples_u: list[interpolate.HermiteSample]
     samples_v: list[interpolate.HermiteSample]
@@ -376,25 +402,25 @@ class SVDExperimentData:
     sigma_slopes: np.ndarray  # (k, r)
 
     def reference_u(self, t: float) -> stiefel.StiefelPoint:
-        u, _, v = linalg.svd_full(self.w(t))
+        u, _, v = self.svd(t)
         u_ref = self.samples_u[0].point.u
         r = u_ref.shape[1]
         u_n, _ = svd_sign_normalize(u[:, :r], v[:, :r], u_ref)
         return stiefel.StiefelPoint(u_n)
 
 
-def _sample_svd_path(w, w_dot, r: int, nodes: np.ndarray) -> SVDExperimentData | None:
+def _sample_svd_path(w, w_dot, svd, r: int, nodes: np.ndarray) -> SVDExperimentData | None:
     """Hermite samples of the rank-``r`` truncated SVD factors of W(t) at ``nodes``.
 
-    Returns None when ``diff_svd_truncated`` refuses a node: W is not
-    numerically of rank r there, or its leading singular values are too
-    close to differentiate.
+    ``svd(t)`` factors W(t) as ``SVDExperimentData.svd`` does.  Returns None
+    when ``diff_svd_truncated`` refuses a node: W is not numerically of rank
+    r there, or its leading singular values are too close to differentiate.
     """
     samples_u, samples_v = [], []
     sigma_values = np.zeros((len(nodes), r))
     sigma_slopes = np.zeros((len(nodes), r))
     for i, t in enumerate(nodes):
-        u, sigma, v = linalg.svd_full(w(t))
+        u, sigma, v = svd(t)
         if i == 0:
             u_ref = u[:, :r].copy()  # normalizing against itself multiplies by 1.0
         u[:, :r], v[:, :r] = svd_sign_normalize(u[:, :r], v[:, :r], u_ref)
@@ -408,9 +434,55 @@ def _sample_svd_path(w, w_dot, r: int, nodes: np.ndarray) -> SVDExperimentData |
         sigma_values[i] = sigma[:r]
         sigma_slopes[i] = deriv.sigma_dot
     return SVDExperimentData(
-        w=w, w_dot=w_dot, nodes=nodes, samples_u=samples_u,
+        w=w, w_dot=w_dot, svd=svd, nodes=nodes, samples_u=samples_u,
         samples_v=samples_v, sigma_values=sigma_values, sigma_slopes=sigma_slopes,
     )
+
+
+@dataclass
+class _LowRankPath:
+    """W(t) = Y(t) Z(t): a cubic n x r Y(t) times a quadratic r x m Z(t), factored once.
+
+    ``qr_basis`` of the stacked coefficients [Y0 Y1 Y2 Y3] (n x 4r) gives an
+    orthonormal Q4 (n x k, k = min(n, 4r)) and coordinates C, so W(t) =
+    Q4 C(t) Z(t) with C(t) = C0 + t C1 + t^2 C2 + t^3 C3 (k x r).  Since
+    Q4'Q4 = I, the SVD of W(t) is Q4 u, sigma, v with u, sigma, v the SVD
+    of the k x m matrix C(t) Z(t): the same singular values and right
+    factor.  A factorization then costs one k x m SVD, which keeps the full
+    m x m right factor, and the n x k by k x r lift of the leading r left
+    singular vectors.
+    """
+
+    y_coeffs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    z_coeffs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    basis: np.ndarray = field(init=False, repr=False)  # Q4, n x k
+    coords: np.ndarray = field(init=False, repr=False)  # (4, k, r): C0 .. C3
+
+    def __post_init__(self):
+        self.basis, self.coords = _coefficient_basis(self.y_coeffs)
+
+    def coordinates(self, t: float) -> np.ndarray:
+        """C(t) = Q4'Y(t), the k x r coordinates of Y(t) in the path's basis."""
+        return _cubic(self.coords, t)
+
+    def z(self, t: float) -> np.ndarray:
+        z0, z1, z2 = self.z_coeffs
+        return z0 + t * z1 + t * t * z2
+
+    def w(self, t: float) -> np.ndarray:
+        return _cubic(self.y_coeffs, t) @ self.z(t)
+
+    def w_dot(self, t: float) -> np.ndarray:
+        _, y1, y2, y3 = self.y_coeffs
+        _, z1, z2 = self.z_coeffs
+        y_dot = y1 + 2.0 * t * y2 + 3.0 * t * t * y3
+        return y_dot @ self.z(t) + _cubic(self.y_coeffs, t) @ (z1 + 2.0 * t * z2)
+
+    def svd(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """SVD of W(t): the k x m SVD of C(t) Z(t), its leading r left vectors lifted to n rows."""
+        r = self.y_coeffs[0].shape[1]
+        u, sigma, vh = np.linalg.svd(self.coordinates(t) @ self.z(t))
+        return self.basis @ u[:, :r], sigma, vh.T
 
 
 def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
@@ -420,6 +492,10 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
     Z a quadratic r x m polynomial (entries uniform on [0,1] / [0,0.5]).
     Seeds giving near-repeated leading singular values at a node are
     regenerated with the next seed.
+
+    Each drawn path is factored once (see ``_LowRankPath``): its ``svd(t)``,
+    which every sample and reference calls, costs one min(n, 4r) x m SVD and
+    an n-row lift of r columns, where a direct SVD of W(t) is n x m.
     """
     r = config.r
     if not r <= config.m <= config.n:
@@ -430,18 +506,10 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
 
     def draw(rng):
-        y0, y1, y2, y3 = (rng.uniform(0.0, hi, (config.n, r)) for hi in (1.0, 0.5, 0.5, 0.5))
-        z0, z1, z2 = (rng.uniform(0.0, hi, (r, config.m)) for hi in (1.0, 0.5, 0.5))
-
-        def w(t):
-            return (y0 + t * y1 + t * t * y2 + t**3 * y3) @ (z0 + t * z1 + t * t * z2)
-
-        def w_dot(t):
-            y = y0 + t * y1 + t * t * y2 + t**3 * y3
-            z = z0 + t * z1 + t * t * z2
-            return (y1 + 2.0 * t * y2 + 3.0 * t * t * y3) @ z + y @ (z1 + 2.0 * t * z2)
-
-        return _sample_svd_path(w, w_dot, r, nodes)
+        ys = tuple(rng.uniform(0.0, hi, (config.n, r)) for hi in (1.0, 0.5, 0.5, 0.5))
+        zs = tuple(rng.uniform(0.0, hi, (r, config.m)) for hi in (1.0, 0.5, 0.5))
+        path = _LowRankPath(ys, zs)
+        return _sample_svd_path(path.w, path.w_dot, path.svd, r, nodes)
 
     return _seeded_draw(
         config, draw, "SVD path degenerate for seed %d; regenerating",
@@ -563,7 +631,10 @@ def _sample_snapshot_path(n: int, r: int, mus) -> SVDExperimentData:
             cols.append(fd / nrm - (weights @ (f * fd)) / nrm**3 * f)
         return np.column_stack(cols)
 
-    data = _sample_svd_path(snapshot, snapshot_dot, r, np.asarray(mus, dtype=float))
+    def svd(mu):
+        return linalg.svd_full(snapshot(mu))
+
+    data = _sample_svd_path(snapshot, snapshot_dot, svd, r, np.asarray(mus, dtype=float))
     if data is None:
         raise PreconditionError(
             f"the snapshot matrix at n={n}, r={r} is not of rank r "

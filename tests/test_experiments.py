@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib.util
 import re
 from pathlib import Path
 
@@ -11,8 +12,28 @@ from stiefel_hermite import interpolate as interp
 from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import DomainError, PreconditionError
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results"
+README = ROOT / "README.md"
+
+
+def _load_results_check():
+    """``bench/results_check.py``, the one home of the committed results' tolerances."""
+    path = ROOT / "bench" / "results_check.py"
+    spec = importlib.util.spec_from_file_location("results_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+results_check = _load_results_check()
+
+#: (command, results stem) of every paper study whose CSV is an error report.
+REPORT_STUDIES = [
+    (command, stem)
+    for command in ("qr-interp", "svd-interp", "tangent-vs-manifold", "snapshot-interp")
+    for stem in ex.COMMANDS[command].studies
+]
 
 
 class TestChebyshevNodes:
@@ -186,7 +207,7 @@ def _snapshot_family(cfg):
     path = ex.gen_snapshot_experiment(cfg)
 
     def sample(nodes):
-        data = ex._sample_svd_path(path.w, path.w_dot, cfg.r, nodes)
+        data = ex._sample_svd_path(path.w, path.w_dot, path.svd, cfg.r, nodes)
         return data.samples_u, data.reference_u
 
     return sample
@@ -259,6 +280,24 @@ class TestSVDExperiment:
             w_dot = d.w_dot(t)
             assert np.linalg.norm(rec - w_dot) <= 1e-7 * np.linalg.norm(w_dot)
 
+    @pytest.mark.parametrize("n, r, m", [(80, 5, 30), (40, 3, 10), (10, 3, 8)],
+                             ids=["4r-below-m", "4r-above-m", "n-below-4r"])
+    def test_factored_svd_matches_direct_svd(self, n, r, m):
+        # W(t) = Q4 C(t) Z(t): the SVD of the min(n, 4r) x m coordinates,
+        # lifted, is the SVD of W(t) itself; measured at most 1.4e-15 for
+        # sigma, 1.5e-13 for the factors and 6.0e-15 for V'V - I
+        cfg = ex.ExperimentConfig(n=n, r=r, m=m, interval=(0.0, 0.5), num_nodes=2, seed=0)
+        data = ex.gen_lowrank_svd_experiment(cfg)
+        for t in np.linspace(data.nodes[0], data.nodes[-1], 11):
+            u, sigma, v = data.svd(t)
+            u_d, sigma_d, v_d = linalg.svd_full(data.w(t))
+            assert np.all(np.abs(sigma[:r] - sigma_d[:r]) <= 1e-12 * sigma_d[:r])
+            u_r, v_r = calculus.svd_sign_normalize(u[:, :r], v[:, :r], u_d[:, :r])
+            assert np.linalg.norm(u_r - u_d[:, :r]) <= 1e-10
+            assert np.linalg.norm(v_r - v_d[:, :r]) <= 1e-10
+            assert v.shape == (m, m)
+            assert np.linalg.norm(v.T @ v - np.eye(m)) <= 1e-12
+
     def test_sign_normalized_path_continuous(self, svd_data):
         _, d = svd_data
         ts = np.linspace(d.nodes[0], d.nodes[-1], 40)
@@ -293,12 +332,15 @@ class TestSVDExperiment:
         def w_dot(t):
             return y
 
+        def svd(t):
+            return linalg.svd_full(w(t))
+
         with pytest.raises(DomainError):
-            calculus.diff_svd_truncated(w_dot(0.0), 3, linalg.svd_full(w(0.0)))
-        assert ex._sample_svd_path(w, w_dot, 3, nodes) is None
+            calculus.diff_svd_truncated(w_dot(0.0), 3, svd(0.0))
+        assert ex._sample_svd_path(w, w_dot, svd, 3, nodes) is None
         # the sampler has no threshold of its own: it follows the derivative's
         monkeypatch.setattr(calculus, "SVD_GAP_EPS", 1e-8)
-        assert ex._sample_svd_path(w, w_dot, 3, nodes) is not None
+        assert ex._sample_svd_path(w, w_dot, svd, 3, nodes) is not None
 
     def test_m_below_r_rejected(self):
         cfg = ex.ExperimentConfig(n=40, r=6, m=4)
@@ -768,6 +810,16 @@ class TestStudies:
             a = np.array(row_got.split(","), dtype=float)
             b = np.array(row_want.split(","), dtype=float)
             assert np.all(np.abs(a - b) <= np.maximum(1e-9 * np.maximum(abs(a), abs(b)), 1e-15))
+
+    @pytest.mark.parametrize("command, stem", REPORT_STUDIES, ids=[s for _, s in REPORT_STUDIES])
+    def test_report_reproduces_results(self, command, stem):
+        # the committed reports are one-BLAS-thread runs; the tolerances of
+        # bench/results_check hold across thread counts
+        text = ex.COMMANDS[command].run(ex.COMMANDS[command].studies[stem])
+        report = ex.parse_report(text)
+        committed = ex.parse_report((RESULTS / f"{stem}.csv").read_text())
+        assert results_check.report_invariants(stem, report) == []
+        assert results_check.compare_report(stem, report, committed) == []
 
     def test_commands_are_the_study_commands(self):
         config_fields = {f.name for f in dataclasses.fields(ex.ExperimentConfig)}

@@ -177,3 +177,14 @@ def test_qr_lift_sign_mutant(monkeypatch):
     monkeypatch.setattr(ex.QRExperimentData, "factor", unsigned_factor)
     with pytest.raises(AssertionError):
         test_experiments.TestQRExperiment().test_factored_path_matches_direct_qr(100, 6, False)
+
+
+def test_lowrank_svd_cubic_mutant(monkeypatch):
+    # the low-rank SVD path's coordinates without their cubic term C3 t^3
+    def quadratic_coordinates(path, t):
+        c0, c1, c2, _ = path.coords
+        return c0 + t * c1 + t * t * c2
+
+    monkeypatch.setattr(ex._LowRankPath, "coordinates", quadratic_coordinates)
+    with pytest.raises(AssertionError):
+        test_experiments.TestSVDExperiment().test_factored_svd_matches_direct_svd(80, 5, 30)

@@ -2,23 +2,24 @@
 
 Two kinds of sampled factor path drive the studies:
 
-* ``QRExperimentData``: the Q-factor path of a cubic random matrix
-  polynomial (QR study), factored once: its rank scan, samples and
-  references each cost one min(n, 4r) x r QR of the path's coordinates in
-  one orthonormal basis of its coefficients;
+* ``QRExperimentData``: the Q-factor path of a random cubic matrix path Y(t)
+  (QR study);
 * ``SVDExperimentData``: the truncated SVD factors of a rank-r matrix path,
   all sampled by one loop from the path's own factorization ``svd(t)``,
   which its references call too.  Two families feed it: a product
-  Y(t) Z(t) of random matrix polynomials with exact low rank (SVD and
-  tangent-vs-manifold studies), factored once like the QR path: its
-  ``svd(t)`` is one min(n, 4r) x m SVD of the coordinates of W(t) in one
-  orthonormal basis of Y's coefficients, lifted to n rows; and a
-  deterministic snapshot family of a closed-form two-parameter function
-  whose left factor is interpolated, whose ``svd(t)`` is the SVD of its
-  n x r snapshot itself (snapshot study; it compares against
-  single-tangent-space interpolation, which needs logs between samples far
-  apart).  The transport study samples the same family at its own three
-  parameters.
+  W(t) = Y(t) Z(t) of a random cubic Y(t) and a quadratic Z(t) with exact
+  low rank (SVD and tangent-vs-manifold studies); and a deterministic
+  snapshot family of a closed-form two-parameter function whose left factor
+  is interpolated, whose ``svd(t)`` is the SVD of its n x r snapshot itself
+  (snapshot study; it compares against single-tangent-space interpolation,
+  which needs logs between samples far apart).  The transport study samples
+  the same family at its own three parameters.
+
+Both random families factor their cubic Y(t) once, as a ``_CubicPath``: the
+QR of Y(t) and the SVD of Y(t) Z are lifted from those of its min(n, 4r)-row
+coordinates in one orthonormal basis of its coefficients, so no scan point,
+sample or reference factors an n-row matrix.  Every study SVD is a
+``linalg.svd_full`` call.
 
 ``COMMANDS`` is the one study registry.  It maps each CLI subcommand to the
 config fields its study reads, which are its flags, to the function that
@@ -178,20 +179,8 @@ def _uniform_grid(nodes: np.ndarray, points: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# QR-factor interpolation study
+# Cubic paths and the QR-factor interpolation study
 # --------------------------------------------------------------------------
-
-
-def _coefficient_basis(coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """An orthonormal basis of the coefficients Y0 .. Y3 of a cubic path, and their coordinates.
-
-    ``qr_basis`` of the stacked [Y0 Y1 Y2 Y3] (n x 4r) gives Q4 (n x k,
-    k = min(n, 4r)) and Q4'[Y0 Y1 Y2 Y3], whose columns j r .. (j + 1) r - 1
-    are C_j; returns Q4 and C0 .. C3 as one (4, k, r) array, so Y_j = Q4 C_j.
-    """
-    r = coeffs[0].shape[1]
-    basis, stacked = linalg.qr_basis(np.hstack(coeffs))
-    return basis, np.ascontiguousarray(stacked.reshape(-1, 4, r).transpose(1, 0, 2))
 
 
 def _cubic(coeffs, t: float) -> np.ndarray:
@@ -200,41 +189,54 @@ def _cubic(coeffs, t: float) -> np.ndarray:
     return c0 + t * c1 + t * t * c2 + t**3 * c3
 
 
-@dataclass
-class QRExperimentData:
-    """Cubic matrix polynomial Y(t) and Hermite samples of its Q-factor.
+class _CubicPath:
+    """Y(t) = Y0 + t Y1 + t^2 Y2 + t^3 Y3 (n x r), factored once.
 
-    The path is factored once: ``qr_basis`` of the stacked coefficients
-    [Y0 Y1 Y2 Y3] (n x 4r) gives an orthonormal Q4 (n x m, m = min(n, 4r))
-    and coordinates C, so Y(t) = Q4 C(t) with C(t) = C0 + t C1 + t^2 C2 +
-    t^3 C3 (m x r).  Since Q4'Q4 = I, the QR of Y(t) is Q4 q, R with q, R
-    the QR of C(t): in exact arithmetic the same R, sign convention and
-    ||.||_F, hence the same rank verdict.  A scan point then costs one
-    m x r QR; a reference adds the n x m by m x r product of the lift
-    Q = Q4 q, and a sample also ``diff_qr`` of the n x r Ydot(t).
+    ``qr_basis`` of the stacked coefficients [Y0 Y1 Y2 Y3] (n x 4r) gives an
+    orthonormal Q4 (``basis``, n x k, k = min(n, 4r)) and the coordinates
+    C0 .. C3 (``coords``, (4, k, r)) with Y_j = Q4 C_j, so Y(t) = Q4 C(t).
+    Since Q4'Q4 = I, the QR of Y(t) is Q4 q, R with q, R the QR of the
+    k x r C(t), and the SVD of Y(t) Z for any r x m Z is Q4 u, sigma, v with
+    u, sigma, v the SVD of the k x m C(t) Z: in exact arithmetic the same R,
+    sign convention, singular values and right factor.  A factorization then
+    costs one k-row factorization and an n-row lift.
     """
 
-    coeffs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    nodes: np.ndarray
-    samples: list[interpolate.HermiteSample]
-    basis: np.ndarray = field(init=False, repr=False)  # Q4, n x m
-    coords: np.ndarray = field(init=False, repr=False)  # (4, m, r): C0 .. C3
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+        r = coeffs[0].shape[1]
+        self.basis, stacked = linalg.qr_basis(np.hstack(coeffs))
+        self.coords = np.ascontiguousarray(stacked.reshape(-1, 4, r).transpose(1, 0, 2))
 
-    def __post_init__(self):
-        self.basis, self.coords = _coefficient_basis(self.coeffs)
-
-    def coordinates(self, t: float) -> np.ndarray:
-        """C(t) = Q4'Y(t), the m x r coordinates of Y(t) in the path's basis."""
-        return _cubic(self.coords, t)
+    def y(self, t: float) -> np.ndarray:
+        return _cubic(self.coeffs, t)
 
     def y_dot(self, t: float) -> np.ndarray:
         _, y1, y2, y3 = self.coeffs
         return y1 + 2.0 * t * y2 + 3.0 * t * t * y3
 
+    def coordinates(self, t: float) -> np.ndarray:
+        """C(t) = Q4'Y(t), the k x r coordinates of Y(t) in the path's basis."""
+        return _cubic(self.coords, t)
+
+
+@dataclass
+class QRExperimentData:
+    """A cubic path Y(t) and Hermite samples of its Q-factor.
+
+    A scan point costs one min(n, 4r) x r QR of the path's coordinates (see
+    ``_CubicPath``); a reference adds the n-row lift Q = Q4 q, and a sample
+    also ``diff_qr`` of the n x r Ydot(t).
+    """
+
+    path: _CubicPath
+    nodes: np.ndarray
+    samples: list[interpolate.HermiteSample]
+
     def factor(self, t: float) -> linalg.EconQR:
-        """QR of Y(t): the m x r QR of C(t), with Q lifted to n rows."""
-        qr = linalg.qr_econ(self.coordinates(t))
-        return linalg.EconQR(self.basis @ qr.q, qr.r_factor, qr.rank_deficient)
+        """QR of Y(t): the QR of its coordinates, with Q lifted to n rows."""
+        qr = linalg.qr_econ(self.path.coordinates(t))
+        return linalg.EconQR(self.path.basis @ qr.q, qr.r_factor, qr.rank_deficient)
 
     def reference(self, t: float) -> stiefel.StiefelPoint:
         return stiefel.StiefelPoint(self.factor(t).q)
@@ -243,7 +245,7 @@ class QRExperimentData:
         """The Q-factor at t with its velocity."""
         qr = self.factor(t)
         point = stiefel.StiefelPoint(qr.q)
-        q_dot = diff_qr(self.y_dot(t), qr)
+        q_dot = diff_qr(self.path.y_dot(t), qr)
         return interpolate.HermiteSample(float(t), stiefel.TangentVector(point, q_dot))
 
 
@@ -279,18 +281,18 @@ def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
     over the grid (Y is singular in between) is rejected too; the scan reads
     det C(t), which is det Y(t) times the constant det Q4 = +-1.
 
-    Each drawn path is factored once (see ``QRExperimentData``), so a scan
-    point costs one min(n, 4r) x r QR of its coordinates and no n-row work.
+    Each drawn path is factored once (see ``_CubicPath``), so a scan point
+    costs one min(n, 4r) x r QR of its coordinates and no n-row work.
     """
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
     scan = np.concatenate([nodes, _uniform_grid(nodes, config.grid_points)])
 
     def draw(rng):
         coeffs = tuple(rng.uniform(0.0, hi, (config.n, config.r)) for hi in (1.0, 0.5, 0.5, 0.2))
-        data = QRExperimentData(coeffs=coeffs, nodes=nodes, samples=[])
+        data = QRExperimentData(_CubicPath(coeffs), nodes, [])
         det_signs = set()
         for t in scan:
-            c = data.coordinates(t)
+            c = data.path.coordinates(t)
             if linalg.qr_econ(c).rank_deficient:
                 return None
             det_signs.add(config.n > config.r or np.linalg.det(c) > 0.0)
@@ -439,52 +441,6 @@ def _sample_svd_path(w, w_dot, svd, r: int, nodes: np.ndarray) -> SVDExperimentD
     )
 
 
-@dataclass
-class _LowRankPath:
-    """W(t) = Y(t) Z(t): a cubic n x r Y(t) times a quadratic r x m Z(t), factored once.
-
-    ``qr_basis`` of the stacked coefficients [Y0 Y1 Y2 Y3] (n x 4r) gives an
-    orthonormal Q4 (n x k, k = min(n, 4r)) and coordinates C, so W(t) =
-    Q4 C(t) Z(t) with C(t) = C0 + t C1 + t^2 C2 + t^3 C3 (k x r).  Since
-    Q4'Q4 = I, the SVD of W(t) is Q4 u, sigma, v with u, sigma, v the SVD
-    of the k x m matrix C(t) Z(t): the same singular values and right
-    factor.  A factorization then costs one k x m SVD, which keeps the full
-    m x m right factor, and the n x k by k x r lift of the leading r left
-    singular vectors.
-    """
-
-    y_coeffs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    z_coeffs: tuple[np.ndarray, np.ndarray, np.ndarray]
-    basis: np.ndarray = field(init=False, repr=False)  # Q4, n x k
-    coords: np.ndarray = field(init=False, repr=False)  # (4, k, r): C0 .. C3
-
-    def __post_init__(self):
-        self.basis, self.coords = _coefficient_basis(self.y_coeffs)
-
-    def coordinates(self, t: float) -> np.ndarray:
-        """C(t) = Q4'Y(t), the k x r coordinates of Y(t) in the path's basis."""
-        return _cubic(self.coords, t)
-
-    def z(self, t: float) -> np.ndarray:
-        z0, z1, z2 = self.z_coeffs
-        return z0 + t * z1 + t * t * z2
-
-    def w(self, t: float) -> np.ndarray:
-        return _cubic(self.y_coeffs, t) @ self.z(t)
-
-    def w_dot(self, t: float) -> np.ndarray:
-        _, y1, y2, y3 = self.y_coeffs
-        _, z1, z2 = self.z_coeffs
-        y_dot = y1 + 2.0 * t * y2 + 3.0 * t * t * y3
-        return y_dot @ self.z(t) + _cubic(self.y_coeffs, t) @ (z1 + 2.0 * t * z2)
-
-    def svd(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """SVD of W(t): the k x m SVD of C(t) Z(t), its leading r left vectors lifted to n rows."""
-        r = self.y_coeffs[0].shape[1]
-        u, sigma, vh = np.linalg.svd(self.coordinates(t) @ self.z(t))
-        return self.basis @ u[:, :r], sigma, vh.T
-
-
 def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
     """Random exact-rank-r path W(t) = Y(t) Z(t) with truncated-SVD samples.
 
@@ -493,9 +449,11 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
     Seeds giving near-repeated leading singular values at a node are
     regenerated with the next seed.
 
-    Each drawn path is factored once (see ``_LowRankPath``): its ``svd(t)``,
-    which every sample and reference calls, costs one min(n, 4r) x m SVD and
-    an n-row lift of r columns, where a direct SVD of W(t) is n x m.
+    Y is factored once (see ``_CubicPath``): the path's ``svd(t)``, which
+    every sample and reference calls, is the ``svd_full`` of the
+    min(n, 4r) x m coordinates C(t) Z(t), keeping the full m x m right
+    factor, with its leading r left vectors lifted to n rows; a direct SVD
+    of W(t) is n x m.
     """
     r = config.r
     if not r <= config.m <= config.n:
@@ -507,9 +465,23 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
 
     def draw(rng):
         ys = tuple(rng.uniform(0.0, hi, (config.n, r)) for hi in (1.0, 0.5, 0.5, 0.5))
-        zs = tuple(rng.uniform(0.0, hi, (r, config.m)) for hi in (1.0, 0.5, 0.5))
-        path = _LowRankPath(ys, zs)
-        return _sample_svd_path(path.w, path.w_dot, path.svd, r, nodes)
+        z0, z1, z2 = (rng.uniform(0.0, hi, (r, config.m)) for hi in (1.0, 0.5, 0.5))
+        path = _CubicPath(ys)
+
+        def z(t):
+            return z0 + t * z1 + t * t * z2
+
+        def w(t):
+            return path.y(t) @ z(t)
+
+        def w_dot(t):
+            return path.y_dot(t) @ z(t) + path.y(t) @ (z1 + 2.0 * t * z2)
+
+        def svd(t):
+            u, sigma, v = linalg.svd_full(path.coordinates(t) @ z(t))
+            return path.basis @ u[:, :r], sigma, v
+
+        return _sample_svd_path(w, w_dot, svd, r, nodes)
 
     return _seeded_draw(
         config, draw, "SVD path degenerate for seed %d; regenerating",

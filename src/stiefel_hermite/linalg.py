@@ -216,18 +216,17 @@ def qr_basis(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def svd_full(y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD ``y = u @ diag(sigma) @ v.T`` with square orthogonal ``v``.
+    """SVD ``y = u @ diag(sigma) @ v.T`` of an n x m matrix with square orthogonal ``v``.
 
-    Requires n >= m; returns ``u`` with n x m orthonormal columns, the
-    singular values in descending order, and the full m x m right factor
-    (needed by the truncated-SVD differentiation downstream).
+    Returns ``u`` with min(n, m) orthonormal columns, the min(n, m) singular
+    values in descending order, and the full m x m right factor (needed by
+    the truncated-SVD differentiation downstream), the transpose of LAPACK's
+    ``vh`` as a view.
     """
     mat = _as_matrix(y, "y")
     n, m = mat.shape
-    if n < m:
-        raise ShapeError(f"svd_full needs n >= m, got {mat.shape}")
-    u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
-    return u, sigma, vh.T.copy()
+    u, sigma, vh = np.linalg.svd(mat, full_matrices=n < m)
+    return u, sigma, vh.T
 
 
 def orth_complete(v_r) -> np.ndarray:

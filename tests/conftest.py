@@ -1,11 +1,22 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules.
 
-from collections import Counter
+BLAS runs on one thread unless the environment sets the thread count, as in
+``scripts/run_error_studies.py``: the suite's many small products and
+``expm`` calls run several times slower on more threads, and the committed
+``results/`` that some tests regenerate are one-thread runs.
+"""
 
-import numpy as np
-import pytest
+import os
 
-from stiefel_hermite import experiments, stiefel
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from collections import Counter  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from stiefel_hermite import experiments, stiefel  # noqa: E402
 
 
 @pytest.fixture

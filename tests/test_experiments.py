@@ -133,9 +133,9 @@ class TestQRExperiment:
     @staticmethod
     def _frozen(data):
         """The path Y(t) = Y0 of ``data``: its Q-factor stands still."""
-        y0 = data.coeffs[0]
+        y0 = data.path.coeffs[0]
         zeros = np.zeros_like(y0)
-        return ex.QRExperimentData(coeffs=(y0, zeros, zeros, zeros), nodes=data.nodes, samples=[])
+        return ex.QRExperimentData(ex._CubicPath((y0, zeros, zeros, zeros)), data.nodes, [])
 
     @pytest.mark.parametrize("n, r, frozen", [
         (1000, 10, False), (100, 6, False), (10, 3, False), (3, 3, False), (30, 3, True),
@@ -147,13 +147,13 @@ class TestQRExperiment:
         data = ex.gen_qr_experiment(ex.ExperimentConfig(n=n, r=r, num_nodes=4, seed=0))
         if frozen:
             data = self._frozen(data)
-        y0, y1, y2, y3 = data.coeffs
+        y0, y1, y2, y3 = data.path.coeffs
         for t in np.linspace(data.nodes[0], data.nodes[-1], 21):
             direct = linalg.qr_econ(y0 + t * y1 + t * t * y2 + t**3 * y3)
             assert np.linalg.norm(data.reference(t).u - direct.q) <= 1e-13
             sample = data.sample(t)
             assert np.linalg.norm(sample.point.u - direct.q) <= 1e-13
-            q_dot = calculus.diff_qr(data.y_dot(t), direct)
+            q_dot = calculus.diff_qr(data.path.y_dot(t), direct)
             assert np.linalg.norm(sample.velocity.delta - q_dot) <= 1e-13
 
     def test_one_n_row_factorization_per_path(self, monkeypatch, caplog):
@@ -297,6 +297,25 @@ class TestSVDExperiment:
             assert np.linalg.norm(v_r - v_d[:, :r]) <= 1e-10
             assert v.shape == (m, m)
             assert np.linalg.norm(v.T @ v - np.eye(m)) <= 1e-12
+
+    def test_one_k_row_svd_per_factorization(self, monkeypatch, caplog):
+        # St(100, 6), m = 30: every SVD is of the 4r = 24-row coordinates
+        n, r, num_nodes = 100, 6, 4
+        rows = []
+        kernel = linalg.svd_full
+
+        def spy(a):
+            rows.append(np.shape(a)[0])
+            return kernel(a)
+
+        monkeypatch.setattr(linalg, "svd_full", spy)
+        data = ex.gen_lowrank_svd_experiment(ex.ExperimentConfig(
+            n=n, r=r, m=30, interval=(0.0, 0.5), num_nodes=num_nodes, seed=0))
+        assert "regenerating" not in caplog.text  # one drawn path
+        assert rows == [4 * r] * num_nodes
+        rows.clear()
+        data.reference_u(0.3)
+        assert rows == [4 * r]
 
     def test_sign_normalized_path_continuous(self, svd_data):
         _, d = svd_data
@@ -853,3 +872,48 @@ class TestStudies:
         assert all(getattr(base, k) != v for k, v in self.ALTERED.items())
         run = ex.COMMANDS[command].run
         assert run(altered) == run(base)
+
+
+def _shown(value: float) -> str:
+    """A number as the README shows it: three significant digits, 6.57e-4."""
+    return re.sub(r"e([+-])0*(\d)", r"e\1\2", f"{value:.2e}")
+
+
+def _csv_rows(stem: str) -> list[list[float]]:
+    lines = (RESULTS / f"{stem}.csv").read_text().splitlines()[1:]
+    return [[float(x) for x in line.split(",")] for line in lines if not line.startswith("#")]
+
+
+class TestReadmeResults:
+    """Every number of the README's Results section is that of the committed ``results/``."""
+
+    SECTION = " ".join(README.read_text().split("\n## Results\n")[1].split("\n## ")[0].split())
+
+    def test_max_rel_table(self):
+        configs = {stem: cfg for c in ex.COMMANDS.values() for stem, cfg in c.studies.items()}
+        rows = re.findall(r"\| `(\w+)` \| St\((\d+), (\d+)\) \| ([^|]+) \| ([^|]+) \| ([^|]+) \|",
+                          self.SECTION)
+        assert sorted(row[0] for row in rows) == sorted(stem for _, stem in REPORT_STUDIES)
+        for stem, n, r, *cells in rows:
+            assert (int(n), int(r)) == (configs[stem].n, configs[stem].r)
+            text = (RESULTS / f"{stem}.csv").read_text()
+            footers = dict(re.findall(r"^# max_rel,(\w+),(.+)$", text, re.MULTILINE))
+            want = [_shown(float(footers[m])) if m in footers else "—" for m in ex.METHODS]
+            assert cells == want, stem
+            assert footers["hermite"] == min(footers.values(), key=float)
+
+    def test_transport_minimum(self):
+        (error, step), = re.findall(r"V-shaped in the difference step: minimum (\S+) at h = (\S+)\.",
+                                    self.SECTION)
+        errors = [e for _, e in _csv_rows("transport_accuracy_snapshot")]
+        low = int(np.argmin(errors))
+        assert np.all(np.diff(errors[:low + 1]) < 0) and np.all(np.diff(errors[low:]) > 0)
+        assert (error, float(step)) == (_shown(errors[low]), ex.TRANSPORT_STEPS[low])
+
+    def test_bound_check(self):
+        (count,) = re.findall(r"lies between the K = 5/4 and K = 0 bounds in all (\d+) rows",
+                              self.SECTION)
+        rows = _csv_rows("bound_check")
+        assert int(count) == len(rows)
+        for *_, observed, flat, curved in rows:
+            assert curved <= observed <= flat

@@ -249,9 +249,12 @@ class TestSvdFull:
         assert v.shape == (4, 4)
         assert np.linalg.norm(v.T @ v - np.eye(4)) < 1e-13
 
-    def test_wide_rejected(self):
-        with pytest.raises(ShapeError):
-            linalg.svd_full(np.ones((3, 5)))
+    def test_wide(self):
+        y = np.random.default_rng(11).standard_normal((3, 5))
+        u, sigma, v = linalg.svd_full(y)
+        assert u.shape == (3, 3) and sigma.shape == (3,) and v.shape == (5, 5)
+        assert np.linalg.norm(v.T @ v - np.eye(5)) < 1e-13
+        assert np.linalg.norm(u @ np.diag(sigma) @ v[:, :3].T - y) <= 1e-12 * np.linalg.norm(y)
 
 
 class TestOrthComplete:

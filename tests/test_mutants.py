@@ -171,8 +171,8 @@ def test_qr_lift_sign_mutant(monkeypatch):
     # the lift of the coordinates' QR without qr_econ's sign convention:
     # the Householder signs that LAPACK leaves
     def unsigned_factor(data, t):
-        q, r_factor = np.linalg.qr(data.coordinates(t))
-        return linalg.EconQR(data.basis @ q, r_factor, False)
+        q, r_factor = np.linalg.qr(data.path.coordinates(t))
+        return linalg.EconQR(data.path.basis @ q, r_factor, False)
 
     monkeypatch.setattr(ex.QRExperimentData, "factor", unsigned_factor)
     with pytest.raises(AssertionError):
@@ -180,11 +180,14 @@ def test_qr_lift_sign_mutant(monkeypatch):
 
 
 def test_lowrank_svd_cubic_mutant(monkeypatch):
-    # the low-rank SVD path's coordinates without their cubic term C3 t^3
+    # the cubic path's coordinates without their cubic term C3 t^3, which
+    # both the QR and the low-rank SVD family factor
     def quadratic_coordinates(path, t):
         c0, c1, c2, _ = path.coords
         return c0 + t * c1 + t * t * c2
 
-    monkeypatch.setattr(ex._LowRankPath, "coordinates", quadratic_coordinates)
+    monkeypatch.setattr(ex._CubicPath, "coordinates", quadratic_coordinates)
+    with pytest.raises(AssertionError):
+        test_experiments.TestQRExperiment().test_factored_path_matches_direct_qr(100, 6, False)
     with pytest.raises(AssertionError):
         test_experiments.TestSVDExperiment().test_factored_svd_matches_direct_svd(80, 5, 30)

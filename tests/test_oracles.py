@@ -255,7 +255,7 @@ class TestIsometryOracle:
         # The QR path's samples in its 4r coordinates (St(24, 6)) and lifted
         # back to St(100, 6) by its basis B: each fit of the lifted samples
         # is B times the fit of the coordinates.
-        b = qr_path.basis
+        b = qr_path.path.basis
         small = [HermiteSample(s.t, TangentVector(StiefelPoint(b.T @ s.point.u), b.T @ s.velocity.delta))
                  for s in qr_path.samples]
         lifted = [HermiteSample(s.t, TangentVector(StiefelPoint(b @ s.point.u), b @ s.velocity.delta))

@@ -18,8 +18,9 @@ Two kinds of sampled factor path drive the studies:
 Both random families factor their cubic Y(t) once, as a ``_CubicPath``: the
 QR of Y(t) and the SVD of Y(t) Z are lifted from those of its min(n, 4r)-row
 coordinates in one orthonormal basis of its coefficients, so no scan point,
-sample or reference factors an n-row matrix.  Every study SVD is a
-``linalg.svd_full`` call.
+sample or reference factors an n-row matrix.  The SVD study measures its
+reconstructions against those coordinates too: no grid point forms an
+n x m matrix.  Every study SVD is a ``linalg.svd_full`` call.
 
 ``COMMANDS`` is the one study registry.  It maps each CLI subcommand to the
 config fields its study reads, which are its flags, to the function that
@@ -337,11 +338,13 @@ def _method_curves(
     return curves
 
 
-def _relative_errors(grid, curves, reference, failures: dict[str, str]) -> dict[str, list[float]]:
-    """Relative Frobenius error of each method's matrix ``curves[m](t)`` against ``reference(t)``.
+def _relative_errors(grid, curves, reference, distance, failures: dict[str, str]):
+    """Each method's relative errors distance(curves[m](t), ref) / ||ref||_F, ref = reference(t).
 
-    A method whose curve raises PreconditionError at a grid point, as the
-    RBF baseline's round-off does on many nodes, gets no column; its first
+    Returns the error column of each method; ``distance`` gives the
+    Frobenius distance of a curve's value from the matrix ``ref``.  A method
+    whose curve raises PreconditionError at a grid point, as the RBF
+    baseline's round-off does on many nodes, gets no column; its first
     failure is recorded in ``failures`` with that t, as ``_method_curves``
     records fit failures.
     """
@@ -351,7 +354,7 @@ def _relative_errors(grid, curves, reference, failures: dict[str, str]) -> dict[
         scale = np.linalg.norm(ref)
         for method in list(errors):
             try:
-                errors[method].append(np.linalg.norm(curves[method](t) - ref) / scale)
+                errors[method].append(distance(curves[method](t), ref) / scale)
             except PreconditionError as exc:
                 failures.setdefault(method, f"evaluation failed at t={float(t)!r}: {exc}")
                 del errors[method]
@@ -364,7 +367,8 @@ def _factor_study(config: ExperimentConfig, samples, nodes, reference) -> ErrorR
     failures: dict[str, str] = {}
     fitted = _method_curves(config, samples, failures)
     curves = {m: (lambda t, c=c: c(t).u) for m, c in fitted.items()}
-    errors = _relative_errors(grid, curves, lambda t: reference(t).u, failures)
+    errors = _relative_errors(grid, curves, lambda t: reference(t).u,
+                              lambda u, ref: np.linalg.norm(u - ref), failures)
     return ErrorReport(grid, errors, failures=failures)
 
 
@@ -388,10 +392,12 @@ class SVDExperimentData:
     descending order, and v is the full m x m right factor that
     ``diff_svd_truncated`` needs.  The samples and the references call it
     and no other SVD; ``w`` and ``w_dot`` give W(t) and its derivative as
-    n x m matrices.  Every sampled and reference factor is sign-normalized
-    against the leading left factor at the first node,
-    ``samples_u[0].point``, so that the sampled factor paths are
-    differentiable.
+    n x m matrices.  ``factored`` is the low-rank family's factored form
+    (Q4, X) with W(t) = Q4 X(t), Q4 the n x min(n, 4r) basis of its
+    ``_CubicPath`` and X(t) = C(t) Z(t); it is None for the snapshot family.
+    Every sampled and reference factor is sign-normalized against the
+    leading left factor at the first node, ``samples_u[0].point``, so that
+    the sampled factor paths are differentiable.
     """
 
     w: Callable[[float], np.ndarray]
@@ -402,6 +408,7 @@ class SVDExperimentData:
     samples_v: list[interpolate.HermiteSample]
     sigma_values: np.ndarray  # (k, r)
     sigma_slopes: np.ndarray  # (k, r)
+    factored: tuple[np.ndarray, Callable[[float], np.ndarray]] | None = None
 
     def reference_u(self, t: float) -> stiefel.StiefelPoint:
         u, _, v = self.svd(t)
@@ -411,10 +418,11 @@ class SVDExperimentData:
         return stiefel.StiefelPoint(u_n)
 
 
-def _sample_svd_path(w, w_dot, svd, r: int, nodes: np.ndarray) -> SVDExperimentData | None:
+def _sample_svd_path(w, w_dot, svd, r: int, nodes: np.ndarray, factored=None):
     """Hermite samples of the rank-``r`` truncated SVD factors of W(t) at ``nodes``.
 
-    ``svd(t)`` factors W(t) as ``SVDExperimentData.svd`` does.  Returns None
+    ``svd(t)`` factors W(t) as ``SVDExperimentData.svd`` does, and
+    ``factored`` is stored as that field.  Returns the data, or None
     when ``diff_svd_truncated`` refuses a node: W is not numerically of rank
     r there, or its leading singular values are too close to differentiate.
     """
@@ -436,8 +444,8 @@ def _sample_svd_path(w, w_dot, svd, r: int, nodes: np.ndarray) -> SVDExperimentD
         sigma_values[i] = sigma[:r]
         sigma_slopes[i] = deriv.sigma_dot
     return SVDExperimentData(
-        w=w, w_dot=w_dot, svd=svd, nodes=nodes, samples_u=samples_u,
-        samples_v=samples_v, sigma_values=sigma_values, sigma_slopes=sigma_slopes,
+        w=w, w_dot=w_dot, svd=svd, nodes=nodes, samples_u=samples_u, samples_v=samples_v,
+        sigma_values=sigma_values, sigma_slopes=sigma_slopes, factored=factored,
     )
 
 
@@ -477,11 +485,14 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
         def w_dot(t):
             return path.y_dot(t) @ z(t) + path.y(t) @ (z1 + 2.0 * t * z2)
 
+        def x(t):
+            return path.coordinates(t) @ z(t)
+
         def svd(t):
-            u, sigma, v = linalg.svd_full(path.coordinates(t) @ z(t))
+            u, sigma, v = linalg.svd_full(x(t))
             return path.basis @ u[:, :r], sigma, v
 
-        return _sample_svd_path(w, w_dot, svd, r, nodes)
+        return _sample_svd_path(w, w_dot, svd, r, nodes, factored=(path.basis, x))
 
     return _seeded_draw(
         config, draw, "SVD path degenerate for seed %d; regenerating",
@@ -496,6 +507,13 @@ def run_svd_interp(config: ExperimentConfig) -> ErrorReport:
     for the singular values.  Geodesic baseline: piecewise geodesics for U
     and V, linear interpolation for the singular values.  The RBF method is
     not part of this study.
+
+    The error ||U S V' - W(t)||_F / ||W(t)||_F of a reconstruction is taken
+    in the path's factored form W(t) = Q4 X(t) (``SVDExperimentData.factored``):
+    ||W(t)||_F = ||X(t)||_F, and ``_lowrank_distance`` splits the distance
+    into its part in span(Q4), a min(n, 4r) x m matrix, and the part of U
+    outside it, an r x r one.  A grid point costs two n x min(n, 4r) x r
+    products per method and no n x m matrix.
     """
     if "rbf" in config.methods:
         raise PreconditionError("the rbf method is not available for svd-interp")
@@ -516,11 +534,30 @@ def run_svd_interp(config: ExperimentConfig) -> ErrorReport:
         return (1.0 - s) * v0 + s * v1
 
     def reconstruction(method, cu, cv):
-        return lambda t: (cu(t).u * sigma(method, t)[np.newaxis, :]) @ cv(t).u.T
+        return lambda t: (cu(t).u, sigma(method, t), cv(t).u)
 
+    basis, x = data.factored
     curves = {m: reconstruction(m, cu, curves_v[m]) for m, cu in curves_u.items() if m in curves_v}
-    errors = _relative_errors(grid, curves, data.w, failures)
+    errors = _relative_errors(grid, curves, x, lambda usv, ref: _lowrank_distance(basis, usv, ref),
+                              failures)
     return ErrorReport(grid, errors, failures=failures)
+
+
+def _lowrank_distance(basis, usv, x) -> float:
+    """||U diag(s) V' - Q4 X||_F for usv = (U, s, V), Q4 = ``basis``, without an n x m matrix.
+
+    With P = Q4'U and R = U - Q4 P, the columns of R are orthogonal to those
+    of Q4, so the square splits into ||P diag(s) V' - X||_F^2, a
+    min(n, 4r) x m sum, and ||R diag(s) V'||_F^2 =
+    sum_ij (diag(s) R'R diag(s))_ij (V'V)_ij, an r x r one.  The second part
+    is what a U leaving span(Q4) adds; without it, such a U would be scored
+    as its projection onto span(Q4).
+    """
+    u, s, v = usv
+    p = basis.T @ u
+    off_span = u - basis @ p
+    in_span = np.linalg.norm((p * s) @ v.T - x)
+    return math.sqrt(in_span**2 + np.sum((off_span.T @ off_span) * np.outer(s, s) * (v.T @ v)))
 
 
 def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
@@ -587,19 +624,22 @@ def _sample_snapshot_path(n: int, r: int, mus) -> SVDExperimentData:
     weights = np.full(n, dx)
     weights[0] = weights[-1] = 0.5 * dx
     t_snapshots = 1.0 + 0.6 * np.arange(r)
+    powers = [(x**t, 0.5 * np.pi * x ** (t + 1.0)) for t in t_snapshots]
 
     def columns(mu):
-        for t in t_snapshots:
-            f = x**t * np.sin(0.5 * np.pi * mu * x)
-            yield t, f, np.sqrt(weights @ (f * f))
+        sine = np.sin(0.5 * np.pi * mu * x)
+        for power, power_dot in powers:
+            f = power * sine
+            yield power_dot, f, np.sqrt(weights @ (f * f))
 
     def snapshot(mu):
         return np.column_stack([f / nrm for _, f, nrm in columns(mu)])
 
     def snapshot_dot(mu):
+        cosine = np.cos(0.5 * np.pi * mu * x)
         cols = []
-        for t, f, nrm in columns(mu):
-            fd = 0.5 * np.pi * x ** (t + 1.0) * np.cos(0.5 * np.pi * mu * x)
+        for power_dot, f, nrm in columns(mu):
+            fd = power_dot * cosine
             cols.append(fd / nrm - (weights @ (f * fd)) / nrm**3 * f)
         return np.column_stack(cols)
 

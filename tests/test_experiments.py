@@ -196,6 +196,13 @@ class TestQRExperiment:
             assert np.linalg.norm(curve(s.t).u - s.point.u) <= 1e-8
 
 
+def _nudged_first_row(point):
+    """The point with its first ambient row moved by 1e-9, re-orthonormalized."""
+    u = point.u.copy()
+    u[0] += 1e-9
+    return stiefel.StiefelPoint(linalg.qr_econ(u).q)
+
+
 def _qr_family(cfg):
     """The QR study's path: Hermite samples of its Q-factor at given nodes."""
     data = ex.gen_qr_experiment(cfg)
@@ -317,6 +324,66 @@ class TestSVDExperiment:
         data.reference_u(0.3)
         assert rows == [4 * r]
 
+    @pytest.mark.parametrize("n, r, m, off_span", [
+        (80, 5, 30, False), (40, 3, 10, False), (10, 3, 8, False), (80, 5, 30, True),
+    ], ids=["4r-below-m", "4r-above-m", "n-below-4r", "off-span"])
+    def test_factored_error_matches_direct_error(self, monkeypatch, n, r, m, off_span):
+        # the reported errors, from the min(n, 4r)-row coordinates, against
+        # those of the n x m W(t) = data.w(t) and the same fitted curves;
+        # measured at most 1.8e-15 absolute at the paper's scale.  Off span,
+        # every curve point has its first ambient row nudged out of span(Q4).
+        if off_span:
+            exp = stiefel.TangentFrame.exp
+            monkeypatch.setattr(stiefel.TangentFrame, "exp",
+                                lambda frame, coeffs: _nudged_first_row(exp(frame, coeffs)))
+        seen = {}
+        gen, relative_errors = ex.gen_lowrank_svd_experiment, ex._relative_errors
+
+        def errors_spy(grid, curves, *args):
+            seen.update(grid=grid, curves=curves)
+            return relative_errors(grid, curves, *args)
+
+        monkeypatch.setattr(ex, "gen_lowrank_svd_experiment",
+                            lambda config: seen.setdefault("data", gen(config)))
+        monkeypatch.setattr(ex, "_relative_errors", errors_spy)
+        cfg = ex.ExperimentConfig(n=n, r=r, m=m, interval=(0.0, 0.5), num_nodes=2, seed=0,
+                                  methods=("hermite", "geodesic"))
+        report = ex.run_svd_interp(cfg)
+        assert set(report.errors) == {"hermite", "geodesic"}
+        basis = seen["data"].factored[0]
+        outside = 0.0
+        for method, curve in seen["curves"].items():
+            for t, err in zip(seen["grid"], report.errors[method], strict=True):
+                u, s, v = curve(t)
+                w = seen["data"].w(t)
+                direct = np.linalg.norm((u * s) @ v.T - w) / np.linalg.norm(w)
+                assert abs(err - direct) <= max(1e-9 * direct, 1e-14), (method, t, err, direct)
+                outside = max(outside, np.linalg.norm(u - basis @ (basis.T @ u)))
+        assert (outside > 1e-10) == off_span, outside
+
+    def test_no_w_per_grid_point(self, monkeypatch, caplog):
+        # St(100, 6), m = 30: the errors come from the 24-row coordinates,
+        # so the study never forms the 100 x 30 W(t)
+        cfg = ex.ExperimentConfig(n=100, r=6, m=30, interval=(0.0, 0.5), num_nodes=4, seed=0,
+                                  methods=("hermite", "geodesic"))
+        calls = []
+        sample = ex._sample_svd_path
+
+        def spy(w, *args, **kwargs):
+            def w_spy(t):
+                calls.append(t)
+                return w(t)
+
+            return sample(w_spy, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "_sample_svd_path", spy)
+        report = ex.run_svd_interp(cfg)
+        assert "regenerating" not in caplog.text  # one drawn path
+        assert set(report.errors) == {"hermite", "geodesic"}
+        assert calls == []
+        ex.gen_lowrank_svd_experiment(cfg).w(0.25)  # the spy sees the family's w
+        assert calls == [0.25]
+
     def test_sign_normalized_path_continuous(self, svd_data):
         _, d = svd_data
         ts = np.linspace(d.nodes[0], d.nodes[-1], 40)
@@ -422,6 +489,24 @@ class TestSnapshotExperiment:
             y = d.w(mu)
             norms = np.trapezoid(y * y, x, axis=0)
             assert np.allclose(norms, 1.0, atol=1e-10)
+
+    def test_matches_per_column_formula(self, snapshot_data):
+        # the family computes x^t and the trigonometric factor once; each
+        # column keeps the per-column formula's operation order, bit for bit
+        cfg, d = snapshot_data
+        x = np.linspace(0.0, 1.0, cfg.n)
+        weights = np.full(cfg.n, x[1] - x[0])
+        weights[0] = weights[-1] = 0.5 * (x[1] - x[0])
+        for mu in (0.9, 1.4, 1.7, 1.93, 2.3):
+            cols, cols_dot = [], []
+            for t in 1.0 + 0.6 * np.arange(cfg.r):
+                f = x**t * np.sin(0.5 * np.pi * mu * x)
+                nrm = np.sqrt(weights @ (f * f))
+                fd = 0.5 * np.pi * x ** (t + 1.0) * np.cos(0.5 * np.pi * mu * x)
+                cols.append(f / nrm)
+                cols_dot.append(fd / nrm - (weights @ (f * fd)) / nrm**3 * f)
+            assert np.array_equal(d.w(mu), np.column_stack(cols))
+            assert np.array_equal(d.w_dot(mu), np.column_stack(cols_dot))
 
     def test_derivative_matches_fd(self, snapshot_data):
         _, d = snapshot_data

@@ -103,16 +103,9 @@ def test_point_check_mutant(monkeypatch):
         test_stiefel.TestTypes().test_point_drift_threshold(np.random.default_rng(42))
 
 
-def _nudged_first_row(point):
-    """The point with its first ambient row moved by 1e-9, re-orthonormalized."""
-    u = point.u.copy()
-    u[0] += 1e-9
-    return stiefel.StiefelPoint(linalg.qr_econ(u).q)
-
-
 def test_ambient_basis_exp_mutant(monkeypatch, qr_path):
     # an exponential that reads the ambient basis: rotating the input does not rotate the output
-    _mutate(monkeypatch, stiefel.TangentFrame, "exp", _nudged_first_row)
+    _mutate(monkeypatch, stiefel.TangentFrame, "exp", test_experiments._nudged_first_row)
     with pytest.raises(AssertionError):
         test_oracles.TestIsometryOracle().test_orthogonal_map(40, 3, 0.57)
     with pytest.raises(AssertionError):
@@ -191,3 +184,16 @@ def test_lowrank_svd_cubic_mutant(monkeypatch):
         test_experiments.TestQRExperiment().test_factored_path_matches_direct_qr(100, 6, False)
     with pytest.raises(AssertionError):
         test_experiments.TestSVDExperiment().test_factored_svd_matches_direct_svd(80, 5, 30)
+
+
+def _distance_in_span(basis, usv, x):
+    """``experiments._lowrank_distance`` without the part of U outside span(Q4)."""
+    u, s, v = usv
+    return np.linalg.norm(((basis.T @ u) * s) @ v.T - x)
+
+
+def test_lowrank_distance_in_span_mutant(monkeypatch):
+    monkeypatch.setattr(ex, "_lowrank_distance", _distance_in_span)
+    with pytest.raises(AssertionError):
+        test_experiments.TestSVDExperiment().test_factored_error_matches_direct_error(
+            monkeypatch, 80, 5, 30, True)

@@ -455,7 +455,11 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
     Y is a cubic n x r polynomial (entries uniform on [0,1] / [0,0.5]),
     Z a quadratic r x m polynomial (entries uniform on [0,1] / [0,0.5]).
     Seeds giving near-repeated leading singular values at a node are
-    regenerated with the next seed.
+    regenerated with the next seed.  A square factor (n = r for U, m = r
+    for V) lies in O(r), whose two components no geodesic joins, so a seed
+    whose consecutive samples F_i, F_i+1 of such a factor have
+    det(F_i'F_i+1) < 0, the test on which ``stiefel_log`` refuses, is
+    regenerated too.
 
     Y is factored once (see ``_CubicPath``): the path's ``svd(t)``, which
     every sample and reference calls, is the ``svd_full`` of the
@@ -492,7 +496,14 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
             u, sigma, v = linalg.svd_full(x(t))
             return path.basis @ u[:, :r], sigma, v
 
-        return _sample_svd_path(w, w_dot, svd, r, nodes, factored=(path.basis, x))
+        data = _sample_svd_path(w, w_dot, svd, r, nodes, factored=(path.basis, x))
+        if data is not None and any(
+            a.point.n == r and np.linalg.det(a.point.u.T @ b.point.u) < 0.0
+            for samples in (data.samples_u, data.samples_v)
+            for a, b in zip(samples, samples[1:])
+        ):
+            return None
+        return data
 
     return _seeded_draw(
         config, draw, "SVD path degenerate for seed %d; regenerating",

@@ -229,17 +229,29 @@ def svd_full(y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, vh.T
 
 
-def orth_complete(v_r) -> np.ndarray:
-    """m x (m - r) orthonormal completion of an m x r matrix with orthonormal columns.
+def orth_complete(v, near) -> np.ndarray:
+    """The m x (m - r) completion W of an m x r orthonormal V nearest to ``near``, det [V, W] = +1.
 
-    The trailing m - r columns of the complete Q of the LAPACK ``dgeqrf``/
-    ``dorgqr`` pair that ``qr_econ`` calls, numpy's complete QR bit for bit.
-    Which completion comes out matters only up to its span: ``stiefel_log``
-    rotates the columns it returns into Procrustes position.
+    W0, the trailing m - r columns of the complete Q of the LAPACK
+    ``dgeqrf``/``dorgqr`` pair that ``qr_econ`` calls, spans the orthogonal
+    complement of V.  The orthogonal Procrustes fit of W0 to the m x (m - r)
+    matrix ``near`` (Zimmermann and Hueper, SIMAX 43(2), 2022) rotates it:
+    W = W0 Y X' from the SVD near'W0 = X S Y', so near'W = X S X' is
+    symmetric positive semidefinite.  If det [V, W] would be -1, X's last
+    column is negated first, which negates the smallest eigenvalue of
+    near'W; at m > r, [V, W] is in SO(m).  ``stiefel_log`` starts from
+    [V, W].
     """
-    v = _as_matrix(v_r, "v_r")
+    v = _as_matrix(v, "v")
     m, r = v.shape
     if r > m:
         raise ShapeError(f"orth_complete needs m >= r, got {v.shape}")
+    near = _as_matrix(near, "near")
+    if near.shape != (m, m - r):
+        raise ShapeError(f"orth_complete needs near of shape {(m, m - r)}, got {near.shape}")
     _check_orthonormal(v, "orth_complete input is not orthonormal (||V'V - I|| = {:.3g})")
-    return _householder(v, "orth_complete", complete=True)[0][:, r:]
+    w0 = _householder(v, "orth_complete", complete=True)[0][:, r:]
+    x, _, yt = np.linalg.svd(near.T @ w0)
+    if r < m and np.linalg.det(np.hstack([v, w0])) * np.linalg.det(x @ yt) < 0.0:
+        x[:, -1] *= -1.0
+    return w0 @ yt.T @ x.T

@@ -314,26 +314,6 @@ def _step(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return 0.5 * (x - x.T)
 
 
-def _completion(top: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, float]:
-    """[top, W] with det +1 and W the completion nearest to ``rest``; sigma_min^2.
-
-    W = W0 Y X' from W0 = ``orth_complete(top)`` and rest'W0 = X Sigma Y',
-    X's last column negated if det [top, W] would be -1 (see ``stiefel_log``).
-    """
-    r = top.shape[1]
-    v = np.hstack([top, linalg.orth_complete(top)])
-    x, sigma, yt = np.linalg.svd(rest.T @ v[:, r:])
-    if np.linalg.det(v) * np.linalg.det(x @ yt) < 0.0:
-        x[:, -1] *= -1.0
-    v[:, r:] = v[:, r:] @ yt.T @ x.T
-    return v, sigma[-1] ** 2
-
-
-#: A start whose sigma_min^2 (of rest'W0, see ``_completion``) is below this
-#: lies too far from the target; the cold start is used instead.
-WARM_START_MIN_SQ = 0.25
-
-
 def stiefel_log(
     base: StiefelPoint, target: StiefelPoint, start: TangentVector | None = None
 ) -> TangentVector:
@@ -345,21 +325,19 @@ def stiefel_log(
     V <- V diag(I, expm(X)), until ||C||_F <= ``LOG_TAU``; then
     xi = U A + Q B.
 
-    * Start: Zimmermann and Hueper (SIMAX 43(2), 2022), one orthogonal
-      Procrustes fit of V's completion columns W0 to r target columns
-      ``rest``: W = W0 Y X' from the SVD rest'W0 = X Sigma Y' makes
-      rest'W = X Sigma X' symmetric PSD; if det V would be -1, X's last
-      column is negated first (the principal log needs det V = +1).  The
-      cold start takes rest = [0; I], the last r columns of the identity,
-      so rest'W0 = V22.  A tangent vector ``start`` at ``base`` (warm start)
-      takes the last r columns of expm([[A_s, -M_s'], [M_s, 0]]) with
-      s = U A_s + N_s and M_s = Q'N_s over the target's normal basis Q;
-      s = 0 is the cold start.  The first residual then scales with the
-      distance of Exp(start) from the target, not with that of base: the
-      velocity transport's logs start from logs that end O(h) and O(h^2)
-      from their targets and take 5 and 3 kernel logs where a cold start
-      takes 6 (fit_far, 0.57 pi apart).  A start with sigma_min^2 below
-      ``WARM_START_MIN_SQ`` is far off, and the cold start is used instead.
+    * Start: Zimmermann and Hueper (SIMAX 43(2), 2022), V = [top, W] with
+      W = ``linalg.orth_complete(top, rest)``, the completion of the first
+      r columns ``top`` nearest to r target columns ``rest`` (an orthogonal
+      Procrustes fit) with det V = +1, which the principal log needs.  The
+      cold start takes rest = [0; I], the last r columns of the identity.
+      A tangent vector ``start`` at ``base`` (warm start) takes the last r
+      columns of expm([[A_s, -M_s'], [M_s, 0]]) with s = U A_s + N_s and
+      M_s = Q'N_s over the target's normal basis Q; s = 0 is the cold
+      start.  The first residual then scales with the distance of
+      Exp(start) from the target, not with that of base: the velocity
+      transport's logs start from logs that end O(h) and O(h^2) from their
+      targets and take 5 and 3 kernel logs where a cold start takes 6
+      (fit_far, 0.57 pi apart).
     * Polish: before each log V is replaced by V (3I - V'V) / 2, one
       Newton-Schulz step towards the orthogonal polar factor.  A drift
       ||V'V - I||_F above ``linalg.ORTH_TOL`` before the polish ends the
@@ -430,15 +408,13 @@ def stiefel_log(
     qr = linalg.qr_econ(normal)
     q, nfac = qr.q, qr.r_factor
     top = np.vstack([overlap, nfac])
-    rest = cold = linalg._identity(2 * r)[:, r:]
+    rest = linalg._identity(2 * r)[:, r:]
     if start is not None:
         if start.base is not base and not np.array_equal(start.base.u, base.u):
             raise PreconditionError("start is not a tangent vector at base")
         a_s = base.u.T @ start.delta
         rest = linalg.expm(_generator(a_s, q.T @ (start.delta - base.u @ a_s)))[:, r:]
-    v, sigma_sq = _completion(top, rest)
-    if rest is not cold and sigma_sq < WARM_START_MIN_SQ:
-        v, _ = _completion(top, cold)
+    v = np.hstack([top, linalg.orth_complete(top, rest)])
     residuals, reason = [], None
     for k in range(LOG_MAX_ITER):
         try:

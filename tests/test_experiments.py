@@ -324,6 +324,21 @@ class TestSVDExperiment:
         data.reference_u(0.3)
         assert rows == [4 * r]
 
+    @pytest.mark.parametrize("n, r, m, seed", [(12, 3, 3, 5), (6, 6, 6, 2)])
+    def test_square_factor_samples_share_a_component(self, capsys, caplog, n, r, m, seed):
+        # a square factor lies in O(r): at these seeds consecutive samples of
+        # V (m = r), or of U and V (n = r), fall in its two components, which no
+        # geodesic joins, so the draw moves on to the next seed
+        args = ["svd-interp", "--n", str(n), "--r", str(r), "--m", str(m), "--seed", str(seed)]
+        assert cli.main(args) == 0
+        assert "# failure" not in capsys.readouterr().out
+        assert f"seed {seed}; regenerating" in caplog.text
+        paper = next(iter(ex.COMMANDS["svd-interp"].studies.values()))
+        data = ex.gen_lowrank_svd_experiment(dataclasses.replace(paper, n=n, r=r, m=m, seed=seed))
+        for samples in (data.samples_u, data.samples_v):
+            for a, b in zip(samples, samples[1:]):
+                assert a.point.n > r or np.linalg.det(a.point.u.T @ b.point.u) > 0.0
+
     @pytest.mark.parametrize("n, r, m, off_span", [
         (80, 5, 30, False), (40, 3, 10, False), (10, 3, 8, False), (80, 5, 30, True),
     ], ids=["4r-below-m", "4r-above-m", "n-below-4r", "off-span"])

@@ -173,24 +173,43 @@ class TestArc:
         interp.fit_arc(samples[0], samples[1])
         assert kernel_calls == {"log": 3, "exp": 2}
 
+    @staticmethod
+    def _kernel_logs(monkeypatch):
+        """Kernel logs of each log of the arcs of the St(40, 3) QR-study path, both centerings.
+
+        One list per arc: Log_q(p), then the transport's +h and -h logs.
+        """
+        cfg = ex.ExperimentConfig(n=40, r=3, interval=(-1.1, 1.1), num_nodes=3, seed=0)
+        samples = ex.gen_qr_experiment(cfg).samples
+        arcs = []
+        logm, log = linalg.logm, stiefel.stiefel_log
+
+        def spy_logm(v):
+            arcs[-1][-1] += 1
+            return logm(v)
+
+        def spy_log(*args, **kwargs):
+            arcs[-1].append(0)
+            return log(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "logm", spy_logm)
+        monkeypatch.setattr(stiefel, "stiefel_log", spy_log)
+        for centering in interp.CENTERINGS:
+            for s0, s1 in zip(samples, samples[1:]):
+                arcs.append([])
+                interp.fit_arc(s0, s1, centering=centering)
+        return arcs
+
     def test_at_most_fourteen_schur_logs(self, monkeypatch):
         # cold, each of the three logs takes 5-6 kernel logs (15-18 per arc);
         # with the transport's two started from Log_q(p), an arc takes 12-13
-        cfg = ex.ExperimentConfig(n=40, r=3, interval=(-1.1, 1.1), num_nodes=3, seed=0)
-        samples = ex.gen_qr_experiment(cfg).samples
-        counts = []
-        logm = linalg.logm
+        assert max(sum(arc) for arc in self._kernel_logs(monkeypatch)) <= 14
 
-        def spy_logm(v):
-            counts[-1] += 1
-            return logm(v)
-
-        monkeypatch.setattr(linalg, "logm", spy_logm)
-        for centering in interp.CENTERINGS:
-            for s0, s1 in zip(samples, samples[1:]):
-                counts.append(0)
-                interp.fit_arc(s0, s1, centering=centering)
-        assert max(counts) <= 14
+    def test_minus_h_log_starts_from_the_reflection(self, monkeypatch):
+        # 2 Log_q(p) - Log_q(p+) is O(h^2) from Log_q(p-), where Log_q(p) is
+        # O(h): the -h log takes 3 kernel logs, the +h log 4-5
+        for arc in self._kernel_logs(monkeypatch):
+            assert len(arc) == 3 and arc[2] < arc[1]
 
     def test_far_samples_raise_arc_fit_error(self):
         rng = np.random.default_rng(101)

@@ -1,9 +1,9 @@
 """The suite's sensitivity: named checks must catch small deliberate faults.
 
 Each test patches one module-level function of the library, or one check
-of its types, with a mutant that is wrong by 1-5% or compares with the
-wrong bound, calls the checks that must catch it as plain functions, and
-asserts that each of them fails.  The library reaches its kernels through
+of its types, with a mutant that is wrong by 1-5%, compares with the
+wrong bound or gives the same result at more kernel work, calls the checks
+that must catch it as plain functions, and asserts that each of them fails.  The library reaches its kernels through
 module attributes and its checks through class attributes, so a patch
 reaches every caller; a fit looks its coefficient rule up on
 ``interpolate`` when it binds it, so a patch made before fitting reaches
@@ -158,6 +158,21 @@ def test_one_sided_transport_mutant(monkeypatch):
         sphere.test_transport_is_the_derivative_of_the_log()
     with pytest.raises(AssertionError):
         test_acceptance.test_criterion_1_transport_accuracy()
+
+
+def _transport_without_reflection(delta, v_p, h=calculus.DEFAULT_FD_STEP):
+    """The central difference with its -h log started from Log_q(p), not 2 Log_q(p) - Log_q(p+)."""
+    q = delta.base
+    frame = stiefel.split_tangent(v_p)
+    plus, minus = (stiefel.stiefel_log(q, frame.exp((s,)), start=delta) for s in (h, -h))
+    return stiefel.project_tangent(q, (plus.delta - minus.delta) / (2.0 * h))
+
+
+def test_transport_reflection_start_mutant(monkeypatch):
+    # the same transport to round-off, at more kernel logs
+    monkeypatch.setattr(calculus, "transport_velocity", _transport_without_reflection)
+    with pytest.raises(AssertionError):
+        test_interpolate.TestArc().test_minus_h_log_starts_from_the_reflection(monkeypatch)
 
 
 def test_qr_lift_sign_mutant(monkeypatch):

@@ -17,8 +17,9 @@ factorization can be differentiated, and raises DomainError where it cannot:
 rank-deficient, and ``diff_svd_truncated`` tests rank and gaps against
 ``SVD_RANK_EPS`` and ``SVD_GAP_EPS``.  The study generators reject a draw
 when a derivative refuses a node.  Each kernel returns the arrays its
-callers read: ``diff_qr`` the Q-factor derivative, ``dexp_stiefel`` the
-ambient n x r derivative.
+callers read: ``diff_qr`` the Q-factor derivative, ``diff_svd_truncated``
+the derivatives of the rank-r factors it is given, r read off their column
+count, and ``dexp_stiefel`` the ambient n x r derivative.
 """
 
 from __future__ import annotations
@@ -73,33 +74,28 @@ def diff_qr(t_dot, qr: linalg.EconQR) -> np.ndarray:
     return w - q @ b + q @ (lower - lower.T)
 
 
-def diff_svd_truncated(
-    y_dot, rank: int, svd: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> SVDDerivative:
+def diff_svd_truncated(y_dot, svd: tuple[np.ndarray, np.ndarray, np.ndarray]) -> SVDDerivative:
     """Differentiate the rank-r truncated SVD of an exactly rank-r matrix y.
 
-    ``svd`` = (u, sigma, v) are the factors of y and ``y_dot`` its path
-    derivative.  y must be numerically of rank r with separated leading
-    singular values: a trailing singular value above ``SVD_RANK_EPS *
-    sigma_0``, sigma_{r-1} at or below it, or a leading gap below
-    ``SVD_GAP_EPS * sigma_0`` raises DomainError.  The right factor rotates
-    by v_dot = v G with p = u_r' y_dot v: the top r x r block of G is skew
-    with ``G_ij = (s_i p_ij + s_j p_ji) / (s_j^2 - s_i^2)``.  ``svd`` must
-    carry the full square right factor v (m x m): the rotation of the
-    leading right singular vectors has components along all of its
-    columns.  Rows of the rotation beyond the rank use the exact-rank
-    shortcut ``G_ij = p_ji / s_j`` which needs no trailing singular values.
-    At rank == m this is the derivative of the full economy SVD.
+    ``svd`` = (u, sigma, v) holds the leading factors of y, u n x r and v
+    m x r with r read off their column count, and all of its singular
+    values; ``y_dot`` is the path derivative of y.  y must be numerically
+    of rank r with separated leading singular values: a trailing singular
+    value above ``SVD_RANK_EPS * sigma_0``, sigma_{r-1} at or below it, or a
+    leading gap below ``SVD_GAP_EPS * sigma_0`` raises DomainError.  With
+    p = u' y_dot v, the right factor moves by
+    v_dot = v G + (I - v v') y_dot' u diag(1/s), where G is skew with
+    ``G_ij = (s_i p_ij + s_j p_ji) / (s_j^2 - s_i^2)``; the second term, the
+    part of v_dot outside span(v), uses the exact rank and needs no
+    trailing singular vector.  At r = m it vanishes, and this is the
+    derivative of the full economy SVD.
     """
     u, sigma, v = svd
     ydot = np.asarray(y_dot, dtype=float)
-    m = v.shape[0]
-    r = int(rank)
-    if r < 1 or r > m:
-        raise ShapeError(f"rank {rank} out of range for m = {m}")
-    if v.shape != (m, m):
-        raise ShapeError("diff_svd_truncated needs the full square right factor")
-    if ydot.shape != (u.shape[0], m):
+    r = u.shape[1]
+    if v.shape[1] != r:
+        raise ShapeError(f"u and v have different column counts: u {u.shape}, v {v.shape}")
+    if ydot.shape != (u.shape[0], v.shape[0]):
         raise ShapeError(f"inconsistent shapes: y_dot {ydot.shape}, u {u.shape}, v {v.shape}")
     smax = sigma[0]
     if np.any(sigma[r:] > SVD_RANK_EPS * smax) or not sigma[r - 1] > SVD_RANK_EPS * smax:
@@ -108,21 +104,15 @@ def diff_svd_truncated(
     if gap < SVD_GAP_EPS * smax:
         raise DomainError(f"diff_svd_truncated: leading singular values only {gap:.3g} apart, "
                           f"below SVD_GAP_EPS * sigma_0 = {SVD_GAP_EPS * smax:.3g}")
-    u_r = u[:, :r]
-    s_r = sigma[:r]
-    p = u_r.T @ ydot @ v  # p[i, j] = u_i' y_dot v_j, i < r, j < m
-    p_top = p[:, :r]
-    sigma_dot = np.diagonal(p_top).copy()
-    denom = s_r[np.newaxis, :] ** 2 - s_r[:, np.newaxis] ** 2
+    s = sigma[:r]
+    p = u.T @ ydot @ v
+    sigma_dot = np.diagonal(p).copy()
+    denom = s[np.newaxis, :] ** 2 - s[:, np.newaxis] ** 2
     np.fill_diagonal(denom, 1.0)
-    gamma_top = (s_r[:, np.newaxis] * p_top + s_r[np.newaxis, :] * p_top.T) / denom
-    np.fill_diagonal(gamma_top, 0.0)
-    gamma = np.zeros((m, r))
-    gamma[:r, :] = gamma_top
-    if r < m:
-        gamma[r:, :] = p[:, r:].T / s_r[np.newaxis, :]
-    v_dot = v @ gamma
-    u_dot = (ydot @ v[:, :r] + u_r @ (s_r[:, np.newaxis] * gamma_top - np.diag(sigma_dot))) / s_r[np.newaxis, :]
+    gamma = (s[:, np.newaxis] * p + s[np.newaxis, :] * p.T) / denom
+    np.fill_diagonal(gamma, 0.0)
+    v_dot = v @ gamma + (ydot.T @ u - v @ p.T) / s[np.newaxis, :]
+    u_dot = (ydot @ v + u @ (s[:, np.newaxis] * gamma - np.diag(sigma_dot))) / s[np.newaxis, :]
     return SVDDerivative(u_dot=u_dot, sigma_dot=sigma_dot, v_dot=v_dot)
 
 

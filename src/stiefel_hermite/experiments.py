@@ -387,17 +387,19 @@ def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
 class SVDExperimentData:
     """A matrix path W(t) of rank r and Hermite samples of its truncated SVD factors.
 
-    ``svd(t)`` is the path's own factorization (u, sigma, v) of W(t): u has
-    n rows and at least r columns, sigma holds at least r singular values in
-    descending order, and v is the full m x m right factor that
-    ``diff_svd_truncated`` needs.  The samples and the references call it
-    and no other SVD; ``w`` and ``w_dot`` give W(t) and its derivative as
-    n x m matrices.  ``factored`` is the low-rank family's factored form
-    (Q4, X) with W(t) = Q4 X(t), Q4 the n x min(n, 4r) basis of its
-    ``_CubicPath`` and X(t) = C(t) Z(t); it is None for the snapshot family.
-    Every sampled and reference factor is sign-normalized against the
-    leading left factor at the first node, ``samples_u[0].point``, so that
-    the sampled factor paths are differentiable.
+    ``svd(t)`` is the path's own factorization (u, sigma, v) of W(t): the
+    leading n x r and m x r factors, which set r, and all the singular
+    values in descending order, the form ``diff_svd_truncated`` takes.  The
+    samples and the references call it and no other SVD; ``w`` and
+    ``w_dot`` give W(t) and its derivative as n x m matrices.  Row i of
+    ``sigma_values`` and ``sigma_slopes`` holds the r leading singular
+    values and their derivatives at node i of the k nodes.  ``factored`` is
+    the low-rank family's factored form (Q4, X) with W(t) = Q4 X(t), Q4 the
+    n x min(n, 4r) basis of its ``_CubicPath`` and X(t) = C(t) Z(t); it is
+    None for the snapshot family.  Every sampled and reference factor is
+    sign-normalized against the left factor at the first node,
+    ``samples_u[0].point``, so that the sampled factor paths are
+    differentiable.
     """
 
     w: Callable[[float], np.ndarray]
@@ -412,40 +414,36 @@ class SVDExperimentData:
 
     def reference_u(self, t: float) -> stiefel.StiefelPoint:
         u, _, v = self.svd(t)
-        u_ref = self.samples_u[0].point.u
-        r = u_ref.shape[1]
-        u_n, _ = svd_sign_normalize(u[:, :r], v[:, :r], u_ref)
-        return stiefel.StiefelPoint(u_n)
+        return stiefel.StiefelPoint(svd_sign_normalize(u, v, self.samples_u[0].point.u)[0])
 
 
-def _sample_svd_path(w, w_dot, svd, r: int, nodes: np.ndarray, factored=None):
-    """Hermite samples of the rank-``r`` truncated SVD factors of W(t) at ``nodes``.
+def _sample_svd_path(w, w_dot, svd, nodes: np.ndarray, factored=None):
+    """Hermite samples of the truncated SVD factors of W(t) at ``nodes``.
 
-    ``svd(t)`` factors W(t) as ``SVDExperimentData.svd`` does, and
-    ``factored`` is stored as that field.  Returns the data, or None
-    when ``diff_svd_truncated`` refuses a node: W is not numerically of rank
-    r there, or its leading singular values are too close to differentiate.
+    ``svd(t)`` hands out the rank-r factors of W(t) as
+    ``SVDExperimentData.svd`` does, and ``factored`` is stored as that
+    field.  Each node's factors are sign-normalized against the first
+    node's u, which normalizing against itself leaves as it is.  Returns the
+    data, or None when ``diff_svd_truncated`` refuses a node: W is not
+    numerically of rank r there, or its leading singular values are too
+    close to differentiate.
     """
-    samples_u, samples_v = [], []
-    sigma_values = np.zeros((len(nodes), r))
-    sigma_slopes = np.zeros((len(nodes), r))
-    for i, t in enumerate(nodes):
+    samples_u, samples_v, sigma_values, sigma_slopes = [], [], [], []
+    for t in nodes:
         u, sigma, v = svd(t)
-        if i == 0:
-            u_ref = u[:, :r].copy()  # normalizing against itself multiplies by 1.0
-        u[:, :r], v[:, :r] = svd_sign_normalize(u[:, :r], v[:, :r], u_ref)
+        u, v = svd_sign_normalize(u, v, samples_u[0].point.u if samples_u else u)
         try:
-            deriv = diff_svd_truncated(w_dot(t), r, (u, sigma, v))
+            deriv = diff_svd_truncated(w_dot(t), (u, sigma, v))
         except DomainError:
             return None
         for samples, factor, velocity in ((samples_u, u, deriv.u_dot), (samples_v, v, deriv.v_dot)):
-            tangent = stiefel.TangentVector(stiefel.StiefelPoint(factor[:, :r]), velocity)
+            tangent = stiefel.TangentVector(stiefel.StiefelPoint(factor), velocity)
             samples.append(interpolate.HermiteSample(float(t), tangent))
-        sigma_values[i] = sigma[:r]
-        sigma_slopes[i] = deriv.sigma_dot
+        sigma_values.append(sigma[: u.shape[1]])
+        sigma_slopes.append(deriv.sigma_dot)
     return SVDExperimentData(
         w=w, w_dot=w_dot, svd=svd, nodes=nodes, samples_u=samples_u, samples_v=samples_v,
-        sigma_values=sigma_values, sigma_slopes=sigma_slopes, factored=factored,
+        sigma_values=np.array(sigma_values), sigma_slopes=np.array(sigma_slopes), factored=factored,
     )
 
 
@@ -463,9 +461,9 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
 
     Y is factored once (see ``_CubicPath``): the path's ``svd(t)``, which
     every sample and reference calls, is the ``svd_full`` of the
-    min(n, 4r) x m coordinates C(t) Z(t), keeping the full m x m right
-    factor, with its leading r left vectors lifted to n rows; a direct SVD
-    of W(t) is n x m.
+    min(n, 4r) x m coordinates C(t) Z(t), cut to its leading r left and
+    right vectors, the left ones lifted to n rows; a direct SVD of W(t) is
+    n x m.
     """
     r = config.r
     if not r <= config.m <= config.n:
@@ -494,9 +492,9 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
 
         def svd(t):
             u, sigma, v = linalg.svd_full(x(t))
-            return path.basis @ u[:, :r], sigma, v
+            return path.basis @ u[:, :r], sigma, v[:, :r]
 
-        data = _sample_svd_path(w, w_dot, svd, r, nodes, factored=(path.basis, x))
+        data = _sample_svd_path(w, w_dot, svd, nodes, factored=(path.basis, x))
         if data is not None and any(
             a.point.n == r and np.linalg.det(a.point.u.T @ b.point.u) < 0.0
             for samples in (data.samples_u, data.samples_v)
@@ -657,7 +655,7 @@ def _sample_snapshot_path(n: int, r: int, mus) -> SVDExperimentData:
     def svd(mu):
         return linalg.svd_full(snapshot(mu))
 
-    data = _sample_svd_path(snapshot, snapshot_dot, svd, r, np.asarray(mus, dtype=float))
+    data = _sample_svd_path(snapshot, snapshot_dot, svd, np.asarray(mus, dtype=float))
     if data is None:
         raise PreconditionError(
             f"the snapshot matrix at n={n}, r={r} is not of rank r "

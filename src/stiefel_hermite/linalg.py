@@ -216,16 +216,13 @@ def qr_basis(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def svd_full(y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD ``y = u @ diag(sigma) @ v.T`` of an n x m matrix with square orthogonal ``v``.
+    """Economy SVD ``y = u @ diag(sigma) @ v.T`` of any n x m matrix.
 
-    Returns ``u`` with min(n, m) orthonormal columns, the min(n, m) singular
-    values in descending order, and the full m x m right factor (needed by
-    the truncated-SVD differentiation downstream), the transpose of LAPACK's
-    ``vh`` as a view.
+    Returns ``u`` (n x min(n, m)) and ``v`` (m x min(n, m)) with orthonormal
+    columns and the min(n, m) singular values in descending order; ``v`` is
+    the transpose of LAPACK's ``vh`` as a view.
     """
-    mat = _as_matrix(y, "y")
-    n, m = mat.shape
-    u, sigma, vh = np.linalg.svd(mat, full_matrices=n < m)
+    u, sigma, vh = np.linalg.svd(_as_matrix(y, "y"), full_matrices=False)
     return u, sigma, vh.T
 
 

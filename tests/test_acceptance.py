@@ -135,7 +135,7 @@ def test_criterion_5_differential_oracles():
     h = 1e-6
     tol = 1e-5
     rng = np.random.default_rng(11)
-    qr_ok = svd_ok = trunc_ok = dexp_ok = square_ok = True
+    qr_ok = svd_ok = trunc_ok = trunc_v_ok = dexp_ok = square_ok = True
 
     for _ in range(10):
         t = rng.standard_normal((30, 5))
@@ -150,7 +150,7 @@ def test_criterion_5_differential_oracles():
         u, s, v = linalg.svd_full(y)
         if np.min(s[:-1] - s[1:]) < 1e-3 * s[0]:
             continue  # keep the oracle well conditioned
-        d = calculus.diff_svd_truncated(y_dot, 6, (u, s, v))
+        d = calculus.diff_svd_truncated(y_dot, (u, s, v))
 
         def norm_u(mat):
             uu, _, vv = linalg.svd_full(mat)
@@ -166,15 +166,19 @@ def test_criterion_5_differential_oracles():
         z2 = rng.uniform(0.0, 0.5, (4, 12))
         w, w_dot = y1 @ z1, y2 @ z1 + y1 @ z2
         u, s, v = linalg.svd_full(w)
-        d = calculus.diff_svd_truncated(w_dot, 4, (u, s, v))
+        u, v = u[:, :4], v[:, :4]
+        d = calculus.diff_svd_truncated(w_dot, (u, s, v))
 
-        def trunc_u(tval):
+        def trunc_uv(tval):
             mat = (y1 + tval * y2) @ (z1 + tval * z2)
             uu, _, vv = linalg.svd_full(mat)
-            return calculus.svd_sign_normalize(uu[:, :4], vv[:, :4], u[:, :4])[0]
+            return calculus.svd_sign_normalize(uu[:, :4], vv[:, :4], u)
 
-        fu = (trunc_u(h) - trunc_u(-h)) / (2 * h)
+        (up, vp), (um, vm) = trunc_uv(h), trunc_uv(-h)
+        fu, fv = (up - um) / (2 * h), (vp - vm) / (2 * h)
         trunc_ok &= bool(np.linalg.norm(d.u_dot - fu) <= tol * np.linalg.norm(fu))
+        # v_dot's part outside span(v) exists only at rank < m
+        trunc_v_ok &= bool(np.linalg.norm(d.v_dot - fv) <= tol * np.linalg.norm(fv))
 
     for _ in range(10):
         base = stiefel.random_point(rng, 40, 4)
@@ -203,6 +207,7 @@ def test_criterion_5_differential_oracles():
             "diff_qr": qr_ok,
             "diff_svd_truncated at rank = m": svd_ok,
             "diff_svd_truncated at rank < m": trunc_ok,
+            "diff_svd_truncated at rank < m, v_dot": trunc_v_ok,
             "dexp_stiefel": dexp_ok,
             "dexp_stiefel on St(8, 8)": square_ok,
         },

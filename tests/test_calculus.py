@@ -97,12 +97,18 @@ class TestDiffQR:
             calculus.diff_qr(rng.standard_normal((8, 2)), qr)
 
 
-def fd_svd(y, y_dot, u_ref, v_cols, h=1e-6):
-    """Central FD of the sign-normalized SVD path (first v_cols columns)."""
+def truncated_svd(y, r):
+    """The leading rank-r factors of y and all its singular values, as diff_svd_truncated takes them."""
+    u, s, v = linalg.svd_full(y)
+    return u[:, :r], s, v[:, :r]
+
+
+def fd_svd(y, y_dot, u_ref, h=1e-6):
+    """Central FD of the SVD path, sign-normalized against u_ref."""
     def factors(mat):
         u, s, v = linalg.svd_full(mat)
-        un, vn = calculus.svd_sign_normalize(u[:, :v_cols], v[:, :v_cols], u_ref[:, :v_cols])
-        return un, s[:v_cols], vn
+        un, vn = calculus.svd_sign_normalize(u, v, u_ref)
+        return un, s, vn
 
     up, sp, vp = factors(y + h * y_dot)
     um, sm, vm = factors(y - h * y_dot)
@@ -117,14 +123,14 @@ class TestDiffSVD:
         y[0, 0], y[1, 1] = 3.0, 1.0
         y_dot = np.zeros((5, 2))
         y_dot[0, 0], y_dot[1, 1] = 0.5, 0.2
-        d = calculus.diff_svd_truncated(y_dot, 2, linalg.svd_full(y))
+        d = calculus.diff_svd_truncated(y_dot, linalg.svd_full(y))
         assert np.allclose(d.sigma_dot, [0.5, 0.2], atol=1e-14)
         assert np.linalg.norm(d.u_dot) < 1e-12
         assert np.linalg.norm(d.v_dot) < 1e-12
 
     def test_zero_direction(self, rng):
         y = rng.standard_normal((10, 4))
-        d = calculus.diff_svd_truncated(np.zeros_like(y), 4, linalg.svd_full(y))
+        d = calculus.diff_svd_truncated(np.zeros_like(y), linalg.svd_full(y))
         assert np.linalg.norm(d.u_dot) < 1e-13
         assert np.linalg.norm(d.v_dot) < 1e-13
         assert np.linalg.norm(d.sigma_dot) < 1e-13
@@ -133,8 +139,8 @@ class TestDiffSVD:
         y = rng.standard_normal((12, 6))
         y_dot = rng.standard_normal((12, 6))
         u, s, v = linalg.svd_full(y)
-        d = calculus.diff_svd_truncated(y_dot, 6, (u, s, v))
-        fd_u, fd_s, fd_v = fd_svd(y, y_dot, u, 6)
+        d = calculus.diff_svd_truncated(y_dot, (u, s, v))
+        fd_u, fd_s, fd_v = fd_svd(y, y_dot, u)
         assert np.linalg.norm(d.u_dot - fd_u) <= 1e-6 * np.linalg.norm(fd_u)
         assert np.linalg.norm(d.sigma_dot - fd_s) <= 1e-6 * np.linalg.norm(fd_s)
         assert np.linalg.norm(d.v_dot - fd_v) <= 1e-6 * np.linalg.norm(fd_v)
@@ -143,7 +149,7 @@ class TestDiffSVD:
         y = rng.standard_normal((15, 5))
         y_dot = rng.standard_normal((15, 5))
         u, s, v = linalg.svd_full(y)
-        d = calculus.diff_svd_truncated(y_dot, 5, (u, s, v))
+        d = calculus.diff_svd_truncated(y_dot, (u, s, v))
         skew = u.T @ d.u_dot
         assert np.linalg.norm(skew + skew.T) < 1e-9
 
@@ -155,20 +161,20 @@ class TestDiffSVD:
         for gap in (1e-12, 1e-7):
             svd = linalg.svd_full(u @ np.diag([2.0, 1.0 + gap, 1.0]) @ v.T)
             with pytest.raises(DomainError, match="apart"):
-                calculus.diff_svd_truncated(y_dot, 3, svd)
-        calculus.diff_svd_truncated(y_dot, 3, linalg.svd_full(u @ np.diag([2.0, 1.0 + 1e-5, 1.0]) @ v.T))
+                calculus.diff_svd_truncated(y_dot, svd)
+        calculus.diff_svd_truncated(y_dot, linalg.svd_full(u @ np.diag([2.0, 1.0 + 1e-5, 1.0]) @ v.T))
 
     def test_zero_singular_value_rejected(self, rng):
         y = np.zeros((6, 2))
         y[0, 0] = 1.0
         with pytest.raises(DomainError):
-            calculus.diff_svd_truncated(rng.standard_normal((6, 2)), 2, linalg.svd_full(y))
+            calculus.diff_svd_truncated(rng.standard_normal((6, 2)), linalg.svd_full(y))
 
     def test_shape_mismatch_rejected(self, rng):
-        svd = linalg.svd_full(rng.standard_normal((8, 3)))
+        svd = truncated_svd(rng.standard_normal((8, 3)), 2)
         for y_dot in (rng.standard_normal((7, 3)), rng.standard_normal((8, 2))):
             with pytest.raises(ShapeError, match="y_dot"):
-                calculus.diff_svd_truncated(y_dot, 2, svd)
+                calculus.diff_svd_truncated(y_dot, svd)
 
 
 class TestDiffSVDTruncated:
@@ -181,18 +187,18 @@ class TestDiffSVDTruncated:
 
     def test_reconstruction_derivative(self, rng):
         w, w_dot = self._rank_r_pair(rng, 40, 15, 4)
-        u, s, v = linalg.svd_full(w)
-        d = calculus.diff_svd_truncated(w_dot, 4, (u, s, v))
+        u, s, v = truncated_svd(w, 4)
+        d = calculus.diff_svd_truncated(w_dot, (u, s, v))
         rec = (
-            d.u_dot @ np.diag(s[:4]) @ v[:, :4].T
-            + u[:, :4] @ np.diag(d.sigma_dot) @ v[:, :4].T
-            + u[:, :4] @ np.diag(s[:4]) @ d.v_dot.T
+            d.u_dot @ np.diag(s[:4]) @ v.T
+            + u @ np.diag(d.sigma_dot) @ v.T
+            + u @ np.diag(s[:4]) @ d.v_dot.T
         )
         assert np.linalg.norm(rec - w_dot) <= 1e-8 * np.linalg.norm(w_dot)
 
     def test_zero_direction(self, rng):
         w, _ = self._rank_r_pair(rng, 20, 10, 3)
-        d = calculus.diff_svd_truncated(np.zeros_like(w), 3, linalg.svd_full(w))
+        d = calculus.diff_svd_truncated(np.zeros_like(w), truncated_svd(w, 3))
         assert np.linalg.norm(d.u_dot) < 1e-12
         assert np.linalg.norm(d.v_dot) < 1e-12
 
@@ -203,13 +209,12 @@ class TestDiffSVDTruncated:
         z2 = rng.uniform(0.0, 0.5, (4, 12))
         w = y1 @ z1
         w_dot = y2 @ z1 + y1 @ z2
-        u, s, v = linalg.svd_full(w)
-        d = calculus.diff_svd_truncated(w_dot, 4, (u, s, v))
+        u, s, v = truncated_svd(w, 4)
+        d = calculus.diff_svd_truncated(w_dot, (u, s, v))
 
         def factors(t):
-            mat = (y1 + t * y2) @ (z1 + t * z2)
-            uu, ss, vv = linalg.svd_full(mat)
-            un, vn = calculus.svd_sign_normalize(uu[:, :4], vv[:, :4], u[:, :4])
+            uu, ss, vv = truncated_svd((y1 + t * y2) @ (z1 + t * z2), 4)
+            un, vn = calculus.svd_sign_normalize(uu, vv, u)
             return un, ss[:4], vn
 
         h = 1e-6
@@ -218,6 +223,18 @@ class TestDiffSVDTruncated:
         assert np.linalg.norm(d.u_dot - (up - um) / (2 * h)) <= 1e-6 * np.linalg.norm(d.u_dot)
         assert np.linalg.norm(d.v_dot - (vp - vm) / (2 * h)) <= 1e-6 * np.linalg.norm(d.v_dot)
         assert np.linalg.norm(d.sigma_dot - (sp - sm) / (2 * h)) <= 1e-6 * np.linalg.norm(d.sigma_dot)
+
+    def test_shapes_rejected(self, rng):
+        # the rank is read off the factors, so u and v must agree on it
+        w, w_dot = self._rank_r_pair(rng, 20, 10, 3)
+        u, s, v = truncated_svd(w, 3)
+        with pytest.raises(ShapeError, match="column counts"):
+            calculus.diff_svd_truncated(w_dot, (u, s, v[:, :2]))
+        with pytest.raises(ShapeError, match="column counts"):
+            calculus.diff_svd_truncated(w_dot, (u[:, :2], s, v))
+        for y_dot in (w_dot[:, :9], w_dot[:19], w_dot.T):
+            with pytest.raises(ShapeError, match="y_dot"):
+                calculus.diff_svd_truncated(y_dot, (u, s, v))
 
 
 class TestSignNormalize:

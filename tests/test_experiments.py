@@ -214,7 +214,7 @@ def _snapshot_family(cfg):
     path = ex.gen_snapshot_experiment(cfg)
 
     def sample(nodes):
-        data = ex._sample_svd_path(path.w, path.w_dot, path.svd, cfg.r, nodes)
+        data = ex._sample_svd_path(path.w, path.w_dot, path.svd, nodes)
         return data.samples_u, data.reference_u
 
     return sample
@@ -291,19 +291,19 @@ class TestSVDExperiment:
                              ids=["4r-below-m", "4r-above-m", "n-below-4r"])
     def test_factored_svd_matches_direct_svd(self, n, r, m):
         # W(t) = Q4 C(t) Z(t): the SVD of the min(n, 4r) x m coordinates,
-        # lifted, is the SVD of W(t) itself; measured at most 1.4e-15 for
-        # sigma, 1.5e-13 for the factors and 6.0e-15 for V'V - I
+        # lifted, is the SVD of W(t) itself, cut to rank r; measured at most
+        # 1.4e-15 for sigma, 1.5e-13 for the factors and 2.4e-15 for V'V - I
         cfg = ex.ExperimentConfig(n=n, r=r, m=m, interval=(0.0, 0.5), num_nodes=2, seed=0)
         data = ex.gen_lowrank_svd_experiment(cfg)
         for t in np.linspace(data.nodes[0], data.nodes[-1], 11):
             u, sigma, v = data.svd(t)
             u_d, sigma_d, v_d = linalg.svd_full(data.w(t))
             assert np.all(np.abs(sigma[:r] - sigma_d[:r]) <= 1e-12 * sigma_d[:r])
-            u_r, v_r = calculus.svd_sign_normalize(u[:, :r], v[:, :r], u_d[:, :r])
+            assert u.shape == (n, r) and v.shape == (m, r)
+            u_r, v_r = calculus.svd_sign_normalize(u, v, u_d[:, :r])
             assert np.linalg.norm(u_r - u_d[:, :r]) <= 1e-10
             assert np.linalg.norm(v_r - v_d[:, :r]) <= 1e-10
-            assert v.shape == (m, m)
-            assert np.linalg.norm(v.T @ v - np.eye(m)) <= 1e-12
+            assert np.linalg.norm(v.T @ v - np.eye(r)) <= 1e-12
 
     def test_one_k_row_svd_per_factorization(self, monkeypatch, caplog):
         # St(100, 6), m = 30: every SVD is of the 4r = 24-row coordinates
@@ -434,14 +434,15 @@ class TestSVDExperiment:
             return y
 
         def svd(t):
-            return linalg.svd_full(w(t))
+            u_t, sigma, v_t = linalg.svd_full(w(t))
+            return u_t[:, :3], sigma, v_t[:, :3]
 
         with pytest.raises(DomainError):
-            calculus.diff_svd_truncated(w_dot(0.0), 3, svd(0.0))
-        assert ex._sample_svd_path(w, w_dot, svd, 3, nodes) is None
+            calculus.diff_svd_truncated(w_dot(0.0), svd(0.0))
+        assert ex._sample_svd_path(w, w_dot, svd, nodes) is None
         # the sampler has no threshold of its own: it follows the derivative's
         monkeypatch.setattr(calculus, "SVD_GAP_EPS", 1e-8)
-        assert ex._sample_svd_path(w, w_dot, svd, 3, nodes) is not None
+        assert ex._sample_svd_path(w, w_dot, svd, nodes) is not None
 
     def test_m_below_r_rejected(self):
         cfg = ex.ExperimentConfig(n=40, r=6, m=4)

@@ -252,9 +252,19 @@ class TestSvdFull:
     def test_wide(self):
         y = np.random.default_rng(11).standard_normal((3, 5))
         u, sigma, v = linalg.svd_full(y)
-        assert u.shape == (3, 3) and sigma.shape == (3,) and v.shape == (5, 5)
-        assert np.linalg.norm(v.T @ v - np.eye(5)) < 1e-13
-        assert np.linalg.norm(u @ np.diag(sigma) @ v[:, :3].T - y) <= 1e-12 * np.linalg.norm(y)
+        assert u.shape == (3, 3) and sigma.shape == (3,) and v.shape == (5, 3)
+        assert np.linalg.norm(u @ np.diag(sigma) @ v.T - y) <= 1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6)], ids=["tall", "wide", "square"])
+    def test_economy_factors(self, shape):
+        # u and v both have min(n, m) orthonormal columns, whatever the shape
+        y = np.random.default_rng(12).standard_normal(shape)
+        u, sigma, v = linalg.svd_full(y)
+        k = min(shape)
+        assert u.shape == (shape[0], k) and sigma.shape == (k,) and v.shape == (shape[1], k)
+        for f in (u, v):
+            assert np.linalg.norm(f.T @ f - np.eye(k)) < 1e-13
+        assert np.linalg.norm((u * sigma) @ v.T - y) <= 1e-12 * np.linalg.norm(y)
 
 
 def _nears(rng, v):

@@ -11,6 +11,8 @@ the curve.  ``hermite_coeffs`` is not patched: the checks build their
 reference from it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import test_acceptance
@@ -143,6 +145,25 @@ def test_dist_mutant(monkeypatch):
         test_stiefel.TestDist().test_radial_isometry(np.random.default_rng(42))
     with pytest.raises(AssertionError):
         test_oracles.test_observed_curvature_tends_to_oneill(12, 1, 0)
+
+
+def _scaled_normal_v_dot(kernel):
+    """``diff_svd_truncated`` with the part of v_dot outside span(v) scaled by 1.01."""
+    def mutant(y_dot, svd):
+        d = kernel(y_dot, svd)
+        v = svd[2]
+        return dataclasses.replace(d, v_dot=d.v_dot + 0.01 * (d.v_dot - v @ (v.T @ d.v_dot)))
+
+    return mutant
+
+
+def test_svd_normal_term_mutant(monkeypatch):
+    # the term that carries v_dot out of span(v) exists only at rank < m
+    monkeypatch.setattr(calculus, "diff_svd_truncated", _scaled_normal_v_dot(calculus.diff_svd_truncated))
+    with pytest.raises(AssertionError):
+        test_calculus.TestDiffSVDTruncated().test_matches_fd_oracle(np.random.default_rng(0))
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_5_differential_oracles()
 
 
 def _one_sided_transport(delta, v_p, h=calculus.DEFAULT_FD_STEP):

@@ -17,20 +17,21 @@ factorization can be differentiated, and raises DomainError where it cannot:
 rank-deficient, and ``diff_svd_truncated`` tests rank and gaps against
 ``SVD_RANK_EPS`` and ``SVD_GAP_EPS``.  The study generators reject a draw
 when a derivative refuses a node.  Each kernel returns the arrays its
-callers read: ``diff_qr`` the Q-factor derivative, ``diff_svd_truncated``
-the derivatives of the rank-r factors it is given, r read off their column
-count, and ``dexp_stiefel`` the ambient n x r derivative.
+callers read, and the module defines no types of its own: ``diff_qr`` the
+Q-factor derivative, ``diff_svd_truncated`` the tuple
+(u_dot, sigma_dot, v_dot) of derivatives of the rank-r factors
+(u, sigma, v) it is given, r read off their column count, and
+``dexp_stiefel`` the ambient n x r derivative.  A log that fails inside
+the transport raises ``StiefelLogError``, the error of ``stiefel_log``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import linalg, stiefel
-from .errors import DomainError, PreconditionError, ShapeError, StiefelLogError, VelocityTransportError
+from .errors import DomainError, PreconditionError, ShapeError, StiefelLogError
 
 #: Step size for the velocity-transport central difference; the arc fits
 #: read it at call time.
@@ -41,15 +42,6 @@ DEFAULT_FD_STEP = 1e-4
 #: sigma_0 as zero.
 SVD_GAP_EPS = 1e-6
 SVD_RANK_EPS = 1e-10
-
-
-@dataclass(frozen=True)
-class SVDDerivative:
-    """Derivatives of SVD factors; sigma_dot holds the diagonal only."""
-
-    u_dot: np.ndarray
-    sigma_dot: np.ndarray
-    v_dot: np.ndarray
 
 
 def diff_qr(t_dot, qr: linalg.EconQR) -> np.ndarray:
@@ -74,7 +66,7 @@ def diff_qr(t_dot, qr: linalg.EconQR) -> np.ndarray:
     return w - q @ b + q @ (lower - lower.T)
 
 
-def diff_svd_truncated(y_dot, svd: tuple[np.ndarray, np.ndarray, np.ndarray]) -> SVDDerivative:
+def diff_svd_truncated(y_dot, svd: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
     """Differentiate the rank-r truncated SVD of an exactly rank-r matrix y.
 
     ``svd`` = (u, sigma, v) holds the leading factors of y, u n x r and v
@@ -88,7 +80,9 @@ def diff_svd_truncated(y_dot, svd: tuple[np.ndarray, np.ndarray, np.ndarray]) ->
     ``G_ij = (s_i p_ij + s_j p_ji) / (s_j^2 - s_i^2)``; the second term, the
     part of v_dot outside span(v), uses the exact rank and needs no
     trailing singular vector.  At r = m it vanishes, and this is the
-    derivative of the full economy SVD.
+    derivative of the full economy SVD.  Returns the tuple
+    (u_dot, sigma_dot, v_dot), in the order of ``svd``: u_dot n x r,
+    sigma_dot the r derivatives of the leading singular values, v_dot m x r.
     """
     u, sigma, v = svd
     ydot = np.asarray(y_dot, dtype=float)
@@ -113,7 +107,7 @@ def diff_svd_truncated(y_dot, svd: tuple[np.ndarray, np.ndarray, np.ndarray]) ->
     np.fill_diagonal(gamma, 0.0)
     v_dot = v @ gamma + (ydot.T @ u - v @ p.T) / s[np.newaxis, :]
     u_dot = (ydot @ v + u @ (s[:, np.newaxis] * gamma - np.diag(sigma_dot))) / s[np.newaxis, :]
-    return SVDDerivative(u_dot=u_dot, sigma_dot=sigma_dot, v_dot=v_dot)
+    return u_dot, sigma_dot, v_dot
 
 
 def svd_sign_normalize(u_t, v_t, u_ref) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +165,9 @@ def transport_velocity(
     ``start``): the +h log from ``delta``, the -h log from its reflection
     2 delta - Log_q(Exp_p(h v_p)), which is O(h^2) from its answer.  The
     starts change how many steps the logs take, not what they return, so
-    the result depends on ``delta`` only through q.
+    the result depends on ``delta`` only through q.  A failed log raises
+    StiefelLogError naming its side, "+h" or "-h", with the failed log's
+    ``iterations`` and ``residual``; the failed log's error is its cause.
     """
     if not (np.isfinite(h) and h > 0.0):
         raise PreconditionError(f"the step h must be positive and finite, got {h}")
@@ -183,8 +179,8 @@ def transport_velocity(
         try:
             logs.append(stiefel.stiefel_log(q, frame.exp((s,)), start=start))
         except StiefelLogError as exc:
-            raise VelocityTransportError(
-                f"logarithm failed at the {side} offset point: {exc}", side=side
+            raise StiefelLogError(
+                f"logarithm failed at the {side} offset point: {exc}", exc.iterations, exc.residual
             ) from exc
     # The difference quotient amplifies the logs' tangency roundoff by 1/(2h);
     # the exact transition-map derivative is tangent at q, so project it off.

@@ -38,17 +38,6 @@ class StiefelLogError(ConvergenceError):
         self.residual = residual
 
 
-class VelocityTransportError(ConvergenceError):
-    """A logarithm inside the velocity-transport central difference failed.
-
-    ``side`` is "+h" or "-h", naming the offset evaluation that broke.
-    """
-
-    def __init__(self, message, side):
-        super().__init__(message)
-        self.side = side
-
-
 class ArcFitError(ConvergenceError):
     """Fitting a spline arc failed; identifies the offending subinterval."""
 

@@ -433,14 +433,14 @@ def _sample_svd_path(w, w_dot, svd, nodes: np.ndarray, factored=None):
         u, sigma, v = svd(t)
         u, v = svd_sign_normalize(u, v, samples_u[0].point.u if samples_u else u)
         try:
-            deriv = diff_svd_truncated(w_dot(t), (u, sigma, v))
+            u_dot, sigma_dot, v_dot = diff_svd_truncated(w_dot(t), (u, sigma, v))
         except DomainError:
             return None
-        for samples, factor, velocity in ((samples_u, u, deriv.u_dot), (samples_v, v, deriv.v_dot)):
+        for samples, factor, velocity in ((samples_u, u, u_dot), (samples_v, v, v_dot)):
             tangent = stiefel.TangentVector(stiefel.StiefelPoint(factor), velocity)
             samples.append(interpolate.HermiteSample(float(t), tangent))
         sigma_values.append(sigma[: u.shape[1]])
-        sigma_slopes.append(deriv.sigma_dot)
+        sigma_slopes.append(sigma_dot)
     return SVDExperimentData(
         w=w, w_dot=w_dot, svd=svd, nodes=nodes, samples_u=samples_u, samples_v=samples_v,
         sigma_values=np.array(sigma_values), sigma_slopes=np.array(sigma_slopes), factored=factored,

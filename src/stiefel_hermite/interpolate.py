@@ -38,7 +38,6 @@ from .errors import (
     ShapeError,
     StiefelLogError,
     TangentMapError,
-    VelocityTransportError,
 )
 
 CENTERINGS = ("q", "p")
@@ -99,7 +98,9 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stief
     far endpoint's log: an arc of the fit_far benchmark takes 6 + 5 + 3
     kernel logs (``linalg.logm`` calls).  The frame is attached at the
     arc's center and holds its three tangent vectors in the order whose
-    coefficients ``_hermite_arc_coeffs`` returns.
+    coefficients ``_hermite_arc_coeffs`` returns.  A failed log, the far
+    endpoint's or one of the transport's, raises ArcFitError caused by its
+    StiefelLogError.
     """
     if centering not in CENTERINGS:
         raise PreconditionError(f"centering must be one of {CENTERINGS}, got {centering!r}")
@@ -109,7 +110,7 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stief
     try:
         delta_far = stiefel.stiefel_log(near.point, far.point)
         v_far = calculus.transport_velocity(delta_far, far.velocity, h=calculus.DEFAULT_FD_STEP)
-    except (StiefelLogError, VelocityTransportError) as exc:
+    except StiefelLogError as exc:
         raise ArcFitError(
             f"arc fit failed on [{s0.t}, {s1.t}]; samples may be too far apart, "
             f"refine the sampling ({exc})",
@@ -155,8 +156,10 @@ class CompositeCurve:
     """A fitted curve: one exponential of a fixed tangent frame per evaluation.
 
     On [knots[i], knots[i + 1]] the curve is ``frames[i].exp(coeffs(i, t))``.
-    ``failed_indices`` lists the samples the fit dropped; only
-    ``tangent_rbf_interp(..., skip_failed=True)`` drops any.
+    A ValueError of that exponential is raised again as its own type, its
+    message led by the arc index, the arc's knot interval and
+    ``TangentFrame.exp``.  ``failed_indices`` lists the samples the fit
+    dropped; only ``tangent_rbf_interp(..., skip_failed=True)`` drops any.
     """
 
     knots: np.ndarray
@@ -166,7 +169,12 @@ class CompositeCurve:
 
     def __call__(self, t: float) -> stiefel.StiefelPoint:
         i = _segment_index(self.knots, t)
-        return self.frames[i].exp(self.coeffs(i, t))
+        coeffs = self.coeffs(i, t)
+        try:
+            return self.frames[i].exp(coeffs)
+        except ValueError as exc:
+            raise type(exc)(f"arc {i} on [{float(self.knots[i])}, {float(self.knots[i + 1])}], "
+                            f"TangentFrame.exp: {exc}") from exc
 
 
 def arc_tangent(curve: CompositeCurve, t: float) -> stiefel.TangentVector:

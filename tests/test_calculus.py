@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from stiefel_hermite import calculus, linalg, stiefel
+from stiefel_hermite import calculus, interpolate, linalg, stiefel
 from stiefel_hermite.errors import (
+    ArcFitError,
     DomainError,
     PreconditionError,
     ShapeError,
-    VelocityTransportError,
+    StiefelLogError,
 )
 
 from test_stiefel import _rank_one_tangent
@@ -123,34 +124,34 @@ class TestDiffSVD:
         y[0, 0], y[1, 1] = 3.0, 1.0
         y_dot = np.zeros((5, 2))
         y_dot[0, 0], y_dot[1, 1] = 0.5, 0.2
-        d = calculus.diff_svd_truncated(y_dot, linalg.svd_full(y))
-        assert np.allclose(d.sigma_dot, [0.5, 0.2], atol=1e-14)
-        assert np.linalg.norm(d.u_dot) < 1e-12
-        assert np.linalg.norm(d.v_dot) < 1e-12
+        u_dot, sigma_dot, v_dot = calculus.diff_svd_truncated(y_dot, linalg.svd_full(y))
+        assert np.allclose(sigma_dot, [0.5, 0.2], atol=1e-14)
+        assert np.linalg.norm(u_dot) < 1e-12
+        assert np.linalg.norm(v_dot) < 1e-12
 
     def test_zero_direction(self, rng):
         y = rng.standard_normal((10, 4))
-        d = calculus.diff_svd_truncated(np.zeros_like(y), linalg.svd_full(y))
-        assert np.linalg.norm(d.u_dot) < 1e-13
-        assert np.linalg.norm(d.v_dot) < 1e-13
-        assert np.linalg.norm(d.sigma_dot) < 1e-13
+        u_dot, sigma_dot, v_dot = calculus.diff_svd_truncated(np.zeros_like(y), linalg.svd_full(y))
+        assert np.linalg.norm(u_dot) < 1e-13
+        assert np.linalg.norm(v_dot) < 1e-13
+        assert np.linalg.norm(sigma_dot) < 1e-13
 
     def test_matches_fd_oracle(self, rng):
         y = rng.standard_normal((12, 6))
         y_dot = rng.standard_normal((12, 6))
         u, s, v = linalg.svd_full(y)
-        d = calculus.diff_svd_truncated(y_dot, (u, s, v))
+        u_dot, sigma_dot, v_dot = calculus.diff_svd_truncated(y_dot, (u, s, v))
         fd_u, fd_s, fd_v = fd_svd(y, y_dot, u)
-        assert np.linalg.norm(d.u_dot - fd_u) <= 1e-6 * np.linalg.norm(fd_u)
-        assert np.linalg.norm(d.sigma_dot - fd_s) <= 1e-6 * np.linalg.norm(fd_s)
-        assert np.linalg.norm(d.v_dot - fd_v) <= 1e-6 * np.linalg.norm(fd_v)
+        assert np.linalg.norm(u_dot - fd_u) <= 1e-6 * np.linalg.norm(fd_u)
+        assert np.linalg.norm(sigma_dot - fd_s) <= 1e-6 * np.linalg.norm(fd_s)
+        assert np.linalg.norm(v_dot - fd_v) <= 1e-6 * np.linalg.norm(fd_v)
 
     def test_left_factor_derivative_is_tangent(self, rng):
         y = rng.standard_normal((15, 5))
         y_dot = rng.standard_normal((15, 5))
         u, s, v = linalg.svd_full(y)
-        d = calculus.diff_svd_truncated(y_dot, (u, s, v))
-        skew = u.T @ d.u_dot
+        u_dot, _, _ = calculus.diff_svd_truncated(y_dot, (u, s, v))
+        skew = u.T @ u_dot
         assert np.linalg.norm(skew + skew.T) < 1e-9
 
     def test_repeated_singular_values_rejected(self, rng):
@@ -188,19 +189,19 @@ class TestDiffSVDTruncated:
     def test_reconstruction_derivative(self, rng):
         w, w_dot = self._rank_r_pair(rng, 40, 15, 4)
         u, s, v = truncated_svd(w, 4)
-        d = calculus.diff_svd_truncated(w_dot, (u, s, v))
+        u_dot, sigma_dot, v_dot = calculus.diff_svd_truncated(w_dot, (u, s, v))
         rec = (
-            d.u_dot @ np.diag(s[:4]) @ v.T
-            + u @ np.diag(d.sigma_dot) @ v.T
-            + u @ np.diag(s[:4]) @ d.v_dot.T
+            u_dot @ np.diag(s[:4]) @ v.T
+            + u @ np.diag(sigma_dot) @ v.T
+            + u @ np.diag(s[:4]) @ v_dot.T
         )
         assert np.linalg.norm(rec - w_dot) <= 1e-8 * np.linalg.norm(w_dot)
 
     def test_zero_direction(self, rng):
         w, _ = self._rank_r_pair(rng, 20, 10, 3)
-        d = calculus.diff_svd_truncated(np.zeros_like(w), truncated_svd(w, 3))
-        assert np.linalg.norm(d.u_dot) < 1e-12
-        assert np.linalg.norm(d.v_dot) < 1e-12
+        u_dot, _, v_dot = calculus.diff_svd_truncated(np.zeros_like(w), truncated_svd(w, 3))
+        assert np.linalg.norm(u_dot) < 1e-12
+        assert np.linalg.norm(v_dot) < 1e-12
 
     def test_matches_fd_oracle(self, rng):
         y1 = rng.uniform(0.0, 1.0, (30, 4))
@@ -210,7 +211,7 @@ class TestDiffSVDTruncated:
         w = y1 @ z1
         w_dot = y2 @ z1 + y1 @ z2
         u, s, v = truncated_svd(w, 4)
-        d = calculus.diff_svd_truncated(w_dot, (u, s, v))
+        u_dot, sigma_dot, v_dot = calculus.diff_svd_truncated(w_dot, (u, s, v))
 
         def factors(t):
             uu, ss, vv = truncated_svd((y1 + t * y2) @ (z1 + t * z2), 4)
@@ -220,9 +221,9 @@ class TestDiffSVDTruncated:
         h = 1e-6
         up, sp, vp = factors(h)
         um, sm, vm = factors(-h)
-        assert np.linalg.norm(d.u_dot - (up - um) / (2 * h)) <= 1e-6 * np.linalg.norm(d.u_dot)
-        assert np.linalg.norm(d.v_dot - (vp - vm) / (2 * h)) <= 1e-6 * np.linalg.norm(d.v_dot)
-        assert np.linalg.norm(d.sigma_dot - (sp - sm) / (2 * h)) <= 1e-6 * np.linalg.norm(d.sigma_dot)
+        assert np.linalg.norm(u_dot - (up - um) / (2 * h)) <= 1e-6 * np.linalg.norm(u_dot)
+        assert np.linalg.norm(v_dot - (vp - vm) / (2 * h)) <= 1e-6 * np.linalg.norm(v_dot)
+        assert np.linalg.norm(sigma_dot - (sp - sm) / (2 * h)) <= 1e-6 * np.linalg.norm(sigma_dot)
 
     def test_shapes_rejected(self, rng):
         # the rank is read off the factors, so u and v must agree on it
@@ -359,18 +360,36 @@ class TestTransport:
         assert np.linalg.norm(ud + ud.T) < 1e-10
         assert np.array_equal(out.base.u, q.u)
 
-    def test_failure_names_side(self):
-        # Log_q(p) just below the certificate's LOG_NORM_MAX; v_p runs along
-        # the geodesic away from q, so the +h log passes the bound
+    @staticmethod
+    def _failing_pair():
+        """(Log_q(p), v_p) with Log_q(p) just below the certificate's
+        LOG_NORM_MAX and v_p along the geodesic away from q, so the +h log
+        passes the bound."""
         rng = np.random.default_rng(101)
         xi = _rank_one_tangent(rng, 8, 3)
         xi = (stiefel.LOG_NORM_MAX * (1.0 - 5e-5) / stiefel.norm(xi)) * xi
         p = stiefel.stiefel_exp(xi)
         v = stiefel.project_tangent(p, calculus.dexp_stiefel(xi, xi))
-        delta = stiefel.stiefel_log(xi.base, p)
-        with pytest.raises(VelocityTransportError, match="not below") as info:
+        return stiefel.stiefel_log(xi.base, p), v
+
+    def test_failure_names_side(self):
+        delta, v = self._failing_pair()
+        with pytest.raises(StiefelLogError, match=r"\+h.*not below") as info:
             calculus.transport_velocity(delta, v, h=1e-4)
-        assert info.value.side == "+h"
+        cause = info.value.__cause__
+        assert isinstance(cause, StiefelLogError)
+        assert (info.value.iterations, info.value.residual) == (cause.iterations, cause.residual)
+
+    def test_failed_transport_fails_the_arc_fit(self):
+        # p, carrying v, is the far sample of a q-centered arc
+        delta, v = self._failing_pair()
+        far = interpolate.HermiteSample(0.0, v)
+        near = interpolate.HermiteSample(1.0, stiefel.TangentVector(delta.base, np.zeros_like(delta.delta)))
+        with pytest.raises(ArcFitError) as info:
+            interpolate.fit_arc(far, near, centering="q")
+        cause = info.value.__cause__
+        assert isinstance(cause, StiefelLogError)
+        assert "+h" in str(cause)
 
     @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
     def test_bad_h_rejected(self, rng, h):

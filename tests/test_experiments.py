@@ -489,6 +489,16 @@ class TestTangentVsManifold:
             assert rep.tangent_errors[i] <= 1e-8
             assert rep.manifold_errors[i] <= 1e-8
 
+    @pytest.mark.xfail(reason="ROADMAP item 17: a sample two columns off the path's sign branch")
+    @pytest.mark.parametrize("n, r, m, seed", [(12, 12, 12, 2), (200, 6, 50, 4)])
+    def test_reference_scan_records_no_failure(self, n, r, m, seed):
+        # seed 2 at n = r = m = 12 draws seed 5; the second case is the
+        # committed St(200, 6) study at seed 4.  Both record reference_scan
+        # today, at 26 and 2 grid points.
+        paper = ex.COMMANDS["tangent-vs-manifold"].studies["tangent_vs_manifold"]
+        rep = ex.run_tangent_vs_manifold(dataclasses.replace(paper, n=n, r=r, m=m, seed=seed))
+        assert rep.failures == {}
+
 
 @pytest.fixture(scope="module")
 def snapshot_data():

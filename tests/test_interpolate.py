@@ -398,6 +398,18 @@ def test_composite_wide_span_evaluates_everywhere(span):
     for t in np.linspace(0.0, span, 21):
         curve(t)
 
+
+def test_evaluation_failure_names_its_arc(rng):
+    # a one-arc curve whose coefficients scale its vector past EXP_NORM_MAX
+    xi = stiefel.random_tangent(rng, stiefel.random_point(rng, 10, 2))
+    scale = 2.0 * stiefel.EXP_NORM_MAX / np.linalg.norm(xi.delta)
+    frame = stiefel.tangent_frame(xi.base, [xi.delta])
+    curve = interp.CompositeCurve(np.array([0.25, 0.75]), (frame,), lambda i, t: (scale,))
+    prefix = re.escape("arc 0 on [0.25, 0.75], TangentFrame.exp: ")
+    with pytest.raises(PreconditionError, match=rf"^{prefix}.*EXP_NORM_MAX") as info:
+        curve(0.5)
+    assert type(info.value.__cause__) is PreconditionError
+
 class TestTangentRBF:
     def test_interpolates_at_knots(self, rng):
         samples = make_samples(rng, 25, 4, [0.0, 1.0, 2.0, 3.0])

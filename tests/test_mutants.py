@@ -11,8 +11,6 @@ the curve.  ``hermite_coeffs`` is not patched: the checks build their
 reference from it.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 import test_acceptance
@@ -150,9 +148,9 @@ def test_dist_mutant(monkeypatch):
 def _scaled_normal_v_dot(kernel):
     """``diff_svd_truncated`` with the part of v_dot outside span(v) scaled by 1.01."""
     def mutant(y_dot, svd):
-        d = kernel(y_dot, svd)
+        u_dot, sigma_dot, v_dot = kernel(y_dot, svd)
         v = svd[2]
-        return dataclasses.replace(d, v_dot=d.v_dot + 0.01 * (d.v_dot - v @ (v.T @ d.v_dot)))
+        return u_dot, sigma_dot, v_dot + 0.01 * (v_dot - v @ (v.T @ v_dot))
 
     return mutant
 

@@ -2,7 +2,10 @@
 
 Precondition-style failures derive from ``ValueError`` so that bad inputs
 and bad configuration are distinguishable from numerical breakdowns, which
-derive from ``ConvergenceError``.
+derive from ``ConvergenceError``.  A fit whose logs fail raises
+``ArcFitError`` on the interval it could not fit, caused by the
+``StiefelLogError`` that stopped it; the RBF baseline raises it only when
+no sample maps, and otherwise records the samples it left out.
 """
 
 
@@ -45,11 +48,3 @@ class ArcFitError(ConvergenceError):
         super().__init__(message)
         self.t0 = t0
         self.t1 = t1
-
-
-class TangentMapError(ConvergenceError):
-    """Mapping samples into a single tangent space failed for some samples."""
-
-    def __init__(self, message, failed_indices):
-        super().__init__(message)
-        self.failed_indices = tuple(failed_indices)

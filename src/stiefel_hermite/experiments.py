@@ -326,7 +326,7 @@ def _method_curves(
             elif method == "geodesic":
                 curves[method] = interpolate.geodesic_interp(points)
             elif method == "rbf":
-                curve = interpolate.tangent_rbf_interp(points, skip_failed=True)
+                curve = interpolate.tangent_rbf_interp(points)
                 if curve.failed_indices:
                     failures[method] = (
                         "log did not converge for samples "
@@ -699,25 +699,23 @@ def snapshot_transport_instance(
 
 
 def run_transport_accuracy(
-    config: ExperimentConfig, use_snapshot_data: bool = False
+    config: ExperimentConfig, use_snapshot_data: bool = True
 ) -> list[tuple[float, float]]:
     """Velocity transport reconstruction error at each FD step of ``TRANSPORT_STEPS``.
 
-    The error curve is V-shaped: the central difference improves like h^2
-    until roundoff in the log/exp evaluations takes over.  The sweep takes
-    Log_q(p) once and a central difference (2 logs, 2 exps) per step; the
-    snapshot instance adds the log of its velocity, 14 logs in all.  By
-    default the points and the velocity are random at comparable
-    separations to the snapshot study; set ``use_snapshot_data`` for the
-    deterministic variant.
+    The instance is ``snapshot_transport_instance(config)``.  The error
+    curve is V-shaped: the central difference improves like h^2 until
+    roundoff in the log/exp evaluations takes over.  The sweep takes the
+    log of the velocity, Log_q(p) once and a central difference (2 logs,
+    2 exps) per step, 14 logs in all.  ``use_snapshot_data`` names that one
+    instance and accepts only True; any other value raises
+    PreconditionError.
     """
-    if use_snapshot_data:
-        q, v_p = snapshot_transport_instance(config)
-    else:
-        rng = np.random.default_rng(config.seed)
-        p = stiefel.random_point(rng, config.n, config.r)
-        q = stiefel.stiefel_exp(stiefel.random_tangent(rng, p, scale=0.8))
-        v_p = stiefel.random_tangent(rng, p, scale=1.0)
+    if use_snapshot_data is not True:
+        raise PreconditionError(
+            f"use_snapshot_data={use_snapshot_data!r}: the study runs only the snapshot instance; "
+            "the keyword goes when the benchmark stops passing it (ROADMAP item 1)")
+    q, v_p = snapshot_transport_instance(config)
     return list(zip(TRANSPORT_STEPS, validate_transport(q, v_p, TRANSPORT_STEPS)))
 
 
@@ -843,7 +841,7 @@ class Command:
 
 def _transport_csv(config: ExperimentConfig) -> str:
     """The FD-step sweep on the deterministic snapshot instance."""
-    table = run_transport_accuracy(config, use_snapshot_data=True)
+    table = run_transport_accuracy(config)
     return table_to_csv("h,transport_rel_err", table)
 
 

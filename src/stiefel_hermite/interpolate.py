@@ -31,14 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus, linalg, stiefel
-from .errors import (
-    ArcFitError,
-    DomainError,
-    PreconditionError,
-    ShapeError,
-    StiefelLogError,
-    TangentMapError,
-)
+from .errors import ArcFitError, DomainError, PreconditionError, ShapeError, StiefelLogError
 
 CENTERINGS = ("q", "p")
 
@@ -159,7 +152,7 @@ class CompositeCurve:
     A ValueError of that exponential is raised again as its own type, its
     message led by the arc index, the arc's knot interval and
     ``TangentFrame.exp``.  ``failed_indices`` lists the samples the fit
-    dropped; only ``tangent_rbf_interp(..., skip_failed=True)`` drops any.
+    dropped; only ``tangent_rbf_interp`` drops any.
     """
 
     knots: np.ndarray
@@ -249,7 +242,7 @@ def _rbf_coeffs(scaled_knots: np.ndarray, t_lo: float, t_hi: float, i: int, t: f
 
 
 def tangent_rbf_interp(
-    samples: list[tuple[float, stiefel.StiefelPoint]], skip_failed: bool = False
+    samples: list[tuple[float, stiefel.StiefelPoint]], skip_failed: bool = True
 ) -> CompositeCurve:
     """Map all samples to the tangent space of the middle sample, RBF-interpolate.
 
@@ -257,11 +250,17 @@ def tangent_rbf_interp(
     has one interval [t_first, t_last] and one frame, of one weight matrix
     per kept sample at the center; its coefficients at t are the inverse
     multiquadric kernel (shape ``RBF_SHAPE``) of t against the kept sample
-    parameters, all rescaled to [-1, 1].  If the log of some sample does not
-    converge, raises TangentMapError listing the failed indices, unless
-    ``skip_failed`` is set: then those samples are dropped from the
-    interpolation problem and recorded in the curve's ``failed_indices``.
+    parameters, all rescaled to [-1, 1].  A sample whose log from the
+    center does not converge is left out of the interpolation problem and
+    recorded in the curve's ``failed_indices``.  If no sample maps, raises
+    ArcFitError on [t_first, t_last], caused by the last StiefelLogError.
+    ``skip_failed`` names that one behaviour and accepts only True; any
+    other value raises PreconditionError.
     """
+    if skip_failed is not True:
+        raise PreconditionError(
+            f"skip_failed={skip_failed!r}: the RBF fit always records the samples it cannot map; "
+            "the keyword goes when the benchmark stops passing it (ROADMAP item 1)")
     ts = _check_sample_plan([t for t, _ in samples])
     center = samples[len(samples) // 2][1]
     t_lo, t_hi = float(ts[0]), float(ts[-1])
@@ -272,16 +271,12 @@ def tangent_rbf_interp(
         try:
             deltas.append(stiefel.stiefel_log(center, point).delta)
             kept.append(i)
-        except StiefelLogError:
+        except StiefelLogError as exc:
             failed.append(i)
-    if failed and not skip_failed:
-        raise TangentMapError(
-            f"tangent-space map failed for samples {failed} "
-            "(log did not converge from the center sample)",
-            failed_indices=failed,
-        )
+            cause = exc
     if not kept:
-        raise TangentMapError("no sample could be mapped to the center tangent space", failed)
+        raise ArcFitError(f"RBF fit failed on [{t_lo}, {t_hi}]: no sample maps to the center's "
+                          f"tangent space ({cause})", t0=t_lo, t1=t_hi) from cause
     scaled = _rescale(ts[kept], t_lo, t_hi)
     kernel = _inverse_multiquadric(np.abs(scaled[:, np.newaxis] - scaled[np.newaxis, :]))
     stacked = np.stack(deltas)  # (k, n, r)

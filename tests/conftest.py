@@ -65,6 +65,20 @@ def orthogonal_pairs():
 
 
 @pytest.fixture(scope="module")
+def transport_pair():
+    """A random (q, v_p) at St(200, 6), seed 3: q at distance 0.8 from v_p's base p, ||v_p|| = 1.
+
+    Criterion 1 and the ``validate_transport`` tests sweep transport steps on
+    it; the transport study itself runs the snapshot instance.
+    """
+    rng = np.random.default_rng(3)
+    p = stiefel.random_point(rng, 200, 6)
+    q = stiefel.stiefel_exp(stiefel.random_tangent(rng, p, 0.8))
+    v = stiefel.random_tangent(rng, p, 1.0)
+    return q, v
+
+
+@pytest.fixture(scope="module")
 def qr_path():
     """The QR study's 6-node path at St(100, 6), seed 0."""
     cfg = experiments.ExperimentConfig(n=100, r=6, interval=(-1.1, 1.1), num_nodes=6, seed=0)

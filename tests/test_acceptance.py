@@ -22,11 +22,10 @@ def _criterion(num: int, name: str, checks: dict[str, bool]) -> None:
     assert ok, f"criterion {num} failed: {failed}"
 
 
-def test_criterion_1_transport_accuracy():
+def test_criterion_1_transport_accuracy(transport_pair):
     start = time.time()
-    cfg = ex.ExperimentConfig(n=200, r=6, seed=3)
-    table = ex.run_transport_accuracy(cfg)
-    errs = {h: e for h, e in table}
+    q, v = transport_pair
+    errs = dict(zip(ex.TRANSPORT_STEPS, calculus.validate_transport(q, v, ex.TRANSPORT_STEPS)))
     values = [errs[h] for h in ex.TRANSPORT_STEPS]
     best = int(np.argmin(values))
     _criterion(
@@ -285,7 +284,7 @@ def test_criterion_8_snapshot_failure_mode():
     data = ex.gen_snapshot_experiment(cfg)
     points = [(s.t, s.point) for s in data.samples_u]
     center = points[len(points) // 2][1]
-    rbf = interp.tangent_rbf_interp(points, skip_failed=True)
+    rbf = interp.tangent_rbf_interp(points)
     _criterion(
         8,
         "snapshot study at n=1001, r=6 (RBF logs from the center sample)",

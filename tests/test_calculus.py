@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stiefel_hermite import calculus, interpolate, linalg, stiefel
+from stiefel_hermite import experiments as ex
 from stiefel_hermite.errors import (
     ArcFitError,
     DomainError,
@@ -426,39 +427,33 @@ class TestTransport:
             assert np.linalg.norm(warm_minus.delta - stiefel.stiefel_log(q, minus).delta) <= 1e-13
 
 
-@pytest.fixture(scope="module")
-def instance():
-    rng = np.random.default_rng(3)
-    p = stiefel.random_point(rng, 200, 6)
-    q = stiefel.stiefel_exp(stiefel.random_tangent(rng, p, 0.8))
-    v = stiefel.random_tangent(rng, p, 1.0)
-    return q, v
-
-
 class TestValidateTransport:
-    def test_coarse_step(self, instance):
-        q, v = instance
+    def test_coarse_step(self, transport_pair):
+        q, v = transport_pair
         (err,) = calculus.validate_transport(q, v, (1e-2,))
         assert 1e-9 < err < 1e-5  # second-order error at coarse step
 
-    def test_tuned_step(self, instance):
-        q, v = instance
+    def test_tuned_step(self, transport_pair):
+        q, v = transport_pair
         (err,) = calculus.validate_transport(q, v, (1e-4,))
         assert err <= 1e-8
 
-    def test_roundoff_regime(self, instance):
-        q, v = instance
+    def test_roundoff_regime(self, transport_pair):
+        q, v = transport_pair
         fine, tuned = calculus.validate_transport(q, v, (1e-7, 1e-4))
         assert fine > tuned  # roundoff dominates below the sweet spot
 
     @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
-    def test_bad_step_rejected(self, instance, h):
-        q, v = instance
+    def test_bad_step_rejected(self, transport_pair, h):
+        q, v = transport_pair
         with pytest.raises(PreconditionError, match="step h"):
             calculus.validate_transport(q, v, (1e-4, h))
 
-    def test_v_shape(self, instance):
-        q, v = instance
-        errs = calculus.validate_transport(q, v, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7))
+    def test_v_shape(self, transport_pair):
+        q, v = transport_pair
+        errs = calculus.validate_transport(q, v, ex.TRANSPORT_STEPS)
         best = int(np.argmin(errs))
         assert 0 < best < len(errs) - 1
+        assert errs[best] <= 1e-8
+        ratio = errs[0] / errs[1]  # h=1e-2 vs h=1e-3: about h^2
+        assert 10 <= ratio <= 1000

@@ -10,12 +10,7 @@ from stiefel_hermite import calculus
 from stiefel_hermite import experiments as ex
 from stiefel_hermite import interpolate as interp
 from stiefel_hermite import linalg, stiefel
-from stiefel_hermite.errors import (
-    ArcFitError,
-    DomainError,
-    PreconditionError,
-    TangentMapError,
-)
+from stiefel_hermite.errors import ArcFitError, DomainError, PreconditionError, StiefelLogError
 
 
 @pytest.fixture
@@ -438,27 +433,53 @@ class TestTangentRBF:
         with pytest.raises(PreconditionError, match="at least 2 samples"):
             interp.tangent_rbf_interp([(0.5, p)])
 
-    def test_far_samples_fail_with_indices(self):
+    @staticmethod
+    def _far_samples():
+        """Two unreachable St(8, 6) outliers at t = 0, 1, then a close chain at t = 2, 3, 4."""
         rng = np.random.default_rng(101)
-        # center in a chain of close points, with two unreachable outliers
         chain = [stiefel.random_point(rng, 8, 6)]
         for _ in range(2):
             chain.append(stiefel.stiefel_exp(stiefel.random_tangent(rng, chain[-1], 0.3)))
         outlier1 = stiefel.random_point(rng, 8, 6)
         outlier2 = stiefel.random_point(rng, 8, 6)
-        pts = [(0.0, outlier1), (1.0, outlier2)] + [
-            (2.0 + i, p) for i, p in enumerate(chain)
-        ]
-        with pytest.raises(TangentMapError) as info:
-            interp.tangent_rbf_interp(pts)
-        assert 0 in info.value.failed_indices or 1 in info.value.failed_indices
-        curve = interp.tangent_rbf_interp(pts, skip_failed=True)
-        assert curve.failed_indices == info.value.failed_indices
-        # surviving samples are still interpolated
-        for idx in range(2, 5):
-            t, p = pts[idx]
-            if idx not in curve.failed_indices:
-                assert np.linalg.norm(curve(t).u - p.u) <= 1e-8
+        return [(0.0, outlier1), (1.0, outlier2)] + [(2.0 + i, p) for i, p in enumerate(chain)]
+
+    def test_far_samples_fail_with_indices(self):
+        pts = self._far_samples()
+        curve = interp.tangent_rbf_interp(pts)
+        assert curve.failed_indices == (0, 1)
+        # the surviving samples are still interpolated, on the full span
+        assert list(curve.knots) == [0.0, 4.0]
+        for t, p in pts[2:]:
+            assert np.linalg.norm(curve(t).u - p.u) <= 1e-8
+
+    def test_no_sample_mapped_fails_the_fit(self, rng, monkeypatch):
+        def unconverged(base, target):
+            raise StiefelLogError("log stopped at iteration 0", iterations=0, residual=1.0)
+
+        samples = make_samples(rng, 15, 3, [0.5, 1.0, 2.0])
+        monkeypatch.setattr(stiefel, "stiefel_log", unconverged)
+        with pytest.raises(ArcFitError, match=re.escape("[0.5, 2.0]")) as info:
+            interp.tangent_rbf_interp([(s.t, s.point) for s in samples])
+        assert (info.value.t0, info.value.t1) == (0.5, 2.0)
+        assert isinstance(info.value.__cause__, StiefelLogError)
+        # the study records it as the baseline's failure and goes on
+        failures: dict[str, str] = {}
+        cfg = ex.ExperimentConfig(n=15, r=3, methods=("rbf",))
+        assert ex._method_curves(cfg, samples, failures) == {}
+        assert failures == {"rbf": str(info.value)}
+
+    @pytest.mark.parametrize("value", [False, None])
+    def test_skip_failed_accepts_only_true(self, value):
+        # bench/workloads.py passes skip_failed=True; it gets the default fit
+        pts = self._far_samples()
+        with pytest.raises(PreconditionError, match=r"skip_failed=.*ROADMAP item 1"):
+            interp.tangent_rbf_interp(pts, skip_failed=value)
+        explicit = interp.tangent_rbf_interp(pts, skip_failed=True)
+        default = interp.tangent_rbf_interp(pts)
+        assert explicit.failed_indices == default.failed_indices == (0, 1)
+        for t in np.linspace(0.0, 4.0, 9):
+            assert np.array_equal(explicit(t).u, default(t).u)
 
 
 def _knots_and_interior(knots):

@@ -171,12 +171,12 @@ def _one_sided_transport(delta, v_p, h=calculus.DEFAULT_FD_STEP):
     return stiefel.project_tangent(q, (plus.delta - delta.delta) / h)
 
 
-def test_one_sided_transport_mutant(monkeypatch):
+def test_one_sided_transport_mutant(monkeypatch, transport_pair):
     monkeypatch.setattr(calculus, "transport_velocity", _one_sided_transport)
     with pytest.raises(AssertionError):
         sphere.test_transport_is_the_derivative_of_the_log()
     with pytest.raises(AssertionError):
-        test_acceptance.test_criterion_1_transport_accuracy()
+        test_acceptance.test_criterion_1_transport_accuracy(transport_pair)
 
 
 def _transport_without_reflection(delta, v_p, h=calculus.DEFAULT_FD_STEP):

@@ -603,6 +603,20 @@ class TestTransportAccuracy:
         ex.run_transport_accuracy(ex.ExperimentConfig(n=40, r=3))
         assert kernel_calls == {"log": 14, "exp": 12}
 
+    def test_v_shape_and_quadratic_regime(self):
+        # the study's own sweep on its snapshot instance; the random St(200, 6)
+        # pair is checked the same way in test_calculus.py::TestValidateTransport
+        cfg = ex.ExperimentConfig(n=1001, r=6, seed=0)
+        table = ex.run_transport_accuracy(cfg)
+        hs = [h for h, _ in table]
+        errs = [e for _, e in table]
+        assert hs == list(ex.TRANSPORT_STEPS)
+        best = int(np.argmin(errs))
+        assert 0 < best < len(errs) - 1
+        assert errs[best] <= 1e-8
+        ratio = errs[0] / errs[1]  # h=1e-2 vs h=1e-3: about h^2
+        assert 10 <= ratio <= 1000
+
     @pytest.mark.parametrize("value", [False, None])
     def test_use_snapshot_data_accepts_only_true(self, value):
         # bench/workloads.py passes use_snapshot_data=True; it gets the default sweep

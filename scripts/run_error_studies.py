@@ -2,9 +2,10 @@
 """Run every paper study at full scale and write results/<name>.csv for each.
 
 The runs and their configurations are the ``studies`` of each
-``experiments.COMMANDS`` entry, written in the registry's order; each line
-gives the study's wall time in ms, and the last line the total.  Exits 1,
-after writing every file, when any report records a failure.
+``experiments.COMMANDS`` entry, written in the registry's order.  The first
+line gives the three BLAS thread variables the run used, each later line a
+study's wall time in ms, and the last line the total.  Exits 1, after
+writing every file, when any report records a failure.
 
 BLAS runs on one thread unless the environment sets the thread count: the
 transport rows at h <= 1e-5 are round-off, whose digits depend on the BLAS
@@ -15,7 +16,8 @@ from the code next to the script, installed or not.
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import pathlib  # noqa: E402
@@ -31,6 +33,7 @@ OUT = ROOT / "results"
 
 
 def main():
+    print(" ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS))
     OUT.mkdir(exist_ok=True)
     t0 = time.perf_counter()
     failed = 0

@@ -154,15 +154,17 @@ def dexp_stiefel(xi0: stiefel.TangentVector, v: stiefel.TangentVector) -> np.nda
 
 
 def transport_velocity(
-    delta: stiefel.TangentVector, v_p: stiefel.TangentVector, h: float = DEFAULT_FD_STEP
+    delta: stiefel.TangentVector, v_p: stiefel.TangentVector, h: float
 ) -> stiefel.TangentVector:
     """Carry a velocity sampled at p = v_p.base into the tangent space at q.
 
     ``delta`` is Log_q(p), so q = delta.base.  Central difference of the
     normal-coordinate transition map:
     (Log_q(Exp_p(h v_p)) - Log_q(Exp_p(-h v_p))) / (2h).  Second-order
-    accurate in h.  Both logs are warm-started (``stiefel_log``'s
-    ``start``): the +h log from ``delta``, the -h log from its reflection
+    accurate in h; the caller gives the step (the arc fits
+    ``DEFAULT_FD_STEP``, the transport check each swept step).  Both logs
+    are warm-started (``stiefel_log``'s ``start``): the +h log from
+    ``delta``, the -h log from its reflection
     2 delta - Log_q(Exp_p(h v_p)), which is O(h^2) from its answer.  The
     starts change how many steps the logs take, not what they return, so
     the result depends on ``delta`` only through q.  A failed log raises

@@ -7,12 +7,13 @@ lines; every tolerance is fixed here, nothing is calibrated at run time.
 import time
 
 import numpy as np
-import pytest
 
 from stiefel_hermite import calculus, experiments as ex
 from stiefel_hermite import interpolate as interp
 from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import StiefelLogError
+
+from conftest import knot_residuals, make_samples, rank_r_path
 
 
 def _criterion(num: int, name: str, checks: dict[str, bool]) -> None:
@@ -44,34 +45,12 @@ def test_criterion_1_transport_accuracy(transport_pair):
 def test_criterion_2_interpolation_conditions():
     start = time.time()
     point_ok, velocity_ok, joins_ok = True, True, True
-    fd = 1e-6
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        ts = [0.0, 1.0, 2.0, 3.0]
-        point = stiefel.random_point(rng, 60, 5)
-        samples = []
-        for t in ts:
-            vel = stiefel.random_tangent(rng, point, scale=0.8)
-            samples.append(interp.HermiteSample(t=t, velocity=vel))
-            point = stiefel.stiefel_exp(stiefel.random_tangent(rng, point, scale=0.4))
-        curve = interp.fit_composite(samples)
-        for i, s in enumerate(samples):
-            point_ok &= bool(np.linalg.norm(curve(s.t).u - s.point.u) <= 1e-8)
-            # one-sided differences at the ends, inside the first and last arcs
-            if i == 0:
-                est = (-3 * curve(s.t).u + 4 * curve(s.t + fd).u - curve(s.t + 2 * fd).u) / (2 * fd)
-            elif i == len(samples) - 1:
-                est = (3 * curve(s.t).u - 4 * curve(s.t - fd).u + curve(s.t - 2 * fd).u) / (2 * fd)
-            else:
-                est = (curve(s.t + fd).u - curve(s.t - fd).u) / (2 * fd)
-            rel = np.linalg.norm(est - s.velocity.delta) / np.linalg.norm(s.velocity.delta)
-            velocity_ok &= bool(rel <= 1e-4)
-        for s in samples[1:-1]:
-            left = (curve(s.t).u - curve(s.t - fd).u) / fd
-            right = (curve(s.t + fd).u - curve(s.t).u) / fd
-            joins_ok &= bool(
-                np.linalg.norm(left - right) / max(1.0, np.linalg.norm(left)) <= 1e-4
-            )
+        samples = make_samples(np.random.default_rng(seed), 60, 5, [0.0, 1.0, 2.0, 3.0], step=0.4)
+        points, velocities, joins = knot_residuals(interp.fit_composite(samples), samples)
+        point_ok &= bool(max(points) <= 1e-8)
+        velocity_ok &= bool(max(velocities) <= 1e-4)
+        joins_ok &= bool(max(joins) <= 1e-4)
     _criterion(
         2,
         "interpolation conditions, 20 seeds on St(60, 5)",
@@ -109,15 +88,10 @@ def test_criterion_3_hermite_vs_geodesic_ordering():
     )
 
 
-def test_criterion_4_lowrank_svd_reconstruction():
-    max_rel = {}
-    for centering in ("q", "p"):
-        cfg = ex.ExperimentConfig(
-            n=1000, r=10, m=100, interval=(0.0, 0.5), num_nodes=2, seed=0,
-            centering=centering, methods=("hermite", "geodesic"),
-        )
-        rep = ex.run_svd_interp(cfg)
-        max_rel[centering] = rep.max_rel
+def test_criterion_4_lowrank_svd_reconstruction(paper_csv):
+    # the paper's two runs: n=1000, r=10, m=100 on [0, 0.5], 2 nodes, seed 0
+    max_rel = {c: ex.parse_report(paper_csv(f"svd_interp_n1000_m100_r10_{c}")).max_rel
+               for c in ("q", "p")}
     q_h = max_rel["q"]["hermite"]
     p_h = max_rel["p"]["hermite"]
     _criterion(
@@ -159,18 +133,13 @@ def test_criterion_5_differential_oracles():
         svd_ok &= bool(np.linalg.norm(u_dot - fu) <= tol * np.linalg.norm(fu))
 
     for _ in range(10):
-        y1 = rng.uniform(0.0, 1.0, (30, 4))
-        z1 = rng.uniform(0.0, 1.0, (4, 12))
-        y2 = rng.uniform(0.0, 0.5, (30, 4))
-        z2 = rng.uniform(0.0, 0.5, (4, 12))
-        w, w_dot = y1 @ z1, y2 @ z1 + y1 @ z2
+        w, w_dot, path = rank_r_path(rng, 30, 12, 4)
         u, s, v = linalg.svd_full(w)
         u, v = u[:, :4], v[:, :4]
         u_dot, _, v_dot = calculus.diff_svd_truncated(w_dot, (u, s, v))
 
         def trunc_uv(tval):
-            mat = (y1 + tval * y2) @ (z1 + tval * z2)
-            uu, _, vv = linalg.svd_full(mat)
+            uu, _, vv = linalg.svd_full(path(tval))
             return calculus.svd_sign_normalize(uu[:, :4], vv[:, :4], u)
 
         (up, vp), (um, vm) = trunc_uv(h), trunc_uv(-h)
@@ -278,10 +247,10 @@ def _log_certified(base, target) -> bool:
     )
 
 
-def test_criterion_8_snapshot_failure_mode():
-    cfg = ex.ExperimentConfig(n=1001, r=6, interval=(1.7, 2.3), num_nodes=6)
-    rep = ex.run_snapshot_experiment(cfg)
-    data = ex.gen_snapshot_experiment(cfg)
+def test_criterion_8_snapshot_failure_mode(paper_csv, snapshot_data):
+    # the paper run: n=1001, r=6 on [1.7, 2.3], 6 nodes
+    rep = ex.parse_report(paper_csv("snapshot_interp_n1001_r6"))
+    _, data = snapshot_data
     points = [(s.t, s.point) for s in data.samples_u]
     center = points[len(points) // 2][1]
     rbf = interp.tangent_rbf_interp(points)
@@ -318,14 +287,8 @@ def test_criterion_8_snapshot_failure_mode():
 
 
 def test_criterion_9_cost_accounting(kernel_calls):
-    rng = np.random.default_rng(1)
     ts = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-    point = stiefel.random_point(rng, 50, 5)
-    samples = []
-    for t in ts:
-        vel = stiefel.random_tangent(rng, point, scale=0.7)
-        samples.append(interp.HermiteSample(t=t, velocity=vel))
-        point = stiefel.stiefel_exp(stiefel.random_tangent(rng, point, scale=0.4))
+    samples = make_samples(np.random.default_rng(1), 50, 5, ts, step=0.4, vel_scale=0.7)
     k = len(ts) - 1
     kernel_calls.clear()
     curve = interp.fit_composite(samples)

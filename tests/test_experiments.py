@@ -12,6 +12,8 @@ from stiefel_hermite import interpolate as interp
 from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import DomainError, PreconditionError
 
+from conftest import assert_v_shape, far_samples
+
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
 README = ROOT / "README.md"
@@ -28,9 +30,9 @@ def _load_results_check():
 
 results_check = _load_results_check()
 
-#: (command, results stem) of every paper study whose CSV is an error report.
+#: The results stem of every paper study whose CSV is an error report.
 REPORT_STUDIES = [
-    (command, stem)
+    stem
     for command in ("qr-interp", "svd-interp", "tangent-vs-manifold", "snapshot-interp")
     for stem in ex.COMMANDS[command].studies
 ]
@@ -465,24 +467,25 @@ class TestSVDExperiment:
         assert abs(reps["q"] - reps["p"]) <= 0.05 * reps["q"]
 
 
+@pytest.fixture(scope="module")
+def tangent_vs_manifold():
+    cfg = ex.ExperimentConfig(
+        n=60, r=4, m=25, interval=(0.0, 0.5), num_nodes=2, seed=1,
+        methods=("hermite",),
+    )
+    return cfg, ex.run_tangent_vs_manifold(cfg)
+
+
 class TestTangentVsManifold:
-    def test_manifold_close_to_tangent_and_smaller(self):
-        cfg = ex.ExperimentConfig(
-            n=60, r=4, m=25, interval=(0.0, 0.5), num_nodes=2, seed=1,
-            methods=("hermite",),
-        )
-        rep = ex.run_tangent_vs_manifold(cfg)
+    def test_manifold_close_to_tangent_and_smaller(self, tangent_vs_manifold):
+        _, rep = tangent_vs_manifold
         tan = np.asarray(rep.tangent_errors)
         man = np.asarray(rep.manifold_errors)
         assert len(tan) == len(rep.eval_grid) == len(man)
         assert np.all(man <= 1.05 * tan + 1e-12)
 
-    def test_errors_vanish_at_nodes(self):
-        cfg = ex.ExperimentConfig(
-            n=60, r=4, m=25, interval=(0.0, 0.5), num_nodes=2, seed=1,
-            methods=("hermite",),
-        )
-        rep = ex.run_tangent_vs_manifold(cfg)
+    def test_errors_vanish_at_nodes(self, tangent_vs_manifold):
+        cfg, rep = tangent_vs_manifold
         grid = np.asarray(rep.eval_grid)
         for node in ex.chebyshev_nodes(*cfg.interval, cfg.num_nodes):
             i = int(np.argmin(np.abs(grid - node)))
@@ -498,12 +501,6 @@ class TestTangentVsManifold:
         paper = ex.COMMANDS["tangent-vs-manifold"].studies["tangent_vs_manifold"]
         rep = ex.run_tangent_vs_manifold(dataclasses.replace(paper, n=n, r=r, m=m, seed=seed))
         assert rep.failures == {}
-
-
-@pytest.fixture(scope="module")
-def snapshot_data():
-    cfg = ex.ExperimentConfig(n=1001, r=6, interval=(1.7, 2.3), num_nodes=6)
-    return cfg, ex.gen_snapshot_experiment(cfg)
 
 
 class TestSnapshotExperiment:
@@ -556,21 +553,25 @@ class TestSnapshotExperiment:
             ud = s.point.u.T @ s.velocity.delta
             assert np.linalg.norm(ud + ud.T) < 1e-9
 
-    def test_run_matches_reference_scale(self, snapshot_data):
-        cfg, _ = snapshot_data
-        rep = ex.run_snapshot_experiment(cfg)
+    def test_run_matches_reference_scale(self, paper_csv):
+        # the registry's paper run of the snapshot_data configuration
+        rep = ex.parse_report(paper_csv("snapshot_interp_n1001_r6"))
         assert rep.max_rel["hermite"] < rep.max_rel["geodesic"]
         assert 0.5 * 0.0418 <= rep.max_rel["hermite"] <= 2.0 * 0.0418
         assert 0.5 * 0.1301 <= rep.max_rel["geodesic"] <= 2.0 * 0.1301
 
 
+@pytest.fixture(scope="module")
+def transport_sweep():
+    """The transport study's sweep at St(1001, 6): U(0.9) -> U(1.4), the velocity pointing at U(1.9)."""
+    return ex.run_transport_accuracy(ex.ExperimentConfig(n=1001, r=6, seed=0))
+
+
 class TestTransportAccuracy:
-    def test_snapshot_data_reproduces_reference_table(self):
-        # deterministic variant: U(0.9) -> U(1.4) with the velocity pointing
-        # at U(1.9); reference errors 1.2e-8, 1.2e-10, 4.3e-12, 4.2e-11,
-        # 4.1e-10, 5.0e-9 for h = 1e-2 ... 1e-7
-        cfg = ex.ExperimentConfig(n=1001, r=6, seed=0)
-        table = ex.run_transport_accuracy(cfg)
+    def test_snapshot_data_reproduces_reference_table(self, transport_sweep):
+        # reference errors 1.2e-8, 1.2e-10, 4.3e-12, 4.2e-11, 4.1e-10,
+        # 5.0e-9 for h = 1e-2 ... 1e-7
+        table = transport_sweep
         assert [h for h, _ in table] == list(ex.TRANSPORT_STEPS)
         reference = [1.2e-8, 1.2e-10, 4.3e-12, 4.2e-11, 4.1e-10, 5.0e-9]
         for (h, err), ref in zip(table, reference):
@@ -603,19 +604,12 @@ class TestTransportAccuracy:
         ex.run_transport_accuracy(ex.ExperimentConfig(n=40, r=3))
         assert kernel_calls == {"log": 14, "exp": 12}
 
-    def test_v_shape_and_quadratic_regime(self):
+    def test_v_shape_and_quadratic_regime(self, transport_sweep):
         # the study's own sweep on its snapshot instance; the random St(200, 6)
         # pair is checked the same way in test_calculus.py::TestValidateTransport
-        cfg = ex.ExperimentConfig(n=1001, r=6, seed=0)
-        table = ex.run_transport_accuracy(cfg)
-        hs = [h for h, _ in table]
-        errs = [e for _, e in table]
+        hs = [h for h, _ in transport_sweep]
         assert hs == list(ex.TRANSPORT_STEPS)
-        best = int(np.argmin(errs))
-        assert 0 < best < len(errs) - 1
-        assert errs[best] <= 1e-8
-        ratio = errs[0] / errs[1]  # h=1e-2 vs h=1e-3: about h^2
-        assert 10 <= ratio <= 1000
+        assert_v_shape([e for _, e in transport_sweep])
 
     @pytest.mark.parametrize("value", [False, None])
     def test_use_snapshot_data_accepts_only_true(self, value):
@@ -679,14 +673,9 @@ class TestReports:
         # the unreachable St(8, 6) outliers of the RBF far-sample test:
         # their logs from the center converge to 1.29 pi and 1.1 pi, the
         # certificate rejects them, and the study records which
-        rng = np.random.default_rng(101)
-        chain = [stiefel.random_point(rng, 8, 6)]
-        for _ in range(2):
-            chain.append(stiefel.stiefel_exp(stiefel.random_tangent(rng, chain[-1], 0.3)))
-        outliers = [stiefel.random_point(rng, 8, 6) for _ in range(2)]
         samples = [
-            interp.HermiteSample(t=float(t), velocity=stiefel.TangentVector(p, np.zeros((8, 6))))
-            for t, p in enumerate(outliers + chain)
+            interp.HermiteSample(t=t, velocity=stiefel.TangentVector(p, np.zeros((8, 6))))
+            for t, p in far_samples()
         ]
         cfg = ex.ExperimentConfig(n=8, r=6, methods=("rbf",))
         failures: dict[str, str] = {}
@@ -952,11 +941,11 @@ class TestStudies:
             b = np.array(row_want.split(","), dtype=float)
             assert np.all(np.abs(a - b) <= np.maximum(1e-9 * np.maximum(abs(a), abs(b)), 1e-15))
 
-    @pytest.mark.parametrize("command, stem", REPORT_STUDIES, ids=[s for _, s in REPORT_STUDIES])
-    def test_report_reproduces_results(self, command, stem):
+    @pytest.mark.parametrize("stem", REPORT_STUDIES)
+    def test_report_reproduces_results(self, paper_csv, stem):
         # the committed reports are one-BLAS-thread runs; the tolerances of
         # bench/results_check hold across thread counts
-        text = ex.COMMANDS[command].run(ex.COMMANDS[command].studies[stem])
+        text = paper_csv(stem)
         report = ex.parse_report(text)
         committed = ex.parse_report((RESULTS / f"{stem}.csv").read_text())
         assert results_check.report_invariants(stem, report) == []
@@ -1015,7 +1004,7 @@ class TestReadmeResults:
         configs = {stem: cfg for c in ex.COMMANDS.values() for stem, cfg in c.studies.items()}
         rows = re.findall(r"\| `(\w+)` \| St\((\d+), (\d+)\) \| ([^|]+) \| ([^|]+) \| ([^|]+) \|",
                           self.SECTION)
-        assert sorted(row[0] for row in rows) == sorted(stem for _, stem in REPORT_STUDIES)
+        assert sorted(row[0] for row in rows) == sorted(REPORT_STUDIES)
         for stem, n, r, *cells in rows:
             assert (int(n), int(r)) == (configs[stem].n, configs[stem].r)
             text = (RESULTS / f"{stem}.csv").read_text()

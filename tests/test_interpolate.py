@@ -9,24 +9,15 @@ from hypothesis import strategies as st
 from stiefel_hermite import calculus
 from stiefel_hermite import experiments as ex
 from stiefel_hermite import interpolate as interp
-from stiefel_hermite import linalg, stiefel
+from stiefel_hermite import stiefel
 from stiefel_hermite.errors import ArcFitError, DomainError, PreconditionError, StiefelLogError
+
+from conftest import far_pair, far_samples, knot_residuals, make_samples, spy_kernel_logs
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1)
-
-
-def make_samples(rng, n, r, ts, step=0.35, vel_scale=0.8):
-    """Random Hermite samples along a chain of moderately separated points."""
-    point = stiefel.random_point(rng, n, r)
-    samples = []
-    for t in ts:
-        vel = stiefel.random_tangent(rng, point, scale=vel_scale)
-        samples.append(interp.HermiteSample(t=t, velocity=vel))
-        point = stiefel.stiefel_exp(stiefel.random_tangent(rng, point, scale=step))
-    return samples
 
 
 class TestHermiteCoeffs:
@@ -176,26 +167,16 @@ class TestArc:
         """
         cfg = ex.ExperimentConfig(n=40, r=3, interval=(-1.1, 1.1), num_nodes=3, seed=0)
         samples = ex.gen_qr_experiment(cfg).samples
+        counts = spy_kernel_logs(monkeypatch)
         arcs = []
-        logm, log = linalg.logm, stiefel.stiefel_log
-
-        def spy_logm(v):
-            arcs[-1][-1] += 1
-            return logm(v)
-
-        def spy_log(*args, **kwargs):
-            arcs[-1].append(0)
-            return log(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "logm", spy_logm)
-        monkeypatch.setattr(stiefel, "stiefel_log", spy_log)
         for centering in interp.CENTERINGS:
             for s0, s1 in zip(samples, samples[1:]):
-                arcs.append([])
+                start = len(counts)
                 interp.fit_arc(s0, s1, centering=centering)
+                arcs.append(counts[start:])
         return arcs
 
-    def test_at_most_fourteen_schur_logs(self, monkeypatch):
+    def test_at_most_fourteen_kernel_logs(self, monkeypatch):
         # cold, each of the three logs takes 5-6 kernel logs (15-18 per arc);
         # with the transport's two started from Log_q(p), an arc takes 12-13
         assert max(sum(arc) for arc in self._kernel_logs(monkeypatch)) <= 14
@@ -207,9 +188,7 @@ class TestArc:
             assert len(arc) == 3 and arc[2] < arc[1]
 
     def test_far_samples_raise_arc_fit_error(self):
-        rng = np.random.default_rng(101)
-        a = stiefel.random_point(rng, 8, 6)
-        b = stiefel.random_point(rng, 8, 6)
+        a, b = far_pair()
         za = stiefel.TangentVector(a, np.zeros((8, 6)))
         zb = stiefel.TangentVector(b, np.zeros((8, 6)))
         with pytest.raises(ArcFitError) as info:
@@ -230,30 +209,15 @@ class TestComposite:
     def test_interpolation_conditions(self, rng):
         ts = [0.0, 0.8, 1.7, 2.5]
         samples = make_samples(rng, 40, 5, ts)
-        curve = interp.fit_composite(samples)
-        h = 1e-6
-        for i, s in enumerate(samples):
-            assert np.linalg.norm(curve(s.t).u - s.point.u) <= 1e-8
-            # one-sided differences at the ends, inside the first and last arcs
-            if i == 0:
-                fd = (-3 * curve(s.t).u + 4 * curve(s.t + h).u - curve(s.t + 2 * h).u) / (2 * h)
-            elif i == len(samples) - 1:
-                fd = (3 * curve(s.t).u - 4 * curve(s.t - h).u + curve(s.t - 2 * h).u) / (2 * h)
-            else:
-                fd = (curve(s.t + h).u - curve(s.t - h).u) / (2 * h)
-            rel = np.linalg.norm(fd - s.velocity.delta) / np.linalg.norm(s.velocity.delta)
-            assert rel <= 1e-4
+        points, velocities, _ = knot_residuals(interp.fit_composite(samples), samples)
+        assert max(points) <= 1e-8
+        assert max(velocities) <= 1e-4
 
     def test_c1_joins(self, rng):
         ts = [0.0, 1.0, 2.0, 3.0]
         samples = make_samples(rng, 30, 4, ts)
-        curve = interp.fit_composite(samples)
-        h = 1e-6
-        for s in samples[1:-1]:
-            left = (curve(s.t).u - curve(s.t - h).u) / h
-            right = (curve(s.t + h).u - curve(s.t).u) / h
-            rel = np.linalg.norm(left - right) / max(1.0, np.linalg.norm(left))
-            assert rel <= 1e-4
+        _, _, joins = knot_residuals(interp.fit_composite(samples), samples)
+        assert max(joins) <= 1e-4
 
     def test_knot_lookup_convention(self, rng):
         samples = make_samples(rng, 15, 3, [0.0, 1.0, 2.0])
@@ -299,14 +263,20 @@ class TestComposite:
         assert kernel_calls == {"exp": 1}
 
 
-class TestGeodesicInterp:
-    def test_hits_samples(self, rng):
-        samples = make_samples(rng, 25, 4, [0.0, 1.0, 2.0])
-        pts = [(s.t, s.point) for s in samples]
-        curve = interp.geodesic_interp(pts)
-        for t, p in pts:
-            assert np.linalg.norm(curve(t).u - p.u) <= 1e-11
+@pytest.mark.parametrize("fit, n, r, ts, tol", [
+    (interp.geodesic_interp, 25, 4, [0.0, 1.0, 2.0], 1e-11),
+    (interp.tangent_rbf_interp, 25, 4, [0.0, 1.0, 2.0, 3.0], 1e-8),
+    # 2 (t - t_first) overflows here; the rescaling halves the span instead
+    (interp.tangent_rbf_interp, 15, 3, [0.0, 0.5e308, 1.5e308], 1e-8),
+], ids=["geodesic", "rbf", "rbf-span-past-half-the-float64-range"])
+def test_curve_hits_its_samples(rng, fit, n, r, ts, tol):
+    pts = [(s.t, s.point) for s in make_samples(rng, n, r, ts)]
+    curve = fit(pts)
+    for t, p in pts:
+        assert np.linalg.norm(curve(t).u - p.u) <= tol
 
+
+class TestGeodesicInterp:
     def test_midpoint_swap_symmetry(self, rng):
         a = stiefel.random_point(rng, 20, 4)
         b = stiefel.stiefel_exp(stiefel.random_tangent(rng, a, 0.7))
@@ -315,9 +285,7 @@ class TestGeodesicInterp:
         assert np.linalg.norm(fwd.u - bwd.u) <= 1e-8
 
     def test_failure_identifies_subinterval(self):
-        rng = np.random.default_rng(101)
-        a = stiefel.random_point(rng, 8, 6)
-        b = stiefel.random_point(rng, 8, 6)
+        a, b = far_pair()
         with pytest.raises(ArcFitError):
             interp.geodesic_interp([(0.0, a), (1.0, b)])
 
@@ -406,13 +374,6 @@ def test_evaluation_failure_names_its_arc(rng):
     assert type(info.value.__cause__) is PreconditionError
 
 class TestTangentRBF:
-    def test_interpolates_at_knots(self, rng):
-        samples = make_samples(rng, 25, 4, [0.0, 1.0, 2.0, 3.0])
-        pts = [(s.t, s.point) for s in samples]
-        curve = interp.tangent_rbf_interp(pts)
-        for t, p in pts:
-            assert np.linalg.norm(curve(t).u - p.u) <= 1e-8
-
     def test_eval_outside_span_rejected(self, rng):
         samples = make_samples(rng, 15, 3, [0.0, 1.0])
         curve = interp.tangent_rbf_interp([(s.t, s.point) for s in samples])
@@ -420,32 +381,13 @@ class TestTangentRBF:
             with pytest.raises(DomainError, match=r"outside \[0\.0, 1\.0\]"):
                 curve(t)
 
-    def test_span_past_half_the_float64_range(self, rng):
-        # 2 (t - t_first) overflows here; the rescaling halves the span instead
-        samples = make_samples(rng, 15, 3, [0.0, 0.5e308, 1.5e308])
-        pts = [(s.t, s.point) for s in samples]
-        curve = interp.tangent_rbf_interp(pts)
-        for t, p in pts:
-            assert np.linalg.norm(curve(t).u - p.u) <= 1e-8
-
     def test_single_sample_rejected(self, rng):
         p = stiefel.random_point(rng, 12, 3)
         with pytest.raises(PreconditionError, match="at least 2 samples"):
             interp.tangent_rbf_interp([(0.5, p)])
 
-    @staticmethod
-    def _far_samples():
-        """Two unreachable St(8, 6) outliers at t = 0, 1, then a close chain at t = 2, 3, 4."""
-        rng = np.random.default_rng(101)
-        chain = [stiefel.random_point(rng, 8, 6)]
-        for _ in range(2):
-            chain.append(stiefel.stiefel_exp(stiefel.random_tangent(rng, chain[-1], 0.3)))
-        outlier1 = stiefel.random_point(rng, 8, 6)
-        outlier2 = stiefel.random_point(rng, 8, 6)
-        return [(0.0, outlier1), (1.0, outlier2)] + [(2.0 + i, p) for i, p in enumerate(chain)]
-
     def test_far_samples_fail_with_indices(self):
-        pts = self._far_samples()
+        pts = far_samples()
         curve = interp.tangent_rbf_interp(pts)
         assert curve.failed_indices == (0, 1)
         # the surviving samples are still interpolated, on the full span
@@ -472,7 +414,7 @@ class TestTangentRBF:
     @pytest.mark.parametrize("value", [False, None])
     def test_skip_failed_accepts_only_true(self, value):
         # bench/workloads.py passes skip_failed=True; it gets the default fit
-        pts = self._far_samples()
+        pts = far_samples()
         with pytest.raises(PreconditionError, match=r"skip_failed=.*ROADMAP item 1"):
             interp.tangent_rbf_interp(pts, skip_failed=value)
         explicit = interp.tangent_rbf_interp(pts, skip_failed=True)

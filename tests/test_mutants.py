@@ -164,7 +164,7 @@ def test_svd_normal_term_mutant(monkeypatch):
         test_acceptance.test_criterion_5_differential_oracles()
 
 
-def _one_sided_transport(delta, v_p, h=calculus.DEFAULT_FD_STEP):
+def _one_sided_transport(delta, v_p, h):
     """(Log_q(Exp_p(h v_p)) - Log_q(p)) / h: first order in h, where the transport is second."""
     q = delta.base
     plus = stiefel.stiefel_log(q, stiefel.split_tangent(v_p).exp((h,)), start=delta)
@@ -179,7 +179,7 @@ def test_one_sided_transport_mutant(monkeypatch, transport_pair):
         test_acceptance.test_criterion_1_transport_accuracy(transport_pair)
 
 
-def _transport_without_reflection(delta, v_p, h=calculus.DEFAULT_FD_STEP):
+def _transport_without_reflection(delta, v_p, h):
     """The central difference with its -h log started from Log_q(p), not 2 Log_q(p) - Log_q(p+)."""
     q = delta.base
     frame = stiefel.split_tangent(v_p)

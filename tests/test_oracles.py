@@ -114,7 +114,8 @@ class TestSphereOracle:
         for x, y, w in _sphere_pairs():
             q, p = stiefel.StiefelPoint(x), stiefel.StiefelPoint(y)
             delta = stiefel.TangentVector(q, _sphere_log(x, y))
-            v_hat = calculus.transport_velocity(delta, stiefel.TangentVector(p, w))
+            v_hat = calculus.transport_velocity(delta, stiefel.TangentVector(p, w),
+                                                h=calculus.DEFAULT_FD_STEP)
             exact = _sphere_dlog(x, y, w)
             err = max(err, np.linalg.norm(v_hat.delta - exact) / np.linalg.norm(exact))
         assert err <= 1e-7  # measured 2.3e-8
@@ -160,7 +161,8 @@ class TestOrthogonalGroupOracle:
             exact = u @ np.linalg.solve(frechet, (scipy.linalg.expm(a) @ b).ravel()).reshape(n, n)
             p = stiefel.StiefelPoint(v)
             delta = stiefel.TangentVector(stiefel.StiefelPoint(u), u @ a)
-            v_hat = calculus.transport_velocity(delta, stiefel.TangentVector(p, v @ b))
+            v_hat = calculus.transport_velocity(delta, stiefel.TangentVector(p, v @ b),
+                                                h=calculus.DEFAULT_FD_STEP)
             err = max(err, np.linalg.norm(v_hat.delta - exact) / np.linalg.norm(exact))
         assert err <= 5e-8  # measured 4.0e-8
 

@@ -8,6 +8,8 @@ import scipy.linalg
 from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import PreconditionError, ShapeError, StiefelLogError
 
+from conftest import far_pair, rank_one_tangent
+
 
 @pytest.fixture
 def rng():
@@ -142,14 +144,6 @@ class TestMetric:
         assert stiefel.norm(xi) == np.sqrt(stiefel.metric(xi, twin))
 
 
-def _rank_one_tangent(rng, n, r):
-    """Tangent vector at a random point whose normal part has rank one."""
-    u = stiefel.random_point(rng, n, r)
-    w = rng.standard_normal(n)
-    w -= u.u @ (u.u.T @ w)
-    return stiefel.project_tangent(u, np.outer(w, rng.standard_normal(r)))
-
-
 class TestSplitTangent:
     def test_pure_vertical(self, rng):
         u = stiefel.random_point(rng, 12, 4)
@@ -175,7 +169,7 @@ class TestSplitTangent:
         assert np.linalg.norm(a + a.T) < 1e-10
 
     def test_rank_deficient_normal_component(self, rng):
-        xi = _rank_one_tangent(rng, 20, 4)
+        xi = rank_one_tangent(rng, 20, 4)
         split = stiefel.split_tangent(xi)
         assert np.linalg.norm(split.combination((1.0,)).delta - xi.delta) < 1e-11
         assert np.linalg.norm(split.q.T @ split.q - np.eye(4)) < 1e-12
@@ -245,9 +239,7 @@ class TestLog:
             stiefel.stiefel_log(u, target)
         assert info.value.iterations >= 0
         # genuinely far random pair on a small manifold: iteration stalls
-        rng2 = np.random.default_rng(101)
-        a = stiefel.random_point(rng2, 8, 6)
-        b = stiefel.random_point(rng2, 8, 6)
+        a, b = far_pair()
         with pytest.raises(StiefelLogError) as info:
             stiefel.stiefel_log(a, b)
         assert info.value.residual > 0
@@ -327,7 +319,7 @@ class TestLog:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             if kind == "rank_one":
-                xi = _rank_one_tangent(rng, 60, 6)
+                xi = rank_one_tangent(rng, 60, 6)
             else:
                 xi = TestLogIteration._dominant_direction(rng, stiefel.random_point(rng, 60, 6))
             xi = (0.85 * np.pi / stiefel.norm(xi)) * xi
@@ -450,7 +442,7 @@ class TestLogIteration:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             if kind == "rank_one":
-                delta = _rank_one_tangent(rng, 60, 6)
+                delta = rank_one_tangent(rng, 60, 6)
             else:
                 delta = self._dominant_direction(rng, stiefel.random_point(rng, 60, 6))
             delta = (fraction * np.pi / stiefel.norm(delta)) * delta
@@ -531,7 +523,7 @@ def test_exp_matches_closed_form(n, r, rank_one):
     # TestSplitTangent.test_rank_deficient_normal_component.
     rng = np.random.default_rng(11)
     if rank_one:
-        xi = _rank_one_tangent(rng, n, r)
+        xi = rank_one_tangent(rng, n, r)
     else:
         xi = stiefel.random_tangent(rng, stiefel.random_point(rng, n, r), scale=0.9)
     u = xi.base.u

@@ -6,10 +6,15 @@ which the studies use to sample factor velocities; the differential of the
 Stiefel exponential, which is the Frechet derivative of ``expm``
 (``scipy.linalg.expm_frechet``, Al-Mohy and Higham, SIMAX 30(4), 2009) on a
 fixed tangent frame of both vectors (any rank, no derivative of the frame's
-basis); and the central-difference transport of a sampled velocity into
-another tangent space together with its reconstruction check.  A velocity
-carries its base point p, and the transport takes it with Log_q(p), whose
-base is q and from which its two logs start.
+basis); the transport of a sampled velocity into another tangent space,
+which the arc fits take, solved exactly as the inverse of that differential
+by one Daleckii-Krein eigenbasis kernel with no log or exp; and the paper's
+central-difference transport, a private helper of the reconstruction check
+``validate_transport`` that the transport study sweeps over its step.  A
+velocity carries its base point p, and both transports take it with
+Log_q(p), whose base is q and from which the central difference's two logs
+start.  ``dexp_stiefel`` shares no mask with the exact solve, so a round
+trip through it checks the solve independently.
 
 Each factorization derivative is the one place that decides whether its
 factorization can be differentiated, and raises DomainError where it cannot:
@@ -22,7 +27,8 @@ Q-factor derivative, ``diff_svd_truncated`` the tuple
 (u_dot, sigma_dot, v_dot) of derivatives of the rank-r factors
 (u, sigma, v) it is given, r read off their column count, and
 ``dexp_stiefel`` the ambient n x r derivative.  A log that fails inside
-the transport raises ``StiefelLogError``, the error of ``stiefel_log``.
+the central difference raises ``StiefelLogError``, the error of
+``stiefel_log``.
 """
 
 from __future__ import annotations
@@ -32,10 +38,6 @@ import scipy.linalg as sla
 
 from . import linalg, stiefel
 from .errors import DomainError, PreconditionError, ShapeError, StiefelLogError
-
-#: Step size for the velocity-transport central difference; the arc fits
-#: read it at call time.
-DEFAULT_FD_STEP = 1e-4
 
 #: ``diff_svd_truncated`` refuses leading singular values closer than
 #: SVD_GAP_EPS * sigma_0, and counts a singular value at most SVD_RANK_EPS *
@@ -153,18 +155,104 @@ def dexp_stiefel(xi0: stiefel.TangentVector, v: stiefel.TangentVector) -> np.nda
     return u @ d[:r, :r] + frame.q @ d[r:, :r]
 
 
-def transport_velocity(
+def _dexp_inverse_mask(mu: np.ndarray) -> np.ndarray:
+    """The Daleckii-Krein mask Psi that inverts the Frechet derivative of ``expm`` at a skew G.
+
+    With iG = W diag(mu) W^H, G has the eigenvalues lambda = -i mu, and
+    d expm_G[Gdot] = W((W^H Gdot W) o Phi) W^H with
+    Phi_ab = (e^lambda_a - e^lambda_b) / (lambda_a - lambda_b).  Writing that
+    derivative as e^G Omega, Gdot = W((W^H Omega W) o Psi) W^H with
+    Psi_ab = e^lambda_a / Phi_ab.  Phi_ab is computed as
+    e^((lambda_a + lambda_b) / 2) sinh(delta / 2) / (delta / 2),
+    delta = lambda_a - lambda_b, and on imaginary eigenvalues
+    sinh(delta / 2) / (delta / 2) = sinc((mu_a - mu_b) / (2 pi)), so ties
+    need no special case and Psi_ab = e^(-i (mu_a - mu_b) / 2) / sinc(...).
+    The sinc vanishes only at |mu_a - mu_b| = 2 pi, which no generator of a
+    certified log reaches.
+    """
+    d = mu[:, np.newaxis] - mu[np.newaxis, :]
+    return np.exp(-0.5j * d) / np.sinc(d / (2.0 * np.pi))
+
+
+def transport_velocity(delta: stiefel.TangentVector, v_p: stiefel.TangentVector) -> stiefel.TangentVector:
+    """Carry a velocity sampled at p = v_p.base into the tangent space at q: dExp_q(delta)^{-1}[v_p].
+
+    ``delta`` is Log_q(p), so q = delta.base = U.  The result is the exact
+    derivative of the log, dLog_q(p)[v_p], from one direct solve with no
+    step, log or exp:
+
+    * Frame.  delta = U A + Q B over Q, the last k = min(n, 2r) - r columns
+      of the Householder QR of [U, delta]: orthonormal and normal to U
+      however rank-deficient delta's normal part is (k < r at n < 2r, k = 0
+      at n = r).  With G = [[A, -B'], [B, 0]], p = [U Q] e^G [I; 0].  Over
+      [U Q P], P any orthonormal basis of the rest of R^n, a tangent
+      vector U Adot + Q Bdot + P N has the generator Gdot with zero
+      lower-right (n - r) x (n - r) block, and its dExp is [U Q P] times
+      the first r columns of d expm_G[Gdot] = e^G Omega, Omega skew.
+    * Kernel.  One complex Hermitian ``eigh`` of iG gives W and mu, and
+      ``_dexp_inverse_mask`` the mask Psi that takes Omega to Gdot.
+    * Known columns.  The first r columns of Omega are e^-G [U Q]'v_p over
+      P'v_p (Omega_11 is kept skew).  The P rows decouple, because G is zero
+      on P: they give P N = v_perp phi(G)_11^{-1}, with
+      v_perp = v_p - [U Q][U Q]'v_p and phi(lambda) = (e^lambda - 1) / lambda
+      = e^(lambda / 2) sinc(mu / (2 pi)), so P is never formed.
+    * Unknown block.  The skew k x k Omega_22 solves the k(k - 1)/2 square
+      system Gdot(Omega)_22 = 0, whose matrix is the Jacobian of the log's
+      C-block.
+    * Result.  v = U Gdot_11 + Q Gdot_21 + v_perp phi(G)_11^{-1}; at n = r,
+      v = U Gdot(skew(e^-A U'v_p)), and delta = 0 returns v_p.
+
+    Its round trip through ``dexp_stiefel`` (``scipy.linalg.expm_frechet``,
+    which shares none of this kernel) is ~1e-15 relative.
+    """
+    q = delta.base
+    u, r = q.u, q.r
+    vp = v_p.delta
+    frame, coords = linalg.qr_basis(np.hstack([u, delta.delta]))
+    basis = frame[:, r:]
+    k = basis.shape[1]
+    gen = stiefel._generator(u.T @ delta.delta, coords[r:, r:])
+    mu, w = np.linalg.eigh(1j * gen)
+    wh = w.conj().T
+    psi = _dexp_inverse_mask(mu)
+
+    def gen_dot(omega):
+        return (w @ ((wh @ omega @ w) * psi) @ wh).real
+
+    c_u, c_q = u.T @ vp, basis.T @ vp
+    omega = np.zeros_like(gen)
+    omega[:, :r] = ((w * np.exp(1j * mu)) @ (wh @ np.vstack([c_u, c_q]))).real
+    omega[:r, :r] = 0.5 * (omega[:r, :r] - omega[:r, :r].T)
+    omega[:r, r:] = -omega[r:, :r].T
+    if k > 1:
+        # t[a, i, b, j] is the coefficient of Omega_22[i, j] in Gdot_22[a, b]:
+        # sum_cd W2[a, c] conj(W2[i, c]) Psi_cd W2[j, d] conj(W2[b, d]).  One
+        # row per a < b and one column per i < j, Omega_22[j, i] = -Omega_22[i, j].
+        w2 = w[r:]
+        x = (w2[:, np.newaxis, :] * w2.conj()[np.newaxis, :, :]).reshape(k * k, -1)
+        t = (x @ psi @ x.conj().T).real.reshape(k, k, k, k)
+        i, j = np.triu_indices(k, 1)
+        a, b = i[:, np.newaxis], j[:, np.newaxis]
+        jacobian = t[a, i, b, j] - t[a, j, b, i]
+        omega[r + i, r + j] = np.linalg.solve(jacobian, -gen_dot(omega)[r + i, r + j])
+        omega[r + j, r + i] = -omega[r + i, r + j]
+    g = gen_dot(omega)
+    phi = (w[:r] * (np.exp(-0.5j * mu) * np.sinc(mu / (2.0 * np.pi)))) @ wh[:, :r]
+    phi_inv = np.linalg.inv(phi.real)
+    g11 = 0.5 * (g[:r, :r] - g[:r, :r].T)
+    # U Gdot_11 + Q Gdot_21 + (v_p - U c_u - Q c_q) phi^{-1}, in three n x r products
+    return stiefel.TangentVector(q, vp @ phi_inv + u @ (g11 - c_u @ phi_inv) + basis @ (g[r:, :r] - c_q @ phi_inv))
+
+
+def _central_difference(
     delta: stiefel.TangentVector, v_p: stiefel.TangentVector, h: float
 ) -> stiefel.TangentVector:
-    """Carry a velocity sampled at p = v_p.base into the tangent space at q.
+    """The paper's transport: a central difference of the normal-coordinate transition map.
 
-    ``delta`` is Log_q(p), so q = delta.base.  Central difference of the
-    normal-coordinate transition map:
-    (Log_q(Exp_p(h v_p)) - Log_q(Exp_p(-h v_p))) / (2h).  Second-order
-    accurate in h; the caller gives the step (the arc fits
-    ``DEFAULT_FD_STEP``, the transport check each swept step).  Both logs
-    are warm-started (``stiefel_log``'s ``start``): the +h log from
-    ``delta``, the -h log from its reflection
+    (Log_q(Exp_p(h v_p)) - Log_q(Exp_p(-h v_p))) / (2h) with q =
+    delta.base, second-order accurate in h; ``validate_transport`` sweeps
+    it over h.  Both logs are warm-started (``stiefel_log``'s ``start``):
+    the +h log from ``delta``, the -h log from its reflection
     2 delta - Log_q(Exp_p(h v_p)), which is O(h^2) from its answer.  The
     starts change how many steps the logs take, not what they return, so
     the result depends on ``delta`` only through q.  A failed log raises
@@ -192,15 +280,15 @@ def transport_velocity(
 def validate_transport(
     q: stiefel.StiefelPoint, v_p: stiefel.TangentVector, steps
 ) -> list[float]:
-    """Relative reconstruction error of the velocity transport at each step h of ``steps``.
+    """Relative reconstruction error of the central-difference transport at each step h of ``steps``.
 
-    Transports v_p into T_q with step h, pushes it back through the
-    differential of the exponential at Log_q(p), p = v_p.base, and compares
-    with the original velocity in the Frobenius norm.  Log_q(p) and the
-    norm of v_p are computed once for all steps; the transport starts its
-    logs from that Log_q(p).  A zero velocity has no relative error, and a
-    step h that is not positive and finite has no transport; both raise
-    PreconditionError.
+    Transports v_p into T_q by the paper's central difference with step h,
+    pushes it back through the differential of the exponential at
+    Log_q(p), p = v_p.base, and compares with the original velocity in the
+    Frobenius norm.  Log_q(p) and the norm of v_p are computed once for all
+    steps; the central difference starts its logs from that Log_q(p).  A
+    zero velocity has no relative error, and a step h that is not positive
+    and finite has no transport; both raise PreconditionError.
     """
     if not np.any(v_p.delta):
         raise PreconditionError(
@@ -210,6 +298,6 @@ def validate_transport(
     scale = np.linalg.norm(v_p.delta)
     errors = []
     for h in steps:
-        v_rec = dexp_stiefel(delta_p, transport_velocity(delta_p, v_p, h=h))
+        v_rec = dexp_stiefel(delta_p, _central_difference(delta_p, v_p, h))
         errors.append(float(np.linalg.norm(v_rec - v_p.delta) / scale))
     return errors

@@ -70,9 +70,9 @@ class ExperimentConfig:
     """Shared knobs for the experiment runners (desk-scale defaults).
 
     The numerical constants of the method are not fields: every log runs to
-    ``stiefel.LOG_TAU``, every arc fit transports with the step
-    ``calculus.DEFAULT_FD_STEP``, and the RBF baseline uses the shape
-    ``interpolate.RBF_SHAPE``.
+    ``stiefel.LOG_TAU``, the arc fits' transport is exact and has no step,
+    the transport study sweeps ``TRANSPORT_STEPS``, and the RBF baseline
+    uses the shape ``interpolate.RBF_SHAPE``.
     """
 
     n: int = 100

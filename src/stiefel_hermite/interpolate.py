@@ -2,11 +2,12 @@
 
 A spline arc between samples (p, v_p) at t0 and (q, v_q) at t1 is built in
 normal coordinates at a chosen center: the other endpoint maps through the
-logarithm, velocities map through the differential of the logarithm
-(approximated by a central difference of the log/exp transition map), and the
-cubic Hermite combination of those tangent vectors is pushed back with a
-single exponential per evaluation.  Joining arcs over consecutive sample
-pairs gives a C^1 composite curve through all samples.
+logarithm, its velocity through the differential of the logarithm
+(``calculus.transport_velocity``, the exact inverse of the exponential's
+differential, where the paper takes a central difference of the log/exp
+transition map), and the cubic Hermite combination of those tangent vectors
+is pushed back with a single exponential per evaluation.  Joining arcs over
+consecutive sample pairs gives a C^1 composite curve through all samples.
 
 Baselines: piecewise geodesics (no derivative data) and radial-basis-function
 interpolation in a single tangent space (inverse multiquadric kernel).
@@ -84,16 +85,14 @@ class HermiteSample:
 def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stiefel.TangentFrame:
     """Fit one quasi-cubic arc between two Hermite samples; returns its frame.
 
-    Costs 3 logarithms and 2 exponentials: one log for the far endpoint and
-    a central difference (2 logs + 2 exps, step ``calculus.DEFAULT_FD_STEP``)
-    for the far velocity; the velocity at the center is used as-is.  The
-    logs run to ``stiefel.LOG_TAU``, and the transport's two start from the
-    far endpoint's log: an arc of the fit_far benchmark takes 6 + 5 + 3
-    kernel logs (``linalg.logm`` calls).  The frame is attached at the
-    arc's center and holds its three tangent vectors in the order whose
-    coefficients ``_hermite_arc_coeffs`` returns.  A failed log, the far
-    endpoint's or one of the transport's, raises ArcFitError caused by its
-    StiefelLogError.
+    Costs 1 logarithm and no exponential: the log of the far endpoint,
+    which runs to ``stiefel.LOG_TAU`` (6 kernel logs, ``linalg.logm`` calls,
+    on an arc of the fit_far benchmark), and the exact transport of the far
+    velocity from it (``calculus.transport_velocity``, one small eigenbasis
+    solve); the velocity at the center is used as-is.  The frame is attached
+    at the arc's center and holds its three tangent vectors in the order
+    whose coefficients ``_hermite_arc_coeffs`` returns.  A failed log of the
+    far endpoint raises ArcFitError caused by its StiefelLogError.
     """
     if centering not in CENTERINGS:
         raise PreconditionError(f"centering must be one of {CENTERINGS}, got {centering!r}")
@@ -102,7 +101,6 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stief
     near, far = (s1, s0) if centering == "q" else (s0, s1)
     try:
         delta_far = stiefel.stiefel_log(near.point, far.point)
-        v_far = calculus.transport_velocity(delta_far, far.velocity, h=calculus.DEFAULT_FD_STEP)
     except StiefelLogError as exc:
         raise ArcFitError(
             f"arc fit failed on [{s0.t}, {s1.t}]; samples may be too far apart, "
@@ -110,6 +108,7 @@ def fit_arc(s0: HermiteSample, s1: HermiteSample, centering: str = "q") -> stief
             t0=s0.t,
             t1=s1.t,
         ) from exc
+    v_far = calculus.transport_velocity(delta_far, far.velocity)
     v_start, v_end = (v_far, s1.velocity) if centering == "q" else (s0.velocity, v_far)
     return stiefel.tangent_frame(near.point, [delta_far.delta, v_start.delta, v_end.delta])
 

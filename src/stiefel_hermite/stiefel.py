@@ -334,10 +334,11 @@ def stiefel_log(
       columns of expm([[A_s, -M_s'], [M_s, 0]]) with s = U A_s + N_s and
       M_s = Q'N_s over the target's normal basis Q; s = 0 is the cold
       start.  The first residual then scales with the distance of
-      Exp(start) from the target, not with that of base: the velocity
-      transport's logs start from logs that end O(h) and O(h^2) from their
-      targets and take 5 and 3 kernel logs where a cold start takes 6
-      (fit_far, 0.57 pi apart).
+      Exp(start) from the target, not with that of base: the transport
+      study's central difference starts its logs from logs that end O(h) and
+      O(h^2) from their targets, which take 5 and 3 kernel logs where a
+      cold start takes 6 (measured on the far velocities of the fit_far
+      arcs, 0.57 pi apart, at h = 1e-4).
     * Polish: before each log V is replaced by V (3I - V'V) / 2, one
       Newton-Schulz step towards the orthogonal polar factor.  A drift
       ||V'V - I||_F above ``linalg.ORTH_TOL`` before the polish ends the

@@ -296,13 +296,22 @@ def test_criterion_9_cost_accounting(kernel_calls):
     kernel_calls.clear()
     for t in np.linspace(0.0, 5.0, 17):
         curve(t)
+    evaluation = kernel_calls.copy()
+    # the transport study's central difference, the paper's transport: one
+    # Log_q(p) per sweep, then 2 logs and 2 exps per step
+    steps = (1e-2, 1e-4)
+    kernel_calls.clear()
+    calculus.validate_transport(samples[1].point, samples[0].velocity, steps)
     _criterion(
         9,
-        "cost accounting (3k logs, 2k exps to fit; 1 exp per evaluation)",
+        "cost accounting (k logs, no exps to fit; 1 exp per evaluation; "
+        "2 logs, 2 exps per central-difference step)",
         {
-            f"fit uses exactly 3k = {3 * k} logs": fit["log"] == 3 * k,
-            f"fit uses exactly 2k = {2 * k} exps": fit["exp"] == 2 * k,
-            "evaluation uses exactly 1 exp": kernel_calls["exp"] == 17,
-            "evaluation uses no logs": kernel_calls["log"] == 0,
+            f"fit uses exactly k = {k} logs": fit["log"] == k,
+            "fit uses no exps": fit["exp"] == 0,
+            "evaluation uses exactly 1 exp": evaluation["exp"] == 17,
+            "evaluation uses no logs": evaluation["log"] == 0,
+            "central difference uses 2 logs per step": kernel_calls["log"] == 1 + 2 * len(steps),
+            "central difference uses 2 exps per step": kernel_calls["exp"] == 2 * len(steps),
         },
     )

@@ -325,26 +325,60 @@ class TestDexpStiefel:
 
 
 class TestTransport:
+    """The exact transport dExp_q(delta)^{-1}[v_p], and the paper's central difference."""
+
     def test_same_point_recovers_velocity(self, rng):
-        p = stiefel.random_point(rng, 20, 4)
-        v = stiefel.random_tangent(rng, p, scale=0.9)
-        out = calculus.transport_velocity(stiefel.TangentVector(p, np.zeros((20, 4))), v, h=1e-4)
-        assert np.linalg.norm(out.delta - v.delta) <= 1e-7
+        # delta = 0, where dExp is the identity: also at n < 2r and n = r
+        for n, r in ((20, 4), (5, 3), (4, 4)):
+            p = stiefel.random_point(rng, n, r)
+            v = stiefel.random_tangent(rng, p, scale=0.9)
+            out = calculus.transport_velocity(stiefel.TangentVector(p, np.zeros((n, r))), v)
+            assert np.linalg.norm(out.delta - v.delta) <= 1e-14  # measured at most 4.9e-16
 
     def test_output_is_tangent_at_target(self, rng):
         p = stiefel.random_point(rng, 25, 4)
         q = stiefel.stiefel_exp(stiefel.random_tangent(rng, p, 0.5))
         v = stiefel.random_tangent(rng, p)
-        out = calculus.transport_velocity(stiefel.stiefel_log(q, p), v, h=calculus.DEFAULT_FD_STEP)
+        out = calculus.transport_velocity(stiefel.stiefel_log(q, p), v)
         ud = q.u.T @ out.delta
-        assert np.linalg.norm(ud + ud.T) < 1e-10
+        assert np.linalg.norm(ud + ud.T) < 1e-14  # measured 1.2e-16
         assert np.array_equal(out.base.u, q.u)
+
+    @staticmethod
+    def _round_trip(delta, v):
+        """||dExp_q(delta)[transport_velocity(delta, v)] - v||_F over max(||v||_F, 1): a zero v must come back zero."""
+        back = calculus.dexp_stiefel(delta, calculus.transport_velocity(delta, v))
+        return np.linalg.norm(back - v.delta) / max(np.linalg.norm(v.delta), 1.0)
+
+    def test_round_trip_on_the_study_instances(self):
+        # the transport study's snapshot pair at St(1001, 6), and each arc of
+        # a fit_far path at St(1000, 10), samples 0.57 pi apart
+        q, v = ex.snapshot_transport_instance(ex.ExperimentConfig(n=1001, r=6, seed=0))
+        errs = [self._round_trip(stiefel.stiefel_log(q, v.base), v)]
+        cfg = ex.ExperimentConfig(n=1000, r=10, interval=(-1.1, 1.1), num_nodes=3, seed=7)
+        samples = ex.gen_qr_experiment(cfg).samples
+        for s0, s1 in zip(samples, samples[1:]):
+            for near, far in ((s0, s1), (s1, s0)):
+                errs.append(self._round_trip(stiefel.stiefel_log(near.point, far.point), far.velocity))
+        assert max(errs) <= 1e-13  # measured 3.3e-15
+
+    @pytest.mark.parametrize("name", ["generic", "square", "rank-one", "zero-velocity"])
+    def test_round_trip_on_the_pairs(self, name):
+        assert self._round_trip(*self._pairs()[name]) <= 1e-13  # measured at most 2.3e-15
+
+    def test_round_trip_below_twice_the_rank(self, rng):
+        # St(5, 3): the frame [U Q] spans R^5 with Q of 2 < r columns
+        u = stiefel.random_point(rng, 5, 3)
+        for scale in (0.3, 1.0, 2.0):
+            delta = stiefel.stiefel_log(u, stiefel.stiefel_exp(stiefel.random_tangent(rng, u, scale)))
+            v = stiefel.random_tangent(rng, stiefel.stiefel_exp(delta))
+            assert self._round_trip(delta, v) <= 1e-13  # measured at most 1.6e-15
 
     @staticmethod
     def _failing_pair():
         """(Log_q(p), v_p) with Log_q(p) just below the certificate's
-        LOG_NORM_MAX and v_p along the geodesic away from q, so the +h log
-        passes the bound."""
+        LOG_NORM_MAX and v_p along the geodesic away from q, so the central
+        difference's +h log passes the bound."""
         rng = np.random.default_rng(101)
         xi = rank_one_tangent(rng, 8, 3)
         xi = (stiefel.LOG_NORM_MAX * (1.0 - 5e-5) / stiefel.norm(xi)) * xi
@@ -355,28 +389,28 @@ class TestTransport:
     def test_failure_names_side(self):
         delta, v = self._failing_pair()
         with pytest.raises(StiefelLogError, match=r"\+h.*not below") as info:
-            calculus.transport_velocity(delta, v, h=1e-4)
+            calculus.validate_transport(delta.base, v, (1e-4,))
         cause = info.value.__cause__
         assert isinstance(cause, StiefelLogError)
         assert (info.value.iterations, info.value.residual) == (cause.iterations, cause.residual)
 
-    def test_failed_transport_fails_the_arc_fit(self):
-        # p, carrying v, is the far sample of a q-centered arc
+    def test_arc_fit_transports_where_the_central_difference_fails(self):
+        # p, carrying v, is the far sample of a q-centered arc: the exact
+        # transport takes no log past Log_q(p), so the fit succeeds, and its
+        # far velocity is dLog_q(p)[v]
         delta, v = self._failing_pair()
         far = interpolate.HermiteSample(0.0, v)
         near = interpolate.HermiteSample(1.0, stiefel.TangentVector(delta.base, np.zeros_like(delta.delta)))
-        with pytest.raises(ArcFitError) as info:
-            interpolate.fit_arc(far, near, centering="q")
-        cause = info.value.__cause__
-        assert isinstance(cause, StiefelLogError)
-        assert "+h" in str(cause)
+        frame = interpolate.fit_arc(far, near, centering="q")
+        v_far = frame.combination((0.0, 1.0, 0.0))
+        assert np.linalg.norm(calculus.dexp_stiefel(delta, v_far) - v.delta) <= 1e-13 * np.linalg.norm(v.delta)
 
     @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
     def test_bad_h_rejected(self, rng, h):
         p = stiefel.random_point(rng, 10, 2)
         v = stiefel.random_tangent(rng, p)
         with pytest.raises(PreconditionError, match="step h"):
-            calculus.transport_velocity(stiefel.TangentVector(p, np.zeros((10, 2))), v, h=h)
+            calculus._central_difference(stiefel.TangentVector(p, np.zeros((10, 2))), v, h=h)
 
     @staticmethod
     def _pairs():
@@ -396,9 +430,9 @@ class TestTransport:
         return pairs
 
     def test_warm_started_logs_match_cold_ones(self):
-        # the transport starts the +h log from Log_q(p) and the -h log from
-        # 2 Log_q(p) - Log_q(p+); both land on the cold-started logs
-        h = calculus.DEFAULT_FD_STEP
+        # the central difference starts the +h log from Log_q(p) and the -h
+        # log from 2 Log_q(p) - Log_q(p+); both land on the cold-started logs
+        h = 1e-4
         for delta, v in self._pairs().values():
             q = delta.base
             frame = stiefel.split_tangent(v)
@@ -415,13 +449,13 @@ class TestTransport:
         "zero-velocity",
     ])
     def test_warm_started_logs_cost_no_more_than_cold_ones(self, monkeypatch, name):
-        # kernel logs of the transport's +h and -h logs, then of cold logs of
-        # the same two targets
+        # kernel logs of the central difference's +h and -h logs, then of
+        # cold logs of the same two targets
         delta, v = self._pairs()[name]
-        h = calculus.DEFAULT_FD_STEP
+        h = 1e-4
         frame = stiefel.split_tangent(v)
         counts = spy_kernel_logs(monkeypatch)
-        calculus.transport_velocity(delta, v, h=h)
+        calculus._central_difference(delta, v, h=h)
         for s in (h, -h):
             stiefel.stiefel_log(delta.base, frame.exp((s,)))
         warm, cold = counts[:2], counts[2:]

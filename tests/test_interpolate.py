@@ -153,39 +153,40 @@ class TestArc:
             with pytest.raises(DomainError, match="outside"):
                 arc(t)
 
-    def test_cost_three_logs_two_exps(self, rng, kernel_calls):
+    def test_cost_one_log_no_exps(self, rng, kernel_calls):
         samples = make_samples(rng, 20, 4, [0.0, 1.0])
         kernel_calls.clear()
         interp.fit_arc(samples[0], samples[1])
-        assert kernel_calls == {"log": 3, "exp": 2}
+        assert (kernel_calls["log"], kernel_calls["exp"]) == (1, 0)
 
     @staticmethod
-    def _kernel_logs(monkeypatch):
-        """Kernel logs of each log of the arcs of the St(40, 3) QR-study path, both centerings.
-
-        One list per arc: Log_q(p), then the transport's +h and -h logs.
-        """
+    def _arcs():
+        """(s0, s1, centering) of each arc of the St(40, 3) QR-study path, both centerings."""
         cfg = ex.ExperimentConfig(n=40, r=3, interval=(-1.1, 1.1), num_nodes=3, seed=0)
         samples = ex.gen_qr_experiment(cfg).samples
-        counts = spy_kernel_logs(monkeypatch)
-        arcs = []
-        for centering in interp.CENTERINGS:
-            for s0, s1 in zip(samples, samples[1:]):
-                start = len(counts)
-                interp.fit_arc(s0, s1, centering=centering)
-                arcs.append(counts[start:])
-        return arcs
+        return [(s0, s1, c) for c in interp.CENTERINGS for s0, s1 in zip(samples, samples[1:])]
 
-    def test_at_most_fourteen_kernel_logs(self, monkeypatch):
-        # cold, each of the three logs takes 5-6 kernel logs (15-18 per arc);
-        # with the transport's two started from Log_q(p), an arc takes 12-13
-        assert max(sum(arc) for arc in self._kernel_logs(monkeypatch)) <= 14
+    def test_at_most_six_kernel_logs(self, monkeypatch):
+        # an arc's one log, Log_q(p), takes 5-6 kernel logs
+        arcs = self._arcs()
+        counts = spy_kernel_logs(monkeypatch)
+        for s0, s1, centering in arcs:
+            interp.fit_arc(s0, s1, centering=centering)
+        assert len(counts) == len(arcs) and max(counts) <= 6
 
     def test_minus_h_log_starts_from_the_reflection(self, monkeypatch):
+        # the paper's central difference carrying each arc's far velocity:
         # 2 Log_q(p) - Log_q(p+) is O(h^2) from Log_q(p-), where Log_q(p) is
-        # O(h): the -h log takes 3 kernel logs, the +h log 4-5
-        for arc in self._kernel_logs(monkeypatch):
-            assert len(arc) == 3 and arc[2] < arc[1]
+        # O(h), so the -h log takes 3 kernel logs and the +h log 4
+        pairs = []
+        for s0, s1, centering in self._arcs():
+            near, far = (s1, s0) if centering == "q" else (s0, s1)
+            pairs.append((stiefel.stiefel_log(near.point, far.point), far.velocity))
+        counts = spy_kernel_logs(monkeypatch)
+        for delta, v in pairs:
+            calculus._central_difference(delta, v, 1e-4)
+        assert len(counts) == 2 * len(pairs)
+        assert all(minus < plus for plus, minus in zip(counts[::2], counts[1::2])), counts
 
     def test_far_samples_raise_arc_fit_error(self):
         a, b = far_pair()
@@ -257,7 +258,7 @@ class TestComposite:
         k = len(ts) - 1
         kernel_calls.clear()
         curve = interp.fit_composite(samples)
-        assert kernel_calls == {"log": 3 * k, "exp": 2 * k}
+        assert (kernel_calls["log"], kernel_calls["exp"]) == (k, 0)
         kernel_calls.clear()
         curve(1.3)
         assert kernel_calls == {"exp": 1}
@@ -433,7 +434,7 @@ def _reference_arc(s0, s1, centering):
     """An arc's center and its three tangent vectors, recomputed from its samples."""
     near, far = (s1, s0) if centering == "q" else (s0, s1)
     delta_far = stiefel.stiefel_log(near.point, far.point)
-    v_far = calculus.transport_velocity(delta_far, far.velocity, h=calculus.DEFAULT_FD_STEP).delta
+    v_far = calculus.transport_velocity(delta_far, far.velocity).delta
     if centering == "q":
         return near.point, (delta_far.delta, v_far, s1.velocity.delta)
     return near.point, (delta_far.delta, s0.velocity.delta, v_far)

@@ -1,14 +1,15 @@
 """The suite's sensitivity: named checks must catch small deliberate faults.
 
 Each test patches one module-level function of the library, or one check
-of its types, with a mutant that is wrong by 1-5%, compares with the
-wrong bound or gives the same result at more kernel work, calls the checks
-that must catch it as plain functions, and asserts that each of them fails.  The library reaches its kernels through
-module attributes and its checks through class attributes, so a patch
-reaches every caller; a fit looks its coefficient rule up on
-``interpolate`` when it binds it, so a patch made before fitting reaches
-the curve.  ``hermite_coeffs`` is not patched: the checks build their
-reference from it.
+of its types, with a mutant that is wrong by 1-5% or by one dropped
+factor or order, compares with the wrong bound or gives the same result
+at more kernel work, calls the checks that must catch it as plain
+functions, and asserts that each of them fails.  The library reaches its
+kernels through module attributes and its checks through class
+attributes, so a patch reaches every caller; a fit looks its coefficient
+rule up on ``interpolate`` when it binds it, so a patch made before
+fitting reaches the curve.  ``hermite_coeffs`` is not patched: the checks
+build their reference from it.
 """
 
 import numpy as np
@@ -164,17 +165,33 @@ def test_svd_normal_term_mutant(monkeypatch):
         test_acceptance.test_criterion_5_differential_oracles()
 
 
+def _mask_without_exp(kernel):
+    """``_dexp_inverse_mask`` without the factor e^lambda_a of Psi_ab = e^lambda_a / Phi_ab."""
+    def mutant(mu):
+        return kernel(mu) * np.exp(1j * mu)[:, np.newaxis]
+
+    return mutant
+
+
+def test_exact_transport_mask_mutant(monkeypatch, orthogonal_pairs):
+    monkeypatch.setattr(calculus, "_dexp_inverse_mask", _mask_without_exp(calculus._dexp_inverse_mask))
+    with pytest.raises(AssertionError):
+        sphere.test_transport_is_the_derivative_of_the_log()
+    with pytest.raises(AssertionError):
+        test_oracles.TestOrthogonalGroupOracle().test_transport_inverts_expm_frechet(orthogonal_pairs)
+
+
 def _one_sided_transport(delta, v_p, h):
-    """(Log_q(Exp_p(h v_p)) - Log_q(p)) / h: first order in h, where the transport is second."""
+    """(Log_q(Exp_p(h v_p)) - Log_q(p)) / h: first order in h, where the central difference is second."""
     q = delta.base
     plus = stiefel.stiefel_log(q, stiefel.split_tangent(v_p).exp((h,)), start=delta)
     return stiefel.project_tangent(q, (plus.delta - delta.delta) / h)
 
 
 def test_one_sided_transport_mutant(monkeypatch, transport_pair):
-    monkeypatch.setattr(calculus, "transport_velocity", _one_sided_transport)
+    monkeypatch.setattr(calculus, "_central_difference", _one_sided_transport)
     with pytest.raises(AssertionError):
-        sphere.test_transport_is_the_derivative_of_the_log()
+        test_calculus.TestValidateTransport().test_tuned_step(transport_pair)
     with pytest.raises(AssertionError):
         test_acceptance.test_criterion_1_transport_accuracy(transport_pair)
 
@@ -188,8 +205,8 @@ def _transport_without_reflection(delta, v_p, h):
 
 
 def test_transport_reflection_start_mutant(monkeypatch):
-    # the same transport to round-off, at more kernel logs
-    monkeypatch.setattr(calculus, "transport_velocity", _transport_without_reflection)
+    # the same central difference to round-off, at more kernel logs
+    monkeypatch.setattr(calculus, "_central_difference", _transport_without_reflection)
     with pytest.raises(AssertionError):
         test_interpolate.TestArc().test_minus_h_log_starts_from_the_reflection(monkeypatch)
 

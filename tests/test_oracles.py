@@ -17,9 +17,8 @@ transport with ``dexp_stiefel``).  Here the answers come from elsewhere:
   submanifold, so every map and fit must commute with both.
 
 Each bound sits a few times above the value measured at one BLAS thread:
-round-off for the log, the exp and dExp, the h^2 term of the central
-difference for the transport, and the first-order term in delta for the
-curvature.
+round-off for the log, the exp, dExp and the transport, and the
+first-order term in delta for the curvature.
 """
 
 import functools
@@ -109,16 +108,14 @@ class TestSphereOracle:
         assert dexp_err <= 5e-15  # measured 1.2e-15
 
     def test_transport_is_the_derivative_of_the_log(self):
-        # the central difference at h = 1e-4 leaves its h^2 term
         err = 0.0
         for x, y, w in _sphere_pairs():
             q, p = stiefel.StiefelPoint(x), stiefel.StiefelPoint(y)
             delta = stiefel.TangentVector(q, _sphere_log(x, y))
-            v_hat = calculus.transport_velocity(delta, stiefel.TangentVector(p, w),
-                                                h=calculus.DEFAULT_FD_STEP)
+            v_hat = calculus.transport_velocity(delta, stiefel.TangentVector(p, w))
             exact = _sphere_dlog(x, y, w)
             err = max(err, np.linalg.norm(v_hat.delta - exact) / np.linalg.norm(exact))
-        assert err <= 1e-7  # measured 2.3e-8
+        assert err <= 3e-14  # measured 6.5e-15
 
 
 class TestOrthogonalGroupOracle:
@@ -161,10 +158,9 @@ class TestOrthogonalGroupOracle:
             exact = u @ np.linalg.solve(frechet, (scipy.linalg.expm(a) @ b).ravel()).reshape(n, n)
             p = stiefel.StiefelPoint(v)
             delta = stiefel.TangentVector(stiefel.StiefelPoint(u), u @ a)
-            v_hat = calculus.transport_velocity(delta, stiefel.TangentVector(p, v @ b),
-                                                h=calculus.DEFAULT_FD_STEP)
+            v_hat = calculus.transport_velocity(delta, stiefel.TangentVector(p, v @ b))
             err = max(err, np.linalg.norm(v_hat.delta - exact) / np.linalg.norm(exact))
-        assert err <= 5e-8  # measured 4.0e-8
+        assert err <= 3e-14  # measured 6.4e-15
 
 
 def _geodesic(rng, n, r, length):
@@ -198,8 +194,8 @@ class TestGeodesicReproduction:
     """Samples of a geodesic with their true velocities: the interpolants are the geodesic.
 
     Between samples the transition map of a geodesic is linear in the
-    parameter, so the central-difference transport is exact up to round-off
-    and the Hermite interpolant of a linear function is that function.
+    parameter, so the transported velocities are its slope and the Hermite
+    interpolant of a linear function is that function.
     """
 
     @pytest.mark.parametrize("n, r", [(40, 3), (200, 6), (60, 6), (12, 1), (5, 5)])
@@ -215,7 +211,7 @@ class TestGeodesicReproduction:
             for curve in curves:
                 for t in np.linspace(0.0, 1.0, 33):
                     err = max(err, np.linalg.norm(curve(t).u - sample(t).base.u))
-        assert err <= 2e-12  # measured 5.8e-13
+        assert err <= 1e-14  # measured 3.1e-15
 
 
 def _relative(got, want):
@@ -233,9 +229,7 @@ class TestIsometryOracle:
     @pytest.mark.parametrize("n, r, fraction", [(40, 3, 0.57), (60, 6, 0.85), (5, 5, 0.5), (12, 1, 0.8)])
     def test_orthogonal_map(self, n, r, fraction):
         # Exp, Log and the transport at Theta U of Theta-mapped arguments are
-        # Theta times their values at U.  The transport's central difference
-        # amplifies the logs' round-off by 1/(2h), so it runs at h = 1e-2,
-        # where it measures at most 2.8e-13; the identity holds at every h.
+        # Theta times their values at U.
         rng = np.random.default_rng(n + r)
         theta = np.linalg.qr(rng.standard_normal((n, n)))[0]
         u = stiefel.random_point(rng, n, r)
@@ -248,10 +242,10 @@ class TestIsometryOracle:
         errs = [
             _relative(stiefel.stiefel_exp(TangentVector(tu, theta @ xi.delta)).u, theta @ y.u),
             _relative(stiefel.stiefel_log(tu, ty).delta, theta @ log.delta),
-            _relative(calculus.transport_velocity(t_log, TangentVector(ty, theta @ w.delta), 1e-2).delta,
-                      theta @ calculus.transport_velocity(log, w, 1e-2).delta),
+            _relative(calculus.transport_velocity(t_log, TangentVector(ty, theta @ w.delta)).delta,
+                      theta @ calculus.transport_velocity(log, w).delta),
         ]
-        assert max(errs) <= 1e-12  # exp and log measured at most 2.0e-15
+        assert max(errs) <= 1e-14  # measured at most 2.0e-15
 
     def test_embedding(self, qr_path):
         # The QR path's samples in its 4r coordinates (St(24, 6)) and lifted

@@ -249,7 +249,8 @@ def tangent_rbf_interp(
     has one interval [t_first, t_last] and one frame, of one weight matrix
     per kept sample at the center; its coefficients at t are the inverse
     multiquadric kernel (shape ``RBF_SHAPE``) of t against the kept sample
-    parameters, all rescaled to [-1, 1].  A sample whose log from the
+    parameters, all rescaled to [-1, 1].  The samples map by one stacked
+    ``stiefel_log`` call from the center.  A sample whose log from the
     center does not converge is left out of the interpolation problem and
     recorded in the curve's ``failed_indices``.  If no sample maps, raises
     ArcFitError on [t_first, t_last], caused by the last StiefelLogError.
@@ -263,22 +264,15 @@ def tangent_rbf_interp(
     ts = _check_sample_plan([t for t, _ in samples])
     center = samples[len(samples) // 2][1]
     t_lo, t_hi = float(ts[0]), float(ts[-1])
-    deltas: list[np.ndarray] = []
-    kept: list[int] = []
-    failed: list[int] = []
-    for i, (_, point) in enumerate(samples):
-        try:
-            deltas.append(stiefel.stiefel_log(center, point).delta)
-            kept.append(i)
-        except StiefelLogError as exc:
-            failed.append(i)
-            cause = exc
+    logs = stiefel.stiefel_log(center, [point for _, point in samples])
+    kept = [i for i, log in enumerate(logs) if not isinstance(log, StiefelLogError)]
+    failed = [i for i, log in enumerate(logs) if isinstance(log, StiefelLogError)]
     if not kept:
         raise ArcFitError(f"RBF fit failed on [{t_lo}, {t_hi}]: no sample maps to the center's "
-                          f"tangent space ({cause})", t0=t_lo, t1=t_hi) from cause
+                          f"tangent space ({logs[-1]})", t0=t_lo, t1=t_hi) from logs[-1]
     scaled = _rescale(ts[kept], t_lo, t_hi)
     kernel = _inverse_multiquadric(np.abs(scaled[:, np.newaxis] - scaled[np.newaxis, :]))
-    stacked = np.stack(deltas)  # (k, n, r)
+    stacked = np.stack([logs[i].delta for i in kept])  # (k, n, r)
     weights = np.linalg.solve(kernel, stacked.reshape(len(kept), -1)).reshape(stacked.shape)
     frame = stiefel.tangent_frame(center, weights)
     coeffs = functools.partial(_rbf_coeffs, scaled, t_lo, t_hi)

@@ -13,12 +13,18 @@ Everything downstream depends on two conventions established here:
   ``DomainError`` for an eigenvalue within round-off of -1.  It is the
   kernel of each step of the Stiefel log and reads off its result.
 
+``expm`` and ``logm`` also take a stack (..., n, n) of matrices, for the
+stacked Stiefel log: one call runs numpy's or scipy's stacked routines on
+all of them, and raises if any one matrix fails its check.  A lone matrix
+goes straight to scipy's LAPACK wrappers, the cheapest call.
+
 The heavy lifting is delegated to LAPACK via numpy/scipy; the wrappers add
 the conventions, the domain checks, and typed errors.  The checks run on
 ``_identity(n)``, one cached read-only identity per size, and on
 ``_frobenius(x)``, sqrt(v @ v) of v = ``x.ravel(order="K")``: ``np.linalg.norm``
 of a 2-d float array bit for bit (order "K" keeps its sum order on the
-Fortran-ordered arrays LAPACK returns), at a fraction of the call overhead.
+Fortran-ordered arrays LAPACK returns), at a fraction of the call overhead,
+and the norm of each matrix of a stack.
 """
 
 from __future__ import annotations
@@ -50,15 +56,17 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _frobenius(x: np.ndarray) -> float:
+def _frobenius(x: np.ndarray):
+    if x.ndim > 2:
+        return np.sqrt(np.einsum("...ij,...ij->...", x, x))
     v = x.ravel(order="K")
     return math.sqrt(v @ v)
 
 
 def _check_orthonormal(v: np.ndarray, message: str) -> None:
-    drift = _frobenius(v.T @ v - _identity(v.shape[1]))
-    if drift > ORTH_TOL:
-        raise PreconditionError(message.format(drift))
+    drift = _frobenius(v.mT @ v - _identity(v.shape[-1]))
+    if (drift if v.ndim == 2 else drift.max()) > ORTH_TOL:
+        raise PreconditionError(message.format(np.max(drift)))
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -69,21 +77,37 @@ def _as_matrix(x, name: str) -> np.ndarray:
 
 
 def _as_square(x, op: str) -> np.ndarray:
-    a = _as_matrix(x, "x")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{op} needs a square matrix, got {a.shape}")
+    a = np.asarray(x, dtype=float)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ShapeError(f"{op} needs a square matrix or a stack of them, got {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError(f"{op} input has non-finite entries")
     return a
 
 
+def _eigh(h: np.ndarray, op: str, lower: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a symmetric matrix, or of each matrix of a stack.
+
+    LAPACK ``dsyevd`` reads the lower or the upper triangle: scipy's for one
+    matrix, the cheapest call, which raises ``DomainError`` led by ``op``
+    when it does not converge, and numpy's stacked ``eigh`` for a stack,
+    which raises its ``LinAlgError``, also a ``ValueError``.
+    """
+    if h.ndim > 2:
+        return np.linalg.eigh(h, UPLO="L" if lower else "U")
+    w, p, info = lapack.dsyevd(h, lower=int(lower))
+    if info != 0:
+        raise DomainError(f"{op}: dsyevd did not converge (info = {info})")
+    return w, p
+
+
 def expm(x) -> np.ndarray:
-    """Matrix exponential of a square matrix."""
+    """Matrix exponential of a square matrix, or of each matrix of a stack (..., n, n)."""
     return sla.expm(_as_square(x, "expm"))
 
 
 def logm(x) -> np.ndarray:
-    """Principal logarithm of an orthogonal matrix, exactly skew-symmetric.
+    """Principal logarithm of an orthogonal matrix, exactly skew-symmetric, or of each of a stack.
 
     The inverse Rodrigues formula in matrix form.  For orthogonal V the
     parts H = (V + V')/2 and S = (V - V')/2 commute: on a rotation plane of
@@ -107,6 +131,9 @@ def logm(x) -> np.ndarray:
     cos theta_2|, because the eigenvectors of H separate them by their
     cosines only.
 
+    A stack (..., n, n) gets the log of each matrix; the call raises if
+    any matrix fails a check below.
+
     Raises
     ------
     PreconditionError
@@ -117,15 +144,13 @@ def logm(x) -> np.ndarray:
         that is c_k < 0 with s_k <= 8 n eps to round-off.
     """
     a = _as_square(x, "logm")
-    n = a.shape[0]
+    n = a.shape[-1]
     _check_orthonormal(a, "logm input is not orthogonal (||X'X - I||_F = {:.3g})")
     # 2H = V + V' = P diag(c) P' and 2T = P'(V - V')P: c, s and T are all
     # doubled, which leaves theta and the product M o T unchanged.
-    c, p, info = lapack.dsyevd(a + a.T)
-    if info != 0:
-        raise DomainError(f"logm: dsyevd did not converge (info = {info})")
-    t = p.T @ (a - a.T) @ p
-    s = np.sqrt(np.einsum("ij,ij->i", t, t))
+    c, p = _eigh(a + a.mT, "logm", lower=False)
+    t = p.mT @ (a - a.mT) @ p
+    s = np.sqrt(np.einsum("...ij,...ij->...i", t, t))
     # A zero s_k is a zero row of T, where the mask need only be finite: the
     # floor at the smallest normal float keeps s_k + s_j from being 0.
     np.maximum(s, _TINY, out=s)
@@ -136,9 +161,10 @@ def logm(x) -> np.ndarray:
             "logm: an eigenvalue lies within round-off of -1 "
             f"(largest angle pi - {np.pi - theta.max():.3g})"
         )
-    mask = np.add.outer(theta, theta) * np.cos(0.5 * np.subtract.outer(theta, theta))
-    out = p @ (mask / np.add.outer(s, s) * t) @ p.T
-    return 0.5 * (out - out.T)
+    row, col = theta[..., :, np.newaxis], theta[..., np.newaxis, :]
+    mask = (row + col) * np.cos(0.5 * (row - col))
+    out = p @ (mask / (s[..., :, np.newaxis] + s[..., np.newaxis, :]) * t) @ p.mT
+    return 0.5 * (out - out.mT)
 
 
 @dataclass(frozen=True)

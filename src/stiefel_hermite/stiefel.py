@@ -15,10 +15,22 @@ each step polishes the completion onto O(2r) with one Newton-Schulz step,
 takes its log, and rotates by the clipped solution of a small Sylvester
 equation (Zimmermann and Hueper's first-order BCH correction of the plain
 step), which about halves the steps of far logs; the last log is the result.
-The kernels only raise ``DomainError``; the log's loop decides how the
-iteration ends (converged, a kernel failure, a residual that stopped
-falling, the step cap, the norm certificate) and raises one
-``StiefelLogError`` naming the reason, the iteration and the residuals.
+The kernels only raise ``ValueError``s (``DomainError`` for one matrix);
+the log's loop decides how the iteration ends (converged, a kernel
+failure, a residual that stopped falling, the step cap, the norm
+certificate) and raises one ``StiefelLogError`` naming the reason, the
+iteration and the residuals.
+
+The log also takes a stack of targets, with one base or a base per
+target, and then runs one loop for all of them: each step is one stacked
+kernel log and one stacked ``expm`` over the 2r x 2r completions of the
+targets still iterating, so a short log pays the per-call overhead of its
+small kernels once per stack, not once per target.  Each target leaves
+the stack when its own iteration ends and gets its own certificate; the
+call returns a list with each target's result, or the ``StiefelLogError``
+its own log would raise, in its slot.  The n-row work (the overlap, the
+normal part's QR, the readout) stays per target.  A single target runs
+the same loop on 2-D arrays, whose kernels call LAPACK directly.
 
 Every exponential runs through one kernel, ``TangentFrame.exp``: a frame
 keeps k tangent vectors at U as r x r blocks over one orthonormal basis of
@@ -33,10 +45,10 @@ vectors and frames use ``linalg``'s cached identities and norm.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import linalg
 from .errors import DomainError, PreconditionError, ShapeError, StiefelLogError
@@ -278,18 +290,18 @@ def stiefel_exp(xi: TangentVector) -> StiefelPoint:
 
 
 def _polished(v: np.ndarray) -> np.ndarray:
-    """One Newton-Schulz polar step V (3I - V'V) / 2 of an orthogonal iterate.
+    """One Newton-Schulz polar step V (3I - V'V) / 2 of an orthogonal iterate, or of each of a stack.
 
     It squares the drift ||V'V - I||, so round-off cannot build up over the
     steps and the kernel log sees a matrix orthogonal to machine precision.
     A drift above ``linalg.ORTH_TOL`` means a broken update, not round-off,
     and raises ``DomainError`` instead of being polished away.
     """
-    gram = v.T @ v
-    eye = linalg._identity(v.shape[1])
+    gram = v.mT @ v
+    eye = linalg._identity(v.shape[-1])
     drift = linalg._frobenius(gram - eye)
-    if drift > linalg.ORTH_TOL:
-        raise DomainError(f"polish: iterate lost orthogonality (||V'V - I||_F = {drift:.3g})")
+    if (drift if v.ndim == 2 else drift.max()) > linalg.ORTH_TOL:
+        raise DomainError(f"polish: iterate lost orthogonality (||V'V - I||_F = {np.max(drift):.3g})")
     return v @ (1.5 * eye - 0.5 * gram)
 
 
@@ -299,25 +311,121 @@ SYLVESTER_DENOM_MAX = -0.25
 
 
 def _step(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Generator X of the update V <- V diag(I, expm(X)) that cancels C.
+    """Generator X of the update V <- V diag(I, expm(X)) that cancels C, for one target or a stack.
 
     Solves S X + X S = C with S = B B'/12 - I/2 through the eigenvectors P
-    of the symmetric S (one LAPACK ``dsyevd`` call), each denominator
+    of the symmetric S (``linalg._eigh``, LAPACK ``dsyevd``), each denominator
     s_i + s_j clipped at ``SYLVESTER_DENOM_MAX``.  Raises ``DomainError``
     if ``dsyevd`` does not converge.
     """
-    s, p, info = lapack.dsyevd(b @ b.T / 12.0 - 0.5 * linalg._identity(b.shape[0]), lower=1)
-    if info != 0:
-        raise DomainError(f"step: dsyevd did not converge (info = {info})")
-    denom = np.minimum(s[:, np.newaxis] + s[np.newaxis, :], SYLVESTER_DENOM_MAX)
-    x = p @ ((p.T @ c @ p) / denom) @ p.T
-    return 0.5 * (x - x.T)
+    s, p = linalg._eigh(b @ b.mT / 12.0 - 0.5 * linalg._identity(b.shape[-1]), "step", lower=True)
+    denom = np.minimum(s[..., :, np.newaxis] + s[..., np.newaxis, :], SYLVESTER_DENOM_MAX)
+    x = p @ ((p.mT @ c @ p) / denom) @ p.mT
+    return 0.5 * (x - x.mT)
+
+
+def _completion(base: StiefelPoint, target: StiefelPoint, start: TangentVector | None):
+    """The normal basis Q of ``target`` and the starting 2r x 2r completion V (see ``stiefel_log``)."""
+    if base.u.shape != target.u.shape:
+        raise ShapeError(f"base shape {base.u.shape} != target shape {target.u.shape}")
+    r = base.r
+    overlap = base.u.T @ target.u
+    if base.n == r and np.linalg.det(overlap) < 0.0:
+        raise StiefelLogError(
+            f"St({r}, {r}) = O({r}) has two components, det = +1 and det = -1; det(U'Y) = -1 "
+            "puts base and target in different ones, which no geodesic joins", 0, np.inf
+        )
+    normal = target.u - base.u @ overlap
+    qr = linalg.qr_econ(normal)
+    q, nfac = qr.q, qr.r_factor
+    top = np.vstack([overlap, nfac])
+    rest = linalg._identity(2 * r)[:, r:]
+    if start is not None:
+        if start.base is not base and not np.array_equal(start.base.u, base.u):
+            raise PreconditionError("start is not a tangent vector at base")
+        a_s = base.u.T @ start.delta
+        rest = linalg.expm(_generator(a_s, q.T @ (start.delta - base.u @ a_s)))[:, r:]
+    return q, np.hstack([top, linalg.orth_complete(top, rest)])
+
+
+def _iterate(v: np.ndarray, r: int, k0: int = 0, history: list | None = None) -> list[tuple]:
+    """The loop of ``stiefel_log`` on one completion V or a stack of them, from step k0.
+
+    Returns per target (log V, k, residuals, reason): log V of the iterate
+    whose ||C||_F passed ``LOG_TAU`` and reason None, or None and the reason
+    the loop ended at step k.  A target leaves the stack when it ends.  A
+    kernel that raises on a stack reruns that step on each of its targets
+    alone, so each ends as its own log would.
+    """
+    live = list(range(len(v))) if v.ndim == 3 else [0]
+    history = history or [[] for _ in live]
+    # a target still iterating after the last step ends at the cap
+    ends = [(None, LOG_MAX_ITER, h, f"LOG_MAX_ITER = {LOG_MAX_ITER} steps taken") for h in history]
+    for k in range(k0, LOG_MAX_ITER):
+        before, entered = v, live
+        try:
+            v = _polished(v)
+            log_v = linalg.logm(v)
+            res = linalg._frobenius(log_v[..., r:, r:])
+            keep = []
+            for j, (t, c) in enumerate(zip(live, [res] if v.ndim == 2 else res.tolist())):
+                history[t].append(c)
+                if c <= LOG_TAU:
+                    ends[t] = (log_v if v.ndim == 2 else log_v[j], k, history[t], None)
+                elif k and c >= history[t][-2]:
+                    ends[t] = (None, k, history[t], "||C||_F stopped falling")
+                else:
+                    keep.append(j)
+            if not keep:
+                break
+            if len(keep) < len(live):  # a lone matrix goes to LAPACK directly
+                v, log_v = (x[keep[0]] if len(keep) == 1 else x[keep] for x in (v, log_v))
+                live = [live[j] for j in keep]
+            v[..., r:] = v[..., r:] @ linalg.expm(_step(log_v[..., r:, :r], log_v[..., r:, r:]))
+        except ValueError as exc:
+            for j, t in enumerate(entered):
+                ends[t] = ((None, k, history[t], str(exc)) if before.ndim == 2
+                           else _iterate(before[j], r, k, [history[t][:k]])[0])
+            break
+    return ends
+
+
+def _readout(base: StiefelPoint, q: np.ndarray, log_v, k: int, residuals: list, reason):
+    """The log's result from the loop's end: xi = U A + Q B, or the StiefelLogError that refuses it."""
+    if reason is None:
+        r = base.r
+        a, b = log_v[:r, :r], log_v[r:, :r]
+        # the canonical norm of U A + Q B, as U'Q B = 0: Q spans the normal part,
+        # and B vanishes to round-off on the extra columns of a rank-deficient one
+        length = (0.5 * linalg._frobenius(a) ** 2 + linalg._frobenius(b) ** 2) ** 0.5
+        if base.n == r or length < LOG_NORM_MAX:
+            return TangentVector(base, base.u @ a + q @ b)
+        reason = (f"converged to a tangent vector of norm {length / np.pi:.3g} pi, not below pi/sqrt("
+                  f"{CURVATURE_MAX}) = {LOG_NORM_MAX / np.pi:.3g} pi, the length before which no geodesic "
+                  "has a conjugate point")
+    return StiefelLogError(
+        f"log stopped at iteration {k}: {reason}; target may be too far from base "
+        f"(||C||_F by iteration: [{', '.join(f'{x:.3g}' for x in residuals)}])",
+        iterations=k,
+        residual=residuals[-1] if residuals else np.inf,
+    )
 
 
 def stiefel_log(
-    base: StiefelPoint, target: StiefelPoint, start: TangentVector | None = None
-) -> TangentVector:
+    base: StiefelPoint | Sequence[StiefelPoint],
+    target: StiefelPoint | Sequence[StiefelPoint],
+    start: TangentVector | None = None,
+) -> TangentVector | list[TangentVector | StiefelLogError]:
     """Riemannian logarithm: the tangent vector xi with Exp_base(xi) = target.
+
+    ``target`` may also be a sequence of targets of one shape, with ``base``
+    one point or a sequence of one base per target (and ``start``, if
+    given, a tangent vector at every base).  Then the iteration below runs
+    once for the whole stack (see the module docstring), and the call
+    returns a list: per target its log, or the ``StiefelLogError`` that its
+    own call would raise, with the same reason, iteration, residuals and
+    message.  A kernel that raises on the stack reruns that step on each
+    of its targets alone.
 
     Zimmermann's iteration (SIMAX 38(2), 2017): build an orthogonal
     2r x 2r completion V of the overlap/normal coordinates of ``target``,
@@ -361,7 +469,8 @@ def stiefel_log(
       bounds it by 4 ||C||_F.  This about halves the steps of far logs.
     * Certificate: far from the base the iteration can settle on a V whose
       log is not the minimal geodesic.  At n > r a result whose canonical
-      norm reaches ``LOG_NORM_MAX`` = pi / sqrt(CURVATURE_MAX) is rejected.
+      norm reaches ``LOG_NORM_MAX`` = pi / sqrt(CURVATURE_MAX) is rejected;
+      the norm is read off the blocks, sqrt(||A||_F^2 / 2 + ||B||_F^2).
       A shorter result has no conjugate point before its end (Rauch
       comparison: the sectional curvature is at most ``CURVATURE_MAX``), so
       it is locally minimizing; that does not prove that no shorter
@@ -386,7 +495,8 @@ def stiefel_log(
     Raises
     ------
     StiefelLogError
-        If base and target lie in different components of O(n) (n = r),
+        For a single target (a stack returns it in the target's slot):
+        if base and target lie in different components of O(n) (n = r),
         or the iteration ends without a certified result (see Stop); this
         is the operational "target too far from base" boundary.  The
         message names the reason (for a kernel failure, the kernel's
@@ -394,66 +504,41 @@ def stiefel_log(
         ``iterations`` is that iteration (``LOG_MAX_ITER`` at the cap) and
         ``residual`` the last ||C||_F (inf before the first).
     """
-    if base.u.shape != target.u.shape:
-        raise ShapeError(
-            f"base shape {base.u.shape} != target shape {target.u.shape}"
-        )
-    r = base.r
-    overlap = base.u.T @ target.u
-    if base.n == r and np.linalg.det(overlap) < 0.0:
-        raise StiefelLogError(
-            f"St({r}, {r}) = O({r}) has two components, det = +1 and det = -1; det(U'Y) = -1 "
-            "puts base and target in different ones, which no geodesic joins", 0, np.inf
-        )
-    normal = target.u - base.u @ overlap
-    qr = linalg.qr_econ(normal)
-    q, nfac = qr.q, qr.r_factor
-    top = np.vstack([overlap, nfac])
-    rest = linalg._identity(2 * r)[:, r:]
-    if start is not None:
-        if start.base is not base and not np.array_equal(start.base.u, base.u):
-            raise PreconditionError("start is not a tangent vector at base")
-        a_s = base.u.T @ start.delta
-        rest = linalg.expm(_generator(a_s, q.T @ (start.delta - base.u @ a_s)))[:, r:]
-    v = np.hstack([top, linalg.orth_complete(top, rest)])
-    residuals, reason = [], None
-    for k in range(LOG_MAX_ITER):
+    if isinstance(target, StiefelPoint):
+        q, v = _completion(base, target, start)
+        xi = _readout(base, q, *_iterate(v, base.r)[0])
+        if isinstance(xi, StiefelLogError):
+            raise xi
+        return xi
+    bases = [base] * len(target) if isinstance(base, StiefelPoint) else list(base)
+    if len(bases) != len(target):
+        raise ShapeError(f"{len(bases)} bases for {len(target)} targets")
+    out: list = []
+    for b, y in zip(bases, target):
         try:
-            v = _polished(v)
-            log_v = linalg.logm(v)
-            residuals.append(linalg._frobenius(log_v[r:, r:]))
-            if residuals[-1] <= LOG_TAU:
-                break
-            if k and residuals[-1] >= residuals[-2]:
-                reason = "||C||_F stopped falling"
-                break
-            v[:, r:] = v[:, r:] @ linalg.expm(_step(log_v[r:, :r], log_v[r:, r:]))
-        except ValueError as exc:
-            reason = str(exc)
-            break
-    else:
-        k, reason = LOG_MAX_ITER, f"LOG_MAX_ITER = {LOG_MAX_ITER} steps taken"
-    if reason is None:
-        xi = TangentVector(base, base.u @ log_v[:r, :r] + q @ log_v[r:, :r])
-        length = norm(xi)
-        if base.n == r or length < LOG_NORM_MAX:
-            return xi
-        reason = (f"converged to a tangent vector of norm {length / np.pi:.3g} pi, not below pi/sqrt("
-                  f"{CURVATURE_MAX}) = {LOG_NORM_MAX / np.pi:.3g} pi, the length before which no geodesic "
-                  "has a conjugate point")
-    raise StiefelLogError(
-        f"log stopped at iteration {k}: {reason}; target may be too far from base "
-        f"(||C||_F by iteration: [{', '.join(f'{x:.3g}' for x in residuals)}])",
-        iterations=k,
-        residual=residuals[-1] if residuals else np.inf,
-    )
+            out.append(_completion(b, y, start))
+        except StiefelLogError as exc:
+            out.append(exc)
+    todo = [i for i, x in enumerate(out) if isinstance(x, tuple)]
+    if todo:
+        vs = [out[i][1] for i in todo]
+        for i, end in zip(todo, _iterate(vs[0] if len(vs) == 1 else np.stack(vs), bases[0].r)):
+            out[i] = _readout(bases[i], out[i][0], *end)
+    return out
 
+def dist(p: StiefelPoint | Sequence[StiefelPoint], q: StiefelPoint | Sequence[StiefelPoint]) -> float | list:
+    """Riemannian distance: canonical norm of the logarithm, exactly 0 for identical points.
 
-def dist(p: StiefelPoint, q: StiefelPoint) -> float:
-    """Riemannian distance: canonical norm of the logarithm."""
-    if np.array_equal(p.u, q.u):
-        return 0.0
-    return norm(stiefel_log(p, q))
+    Given sequences of points, the distances of the pairs (p[i], q[i]) from
+    one stacked log: a list with a pair's StiefelLogError in its slot.
+    """
+    if isinstance(q, StiefelPoint):
+        return 0.0 if np.array_equal(p.u, q.u) else norm(stiefel_log(p, q))
+    out: list = [0.0] * len(q)
+    todo = [i for i in range(len(q)) if not np.array_equal(p[i].u, q[i].u)]
+    for i, xi in zip(todo, stiefel_log([p[i] for i in todo], [q[i] for i in todo])):
+        out[i] = xi if isinstance(xi, StiefelLogError) else norm(xi)
+    return out
 
 
 def random_point(rng: np.random.Generator, n: int, r: int) -> StiefelPoint:

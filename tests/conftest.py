@@ -126,13 +126,14 @@ def spy_kernel_logs(monkeypatch):
     """A list that gets one entry per later ``stiefel.stiefel_log`` call: its kernel logs.
 
     The kernel log is ``linalg.logm``, the orthogonal log that each step of
-    the Stiefel log takes; both are looked up on their modules.
+    the Stiefel log takes; both are looked up on their modules.  A stacked
+    call's kernel logs take one matrix per target, and each matrix counts.
     """
     counts = []
     logm, log = linalg.logm, stiefel.stiefel_log
 
     def spy_logm(v):
-        counts[-1] += 1
+        counts[-1] += v[..., 0, 0].size
         return logm(v)
 
     def spy_log(*args, **kwargs):
@@ -150,19 +151,22 @@ def kernel_calls(monkeypatch):
 
     Every log of the package is a call of ``stiefel.stiefel_log``, looked up
     on the module, and every exponential is a call of ``TangentFrame.exp``, so
-    wrapping the two counts them all under the keys "log" and "exp".
+    wrapping the two counts them all under the keys "log" and "exp".  A
+    stacked log counts one log per target.
     """
     calls = Counter()
+    log, exp = stiefel.stiefel_log, stiefel.TangentFrame.exp
 
-    def counted(key, kernel):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return kernel(*args, **kwargs)
+    def counted_log(base, target, *args, **kwargs):
+        calls["log"] += 1 if isinstance(target, stiefel.StiefelPoint) else len(target)
+        return log(base, target, *args, **kwargs)
 
-        return wrapper
+    def counted_exp(*args, **kwargs):
+        calls["exp"] += 1
+        return exp(*args, **kwargs)
 
-    monkeypatch.setattr(stiefel, "stiefel_log", counted("log", stiefel.stiefel_log))
-    monkeypatch.setattr(stiefel.TangentFrame, "exp", counted("exp", stiefel.TangentFrame.exp))
+    monkeypatch.setattr(stiefel, "stiefel_log", counted_log)
+    monkeypatch.setattr(stiefel.TangentFrame, "exp", counted_exp)
     return calls
 
 

@@ -10,7 +10,7 @@ import pytest
 from stiefel_hermite import calculus, cli, experiments as ex
 from stiefel_hermite import interpolate as interp
 from stiefel_hermite import linalg, stiefel
-from stiefel_hermite.errors import DomainError, PreconditionError
+from stiefel_hermite.errors import DomainError, PreconditionError, StiefelLogError
 
 from conftest import assert_v_shape, far_samples
 
@@ -501,6 +501,96 @@ class TestTangentVsManifold:
         paper = ex.COMMANDS["tangent-vs-manifold"].studies["tangent_vs_manifold"]
         rep = ex.run_tangent_vs_manifold(dataclasses.replace(paper, n=n, r=r, m=m, seed=seed))
         assert rep.failures == {}
+
+
+def _record_kernel_logs(monkeypatch):
+    """A list that gets one entry per later ``stiefel.stiefel_log`` call: the inputs of its kernel logs.
+
+    Each input of ``linalg.logm`` is kept as a (targets, 2r, 2r) stack: one
+    matrix for a single log, one per live target for a stacked one.
+    """
+    calls = []
+    logm, log = linalg.logm, stiefel.stiefel_log
+
+    def spy_logm(v):
+        calls[-1].append(v.reshape(-1, *v.shape[-2:]).copy())
+        return logm(v)
+
+    def spy_log(*args, **kwargs):
+        calls.append([])
+        return log(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "logm", spy_logm)
+    monkeypatch.setattr(stiefel, "stiefel_log", spy_log)
+    return calls
+
+
+def _scalar_tangent_vs_manifold(config, calls):
+    """The tangent-vs-manifold study as a loop of single logs per grid point, the oracle of its stacked logs.
+
+    Returns (kept grid, relative, tangent and manifold errors, skipped grid)
+    and the indices into the ``_record_kernel_logs`` list ``calls`` of the
+    logs from the arc centre and of the distance logs, in grid order.  The
+    distance of identical points is 0 without a log, as ``stiefel.dist``.
+    """
+    data = ex.gen_lowrank_svd_experiment(config)
+    curve = interp.fit_composite(data.samples_u, centering=config.centering)
+    kept, rel, tangent, manifold, skipped, centre_logs, dist_logs = [], [], [], [], [], [], []
+    for t in ex._uniform_grid(data.nodes, config.grid_points):
+        ref, gamma = data.reference_u(t), interp.arc_tangent(curve, t)
+        try:
+            centre_logs.append(len(calls))
+            log_ref = stiefel.stiefel_log(gamma.base, ref)
+            point = curve(t)
+            if not np.array_equal(point.u, ref.u):
+                dist_logs.append(len(calls))
+            d = 0.0 if np.array_equal(point.u, ref.u) else stiefel.norm(stiefel.stiefel_log(point, ref))
+        except StiefelLogError:
+            skipped.append(float(t))
+            continue
+        kept.append(t)
+        rel.append(np.linalg.norm(point.u - ref.u) / np.linalg.norm(ref.u))
+        tangent.append(stiefel.norm(gamma - log_ref))
+        manifold.append(d)
+    return (kept, rel, tangent, manifold, skipped), (centre_logs, dist_logs)
+
+
+def _assert_same_kernel_logs(stacked, singles):
+    """The k-th kernel log of a stacked call takes, in order, the k-th matrix of each single log that took more than k."""
+    assert len(stacked) == max(map(len, singles), default=0)
+    for k, batch in enumerate(stacked):
+        expected = [single[k][0] for single in singles if len(single) > k]
+        assert len(batch) == len(expected)
+        assert np.max(np.abs(batch - np.array(expected))) <= 1e-12
+
+
+@pytest.mark.parametrize("n, r, m, seed, failing", [(200, 6, 50, 0, 0), (12, 12, 12, 2, 26)],
+                         ids=["paper", "n=r=m=12"])
+def test_stacked_logs_match_the_scalar_oracle(monkeypatch, n, r, m, seed, failing):
+    # the study's two stacked calls against one log per target: the same grid
+    # kept and skipped, the same kernel logs for every target, the same
+    # errors; at n = r = m = 12 seed 2, 26 targets of the first stack fail
+    # on the sign of det(U'Y) before the loop
+    paper = ex.COMMANDS["tangent-vs-manifold"].studies["tangent_vs_manifold"]
+    config = dataclasses.replace(paper, n=n, r=r, m=m, seed=seed)
+    calls = _record_kernel_logs(monkeypatch)
+    (kept, *errors, skipped), (centre_logs, dist_logs) = _scalar_tangent_vs_manifold(config, calls)
+    singles = calls[:]
+    calls.clear()
+    rep = ex.run_tangent_vs_manifold(config)
+    # the fit's one log per arc, then the two stacked calls
+    *fits, centre, dists = calls
+    assert len(fits) == config.num_nodes - 1
+    _assert_same_kernel_logs(centre, [singles[i] for i in centre_logs])
+    _assert_same_kernel_logs(dists, [singles[i] for i in dist_logs])
+    assert rep.eval_grid == kept and len(skipped) == failing
+    assert rep.failures == ({"reference_scan": f"log did not converge at {failing} grid points: {skipped}"}
+                            if failing else {})
+    for got, want in zip((rep.errors["hermite"], rep.tangent_errors, rep.manifold_errors), errors):
+        got, want = np.asarray(got), np.asarray(want)
+        above = np.abs(want) > 1e-13
+        assert np.all(np.abs(got - want)[above] <= 1e-12 * np.abs(want)[above])
+        assert np.all(np.abs(got - want)[~above] <= 1e-13)
 
 
 class TestSnapshotExperiment:

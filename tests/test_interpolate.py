@@ -397,8 +397,9 @@ class TestTangentRBF:
             assert np.linalg.norm(curve(t).u - p.u) <= 1e-8
 
     def test_no_sample_mapped_fails_the_fit(self, rng, monkeypatch):
-        def unconverged(base, target):
-            raise StiefelLogError("log stopped at iteration 0", iterations=0, residual=1.0)
+        def unconverged(base, targets):
+            # the stacked log returns each target's error in its slot
+            return [StiefelLogError("log stopped at iteration 0", iterations=0, residual=1.0) for _ in targets]
 
         samples = make_samples(rng, 15, 3, [0.5, 1.0, 2.0])
         monkeypatch.setattr(stiefel, "stiefel_log", unconverged)

@@ -41,6 +41,14 @@ class TestExpm:
     def test_nonsquare_rejected(self):
         with pytest.raises(ShapeError):
             linalg.expm(np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            linalg.expm(np.ones(3))
+
+    def test_stack_is_each_matrix_exponential(self):
+        x = 0.8 * np.random.default_rng(3).standard_normal((4, 5, 5))
+        out = linalg.expm(x)
+        for xi, e in zip(x, out):
+            assert np.linalg.norm(e - linalg.expm(xi)) <= 1e-14 * np.linalg.norm(e)
 
 
 def rotation_generator(rng, angles, n):
@@ -129,6 +137,36 @@ class TestLogm:
         v[:2, :2] = -np.eye(2)
         with pytest.raises(DomainError):
             linalg.logm(v)
+
+    @staticmethod
+    def near_pi(rng, n):
+        """An n x n rotation by pi - 4 n eps in one plane, in a random orthonormal frame."""
+        theta = np.pi - 4 * n * np.finfo(float).eps
+        rot = np.eye(n)
+        rot[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        z = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return z @ rot @ z.T
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_rotation_inside_the_pi_band_rejected(self, n):
+        # pi - 4 n eps lies inside the band of 8 n eps below pi, which an
+        # angle of exactly pi does not test; the measured angle is exact here
+        v = self.near_pi(np.random.default_rng(28), n)
+        with pytest.raises(DomainError, match="within round-off of -1"):
+            linalg.logm(v)
+        # in a stack it fails the call too, next to a rotation it can log
+        with pytest.raises(DomainError, match="within round-off of -1"):
+            linalg.logm(np.stack([np.eye(n), v]))
+
+    def test_stack_is_each_matrix_log(self):
+        rng = np.random.default_rng(29)
+        vs = np.stack([scipy.linalg.expm(rotation_generator(rng, [a, 0.3], 6)) for a in (0.1, 1.5, 3.0)])
+        logs = linalg.logm(vs)
+        for v, log in zip(vs, logs):
+            assert np.linalg.norm(log - linalg.logm(v)) <= 1e-14 * np.linalg.norm(log)
+        assert np.array_equal(logs + logs.mT, np.zeros_like(logs))
+        with pytest.raises(PreconditionError):
+            linalg.logm(np.stack([vs[0], 1.01 * vs[1]]))
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(PreconditionError):

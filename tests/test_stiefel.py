@@ -1,5 +1,4 @@
 import re
-import types
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import scipy.linalg
 from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import PreconditionError, ShapeError, StiefelLogError
 
-from conftest import far_pair, rank_one_tangent
+from conftest import far_pair, rank_one_tangent, spy_kernel_logs
 
 
 @pytest.fixture
@@ -345,6 +344,135 @@ class TestLog:
         assert kernel_calls == {"log": 1, "exp": 1}
 
 
+def _near_pi_target(u):
+    """U R with R a rotation by pi - 4 (2r) eps in one plane: the log's first completion has that angle."""
+    r = u.r
+    theta = np.pi - 4 * (2 * r) * np.finfo(float).eps
+    rot = np.eye(r)
+    rot[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    return stiefel.StiefelPoint(u.u @ rot)
+
+
+class TestStackedLog:
+    """``stiefel_log`` of a stack of targets: each slot holds what its own log returns or raises."""
+
+    @staticmethod
+    def _same(stacked, single):
+        assert np.linalg.norm(stacked.delta - single.delta) <= 1e-13 * max(1.0, np.linalg.norm(single.delta))
+
+    def test_one_base_and_a_base_per_target(self, rng):
+        u = stiefel.random_point(rng, 40, 4)
+        targets = [stiefel.stiefel_exp(stiefel.random_tangent(rng, u, s)) for s in (0.1, 0.8, 1.6, 2.4)]
+        for stacked, y in zip(stiefel.stiefel_log(u, targets), targets):
+            self._same(stacked, stiefel.stiefel_log(u, y))
+        bases = [stiefel.random_point(rng, 40, 4) for _ in targets]
+        pairs = [stiefel.stiefel_exp(stiefel.random_tangent(rng, b, 1.0)) for b in bases]
+        for stacked, b, y in zip(stiefel.stiefel_log(bases, pairs), bases, pairs):
+            assert stacked.base is b
+            self._same(stacked, stiefel.stiefel_log(b, y))
+        assert stiefel.stiefel_log(u, []) == []
+        with pytest.raises(ShapeError, match="2 bases for 4 targets"):
+            stiefel.stiefel_log(bases[:2], targets)
+
+    def test_failures_stay_in_their_slots(self, rng):
+        # the far pair stalls and the near-pi rotation fails in logm, which
+        # makes the stack's kernel log raise: each failing slot holds the
+        # error its own log raises, and the other targets their own logs
+        a, b = far_pair()
+        near = stiefel.stiefel_exp(stiefel.random_tangent(rng, a, 0.7))
+        targets = [near, b, _near_pi_target(a), stiefel.stiefel_exp(stiefel.random_tangent(rng, a, 1.2))]
+        out = stiefel.stiefel_log(a, targets)
+        for slot in (0, 3):
+            self._same(out[slot], stiefel.stiefel_log(a, targets[slot]))
+        for slot in (1, 2):
+            with pytest.raises(StiefelLogError) as info:
+                stiefel.stiefel_log(a, targets[slot])
+            assert isinstance(out[slot], StiefelLogError)
+            assert str(out[slot]) == str(info.value)
+            assert (out[slot].iterations, out[slot].residual) == (info.value.iterations, info.value.residual)
+        assert "logm: an eigenvalue lies within round-off of -1" in str(out[2])
+
+    def test_other_component_fails_in_its_slot(self):
+        rng = np.random.default_rng(3)
+        u = stiefel.random_point(rng, 5, 5)
+        y = stiefel.random_point(rng, 5, 5).u.copy()
+        if np.linalg.det(u.u.T @ y) > 0.0:
+            y[:, 0] *= -1.0
+        near = stiefel.stiefel_exp(stiefel.random_tangent(rng, u, 0.5))
+        out = stiefel.stiefel_log(u, [stiefel.StiefelPoint(y), near])
+        assert isinstance(out[0], StiefelLogError) and "two components" in str(out[0])
+        self._same(out[1], stiefel.stiefel_log(u, near))
+
+    def test_each_target_counts(self, rng, monkeypatch, kernel_calls):
+        # a stacked call counts one log per target, and one kernel log per matrix
+        u = stiefel.random_point(rng, 30, 4)
+        targets = [stiefel.stiefel_exp(stiefel.random_tangent(rng, u, s)) for s in (0.2, 0.9, 1.8)]
+        kernel_calls.clear()
+        stiefel.stiefel_log(u, targets)
+        assert kernel_calls == {"log": 3}
+        counts = spy_kernel_logs(monkeypatch)
+        stiefel.stiefel_log(u, targets)
+        for y in targets:
+            stiefel.stiefel_log(u, y)
+        assert len(counts) == 4 and counts[0] == sum(counts[1:])
+
+    def test_dist_of_pairs(self, rng):
+        a, b = far_pair()
+        u = stiefel.random_point(rng, 8, 6)
+        v = stiefel.stiefel_exp(stiefel.random_tangent(rng, u, scale=0.6))
+        out = stiefel.dist([u, v, a], [u, u, b])
+        assert out[0] == 0.0
+        assert abs(out[1] - stiefel.dist(v, u)) <= 1e-14
+        assert isinstance(out[2], StiefelLogError)
+
+
+class TestGuardValues:
+    """Literal inputs at each guard's value: a test that reads its guard back from the module cannot see the value change."""
+
+    @pytest.mark.parametrize("level, accepted", [(1e-6, False), (1e-10, True)])
+    def test_tangency_contract(self, rng, level, accepted):
+        # ||U'D + D'U||_F = level ||D||_F, at ||D||_F = 4
+        u = stiefel.random_point(rng, 12, 4)
+        d = _with_symmetric_part(rng, u, level / stiefel.TANGENT_TOL, 4.0)
+        assert (_refusal(lambda: stiefel.TangentVector(u, d)) == "") == accepted
+        frame = stiefel.tangent_frame(u, [d])
+        assert (_refusal(lambda: frame.combination((1.0,))) == "") == accepted
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_residual_rising_by_half_stops_the_log(self, monkeypatch, rng, stacked):
+        # the spy sets ||C||_F of the first target's second kernel log to 1.5
+        # times its first, a rise by less than 2x; in a stack the other target
+        # converges as alone
+        u = stiefel.random_point(rng, 20, 3)
+        targets = [stiefel.stiefel_exp(stiefel.random_tangent(rng, u, s)) for s in (0.5, 1.0)]
+        alone = stiefel.stiefel_log(u, targets[1])
+        logm, first = linalg.logm, []
+
+        def spy(v):
+            out = logm(v)
+            c = out.reshape(-1, 6, 6)[0, 3:, 3:]
+            if len(first) == 1:
+                c *= 1.5 * first[0] / np.linalg.norm(c)
+            first.append(np.linalg.norm(c))
+            return out
+
+        monkeypatch.setattr(linalg, "logm", spy)
+        stopped = r"iteration 1: \|\|C\|\|_F stopped falling"
+        if not stacked:
+            with pytest.raises(StiefelLogError, match=stopped):
+                stiefel.stiefel_log(u, targets[0])
+            return
+        out = stiefel.stiefel_log(u, targets)
+        assert isinstance(out[0], StiefelLogError) and re.search(stopped, str(out[0]))
+        assert np.linalg.norm(out[1].delta - alone.delta) <= 1e-13
+
+    def test_rotation_inside_the_pi_band_fails_the_log(self, rng):
+        # the angle pi - 4 (2r) eps is inside logm's band of 8 (2r) eps
+        u = stiefel.random_point(rng, 10, 4)
+        with pytest.raises(StiefelLogError, match="iteration 0: logm: an eigenvalue lies within round-off of -1"):
+            stiefel.stiefel_log(u, _near_pi_target(u))
+
+
 class TestDist:
     def test_self_distance_zero(self, rng):
         u = stiefel.random_point(rng, 10, 3)
@@ -485,9 +613,9 @@ class TestLogIteration:
         rng = np.random.default_rng(10)
         u = stiefel.random_point(rng, 40, 4)
         target = stiefel.stiefel_exp(stiefel.random_tangent(rng, u, scale=0.5))
-        dsyevd = stiefel.lapack.dsyevd
-        failing = types.SimpleNamespace(dsyevd=lambda *a, **kw: (*dsyevd(*a, **kw)[:2], 3))
-        monkeypatch.setattr(stiefel, "lapack", failing)  # the step's solver only, not logm's
+        dsyevd = linalg.lapack.dsyevd
+        # the step's solver reads the lower triangle, logm's the upper: only the step's fails
+        monkeypatch.setattr(linalg.lapack, "dsyevd", lambda h, lower: (*dsyevd(h, lower=lower)[:2], 3 * lower))
         with pytest.raises(StiefelLogError, match="iteration 0: step: dsyevd .*info = 3") as info:
             stiefel.stiefel_log(u, target)
         assert info.value.iterations == 0

@@ -9,12 +9,12 @@ fixed tangent frame of both vectors (any rank, no derivative of the frame's
 basis); the transport of a sampled velocity into another tangent space,
 which the arc fits take, solved exactly as the inverse of that differential
 by one Daleckii-Krein eigenbasis kernel with no log or exp; and the paper's
-central-difference transport, a private helper of the reconstruction check
-``validate_transport`` that the transport study sweeps over its step.  A
-velocity carries its base point p, and both transports take it with
-Log_q(p), whose base is q and from which the central difference's two logs
-start.  ``dexp_stiefel`` shares no mask with the exact solve, so a round
-trip through it checks the solve independently.
+central-difference transport, inside the reconstruction check
+``validate_transport`` that the transport study sweeps over its step, with
+the logs of all its offset points in one stacked ``stiefel_log`` call.  A
+velocity carries its base point p, and the exact transport takes it with
+Log_q(p), whose base is q.  ``dexp_stiefel`` shares no mask with the exact
+solve, so a round trip through it checks the solve independently.
 
 Each factorization derivative is the one place that decides whether its
 factorization can be differentiated, and raises DomainError where it cannot:
@@ -244,37 +244,25 @@ def transport_velocity(delta: stiefel.TangentVector, v_p: stiefel.TangentVector)
     return stiefel.TangentVector(q, vp @ phi_inv + u @ (g11 - c_u @ phi_inv) + basis @ (g[r:, :r] - c_q @ phi_inv))
 
 
-def _central_difference(
-    delta: stiefel.TangentVector, v_p: stiefel.TangentVector, h: float
-) -> stiefel.TangentVector:
-    """The paper's transport: a central difference of the normal-coordinate transition map.
+def _offset_logs(
+    q: stiefel.StiefelPoint, v_p: stiefel.TangentVector, steps
+) -> list[tuple[stiefel.TangentVector, stiefel.TangentVector]]:
+    """(Log_q(Exp_p(h v_p)), Log_q(Exp_p(-h v_p))) for each step h of ``steps``, p = v_p.base.
 
-    (Log_q(Exp_p(h v_p)) - Log_q(Exp_p(-h v_p))) / (2h) with q =
-    delta.base, second-order accurate in h; ``validate_transport`` sweeps
-    it over h.  Both logs are warm-started (``stiefel_log``'s ``start``):
-    the +h log from ``delta``, the -h log from its reflection
-    2 delta - Log_q(Exp_p(h v_p)), which is O(h^2) from its answer.  The
-    starts change how many steps the logs take, not what they return, so
-    the result depends on ``delta`` only through q.  A failed log raises
-    StiefelLogError naming its side, "+h" or "-h", with the failed log's
+    The 2k offset points come from one frame of v_p, and their logs from
+    one stacked ``stiefel_log`` call.  A failed log raises StiefelLogError
+    naming its side, "+h" or "-h", and its step h, with the failed log's
     ``iterations`` and ``residual``; the failed log's error is its cause.
     """
-    if not (np.isfinite(h) and h > 0.0):
-        raise PreconditionError(f"the step h must be positive and finite, got {h}")
-    q = delta.base
     frame = stiefel.split_tangent(v_p)
-    logs = []
-    for s, side in ((h, "+h"), (-h, "-h")):
-        start = delta if not logs else stiefel.TangentVector(q, 2.0 * delta.delta - logs[0].delta)
-        try:
-            logs.append(stiefel.stiefel_log(q, frame.exp((s,)), start=start))
-        except StiefelLogError as exc:
+    logs = stiefel.stiefel_log(q, [frame.exp((s,)) for h in steps for s in (h, -h)])
+    for i, log in enumerate(logs):
+        if isinstance(log, StiefelLogError):
+            side, h = ("+h", "-h")[i % 2], steps[i // 2]
             raise StiefelLogError(
-                f"logarithm failed at the {side} offset point: {exc}", exc.iterations, exc.residual
-            ) from exc
-    # The difference quotient amplifies the logs' tangency roundoff by 1/(2h);
-    # the exact transition-map derivative is tangent at q, so project it off.
-    return stiefel.project_tangent(q, (logs[0].delta - logs[1].delta) / (2.0 * h))
+                f"logarithm failed at the {side} offset point of step h = {h:g}: {log}", log.iterations, log.residual
+            ) from log
+    return list(zip(logs[::2], logs[1::2]))
 
 
 def validate_transport(
@@ -283,21 +271,30 @@ def validate_transport(
     """Relative reconstruction error of the central-difference transport at each step h of ``steps``.
 
     Transports v_p into T_q by the paper's central difference with step h,
-    pushes it back through the differential of the exponential at
-    Log_q(p), p = v_p.base, and compares with the original velocity in the
-    Frobenius norm.  Log_q(p) and the norm of v_p are computed once for all
-    steps; the central difference starts its logs from that Log_q(p).  A
-    zero velocity has no relative error, and a step h that is not positive
-    and finite has no transport; both raise PreconditionError.
+    (Log_q(Exp_p(h v_p)) - Log_q(Exp_p(-h v_p))) / (2h), second-order
+    accurate in h, pushes it back through the differential of the
+    exponential at Log_q(p), p = v_p.base, and compares with the original
+    velocity in the Frobenius norm.  The velocity and every step are
+    checked before any log is taken: a zero velocity has no relative
+    error, and a step h that is not positive and finite has no transport;
+    both raise PreconditionError.  Log_q(p) and the norm of v_p are then
+    computed once, and the logs of all the offset points in one stacked
+    call (``_offset_logs``).
     """
+    steps = list(steps)
     if not np.any(v_p.delta):
         raise PreconditionError(
             "the velocity v_p to transport is zero; its relative error is undefined"
         )
+    for h in steps:
+        if not (np.isfinite(h) and h > 0.0):
+            raise PreconditionError(f"the step h must be positive and finite, got {h}")
     delta_p = stiefel.stiefel_log(q, v_p.base)
     scale = np.linalg.norm(v_p.delta)
     errors = []
-    for h in steps:
-        v_rec = dexp_stiefel(delta_p, _central_difference(delta_p, v_p, h))
-        errors.append(float(np.linalg.norm(v_rec - v_p.delta) / scale))
+    for h, (plus, minus) in zip(steps, _offset_logs(q, v_p, steps)):
+        # The difference quotient amplifies the logs' tangency roundoff by 1/(2h);
+        # the exact transition-map derivative is tangent at q, so project it off.
+        v_q = stiefel.project_tangent(q, (plus.delta - minus.delta) / (2.0 * h))
+        errors.append(float(np.linalg.norm(dexp_stiefel(delta_p, v_q) - v_p.delta) / scale))
     return errors

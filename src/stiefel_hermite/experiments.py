@@ -698,7 +698,8 @@ def run_transport_accuracy(
     curve is V-shaped: the central difference improves like h^2 until
     roundoff in the log/exp evaluations takes over.  The sweep takes the
     log of the velocity, Log_q(p) once and a central difference (2 logs,
-    2 exps) per step, 14 logs in all.  ``use_snapshot_data`` names that one
+    2 exps) per step, 14 logs in all, in 3 calls: the 12 logs of the
+    central differences form one stack.  ``use_snapshot_data`` names that one
     instance and accepts only True; any other value raises
     PreconditionError.
     """

@@ -252,29 +252,26 @@ def svd_full(y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, vh.T
 
 
-def orth_complete(v, near) -> np.ndarray:
-    """The m x (m - r) completion W of an m x r orthonormal V nearest to ``near``, det [V, W] = +1.
+def orth_complete(v) -> np.ndarray:
+    """The m x (m - r) completion W of an m x r orthonormal V nearest to [0; I], det [V, W] = +1.
 
     W0, the trailing m - r columns of the complete Q of the LAPACK
     ``dgeqrf``/``dorgqr`` pair that ``qr_econ`` calls, spans the orthogonal
-    complement of V.  The orthogonal Procrustes fit of W0 to the m x (m - r)
-    matrix ``near`` (Zimmermann and Hueper, SIMAX 43(2), 2022) rotates it:
-    W = W0 Y X' from the SVD near'W0 = X S Y', so near'W = X S X' is
-    symmetric positive semidefinite.  If det [V, W] would be -1, X's last
-    column is negated first, which negates the smallest eigenvalue of
-    near'W; at m > r, [V, W] is in SO(m).  ``stiefel_log`` starts from
-    [V, W].
+    complement of V.  The orthogonal Procrustes fit of W0 to [0; I], the
+    last m - r columns of the identity (Zimmermann and Hueper, SIMAX 43(2),
+    2022), rotates it: W = W0 Y X' from the SVD of the last m - r rows of
+    W0, X S Y', so the last m - r rows of W, X S X', are symmetric positive
+    semidefinite.  If det [V, W] would be -1, X's last column is negated
+    first, which negates the smallest eigenvalue of those rows; at m > r,
+    [V, W] is in SO(m).  ``stiefel_log`` starts from [V, W].
     """
     v = _as_matrix(v, "v")
     m, r = v.shape
     if r > m:
         raise ShapeError(f"orth_complete needs m >= r, got {v.shape}")
-    near = _as_matrix(near, "near")
-    if near.shape != (m, m - r):
-        raise ShapeError(f"orth_complete needs near of shape {(m, m - r)}, got {near.shape}")
     _check_orthonormal(v, "orth_complete input is not orthonormal (||V'V - I|| = {:.3g})")
     w0 = _householder(v, "orth_complete", complete=True)[0][:, r:]
-    x, _, yt = np.linalg.svd(near.T @ w0)
+    x, _, yt = np.linalg.svd(w0[r:])
     if r < m and np.linalg.det(np.hstack([v, w0])) * np.linalg.det(x @ yt) < 0.0:
         x[:, -1] *= -1.0
     return w0 @ yt.T @ x.T

@@ -7,10 +7,10 @@ matrix-exponential curves, and the logarithm is computed by the iterative
 algorithm that repeatedly rotates an orthogonal 2r x 2r completion until its
 matrix logarithm has the tangent block structure.
 
-The logarithm starts from the completion nearest to the last r columns of
-expm of a start's geodesic generator, [0; I] for the zero (cold) start, and
-runs on one kernel, the log of an orthogonal matrix read off one symmetric
-eigendecomposition (``linalg.logm``, the inverse Rodrigues formula):
+The logarithm starts from the completion nearest to [0; I], the last r
+columns of the identity (the Procrustes start), and runs on one kernel,
+the log of an orthogonal matrix read off one symmetric eigendecomposition
+(``linalg.logm``, the inverse Rodrigues formula):
 each step polishes the completion onto O(2r) with one Newton-Schulz step,
 takes its log, and rotates by the clipped solution of a small Sylvester
 equation (Zimmermann and Hueper's first-order BCH correction of the plain
@@ -324,7 +324,7 @@ def _step(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return 0.5 * (x - x.mT)
 
 
-def _completion(base: StiefelPoint, target: StiefelPoint, start: TangentVector | None):
+def _completion(base: StiefelPoint, target: StiefelPoint):
     """The normal basis Q of ``target`` and the starting 2r x 2r completion V (see ``stiefel_log``)."""
     if base.u.shape != target.u.shape:
         raise ShapeError(f"base shape {base.u.shape} != target shape {target.u.shape}")
@@ -339,13 +339,7 @@ def _completion(base: StiefelPoint, target: StiefelPoint, start: TangentVector |
     qr = linalg.qr_econ(normal)
     q, nfac = qr.q, qr.r_factor
     top = np.vstack([overlap, nfac])
-    rest = linalg._identity(2 * r)[:, r:]
-    if start is not None:
-        if start.base is not base and not np.array_equal(start.base.u, base.u):
-            raise PreconditionError("start is not a tangent vector at base")
-        a_s = base.u.T @ start.delta
-        rest = linalg.expm(_generator(a_s, q.T @ (start.delta - base.u @ a_s)))[:, r:]
-    return q, np.hstack([top, linalg.orth_complete(top, rest)])
+    return q, np.hstack([top, linalg.orth_complete(top)])
 
 
 def _iterate(v: np.ndarray, r: int, k0: int = 0, history: list | None = None) -> list[tuple]:
@@ -414,18 +408,16 @@ def _readout(base: StiefelPoint, q: np.ndarray, log_v, k: int, residuals: list, 
 def stiefel_log(
     base: StiefelPoint | Sequence[StiefelPoint],
     target: StiefelPoint | Sequence[StiefelPoint],
-    start: TangentVector | None = None,
 ) -> TangentVector | list[TangentVector | StiefelLogError]:
     """Riemannian logarithm: the tangent vector xi with Exp_base(xi) = target.
 
     ``target`` may also be a sequence of targets of one shape, with ``base``
-    one point or a sequence of one base per target (and ``start``, if
-    given, a tangent vector at every base).  Then the iteration below runs
-    once for the whole stack (see the module docstring), and the call
-    returns a list: per target its log, or the ``StiefelLogError`` that its
-    own call would raise, with the same reason, iteration, residuals and
-    message.  A kernel that raises on the stack reruns that step on each
-    of its targets alone.
+    one point or a sequence of one base per target.  Then the iteration
+    below runs once for the whole stack (see the module docstring), and the
+    call returns a list: per target its log, or the ``StiefelLogError``
+    that its own call would raise, with the same reason, iteration,
+    residuals and message.  A kernel that raises on the stack reruns that
+    step on each of its targets alone.
 
     Zimmermann's iteration (SIMAX 38(2), 2017): build an orthogonal
     2r x 2r completion V of the overlap/normal coordinates of ``target``,
@@ -434,19 +426,10 @@ def stiefel_log(
     xi = U A + Q B.
 
     * Start: Zimmermann and Hueper (SIMAX 43(2), 2022), V = [top, W] with
-      W = ``linalg.orth_complete(top, rest)``, the completion of the first
-      r columns ``top`` nearest to r target columns ``rest`` (an orthogonal
-      Procrustes fit) with det V = +1, which the principal log needs.  The
-      cold start takes rest = [0; I], the last r columns of the identity.
-      A tangent vector ``start`` at ``base`` (warm start) takes the last r
-      columns of expm([[A_s, -M_s'], [M_s, 0]]) with s = U A_s + N_s and
-      M_s = Q'N_s over the target's normal basis Q; s = 0 is the cold
-      start.  The first residual then scales with the distance of
-      Exp(start) from the target, not with that of base: the transport
-      study's central difference starts its logs from logs that end O(h) and
-      O(h^2) from their targets, which take 5 and 3 kernel logs where a
-      cold start takes 6 (measured on the far velocities of the fit_far
-      arcs, 0.57 pi apart, at h = 1e-4).
+      W = ``linalg.orth_complete(top)``, the completion of the first r
+      columns ``top`` nearest to [0; I], the last r columns of the
+      identity (an orthogonal Procrustes fit), with det V = +1, which the
+      principal log needs.
     * Polish: before each log V is replaced by V (3I - V'V) / 2, one
       Newton-Schulz step towards the orthogonal polar factor.  A drift
       ||V'V - I||_F above ``linalg.ORTH_TOL`` before the polish ends the
@@ -505,7 +488,7 @@ def stiefel_log(
         ``residual`` the last ||C||_F (inf before the first).
     """
     if isinstance(target, StiefelPoint):
-        q, v = _completion(base, target, start)
+        q, v = _completion(base, target)
         xi = _readout(base, q, *_iterate(v, base.r)[0])
         if isinstance(xi, StiefelLogError):
             raise xi
@@ -516,7 +499,7 @@ def stiefel_log(
     out: list = []
     for b, y in zip(bases, target):
         try:
-            out.append(_completion(b, y, start))
+            out.append(_completion(b, y))
         except StiefelLogError as exc:
             out.append(exc)
     todo = [i for i, x in enumerate(out) if isinstance(x, tuple)]

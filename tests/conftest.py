@@ -1,11 +1,11 @@
 """Fixtures, builders and reference checks shared by the test modules.
 
 Each seeded builder and each reference (the power-series ``expm``, the
-knot residuals of a curve, the V-shape of a transport sweep) has its one
-copy here, and the modules import it.  The expensive instances are
-session fixtures, built once per run: the registry's paper runs
-(``paper_csv``), the St(1001, 6) snapshot family, the QR study's path and
-the random transport pair.
+knot residuals of a curve, the V-shape of a transport sweep, the rotated
+copies of a study's data) has its one copy here, and the modules import
+it.  The expensive instances are session fixtures, built once per run: the
+registry's paper runs (``paper_csv``), the St(1001, 6) snapshot family,
+the QR study's path and the random transport pair.
 
 BLAS runs on one thread unless the environment sets the thread count, as in
 ``scripts/run_error_studies.py``: the suite's many small products and
@@ -120,6 +120,24 @@ def assert_v_shape(errs):
     assert errs[best] <= 1e-8
     ratio = errs[0] / errs[1]  # h=1e-2 vs h=1e-3: about h^2
     assert 10 <= ratio <= 1000
+
+
+def rotated_copy(rng, arrays, reflections=4):
+    """The n-row ``arrays`` times one orthogonal Theta, a product of ``reflections`` Householder reflections.
+
+    Each reflection I - 2 w w' has a unit w drawn from ``rng`` and is applied
+    as x - 2 w (w'x), so no n x n matrix is formed.  The canonical metric is
+    invariant under U -> Theta U, so a study rerun on rotated copies of its
+    data gives the same numbers in exact arithmetic: their spread is the
+    round-off of each number.
+    """
+    ws = rng.standard_normal((reflections, arrays[0].shape[0]))
+    out = []
+    for x in arrays:
+        for w in ws / np.linalg.norm(ws, axis=1, keepdims=True):
+            x = x - 2.0 * np.outer(w, w @ x)
+        out.append(x)
+    return out
 
 
 def spy_kernel_logs(monkeypatch):

@@ -12,7 +12,7 @@ from stiefel_hermite import interpolate as interp
 from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import DomainError, PreconditionError, StiefelLogError
 
-from conftest import assert_v_shape, far_samples
+from conftest import assert_v_shape, far_samples, rotated_copy, spy_kernel_logs
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -651,6 +651,27 @@ class TestSnapshotExperiment:
         assert 0.5 * 0.1301 <= rep.max_rel["geodesic"] <= 2.0 * 0.1301
 
 
+def _transport_band(config, copies=12):
+    """(lo, hi) per step of ``TRANSPORT_STEPS``: the transport study's band, from ``copies`` seeded rotated copies.
+
+    Each copy rotates the study's instance, q, p and v_p, by one
+    ``rotated_copy``, and reruns ``validate_transport``.  A row whose
+    copies agree to 1e-3 relative keeps a 1e-3 relative bound around
+    their range; any other row is dominated by round-off, and its band is
+    [min / 2.5, 2.5 max] over the copies.
+    """
+    q, v_p = ex.snapshot_transport_instance(config)
+    rng = np.random.default_rng(0)
+    errs = []
+    for _ in range(copies):
+        qu, pu, d = rotated_copy(rng, [q.u, v_p.base.u, v_p.delta])
+        v = stiefel.TangentVector(stiefel.StiefelPoint(pu), d)
+        errs.append(calculus.validate_transport(stiefel.StiefelPoint(qu), v, ex.TRANSPORT_STEPS))
+    lo, hi = np.min(errs, axis=0), np.max(errs, axis=0)
+    agree = hi - lo <= 1e-3 * hi
+    return np.where(agree, (1.0 - 1e-3) * lo, lo / 2.5), np.where(agree, (1.0 + 1e-3) * hi, 2.5 * hi)
+
+
 @pytest.fixture(scope="module")
 def transport_sweep():
     """The transport study's sweep at St(1001, 6): U(0.9) -> U(1.4), the velocity pointing at U(1.9)."""
@@ -688,11 +709,24 @@ class TestTransportAccuracy:
             ex.snapshot_transport_instance(ex.ExperimentConfig(n=3, r=3))
         assert "[0.9, 1.4, 1.9]" in str(info.value)
 
-    def test_sweep_cost(self, kernel_calls):
+    def test_sweep_cost(self, monkeypatch, kernel_calls):
         # one log for the velocity, Log_q(p) once, and a central difference
-        # (2 logs, 2 exps) per step
+        # (2 logs, 2 exps) per step, whose 12 logs are one stacked call
+        calls = spy_kernel_logs(monkeypatch)
         ex.run_transport_accuracy(ex.ExperimentConfig(n=40, r=3))
         assert kernel_calls == {"log": 14, "exp": 12}
+        assert len(calls) == 3
+
+    def test_rows_lie_in_the_band_of_rotated_copies(self, transport_sweep):
+        # the committed CSV and a fresh sweep both lie inside the band that
+        # the code measures on rotated copies of the instance; the factor 2.5
+        # holds every round-off row (h <= 1e-4) this CSV has had since its
+        # first commit
+        lo, hi = _transport_band(ex.ExperimentConfig(n=1001, r=6, seed=0))
+        committed = np.loadtxt(RESULTS / "transport_accuracy_snapshot.csv", delimiter=",", skiprows=1)
+        assert list(committed[:, 0]) == list(ex.TRANSPORT_STEPS) == [h for h, _ in transport_sweep]
+        for errs in (committed[:, 1], np.array([e for _, e in transport_sweep])):
+            assert np.all((lo <= errs) & (errs <= hi)), (lo, errs, hi)
 
     def test_v_shape_and_quadratic_regime(self, transport_sweep):
         # the study's own sweep on its snapshot instance; the random St(200, 6)

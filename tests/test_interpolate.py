@@ -174,20 +174,6 @@ class TestArc:
             interp.fit_arc(s0, s1, centering=centering)
         assert len(counts) == len(arcs) and max(counts) <= 6
 
-    def test_minus_h_log_starts_from_the_reflection(self, monkeypatch):
-        # the paper's central difference carrying each arc's far velocity:
-        # 2 Log_q(p) - Log_q(p+) is O(h^2) from Log_q(p-), where Log_q(p) is
-        # O(h), so the -h log takes 3 kernel logs and the +h log 4
-        pairs = []
-        for s0, s1, centering in self._arcs():
-            near, far = (s1, s0) if centering == "q" else (s0, s1)
-            pairs.append((stiefel.stiefel_log(near.point, far.point), far.velocity))
-        counts = spy_kernel_logs(monkeypatch)
-        for delta, v in pairs:
-            calculus._central_difference(delta, v, 1e-4)
-        assert len(counts) == 2 * len(pairs)
-        assert all(minus < plus for plus, minus in zip(counts[::2], counts[1::2])), counts
-
     def test_far_samples_raise_arc_fit_error(self):
         a, b = far_pair()
         za = stiefel.TangentVector(a, np.zeros((8, 6)))

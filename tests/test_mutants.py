@@ -58,12 +58,21 @@ def test_rbf_weights_mutant(monkeypatch, qr_path):
         frames.test_rbf(qr_path)
 
 
+def _transport_sweep():
+    """The transport study's sweep at St(1001, 6), run under the mutant."""
+    return ex.run_transport_accuracy(ex.ExperimentConfig(n=1001, r=6, seed=0))
+
+
 def test_log_mutant(monkeypatch):
-    _mutate(monkeypatch, stiefel, "stiefel_log", lambda xi: 1.01 * xi)
+    # a stacked call's logs come back scaled too
+    _mutate(monkeypatch, stiefel, "stiefel_log",
+            lambda out: [1.01 * xi for xi in out] if isinstance(out, list) else 1.01 * out)
     with pytest.raises(AssertionError):
         sphere.test_log()
     with pytest.raises(AssertionError):
         test_stiefel.TestLog().test_round_trip(np.random.default_rng(42))
+    with pytest.raises(AssertionError):
+        test_experiments.TestTransportAccuracy().test_rows_lie_in_the_band_of_rotated_copies(_transport_sweep())
 
 
 def _log_with_sin_from_cos(x):
@@ -181,34 +190,33 @@ def test_exact_transport_mask_mutant(monkeypatch, orthogonal_pairs):
         test_oracles.TestOrthogonalGroupOracle().test_transport_inverts_expm_frechet(orthogonal_pairs)
 
 
-def _one_sided_transport(delta, v_p, h):
-    """(Log_q(Exp_p(h v_p)) - Log_q(p)) / h: first order in h, where the central difference is second."""
-    q = delta.base
-    plus = stiefel.stiefel_log(q, stiefel.split_tangent(v_p).exp((h,)), start=delta)
-    return stiefel.project_tangent(q, (plus.delta - delta.delta) / h)
+def _one_sided_offsets(kernel):
+    """``_offset_logs`` with each -h log replaced by 2 Log_q(p) - Log_q(Exp_p(h v_p)).
+
+    The central difference of the two then is (Log_q(Exp_p(h v_p)) - Log_q(p)) / h:
+    first order in h, where the central difference is second.
+    """
+    def mutant(q, v_p, steps):
+        delta = stiefel.stiefel_log(q, v_p.base)
+        return [(plus, 2.0 * delta - plus) for plus, _ in kernel(q, v_p, steps)]
+
+    return mutant
 
 
 def test_one_sided_transport_mutant(monkeypatch, transport_pair):
-    monkeypatch.setattr(calculus, "_central_difference", _one_sided_transport)
+    monkeypatch.setattr(calculus, "_offset_logs", _one_sided_offsets(calculus._offset_logs))
     with pytest.raises(AssertionError):
         test_calculus.TestValidateTransport().test_tuned_step(transport_pair)
     with pytest.raises(AssertionError):
         test_acceptance.test_criterion_1_transport_accuracy(transport_pair)
 
 
-def _transport_without_reflection(delta, v_p, h):
-    """The central difference with its -h log started from Log_q(p), not 2 Log_q(p) - Log_q(p+)."""
-    q = delta.base
-    frame = stiefel.split_tangent(v_p)
-    plus, minus = (stiefel.stiefel_log(q, frame.exp((s,)), start=delta) for s in (h, -h))
-    return stiefel.project_tangent(q, (plus.delta - minus.delta) / (2.0 * h))
-
-
-def test_transport_reflection_start_mutant(monkeypatch):
-    # the same central difference to round-off, at more kernel logs
-    monkeypatch.setattr(calculus, "_central_difference", _transport_without_reflection)
+def test_transport_step_mutant(monkeypatch):
+    # the offset points at +-1.1 h, the difference quotient still over 2 h
+    kernel = calculus._offset_logs
+    monkeypatch.setattr(calculus, "_offset_logs", lambda q, v_p, steps: kernel(q, v_p, [1.1 * h for h in steps]))
     with pytest.raises(AssertionError):
-        test_interpolate.TestArc().test_minus_h_log_starts_from_the_reflection(monkeypatch)
+        test_experiments.TestTransportAccuracy().test_rows_lie_in_the_band_of_rotated_copies(_transport_sweep())
 
 
 def test_qr_lift_sign_mutant(monkeypatch):

@@ -205,11 +205,6 @@ class TestExp:
         assert errs[1] < 0.2 * errs[0]  # decays with h
 
 
-def _starts(rng, xi):
-    """Starts for Log_base(Exp(xi)) at xi's base: zero, reversed, random, half and overshooting."""
-    return 0.0 * xi, -1.0 * xi, stiefel.random_tangent(rng, xi.base, 1.5), 0.5 * xi, 1.5 * xi
-
-
 class TestLog:
     def test_same_point_gives_zero(self, rng):
         u = stiefel.random_point(rng, 12, 4)
@@ -285,54 +280,6 @@ class TestLog:
             past_bound += stiefel.norm(xi) >= stiefel.LOG_NORM_MAX
         assert past_bound > 0
         assert err <= 1e-14  # measured 2.8e-15
-
-    @pytest.mark.parametrize(
-        "n, r, fraction", [(40, 3, 0.57), (60, 6, 0.85), (5, 5, 0.5), (40, 3, 0.2)]
-    )
-    def test_any_start_gives_the_cold_log(self, n, r, fraction):
-        # the zero start's geodesic ends at base, whose completion columns are
-        # the cold start's [0; I], so it gives the cold log bit for bit
-        rng = np.random.default_rng(11)
-        u = stiefel.random_point(rng, n, r)
-        xi = stiefel.random_tangent(rng, u, fraction * np.pi)
-        target = stiefel.stiefel_exp(xi)
-        cold = stiefel.stiefel_log(u, target)
-        zero, *starts = _starts(rng, xi)
-        assert np.array_equal(stiefel.stiefel_log(u, target, start=zero).delta, cold.delta)
-        for start in starts:
-            warm = stiefel.stiefel_log(u, target, start=start)
-            assert np.linalg.norm(warm.delta - cold.delta) <= 1e-13
-
-    @pytest.mark.parametrize("kind", ["rank_one", "dominant"])
-    def test_any_start_gives_the_cold_log_on_structured_targets(self, monkeypatch, kind):
-        # the targets of test_structured_targets_converge at 0.85 pi; the cold
-        # start is nearly exact on a rank-one normal part (1-2 kernel logs),
-        # where a start from afar takes up to 21
-        calls = TestLogIteration._spy(monkeypatch)
-
-        def log(start=None):
-            calls.clear()
-            out = stiefel.stiefel_log(xi.base, target, start=start)
-            return out, sum(1 for c in calls if c[0] == "logm")
-
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            if kind == "rank_one":
-                xi = rank_one_tangent(rng, 60, 6)
-            else:
-                xi = TestLogIteration._dominant_direction(rng, stiefel.random_point(rng, 60, 6))
-            xi = (0.85 * np.pi / stiefel.norm(xi)) * xi
-            target = stiefel.stiefel_exp(xi)
-            cold, cold_logs = log()
-            for start in _starts(rng, xi):
-                warm, warm_logs = log(start)
-                assert np.linalg.norm(warm.delta - cold.delta) <= 1e-12
-                assert warm_logs <= cold_logs + 20
-
-    def test_start_at_another_base_rejected(self, rng):
-        u, w = stiefel.random_point(rng, 10, 3), stiefel.random_point(rng, 10, 3)
-        with pytest.raises(PreconditionError, match="start"):
-            stiefel.stiefel_log(u, w, start=stiefel.random_tangent(rng, w))
 
     def test_counter_increments(self, rng, kernel_calls):
         u = stiefel.random_point(rng, 10, 3)

@@ -16,11 +16,16 @@ Two kinds of sampled factor path drive the studies:
   the same family at its own three parameters.
 
 Both random families factor their cubic Y(t) once, as a ``_CubicPath``: the
-QR of Y(t) and the SVD of Y(t) Z are lifted from those of its min(n, 4r)-row
-coordinates in one orthonormal basis of its coefficients, so no scan point,
-sample or reference factors an n-row matrix.  The SVD study measures its
-reconstructions against those coordinates too: no grid point forms an
-n x m matrix.  Every study SVD is a ``linalg.svd_full`` call.
+QR of Y(t) and the SVD of Y(t) Z are lifted from those of its k-row
+coordinates, k = min(n, 4r), in one orthonormal basis Q4 of its
+coefficients, so no scan point, sample or reference factors an n-row
+matrix.  After the draw, the QR, SVD and tangent-vs-manifold studies sample,
+fit, evaluate and score on the coordinates themselves, with no lift:
+U -> Q4 U embeds St(k, r) in St(n, r) isometrically and totally
+geodesically (a geodesic U E11 + Q E21 stays in span(Q4) when U and its
+velocity do), so Exp, Log, the exact transport and the RBF combination
+commute with it, and the studies' numbers are the n-row ones in exact
+arithmetic.  Every study SVD is a ``linalg.svd_full`` call.
 
 ``COMMANDS`` is the one study registry.  It maps each CLI subcommand to the
 config fields its study reads, which are its flags, to the function that
@@ -41,6 +46,7 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,6 +196,12 @@ def _cubic(coeffs, t: float) -> np.ndarray:
     return c0 + t * c1 + t * t * c2 + t**3 * c3
 
 
+def _cubic_dot(coeffs, t: float) -> np.ndarray:
+    """C1 + 2 t C2 + 3 t^2 C3, the derivative of ``_cubic``."""
+    _, c1, c2, c3 = coeffs
+    return c1 + 2.0 * t * c2 + 3.0 * t * t * c3
+
+
 class _CubicPath:
     """Y(t) = Y0 + t Y1 + t^2 Y2 + t^3 Y3 (n x r), factored once.
 
@@ -200,7 +212,8 @@ class _CubicPath:
     k x r C(t), and the SVD of Y(t) Z for any r x m Z is Q4 u, sigma, v with
     u, sigma, v the SVD of the k x m C(t) Z: in exact arithmetic the same R,
     sign convention, singular values and right factor.  A factorization then
-    costs one k-row factorization and an n-row lift.
+    costs one k-row factorization and an n-row lift, and the studies, which
+    run on the coordinates, skip the lift.
     """
 
     def __init__(self, coeffs):
@@ -213,12 +226,15 @@ class _CubicPath:
         return _cubic(self.coeffs, t)
 
     def y_dot(self, t: float) -> np.ndarray:
-        _, y1, y2, y3 = self.coeffs
-        return y1 + 2.0 * t * y2 + 3.0 * t * t * y3
+        return _cubic_dot(self.coeffs, t)
 
     def coordinates(self, t: float) -> np.ndarray:
         """C(t) = Q4'Y(t), the k x r coordinates of Y(t) in the path's basis."""
         return _cubic(self.coords, t)
+
+    def coordinates_dot(self, t: float) -> np.ndarray:
+        """Cdot(t) = Q4'Ydot(t)."""
+        return _cubic_dot(self.coords, t)
 
 
 @dataclass
@@ -227,16 +243,20 @@ class QRExperimentData:
 
     A scan point costs one min(n, 4r) x r QR of the path's coordinates (see
     ``_CubicPath``); a reference adds the n-row lift Q = Q4 q, and a sample
-    also ``diff_qr`` of the n x r Ydot(t).
+    also ``diff_qr`` of the n x r Ydot(t).  ``lifted`` is False for the
+    data of ``coordinates``, whose factors are those of C(t) on St(k, r).
     """
 
     path: _CubicPath
     nodes: np.ndarray
     samples: list[interpolate.HermiteSample]
+    lifted: bool = True
 
     def factor(self, t: float) -> linalg.EconQR:
         """QR of Y(t): the QR of its coordinates, with Q lifted to n rows."""
         qr = linalg.qr_econ(self.path.coordinates(t))
+        if not self.lifted:
+            return qr
         return linalg.EconQR(self.path.basis @ qr.q, qr.r_factor, qr.rank_deficient)
 
     def reference(self, t: float) -> stiefel.StiefelPoint:
@@ -246,8 +266,19 @@ class QRExperimentData:
         """The Q-factor at t with its velocity."""
         qr = self.factor(t)
         point = stiefel.StiefelPoint(qr.q)
-        q_dot = diff_qr(self.path.y_dot(t), qr)
-        return interpolate.HermiteSample(float(t), stiefel.TangentVector(point, q_dot))
+        y_dot = self.path.y_dot(t) if self.lifted else self.path.coordinates_dot(t)
+        return interpolate.HermiteSample(float(t), stiefel.TangentVector(point, diff_qr(y_dot, qr)))
+
+    def coordinates(self) -> QRExperimentData:
+        """The same path's Q-factor on the k x r C(t), sampled at the same nodes with no lift.
+
+        Y(t) = Q4 C(t) and U -> Q4 U embeds St(k, r) in St(n, r)
+        isometrically and totally geodesically, so the samples and
+        references are Q4' times this data's in exact arithmetic.
+        """
+        data = QRExperimentData(self.path, self.nodes, [], lifted=False)
+        data.samples.extend(data.sample(t) for t in self.nodes)
+        return data
 
 
 def _seeded_draw(config: ExperimentConfig, draw, warning: str, failure: str):
@@ -338,15 +369,14 @@ def _method_curves(
     return curves
 
 
-def _relative_errors(grid, curves, reference, distance, failures: dict[str, str]):
-    """Each method's relative errors distance(curves[m](t), ref) / ||ref||_F, ref = reference(t).
+def _relative_errors(grid, curves, reference, failures: dict[str, str]):
+    """Each method's relative errors ||curves[m](t) - ref||_F / ||ref||_F, ref = reference(t).
 
-    Returns the error column of each method; ``distance`` gives the
-    Frobenius distance of a curve's value from the matrix ``ref``.  A method
-    whose curve raises PreconditionError at a grid point, as the RBF
-    baseline's round-off does on many nodes, gets no column; its first
-    failure is recorded in ``failures`` with that t, as ``_method_curves``
-    records fit failures.
+    Returns the error column of each method; a curve's value and ``ref`` are
+    matrices of one shape.  A method whose curve raises PreconditionError
+    at a grid point, as the RBF baseline's round-off does on many nodes,
+    gets no column; its first failure is recorded in ``failures`` with that
+    t, as ``_method_curves`` records fit failures.
     """
     errors = {m: [] for m in curves}
     for t in grid:
@@ -354,7 +384,7 @@ def _relative_errors(grid, curves, reference, distance, failures: dict[str, str]
         scale = np.linalg.norm(ref)
         for method in list(errors):
             try:
-                errors[method].append(distance(curves[method](t), ref) / scale)
+                errors[method].append(np.linalg.norm(curves[method](t) - ref) / scale)
             except PreconditionError as exc:
                 failures.setdefault(method, f"evaluation failed at t={float(t)!r}: {exc}")
                 del errors[method]
@@ -367,20 +397,38 @@ def _factor_study(config: ExperimentConfig, samples, nodes, reference) -> ErrorR
     failures: dict[str, str] = {}
     fitted = _method_curves(config, samples, failures)
     curves = {m: (lambda t, c=c: c(t).u) for m, c in fitted.items()}
-    errors = _relative_errors(grid, curves, lambda t: reference(t).u,
-                              lambda u, ref: np.linalg.norm(u - ref), failures)
+    errors = _relative_errors(grid, curves, lambda t: reference(t).u, failures)
     return ErrorReport(grid, errors, failures=failures)
 
 
 def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
-    """Interpolate the Q-factor path and report relative Frobenius errors."""
-    data = gen_qr_experiment(config)
+    """Interpolate the Q-factor path and report relative Frobenius errors.
+
+    The study runs on the path's k x r coordinates, k = min(n, 4r)
+    (``QRExperimentData.coordinates``): the fits, evaluations and errors
+    are those of the n-row Q-factors in exact arithmetic, at k-row cost.
+    """
+    data = gen_qr_experiment(config).coordinates()
     return _factor_study(config, data.samples, data.nodes, data.reference)
 
 
 # --------------------------------------------------------------------------
 # Sampled SVD-factor paths: the low-rank SVD and snapshot studies
 # --------------------------------------------------------------------------
+
+
+class LowRankCoordinates(NamedTuple):
+    """The factored form W(t) = Q4 X(t) of a low-rank path (see ``_CubicPath``).
+
+    ``basis`` is Q4, n x k with k = min(n, 4r); ``x`` and ``x_dot`` give the
+    k x m X(t) = C(t) Z(t) and its derivative, and ``svd`` the rank-r factors
+    (u, sigma, v) of X(t), whose left factor lifted by Q4 is that of W(t).
+    """
+
+    basis: np.ndarray
+    x: Callable[[float], np.ndarray]
+    x_dot: Callable[[float], np.ndarray]
+    svd: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -393,10 +441,10 @@ class SVDExperimentData:
     samples and the references call it and no other SVD; ``w`` and
     ``w_dot`` give W(t) and its derivative as n x m matrices.  Row i of
     ``sigma_values`` and ``sigma_slopes`` holds the r leading singular
-    values and their derivatives at node i of the k nodes.  ``factored`` is
-    the low-rank family's factored form (Q4, X) with W(t) = Q4 X(t), Q4 the
-    n x min(n, 4r) basis of its ``_CubicPath`` and X(t) = C(t) Z(t); it is
-    None for the snapshot family.  Every sampled and reference factor is
+    values and their derivatives at node i.  ``factored`` is
+    the low-rank family's ``LowRankCoordinates``, from which ``coordinates``
+    samples the same family on X(t); it is None for the snapshot family and
+    for the coordinate family itself.  Every sampled and reference factor is
     sign-normalized against the left factor at the first node,
     ``samples_u[0].point``, so that the sampled factor paths are
     differentiable.
@@ -408,13 +456,27 @@ class SVDExperimentData:
     nodes: np.ndarray
     samples_u: list[interpolate.HermiteSample]
     samples_v: list[interpolate.HermiteSample]
-    sigma_values: np.ndarray  # (k, r)
-    sigma_slopes: np.ndarray  # (k, r)
-    factored: tuple[np.ndarray, Callable[[float], np.ndarray]] | None = None
+    sigma_values: np.ndarray  # (nodes, r)
+    sigma_slopes: np.ndarray  # (nodes, r)
+    factored: LowRankCoordinates | None = None
 
     def reference_u(self, t: float) -> stiefel.StiefelPoint:
         u, _, v = self.svd(t)
         return stiefel.StiefelPoint(svd_sign_normalize(u, v, self.samples_u[0].point.u)[0])
+
+    def coordinates(self) -> SVDExperimentData:
+        """The low-rank family on the k x m X(t), sampled at the same nodes with no lift.
+
+        W(t) = Q4 X(t) and U -> Q4 U embeds St(k, r) in St(n, r)
+        isometrically and totally geodesically, so the U samples and
+        references are Q4' times this data's in exact arithmetic, and the
+        V samples, singular values and the studies' errors are the same.
+        ``diff_svd_truncated`` decides on the singular values alone, which
+        come from the same SVDs, so it refuses no node here that this data
+        was sampled at.
+        """
+        f = self.factored
+        return _sample_svd_path(f.x, f.x_dot, f.svd, self.nodes)
 
 
 def _sample_svd_path(w, w_dot, svd, nodes: np.ndarray, factored=None):
@@ -461,9 +523,9 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
 
     Y is factored once (see ``_CubicPath``): the path's ``svd(t)``, which
     every sample and reference calls, is the ``svd_full`` of the
-    min(n, 4r) x m coordinates C(t) Z(t), cut to its leading r left and
-    right vectors, the left ones lifted to n rows; a direct SVD of W(t) is
-    n x m.
+    min(n, 4r) x m coordinates X(t) = C(t) Z(t), cut to its leading r left
+    and right vectors, the left ones lifted to n rows; a direct SVD of W(t)
+    is n x m.  The studies run on ``coordinates()``, which skips the lift.
     """
     r = config.r
     if not r <= config.m <= config.n:
@@ -490,11 +552,19 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
         def x(t):
             return path.coordinates(t) @ z(t)
 
-        def svd(t):
-            u, sigma, v = linalg.svd_full(x(t))
-            return path.basis @ u[:, :r], sigma, v[:, :r]
+        def x_dot(t):
+            return path.coordinates_dot(t) @ z(t) + path.coordinates(t) @ (z1 + 2.0 * t * z2)
 
-        data = _sample_svd_path(w, w_dot, svd, nodes, factored=(path.basis, x))
+        def svd_x(t):
+            u, sigma, v = linalg.svd_full(x(t))
+            return u[:, :r], sigma, v[:, :r]
+
+        def svd(t):
+            u, sigma, v = svd_x(t)
+            return path.basis @ u, sigma, v
+
+        factored = LowRankCoordinates(path.basis, x, x_dot, svd_x)
+        data = _sample_svd_path(w, w_dot, svd, nodes, factored=factored)
         if data is not None and any(
             a.point.n == r and np.linalg.det(a.point.u.T @ b.point.u) < 0.0
             for samples in (data.samples_u, data.samples_v)
@@ -509,6 +579,18 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
     )
 
 
+def _interpolated_sigma(data: SVDExperimentData, method: str, t: float) -> np.ndarray:
+    """The r singular values at t: cubic Hermite in the samples' values and slopes, or linear."""
+    i = interpolate._segment_index(data.nodes, t)
+    t0, t1 = data.nodes[i], data.nodes[i + 1]
+    v0, v1 = data.sigma_values[i], data.sigma_values[i + 1]
+    if method == "hermite":
+        slopes = data.sigma_slopes
+        return interpolate.euclid_hermite(v0, v1, slopes[i], slopes[i + 1], t, t0, t1)
+    s = (t - t0) / (t1 - t0)
+    return (1.0 - s) * v0 + s * v1
+
+
 def run_svd_interp(config: ExperimentConfig) -> ErrorReport:
     """Interpolate the truncated SVD factors and report reconstruction errors.
 
@@ -517,56 +599,27 @@ def run_svd_interp(config: ExperimentConfig) -> ErrorReport:
     and V, linear interpolation for the singular values.  The RBF method is
     not part of this study.
 
-    The error ||U S V' - W(t)||_F / ||W(t)||_F of a reconstruction is taken
-    in the path's factored form W(t) = Q4 X(t) (``SVDExperimentData.factored``):
-    ||W(t)||_F = ||X(t)||_F, and ``_lowrank_distance`` splits the distance
-    into its part in span(Q4), a min(n, 4r) x m matrix, and the part of U
-    outside it, an r x r one.  A grid point costs two n x min(n, 4r) x r
-    products per method and no n x m matrix.
+    The study runs on the path's k x m coordinates X(t), W(t) = Q4 X(t)
+    (``SVDExperimentData.coordinates``): U is fitted on St(k, r), and the
+    error of a reconstruction is ||u diag(sigma) V' - X(t)||_F / ||X(t)||_F,
+    which is ||Q4 u diag(sigma) V' - W(t)||_F / ||W(t)||_F since Q4 has
+    orthonormal columns and the fits commute with the lift (see
+    ``coordinates``).  No grid point forms an n-row matrix.
     """
     if "rbf" in config.methods:
         raise PreconditionError("the rbf method is not available for svd-interp")
-    data = gen_lowrank_svd_experiment(config)
+    data = gen_lowrank_svd_experiment(config).coordinates()
     grid = _uniform_grid(data.nodes, config.grid_points)
     failures: dict[str, str] = {}
     curves_u = _method_curves(config, data.samples_u, failures)
     curves_v = _method_curves(config, data.samples_v, failures)
 
-    def sigma(method, t):
-        i = interpolate._segment_index(data.nodes, t)
-        t0, t1 = data.nodes[i], data.nodes[i + 1]
-        v0, v1 = data.sigma_values[i], data.sigma_values[i + 1]
-        if method == "hermite":
-            slopes = data.sigma_slopes
-            return interpolate.euclid_hermite(v0, v1, slopes[i], slopes[i + 1], t, t0, t1)
-        s = (t - t0) / (t1 - t0)
-        return (1.0 - s) * v0 + s * v1
-
     def reconstruction(method, cu, cv):
-        return lambda t: (cu(t).u, sigma(method, t), cv(t).u)
+        return lambda t: (cu(t).u * _interpolated_sigma(data, method, t)) @ cv(t).u.T
 
-    basis, x = data.factored
     curves = {m: reconstruction(m, cu, curves_v[m]) for m, cu in curves_u.items() if m in curves_v}
-    errors = _relative_errors(grid, curves, x, lambda usv, ref: _lowrank_distance(basis, usv, ref),
-                              failures)
+    errors = _relative_errors(grid, curves, data.w, failures)
     return ErrorReport(grid, errors, failures=failures)
-
-
-def _lowrank_distance(basis, usv, x) -> float:
-    """||U diag(s) V' - Q4 X||_F for usv = (U, s, V), Q4 = ``basis``, without an n x m matrix.
-
-    With P = Q4'U and R = U - Q4 P, the columns of R are orthogonal to those
-    of Q4, so the square splits into ||P diag(s) V' - X||_F^2, a
-    min(n, 4r) x m sum, and ||R diag(s) V'||_F^2 =
-    sum_ij (diag(s) R'R diag(s))_ij (V'V)_ij, an r x r one.  The second part
-    is what a U leaving span(Q4) adds; without it, such a U would be scored
-    as its projection onto span(Q4).
-    """
-    u, s, v = usv
-    p = basis.T @ u
-    off_span = u - basis @ p
-    in_span = np.linalg.norm((p * s) @ v.T - x)
-    return math.sqrt(in_span**2 + np.sum((off_span.T @ off_span) * np.outer(s, s) * (v.T @ v)))
 
 
 def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
@@ -580,8 +633,11 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
     from the arc centres are one stacked ``stiefel_log`` call and the
     distances one stacked ``stiefel.dist`` call; a grid point whose log or
     distance fails is skipped and listed in the ``reference_scan`` failure.
+    The study runs on St(k, r), k = min(n, 4r), in the path's coordinates
+    (``SVDExperimentData.coordinates``), whose logs, distances and norms are
+    those of the n-row factors in exact arithmetic.
     """
-    data = gen_lowrank_svd_experiment(config)
+    data = gen_lowrank_svd_experiment(config).coordinates()
     curve = interpolate.fit_composite(data.samples_u, centering=config.centering)
     grid = _uniform_grid(data.nodes, config.grid_points)
     refs = [data.reference_u(t) for t in grid]

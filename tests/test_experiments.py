@@ -341,18 +341,12 @@ class TestSVDExperiment:
             for a, b in zip(samples, samples[1:]):
                 assert a.point.n > r or np.linalg.det(a.point.u.T @ b.point.u) > 0.0
 
-    @pytest.mark.parametrize("n, r, m, off_span", [
-        (80, 5, 30, False), (40, 3, 10, False), (10, 3, 8, False), (80, 5, 30, True),
-    ], ids=["4r-below-m", "4r-above-m", "n-below-4r", "off-span"])
-    def test_factored_error_matches_direct_error(self, monkeypatch, n, r, m, off_span):
-        # the reported errors, from the min(n, 4r)-row coordinates, against
-        # those of the n x m W(t) = data.w(t) and the same fitted curves;
-        # measured at most 1.8e-15 absolute at the paper's scale.  Off span,
-        # every curve point has its first ambient row nudged out of span(Q4).
-        if off_span:
-            exp = stiefel.TangentFrame.exp
-            monkeypatch.setattr(stiefel.TangentFrame, "exp",
-                                lambda frame, coeffs: _nudged_first_row(exp(frame, coeffs)))
+    @pytest.mark.parametrize("n, r, m", [(80, 5, 30), (40, 3, 10), (10, 3, 8)],
+                             ids=["4r-below-m", "4r-above-m", "n-below-4r"])
+    def test_factored_error_matches_direct_error(self, monkeypatch, n, r, m):
+        # the reported errors, from the min(n, 4r)-row reconstructions X~(t),
+        # against those of the lifted Q4 X~(t) and the n x m W(t) = data.w(t);
+        # measured at most 1.8e-15 absolute at the paper's scale
         seen = {}
         gen, relative_errors = ex.gen_lowrank_svd_experiment, ex._relative_errors
 
@@ -367,28 +361,24 @@ class TestSVDExperiment:
                                   methods=("hermite", "geodesic"))
         report = ex.run_svd_interp(cfg)
         assert set(report.errors) == {"hermite", "geodesic"}
-        basis = seen["data"].factored[0]
-        outside = 0.0
+        basis = seen["data"].factored.basis
         for method, curve in seen["curves"].items():
             for t, err in zip(seen["grid"], report.errors[method], strict=True):
-                u, s, v = curve(t)
                 w = seen["data"].w(t)
-                direct = np.linalg.norm((u * s) @ v.T - w) / np.linalg.norm(w)
+                direct = np.linalg.norm(basis @ curve(t) - w) / np.linalg.norm(w)
                 assert abs(err - direct) <= max(1e-9 * direct, 1e-14), (method, t, err, direct)
-                outside = max(outside, np.linalg.norm(u - basis @ (basis.T @ u)))
-        assert (outside > 1e-10) == off_span, outside
 
     def test_no_w_per_grid_point(self, monkeypatch, caplog):
-        # St(100, 6), m = 30: the errors come from the 24-row coordinates,
-        # so the study never forms the 100 x 30 W(t)
+        # St(100, 6), m = 30: the errors come from the 24-row coordinates
+        # X(t), so the study never forms the 100 x 30 W(t)
         cfg = ex.ExperimentConfig(n=100, r=6, m=30, interval=(0.0, 0.5), num_nodes=4, seed=0,
                                   methods=("hermite", "geodesic"))
-        calls = []
+        rows = []
         sample = ex._sample_svd_path
 
         def spy(w, *args, **kwargs):
             def w_spy(t):
-                calls.append(t)
+                rows.append(w(t).shape[0])
                 return w(t)
 
             return sample(w_spy, *args, **kwargs)
@@ -397,9 +387,10 @@ class TestSVDExperiment:
         report = ex.run_svd_interp(cfg)
         assert "regenerating" not in caplog.text  # one drawn path
         assert set(report.errors) == {"hermite", "geodesic"}
-        assert calls == []
+        assert set(rows) == {24} and len(rows) == cfg.grid_points
+        rows.clear()
         ex.gen_lowrank_svd_experiment(cfg).w(0.25)  # the spy sees the family's w
-        assert calls == [0.25]
+        assert rows == [100]
 
     def test_sign_normalized_path_continuous(self, svd_data):
         _, d = svd_data
@@ -525,15 +516,14 @@ def _record_kernel_logs(monkeypatch):
     return calls
 
 
-def _scalar_tangent_vs_manifold(config, calls):
-    """The tangent-vs-manifold study as a loop of single logs per grid point, the oracle of its stacked logs.
+def _scalar_tangent_vs_manifold(config, data, calls):
+    """The tangent-vs-manifold study on ``data`` as a loop of single logs per grid point, the oracle of its stacked logs.
 
     Returns (kept grid, relative, tangent and manifold errors, skipped grid)
     and the indices into the ``_record_kernel_logs`` list ``calls`` of the
     logs from the arc centre and of the distance logs, in grid order.  The
     distance of identical points is 0 without a log, as ``stiefel.dist``.
     """
-    data = ex.gen_lowrank_svd_experiment(config)
     curve = interp.fit_composite(data.samples_u, centering=config.centering)
     kept, rel, tangent, manifold, skipped, centre_logs, dist_logs = [], [], [], [], [], [], []
     for t in ex._uniform_grid(data.nodes, config.grid_points):
@@ -574,7 +564,8 @@ def test_stacked_logs_match_the_scalar_oracle(monkeypatch, n, r, m, seed, failin
     paper = ex.COMMANDS["tangent-vs-manifold"].studies["tangent_vs_manifold"]
     config = dataclasses.replace(paper, n=n, r=r, m=m, seed=seed)
     calls = _record_kernel_logs(monkeypatch)
-    (kept, *errors, skipped), (centre_logs, dist_logs) = _scalar_tangent_vs_manifold(config, calls)
+    data = ex.gen_lowrank_svd_experiment(config).coordinates()
+    (kept, *errors, skipped), (centre_logs, dist_logs) = _scalar_tangent_vs_manifold(config, data, calls)
     singles = calls[:]
     calls.clear()
     rep = ex.run_tangent_vs_manifold(config)
@@ -591,6 +582,116 @@ def test_stacked_logs_match_the_scalar_oracle(monkeypatch, n, r, m, seed, failin
         above = np.abs(want) > 1e-13
         assert np.all(np.abs(got - want)[above] <= 1e-12 * np.abs(want)[above])
         assert np.all(np.abs(got - want)[~above] <= 1e-13)
+
+
+def _lowrank_distance(basis, usv, x) -> float:
+    """||U diag(s) V' - Q4 X||_F for usv = (U, s, V), Q4 = ``basis``, without an n x m matrix.
+
+    With P = Q4'U and R = U - Q4 P, the columns of R are orthogonal to those
+    of Q4, so the square splits into ||P diag(s) V' - X||_F^2, a
+    min(n, 4r) x m sum, and ||R diag(s) V'||_F^2 =
+    sum_ij (diag(s) R'R diag(s))_ij (V'V)_ij, an r x r one.
+    """
+    u, s, v = usv
+    p = basis.T @ u
+    off_span = u - basis @ p
+    in_span = np.linalg.norm((p * s) @ v.T - x)
+    return np.sqrt(in_span**2 + np.sum((off_span.T @ off_span) * np.outer(s, s) * (v.T @ v)))
+
+
+def _n_row_svd_interp(config):
+    """The SVD study on the generator's n-row samples, scored by ``_lowrank_distance`` against Q4 X(t)."""
+    data = ex.gen_lowrank_svd_experiment(config)
+    grid = ex._uniform_grid(data.nodes, config.grid_points)
+    failures: dict[str, str] = {}
+    curves_u = ex._method_curves(config, data.samples_u, failures)
+    curves_v = ex._method_curves(config, data.samples_v, failures)
+    basis, x = data.factored.basis, data.factored.x
+    errors = {}
+    for m in [m for m in curves_u if m in curves_v]:
+        try:
+            errors[m] = [_lowrank_distance(basis, (curves_u[m](t).u, ex._interpolated_sigma(data, m, t),
+                                                   curves_v[m](t).u), x(t)) / np.linalg.norm(x(t))
+                         for t in grid]
+        except PreconditionError as exc:
+            failures.setdefault(m, str(exc))
+    return ex.ErrorReport(grid, errors, failures=failures)
+
+
+def _n_row_tangent_vs_manifold(config):
+    """The tangent-vs-manifold study on the generator's n-row samples and references, one log at a time."""
+    (kept, rel, tangent, manifold, skipped), _ = _scalar_tangent_vs_manifold(
+        config, ex.gen_lowrank_svd_experiment(config), [])
+    return ex.ErrorReport(kept, {"hermite": rel}, tangent_errors=tangent, manifold_errors=manifold,
+                          failures={"reference_scan": ""} if skipped else {})
+
+
+def _n_row_qr_interp(config):
+    """The QR study on the generator's n-row samples and references."""
+    data = ex.gen_qr_experiment(config)
+    return ex._factor_study(config, data.samples, data.nodes, data.reference)
+
+
+#: The n-row oracle of each paper study that runs on its path's coordinates.
+N_ROW_ORACLES = {
+    "qr_interp_n500_r10": _n_row_qr_interp,
+    "svd_interp_n1000_m100_r10_q": _n_row_svd_interp,
+    "svd_interp_n1000_m100_r10_p": _n_row_svd_interp,
+    "tangent_vs_manifold": _n_row_tangent_vs_manifold,
+}
+
+
+def _desk_study(stem):
+    """(report, config) of the paper study ``stem`` at St(60, 3), m = 20: n > 4r, 12-row coordinates."""
+    (command,) = [entry for entry in ex.COMMANDS.values() if stem in entry.studies]
+    config = dataclasses.replace(command.studies[stem], n=60, r=3, m=20)
+    return ex.parse_report(command.run(config)), config
+
+
+class TestCoordinates:
+    """The QR, SVD and tangent-vs-manifold studies run on their path's k-row coordinates, k = min(n, 4r)."""
+
+    @pytest.mark.parametrize("stem", sorted(N_ROW_ORACLES))
+    def test_match_the_n_row_pipeline(self, stem):
+        # U -> Q4 U embeds St(12, 3) in St(60, 3) isometrically and totally
+        # geodesically, so the n-row pipeline gives the same numbers up to
+        # round-off: measured at most 5.6e-10 relative above 1e-13 (the
+        # tangent error 4.4e-7 next to a node) and 4.6e-16 absolute below it
+        got, config = _desk_study(stem)
+        want = N_ROW_ORACLES[stem](config)
+        assert got.eval_grid == want.eval_grid
+        assert set(got.failures) == set(want.failures)
+        columns = [(got.errors[m], want.errors[m]) for m in want.errors]
+        assert list(got.errors) == list(want.errors)
+        if want.tangent_errors is not None:
+            columns += [(got.tangent_errors, want.tangent_errors), (got.manifold_errors, want.manifold_errors)]
+        for a, b in columns:
+            a, b = np.asarray(a), np.asarray(b)
+            above = np.abs(b) > 1e-13
+            assert np.all(np.abs(a - b)[above] <= 1e-9 * np.abs(b)[above])
+            assert np.all(np.abs(a - b)[~above] <= 1e-14)
+
+    @pytest.mark.parametrize("command", ["qr-interp", "svd-interp", "tangent-vs-manifold"])
+    def test_every_exp_and_log_has_k_rows(self, monkeypatch, command):
+        # St(60, 3), m = 20: every base of an exponential, and every base
+        # and target of a log, has 4r = 12 rows, or m = 20 for the SVD
+        # study's V factor
+        rows = []
+        exp, log = stiefel.TangentFrame.exp, stiefel.stiefel_log
+
+        def exp_spy(frame, coeffs):
+            rows.append(frame.base.n)
+            return exp(frame, coeffs)
+
+        def log_spy(base, target):
+            for points in (base, target):
+                rows.extend(p.n for p in ([points] if isinstance(points, stiefel.StiefelPoint) else points))
+            return log(base, target)
+
+        monkeypatch.setattr(stiefel.TangentFrame, "exp", exp_spy)
+        monkeypatch.setattr(stiefel, "stiefel_log", log_spy)
+        _desk_study(next(iter(ex.COMMANDS[command].studies)))
+        assert set(rows) == ({12, 20} if command == "svd-interp" else {12})
 
 
 class TestSnapshotExperiment:

@@ -245,14 +245,10 @@ def test_lowrank_svd_cubic_mutant(monkeypatch):
         test_experiments.TestSVDExperiment().test_factored_svd_matches_direct_svd(80, 5, 30)
 
 
-def _distance_in_span(basis, usv, x):
-    """``experiments._lowrank_distance`` without the part of U outside span(Q4)."""
-    u, s, v = usv
-    return np.linalg.norm(((basis.T @ u) * s) @ v.T - x)
-
-
-def test_lowrank_distance_in_span_mutant(monkeypatch):
-    monkeypatch.setattr(ex, "_lowrank_distance", _distance_in_span)
+@pytest.mark.parametrize("stem", sorted(test_experiments.N_ROW_ORACLES))
+def test_coordinate_velocity_mutant(monkeypatch, stem):
+    # the coordinates' velocities Cdot(t) scaled by 1.001, which the QR and
+    # low-rank SVD studies sample from; the n-row samples read Ydot(t)
+    _mutate(monkeypatch, ex._CubicPath, "coordinates_dot", lambda c: 1.001 * c)
     with pytest.raises(AssertionError):
-        test_experiments.TestSVDExperiment().test_factored_error_matches_direct_error(
-            monkeypatch, 80, 5, 30, True)
+        test_experiments.TestCoordinates().test_match_the_n_row_pipeline(stem)

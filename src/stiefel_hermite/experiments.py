@@ -5,27 +5,32 @@ Two kinds of sampled factor path drive the studies:
 * ``QRExperimentData``: the Q-factor path of a random cubic matrix path Y(t)
   (QR study);
 * ``SVDExperimentData``: the truncated SVD factors of a rank-r matrix path,
-  all sampled by one loop from the path's own factorization ``svd(t)``,
-  which its references call too.  Two families feed it: a product
-  W(t) = Y(t) Z(t) of a random cubic Y(t) and a quadratic Z(t) with exact
-  low rank (SVD and tangent-vs-manifold studies); and a deterministic
-  snapshot family of a closed-form two-parameter function whose left factor
-  is interpolated, whose ``svd(t)`` is the SVD of its n x r snapshot itself
-  (snapshot study; it compares against single-tangent-space interpolation,
-  which needs logs between samples far apart).  The transport study samples
-  the same family at its own three parameters.
+  all sampled by one loop (``_sample_svd_path``) from the path's own
+  factorization ``svd(t)``, which its references call too.  Two families
+  feed it: a product W(t) = Y(t) Z(t) of a random cubic Y(t) and a
+  quadratic Z(t) with exact low rank (SVD and tangent-vs-manifold studies);
+  and a deterministic snapshot family of a closed-form two-parameter
+  function whose left factor is interpolated, whose ``svd(t)`` is the SVD
+  of its n x r snapshot itself (snapshot study; it compares against
+  single-tangent-space interpolation, which needs logs between samples far
+  apart).  The transport study samples the same family at its own three
+  parameters.
 
-Both random families factor their cubic Y(t) once, as a ``_CubicPath``: the
-QR of Y(t) and the SVD of Y(t) Z are lifted from those of its k-row
-coordinates, k = min(n, 4r), in one orthonormal basis Q4 of its
-coefficients, so no scan point, sample or reference factors an n-row
-matrix.  After the draw, the QR, SVD and tangent-vs-manifold studies sample,
-fit, evaluate and score on the coordinates themselves, with no lift:
+Both random families split their cubic Y(t) once, as a ``_CubicPath``:
+Y(t) = Q4 C(t), with Q4 an orthonormal basis of its coefficients and C(t)
+its coordinates, k = min(n, 4r) rows.  Each family is sampled once, on its
+coordinates: the QR family (``_draw_qr_path``) takes the Q-factor of C(t),
+the low-rank family (``_draw_lowrank_path``) the SVD of
+X(t) = C(t) Z(t), and each accepts or rejects a draw on those samples.
 U -> Q4 U embeds St(k, r) in St(n, r) isometrically and totally
 geodesically (a geodesic U E11 + Q E21 stays in span(Q4) when U and its
 velocity do), so Exp, Log, the exact transport and the RBF combination
-commute with it, and the studies' numbers are the n-row ones in exact
-arithmetic.  Every study SVD is a ``linalg.svd_full`` call.
+commute with it: the QR, SVD and tangent-vs-manifold studies fit, evaluate
+and score on the coordinates, and their numbers are the n-row ones in
+exact arithmetic.  ``gen_qr_experiment`` and ``gen_lowrank_svd_experiment``
+return St(n, r) data: Q4 times the coordinate samples and factors
+(``_lift``), so no scan point, sample or reference factors an n-row
+matrix.  Every study SVD is a ``linalg.svd_full`` call.
 
 ``COMMANDS`` is the one study registry.  It maps each CLI subcommand to the
 config fields its study reads, which are its flags, to the function that
@@ -45,8 +50,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -203,7 +207,7 @@ def _cubic_dot(coeffs, t: float) -> np.ndarray:
 
 
 class _CubicPath:
-    """Y(t) = Y0 + t Y1 + t^2 Y2 + t^3 Y3 (n x r), factored once.
+    """Y(t) = Y0 + t Y1 + t^2 Y2 + t^3 Y3 (n x r), in the coordinates of one basis.
 
     ``qr_basis`` of the stacked coefficients [Y0 Y1 Y2 Y3] (n x 4r) gives an
     orthonormal Q4 (``basis``, n x k, k = min(n, 4r)) and the coordinates
@@ -211,9 +215,10 @@ class _CubicPath:
     Since Q4'Q4 = I, the QR of Y(t) is Q4 q, R with q, R the QR of the
     k x r C(t), and the SVD of Y(t) Z for any r x m Z is Q4 u, sigma, v with
     u, sigma, v the SVD of the k x m C(t) Z: in exact arithmetic the same R,
-    sign convention, singular values and right factor.  A factorization then
-    costs one k-row factorization and an n-row lift, and the studies, which
-    run on the coordinates, skip the lift.
+    sign convention, singular values and right factor.  So both random
+    families factor and differentiate only C(t); ``_lift`` carries their
+    samples to n rows, and only the low-rank family's n x m oracle
+    W(t) = Y(t) Z(t) reads the n-row ``coeffs``.
     """
 
     def __init__(self, coeffs):
@@ -221,12 +226,6 @@ class _CubicPath:
         r = coeffs[0].shape[1]
         self.basis, stacked = linalg.qr_basis(np.hstack(coeffs))
         self.coords = np.ascontiguousarray(stacked.reshape(-1, 4, r).transpose(1, 0, 2))
-
-    def y(self, t: float) -> np.ndarray:
-        return _cubic(self.coeffs, t)
-
-    def y_dot(self, t: float) -> np.ndarray:
-        return _cubic_dot(self.coeffs, t)
 
     def coordinates(self, t: float) -> np.ndarray:
         """C(t) = Q4'Y(t), the k x r coordinates of Y(t) in the path's basis."""
@@ -237,48 +236,38 @@ class _CubicPath:
         return _cubic_dot(self.coords, t)
 
 
+def _lift(basis: np.ndarray, sample: interpolate.HermiteSample) -> interpolate.HermiteSample:
+    """A sample on St(k, r) carried to St(n, r) by the n x k ``basis`` Q4: Q4 U and Q4 Udot."""
+    point = stiefel.StiefelPoint(basis @ sample.point.u)
+    return interpolate.HermiteSample(sample.t, stiefel.TangentVector(point, basis @ sample.velocity.delta))
+
+
+def _q_sample(path: _CubicPath, t: float) -> interpolate.HermiteSample:
+    """The Q-factor of the coordinates C(t) on St(k, r), with its velocity from Cdot(t)."""
+    qr = linalg.qr_econ(path.coordinates(t))
+    velocity = diff_qr(path.coordinates_dot(t), qr)
+    return interpolate.HermiteSample(float(t), stiefel.TangentVector(stiefel.StiefelPoint(qr.q), velocity))
+
+
 @dataclass
 class QRExperimentData:
-    """A cubic path Y(t) and Hermite samples of its Q-factor.
+    """A cubic path Y(t) and Hermite samples of its Q-factor on St(n, r).
 
-    A scan point costs one min(n, 4r) x r QR of the path's coordinates (see
-    ``_CubicPath``); a reference adds the n-row lift Q = Q4 q, and a sample
-    also ``diff_qr`` of the n x r Ydot(t).  ``lifted`` is False for the
-    data of ``coordinates``, whose factors are those of C(t) on St(k, r).
+    Every sample and reference is Q4 times the Q-factor of the path's k x r
+    coordinates C(t) (see ``_CubicPath``): one k-row QR and an n-row
+    product, with no n-row factorization.
     """
 
     path: _CubicPath
     nodes: np.ndarray
     samples: list[interpolate.HermiteSample]
-    lifted: bool = True
-
-    def factor(self, t: float) -> linalg.EconQR:
-        """QR of Y(t): the QR of its coordinates, with Q lifted to n rows."""
-        qr = linalg.qr_econ(self.path.coordinates(t))
-        if not self.lifted:
-            return qr
-        return linalg.EconQR(self.path.basis @ qr.q, qr.r_factor, qr.rank_deficient)
 
     def reference(self, t: float) -> stiefel.StiefelPoint:
-        return stiefel.StiefelPoint(self.factor(t).q)
+        return stiefel.StiefelPoint(self.path.basis @ linalg.qr_econ(self.path.coordinates(t)).q)
 
     def sample(self, t: float) -> interpolate.HermiteSample:
         """The Q-factor at t with its velocity."""
-        qr = self.factor(t)
-        point = stiefel.StiefelPoint(qr.q)
-        y_dot = self.path.y_dot(t) if self.lifted else self.path.coordinates_dot(t)
-        return interpolate.HermiteSample(float(t), stiefel.TangentVector(point, diff_qr(y_dot, qr)))
-
-    def coordinates(self) -> QRExperimentData:
-        """The same path's Q-factor on the k x r C(t), sampled at the same nodes with no lift.
-
-        Y(t) = Q4 C(t) and U -> Q4 U embeds St(k, r) in St(n, r)
-        isometrically and totally geodesically, so the samples and
-        references are Q4' times this data's in exact arithmetic.
-        """
-        data = QRExperimentData(self.path, self.nodes, [], lifted=False)
-        data.samples.extend(data.sample(t) for t in self.nodes)
-        return data
+        return _lift(self.path.basis, _q_sample(self.path, t))
 
 
 def _seeded_draw(config: ExperimentConfig, draw, warning: str, failure: str):
@@ -302,8 +291,8 @@ def _seeded_draw(config: ExperimentConfig, draw, warning: str, failure: str):
     raise PreconditionError(f"no {failure} found in {GEN_MAX_ATTEMPTS} attempts")
 
 
-def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
-    """Random cubic matrix path and Hermite samples of its Q-factor.
+def _draw_qr_path(config: ExperimentConfig) -> tuple[_CubicPath, np.ndarray, list[interpolate.HermiteSample]]:
+    """The QR family's sampling: a random cubic path, its nodes and its Q-factor samples on C(t).
 
     Coefficient entries are uniform on [0, 1] (constant term), [0, 0.5]
     (linear and quadratic), [0, 0.2] (cubic).  Paths that go rank-deficient
@@ -313,29 +302,39 @@ def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
     over the grid (Y is singular in between) is rejected too; the scan reads
     det C(t), which is det Y(t) times the constant det Q4 = +-1.
 
-    Each drawn path is factored once (see ``_CubicPath``), so a scan point
-    costs one min(n, 4r) x r QR of its coordinates and no n-row work.
+    Each drawn path is split once (see ``_CubicPath``): a scan point
+    costs one k x r QR of its coordinates, and the samples are those of
+    ``_q_sample``, on St(k, r).
     """
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
     scan = np.concatenate([nodes, _uniform_grid(nodes, config.grid_points)])
 
     def draw(rng):
         coeffs = tuple(rng.uniform(0.0, hi, (config.n, config.r)) for hi in (1.0, 0.5, 0.5, 0.2))
-        data = QRExperimentData(_CubicPath(coeffs), nodes, [])
+        path = _CubicPath(coeffs)
         det_signs = set()
         for t in scan:
-            c = data.path.coordinates(t)
+            c = path.coordinates(t)
             if linalg.qr_econ(c).rank_deficient:
                 return None
             det_signs.add(config.n > config.r or np.linalg.det(c) > 0.0)
         if len(det_signs) > 1:
             return None
-        data.samples.extend(data.sample(t) for t in nodes)
-        return data
+        return path, nodes, [_q_sample(path, t) for t in nodes]
 
     return _seeded_draw(
         config, draw, "QR path singular on the grid for seed %d; regenerating", "full-rank QR path"
     )
+
+
+def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
+    """Random cubic matrix path and Hermite samples of its Q-factor on St(n, r).
+
+    The path is ``_draw_qr_path``'s, and the samples are Q4 times its
+    samples on the coordinates C(t).
+    """
+    path, nodes, samples = _draw_qr_path(config)
+    return QRExperimentData(path, nodes, [_lift(path.basis, s) for s in samples])
 
 
 def _method_curves(
@@ -404,12 +403,14 @@ def _factor_study(config: ExperimentConfig, samples, nodes, reference) -> ErrorR
 def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
     """Interpolate the Q-factor path and report relative Frobenius errors.
 
-    The study runs on the path's k x r coordinates, k = min(n, 4r)
-    (``QRExperimentData.coordinates``): the fits, evaluations and errors
-    are those of the n-row Q-factors in exact arithmetic, at k-row cost.
+    The study runs on ``_draw_qr_path``'s samples and the Q-factors of the
+    path's k x r coordinates, k = min(n, 4r): the fits, evaluations and
+    errors are those of the n-row Q-factors in exact arithmetic, at k-row
+    cost.
     """
-    data = gen_qr_experiment(config).coordinates()
-    return _factor_study(config, data.samples, data.nodes, data.reference)
+    path, nodes, samples = _draw_qr_path(config)
+    return _factor_study(config, samples, nodes,
+                         lambda t: stiefel.StiefelPoint(linalg.qr_econ(path.coordinates(t)).q))
 
 
 # --------------------------------------------------------------------------
@@ -417,37 +418,24 @@ def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
 # --------------------------------------------------------------------------
 
 
-class LowRankCoordinates(NamedTuple):
-    """The factored form W(t) = Q4 X(t) of a low-rank path (see ``_CubicPath``).
-
-    ``basis`` is Q4, n x k with k = min(n, 4r); ``x`` and ``x_dot`` give the
-    k x m X(t) = C(t) Z(t) and its derivative, and ``svd`` the rank-r factors
-    (u, sigma, v) of X(t), whose left factor lifted by Q4 is that of W(t).
-    """
-
-    basis: np.ndarray
-    x: Callable[[float], np.ndarray]
-    x_dot: Callable[[float], np.ndarray]
-    svd: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
 @dataclass
 class SVDExperimentData:
     """A matrix path W(t) of rank r and Hermite samples of its truncated SVD factors.
 
     ``svd(t)`` is the path's own factorization (u, sigma, v) of W(t): the
-    leading n x r and m x r factors, which set r, and all the singular
-    values in descending order, the form ``diff_svd_truncated`` takes.  The
-    samples and the references call it and no other SVD; ``w`` and
-    ``w_dot`` give W(t) and its derivative as n x m matrices.  Row i of
-    ``sigma_values`` and ``sigma_slopes`` holds the r leading singular
-    values and their derivatives at node i.  ``factored`` is
-    the low-rank family's ``LowRankCoordinates``, from which ``coordinates``
-    samples the same family on X(t); it is None for the snapshot family and
-    for the coordinate family itself.  Every sampled and reference factor is
-    sign-normalized against the left factor at the first node,
-    ``samples_u[0].point``, so that the sampled factor paths are
-    differentiable.
+    leading factors, u with W's row count and v m x r, which set r, and all
+    the singular values in descending order, the form
+    ``diff_svd_truncated`` takes.  The samples and the references call it
+    and no other SVD; ``w`` and ``w_dot`` give W(t) and its derivative.
+    Row i of ``sigma_values`` and ``sigma_slopes`` holds the r leading
+    singular values and their derivatives at node i.  The low-rank family
+    is sampled on its k x m coordinates X(t) (``_draw_lowrank_path``);
+    ``gen_lowrank_svd_experiment`` lifts that data to n rows, where ``svd``
+    and the U samples are Q4 times the coordinates' and ``w`` and ``w_dot``
+    are the n x m product Y(t) Z(t), an oracle that no sample reads.  Every
+    sampled and reference factor is sign-normalized against the left factor
+    at the first node, ``samples_u[0].point``, so that the sampled factor
+    paths are differentiable.
     """
 
     w: Callable[[float], np.ndarray]
@@ -458,37 +446,21 @@ class SVDExperimentData:
     samples_v: list[interpolate.HermiteSample]
     sigma_values: np.ndarray  # (nodes, r)
     sigma_slopes: np.ndarray  # (nodes, r)
-    factored: LowRankCoordinates | None = None
 
     def reference_u(self, t: float) -> stiefel.StiefelPoint:
         u, _, v = self.svd(t)
         return stiefel.StiefelPoint(svd_sign_normalize(u, v, self.samples_u[0].point.u)[0])
 
-    def coordinates(self) -> SVDExperimentData:
-        """The low-rank family on the k x m X(t), sampled at the same nodes with no lift.
 
-        W(t) = Q4 X(t) and U -> Q4 U embeds St(k, r) in St(n, r)
-        isometrically and totally geodesically, so the U samples and
-        references are Q4' times this data's in exact arithmetic, and the
-        V samples, singular values and the studies' errors are the same.
-        ``diff_svd_truncated`` decides on the singular values alone, which
-        come from the same SVDs, so it refuses no node here that this data
-        was sampled at.
-        """
-        f = self.factored
-        return _sample_svd_path(f.x, f.x_dot, f.svd, self.nodes)
-
-
-def _sample_svd_path(w, w_dot, svd, nodes: np.ndarray, factored=None):
+def _sample_svd_path(w, w_dot, svd, nodes: np.ndarray):
     """Hermite samples of the truncated SVD factors of W(t) at ``nodes``.
 
     ``svd(t)`` hands out the rank-r factors of W(t) as
-    ``SVDExperimentData.svd`` does, and ``factored`` is stored as that
-    field.  Each node's factors are sign-normalized against the first
-    node's u, which normalizing against itself leaves as it is.  Returns the
-    data, or None when ``diff_svd_truncated`` refuses a node: W is not
-    numerically of rank r there, or its leading singular values are too
-    close to differentiate.
+    ``SVDExperimentData.svd`` does.  Each node's factors are sign-normalized
+    against the first node's u, which normalizing against itself leaves as
+    it is.  Returns the data, or None when ``diff_svd_truncated`` refuses a
+    node: W is not numerically of rank r there, or its leading singular
+    values are too close to differentiate.
     """
     samples_u, samples_v, sigma_values, sigma_slopes = [], [], [], []
     for t in nodes:
@@ -505,27 +477,28 @@ def _sample_svd_path(w, w_dot, svd, nodes: np.ndarray, factored=None):
         sigma_slopes.append(sigma_dot)
     return SVDExperimentData(
         w=w, w_dot=w_dot, svd=svd, nodes=nodes, samples_u=samples_u, samples_v=samples_v,
-        sigma_values=np.array(sigma_values), sigma_slopes=np.array(sigma_slopes), factored=factored,
+        sigma_values=np.array(sigma_values), sigma_slopes=np.array(sigma_slopes),
     )
 
 
-def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
-    """Random exact-rank-r path W(t) = Y(t) Z(t) with truncated-SVD samples.
+def _draw_lowrank_path(config: ExperimentConfig):
+    """The low-rank family's sampling: a random path W(t) = Y(t) Z(t), sampled on its coordinates.
 
     Y is a cubic n x r polynomial (entries uniform on [0,1] / [0,0.5]),
     Z a quadratic r x m polynomial (entries uniform on [0,1] / [0,0.5]).
-    Seeds giving near-repeated leading singular values at a node are
-    regenerated with the next seed.  A square factor (n = r for U, m = r
-    for V) lies in O(r), whose two components no geodesic joins, so a seed
-    whose consecutive samples F_i, F_i+1 of such a factor have
-    det(F_i'F_i+1) < 0, the test on which ``stiefel_log`` refuses, is
-    regenerated too.
+    Y is split once (see ``_CubicPath``), and ``_sample_svd_path``
+    samples the k x m coordinates X(t) = C(t) Z(t), W(t) = Q4 X(t), whose
+    ``svd(t)`` is the ``svd_full`` of X(t) cut to its leading r left and
+    right vectors.  Seeds giving near-repeated leading singular values at a
+    node are regenerated with the next seed.  A square factor (n = r for U,
+    which is k = r, and m = r for V) lies in O(r), whose two components no
+    geodesic joins, so a seed whose consecutive samples F_i, F_i+1 of such a
+    factor have det(F_i'F_i+1) < 0, the test on which ``stiefel_log``
+    refuses, is regenerated too.  The lift by Q4 changes neither test in
+    exact arithmetic.
 
-    Y is factored once (see ``_CubicPath``): the path's ``svd(t)``, which
-    every sample and reference calls, is the ``svd_full`` of the
-    min(n, 4r) x m coordinates X(t) = C(t) Z(t), cut to its leading r left
-    and right vectors, the left ones lifted to n rows; a direct SVD of W(t)
-    is n x m.  The studies run on ``coordinates()``, which skips the lift.
+    Returns the data of X(t) and (path, Z, Zdot), from which
+    ``gen_lowrank_svd_experiment`` builds the n-row data.
     """
     r = config.r
     if not r <= config.m <= config.n:
@@ -543,40 +516,56 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
         def z(t):
             return z0 + t * z1 + t * t * z2
 
-        def w(t):
-            return path.y(t) @ z(t)
-
-        def w_dot(t):
-            return path.y_dot(t) @ z(t) + path.y(t) @ (z1 + 2.0 * t * z2)
+        def z_dot(t):
+            return z1 + 2.0 * t * z2
 
         def x(t):
             return path.coordinates(t) @ z(t)
 
         def x_dot(t):
-            return path.coordinates_dot(t) @ z(t) + path.coordinates(t) @ (z1 + 2.0 * t * z2)
+            return path.coordinates_dot(t) @ z(t) + path.coordinates(t) @ z_dot(t)
 
-        def svd_x(t):
+        def svd(t):
             u, sigma, v = linalg.svd_full(x(t))
             return u[:, :r], sigma, v[:, :r]
 
-        def svd(t):
-            u, sigma, v = svd_x(t)
-            return path.basis @ u, sigma, v
-
-        factored = LowRankCoordinates(path.basis, x, x_dot, svd_x)
-        data = _sample_svd_path(w, w_dot, svd, nodes, factored=factored)
-        if data is not None and any(
+        data = _sample_svd_path(x, x_dot, svd, nodes)
+        if data is None or any(
             a.point.n == r and np.linalg.det(a.point.u.T @ b.point.u) < 0.0
             for samples in (data.samples_u, data.samples_v)
             for a, b in zip(samples, samples[1:])
         ):
             return None
-        return data
+        return data, (path, z, z_dot)
 
     return _seeded_draw(
         config, draw, "SVD path degenerate for seed %d; regenerating",
         "well-separated SVD path",
     )
+
+
+def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
+    """Random exact-rank-r path W(t) = Y(t) Z(t) with truncated-SVD samples on St(n, r).
+
+    The path and the samples are ``_draw_lowrank_path``'s, taken on its
+    coordinates X(t).  The U samples and ``svd`` are Q4 times theirs; the V
+    samples and the singular values are the coordinates' own.  ``w`` and
+    ``w_dot`` are the n x m Y(t) Z(t) and its derivative.
+    """
+    data, (path, z, z_dot) = _draw_lowrank_path(config)
+    basis, coeffs = path.basis, path.coeffs
+
+    def w(t):
+        return _cubic(coeffs, t) @ z(t)
+
+    def w_dot(t):
+        return _cubic_dot(coeffs, t) @ z(t) + _cubic(coeffs, t) @ z_dot(t)
+
+    def svd(t):
+        u, sigma, v = data.svd(t)
+        return basis @ u, sigma, v
+
+    return replace(data, w=w, w_dot=w_dot, svd=svd, samples_u=[_lift(basis, s) for s in data.samples_u])
 
 
 def _interpolated_sigma(data: SVDExperimentData, method: str, t: float) -> np.ndarray:
@@ -599,16 +588,16 @@ def run_svd_interp(config: ExperimentConfig) -> ErrorReport:
     and V, linear interpolation for the singular values.  The RBF method is
     not part of this study.
 
-    The study runs on the path's k x m coordinates X(t), W(t) = Q4 X(t)
-    (``SVDExperimentData.coordinates``): U is fitted on St(k, r), and the
+    The study runs on ``_draw_lowrank_path``'s data of the path's k x m
+    coordinates X(t), W(t) = Q4 X(t): U is fitted on St(k, r), and the
     error of a reconstruction is ||u diag(sigma) V' - X(t)||_F / ||X(t)||_F,
     which is ||Q4 u diag(sigma) V' - W(t)||_F / ||W(t)||_F since Q4 has
-    orthonormal columns and the fits commute with the lift (see
-    ``coordinates``).  No grid point forms an n-row matrix.
+    orthonormal columns and the fits commute with the lift.  No grid point
+    forms an n-row matrix.
     """
     if "rbf" in config.methods:
         raise PreconditionError("the rbf method is not available for svd-interp")
-    data = gen_lowrank_svd_experiment(config).coordinates()
+    data, _ = _draw_lowrank_path(config)
     grid = _uniform_grid(data.nodes, config.grid_points)
     failures: dict[str, str] = {}
     curves_u = _method_curves(config, data.samples_u, failures)
@@ -633,11 +622,11 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
     from the arc centres are one stacked ``stiefel_log`` call and the
     distances one stacked ``stiefel.dist`` call; a grid point whose log or
     distance fails is skipped and listed in the ``reference_scan`` failure.
-    The study runs on St(k, r), k = min(n, 4r), in the path's coordinates
-    (``SVDExperimentData.coordinates``), whose logs, distances and norms are
+    The study runs on St(k, r), k = min(n, 4r), on ``_draw_lowrank_path``'s
+    data of the path's coordinates, whose logs, distances and norms are
     those of the n-row factors in exact arithmetic.
     """
-    data = gen_lowrank_svd_experiment(config).coordinates()
+    data, _ = _draw_lowrank_path(config)
     curve = interpolate.fit_composite(data.samples_u, centering=config.centering)
     grid = _uniform_grid(data.nodes, config.grid_points)
     refs = [data.reference_u(t) for t in grid]

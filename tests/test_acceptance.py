@@ -82,6 +82,7 @@ def test_criterion_3_hermite_vs_geodesic_ordering():
             <= 0.1 * full.max_rel["geodesic"],
             "desk scale hermite <= 0.1 * geodesic": desk.max_rel["hermite"]
             <= 0.1 * desk.max_rel["geodesic"],
+            "desk scale records no failure": not desk.failures,
             "full scale runtime < 10 min": full_time < 600.0,
             "desk scale runtime < 1 min": desk_time < 60.0,
         },

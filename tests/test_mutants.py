@@ -220,13 +220,14 @@ def test_transport_step_mutant(monkeypatch):
 
 
 def test_qr_lift_sign_mutant(monkeypatch):
-    # the lift of the coordinates' QR without qr_econ's sign convention:
-    # the Householder signs that LAPACK leaves
-    def unsigned_factor(data, t):
-        q, r_factor = np.linalg.qr(data.path.coordinates(t))
-        return linalg.EconQR(data.path.basis @ q, r_factor, False)
+    # the coordinates' Q-factor without qr_econ's sign convention: the
+    # Householder signs that LAPACK leaves
+    def unsigned_sample(path, t):
+        q, r_factor = np.linalg.qr(path.coordinates(t))
+        velocity = calculus.diff_qr(path.coordinates_dot(t), linalg.EconQR(q, r_factor, False))
+        return interp.HermiteSample(float(t), stiefel.TangentVector(stiefel.StiefelPoint(q), velocity))
 
-    monkeypatch.setattr(ex.QRExperimentData, "factor", unsigned_factor)
+    monkeypatch.setattr(ex, "_q_sample", unsigned_sample)
     with pytest.raises(AssertionError):
         test_experiments.TestQRExperiment().test_factored_path_matches_direct_qr(100, 6, False)
 
@@ -247,8 +248,11 @@ def test_lowrank_svd_cubic_mutant(monkeypatch):
 
 @pytest.mark.parametrize("stem", sorted(test_experiments.N_ROW_ORACLES))
 def test_coordinate_velocity_mutant(monkeypatch, stem):
-    # the coordinates' velocities Cdot(t) scaled by 1.001, which the QR and
-    # low-rank SVD studies sample from; the n-row samples read Ydot(t)
+    # the coordinates' velocities Cdot(t) scaled by 1.001, from which the
+    # study's family samples; the direct checks differentiate Y(t) and W(t)
     _mutate(monkeypatch, ex._CubicPath, "coordinates_dot", lambda c: 1.001 * c)
     with pytest.raises(AssertionError):
-        test_experiments.TestCoordinates().test_match_the_n_row_pipeline(stem)
+        if stem.startswith("qr"):
+            test_experiments.TestQRExperiment().test_factored_path_matches_direct_qr(100, 6, False)
+        else:
+            test_experiments.TestSVDExperiment().test_samples_match_the_derivative_of_w(80, 5, 30)

@@ -242,9 +242,8 @@ def _lift(basis: np.ndarray, sample: interpolate.HermiteSample) -> interpolate.H
     return interpolate.HermiteSample(sample.t, stiefel.TangentVector(point, basis @ sample.velocity.delta))
 
 
-def _q_sample(path: _CubicPath, t: float) -> interpolate.HermiteSample:
-    """The Q-factor of the coordinates C(t) on St(k, r), with its velocity from Cdot(t)."""
-    qr = linalg.qr_econ(path.coordinates(t))
+def _q_sample(path: _CubicPath, t: float, qr: linalg.EconQR) -> interpolate.HermiteSample:
+    """The Q-factor of C(t) on St(k, r), read off its factors ``qr``, with its velocity from Cdot(t)."""
     velocity = diff_qr(path.coordinates_dot(t), qr)
     return interpolate.HermiteSample(float(t), stiefel.TangentVector(stiefel.StiefelPoint(qr.q), velocity))
 
@@ -267,7 +266,7 @@ class QRExperimentData:
 
     def sample(self, t: float) -> interpolate.HermiteSample:
         """The Q-factor at t with its velocity."""
-        return _lift(self.path.basis, _q_sample(self.path, t))
+        return _lift(self.path.basis, _q_sample(self.path, t, linalg.qr_econ(self.path.coordinates(t))))
 
 
 def _seeded_draw(config: ExperimentConfig, draw, warning: str, failure: str):
@@ -304,7 +303,7 @@ def _draw_qr_path(config: ExperimentConfig) -> tuple[_CubicPath, np.ndarray, lis
 
     Each drawn path is split once (see ``_CubicPath``): a scan point
     costs one k x r QR of its coordinates, and the samples are those of
-    ``_q_sample``, on St(k, r).
+    ``_q_sample`` on St(k, r), from the factors the scan took at the nodes.
     """
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
     scan = np.concatenate([nodes, _uniform_grid(nodes, config.grid_points)])
@@ -312,15 +311,16 @@ def _draw_qr_path(config: ExperimentConfig) -> tuple[_CubicPath, np.ndarray, lis
     def draw(rng):
         coeffs = tuple(rng.uniform(0.0, hi, (config.n, config.r)) for hi in (1.0, 0.5, 0.5, 0.2))
         path = _CubicPath(coeffs)
-        det_signs = set()
+        det_signs, factors = set(), []
         for t in scan:
             c = path.coordinates(t)
-            if linalg.qr_econ(c).rank_deficient:
+            factors.append(linalg.qr_econ(c))
+            if factors[-1].rank_deficient:
                 return None
             det_signs.add(config.n > config.r or np.linalg.det(c) > 0.0)
         if len(det_signs) > 1:
             return None
-        return path, nodes, [_q_sample(path, t) for t in nodes]
+        return path, nodes, [_q_sample(path, t, qr) for t, qr in zip(nodes, factors)]
 
     return _seeded_draw(
         config, draw, "QR path singular on the grid for seed %d; regenerating", "full-rank QR path"

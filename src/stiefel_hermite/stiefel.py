@@ -28,9 +28,13 @@ targets still iterating, so a short log pays the per-call overhead of its
 small kernels once per stack, not once per target.  Each target leaves
 the stack when its own iteration ends and gets its own certificate; the
 call returns a list with each target's result, or the ``StiefelLogError``
-its own log would raise, in its slot.  The n-row work (the overlap, the
-normal part's QR, the readout) stays per target.  A single target runs
-the same loop on 2-D arrays, whose kernels call LAPACK directly.
+its own log would raise, in its slot.  A kernel that raises on a stack
+restarts each half of the targets still iterating from their own
+completions, so a failing target ends alone, as its own log does, and the
+others stay stacked.  The n-row work (the overlap, the normal part's QR,
+the readout) stays per target.  A single target is the one-target case
+of the same call, and runs the loop on 2-D arrays, whose kernels call
+LAPACK directly.
 
 Every exponential runs through one kernel, ``TangentFrame.exp``: a frame
 keeps k tangent vectors at U as r x r blocks over one orthonormal basis of
@@ -325,13 +329,18 @@ def _step(b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _completion(base: StiefelPoint, target: StiefelPoint):
-    """The normal basis Q of ``target`` and the starting 2r x 2r completion V (see ``stiefel_log``)."""
+    """The normal basis Q of ``target`` and the starting 2r x 2r completion V (see ``stiefel_log``).
+
+    At n = r it returns, not raises, the ``StiefelLogError`` that refuses a
+    target in the other component of O(n), as ``_readout`` does for the
+    loop's failures.
+    """
     if base.u.shape != target.u.shape:
         raise ShapeError(f"base shape {base.u.shape} != target shape {target.u.shape}")
     r = base.r
     overlap = base.u.T @ target.u
     if base.n == r and np.linalg.det(overlap) < 0.0:
-        raise StiefelLogError(
+        return StiefelLogError(
             f"St({r}, {r}) = O({r}) has two components, det = +1 and det = -1; det(U'Y) = -1 "
             "puts base and target in different ones, which no geodesic joins", 0, np.inf
         )
@@ -342,21 +351,21 @@ def _completion(base: StiefelPoint, target: StiefelPoint):
     return q, np.hstack([top, linalg.orth_complete(top)])
 
 
-def _iterate(v: np.ndarray, r: int, k0: int = 0, history: list | None = None) -> list[tuple]:
-    """The loop of ``stiefel_log`` on one completion V or a stack of them, from step k0.
+def _iterate(v: np.ndarray, r: int) -> list[tuple]:
+    """The loop of ``stiefel_log`` on one completion V or a stack of them.
 
     Returns per target (log V, k, residuals, reason): log V of the iterate
     whose ||C||_F passed ``LOG_TAU`` and reason None, or None and the reason
     the loop ended at step k.  A target leaves the stack when it ends.  A
-    kernel that raises on a stack reruns that step on each of its targets
-    alone, so each ends as its own log would.
+    kernel that raises on a stack restarts each non-empty half of the
+    targets still iterating from their own completions; a lone target ends
+    with the kernel's reason, as its own log does.
     """
-    live = list(range(len(v))) if v.ndim == 3 else [0]
-    history = history or [[] for _ in live]
+    start, live = v, list(range(len(v))) if v.ndim == 3 else [0]
+    history = [[] for _ in live]
     # a target still iterating after the last step ends at the cap
-    ends = [(None, LOG_MAX_ITER, h, f"LOG_MAX_ITER = {LOG_MAX_ITER} steps taken") for h in history]
-    for k in range(k0, LOG_MAX_ITER):
-        before, entered = v, live
+    ends = {t: (None, LOG_MAX_ITER, history[t], f"LOG_MAX_ITER = {LOG_MAX_ITER} steps taken") for t in live}
+    for k in range(LOG_MAX_ITER):
         try:
             v = _polished(v)
             log_v = linalg.logm(v)
@@ -377,11 +386,13 @@ def _iterate(v: np.ndarray, r: int, k0: int = 0, history: list | None = None) ->
                 live = [live[j] for j in keep]
             v[..., r:] = v[..., r:] @ linalg.expm(_step(log_v[..., r:, :r], log_v[..., r:, r:]))
         except ValueError as exc:
-            for j, t in enumerate(entered):
-                ends[t] = ((None, k, history[t], str(exc)) if before.ndim == 2
-                           else _iterate(before[j], r, k, [history[t][:k]])[0])
+            if start.ndim == 2:
+                ends[0] = (None, k, history[0], str(exc))
+            else:  # a lone target restarts in 2-D, as its own log runs
+                for part in filter(None, (live[: len(live) // 2], live[len(live) // 2:])):
+                    ends.update(zip(part, _iterate(start[part[0]] if len(part) == 1 else start[part], r)))
             break
-    return ends
+    return list(ends.values())
 
 
 def _readout(base: StiefelPoint, q: np.ndarray, log_v, k: int, residuals: list, reason):
@@ -416,8 +427,9 @@ def stiefel_log(
     below runs once for the whole stack (see the module docstring), and the
     call returns a list: per target its log, or the ``StiefelLogError``
     that its own call would raise, with the same reason, iteration,
-    residuals and message.  A kernel that raises on the stack reruns that
-    step on each of its targets alone.
+    residuals and message.  A kernel that raises on the stack restarts each
+    half of the targets still iterating from their own completions, down
+    to the failing target alone.
 
     Zimmermann's iteration (SIMAX 38(2), 2017): build an orthogonal
     2r x 2r completion V of the overlap/normal coordinates of ``target``,
@@ -487,27 +499,21 @@ def stiefel_log(
         ``iterations`` is that iteration (``LOG_MAX_ITER`` at the cap) and
         ``residual`` the last ||C||_F (inf before the first).
     """
-    if isinstance(target, StiefelPoint):
-        q, v = _completion(base, target)
-        xi = _readout(base, q, *_iterate(v, base.r)[0])
-        if isinstance(xi, StiefelLogError):
-            raise xi
-        return xi
-    bases = [base] * len(target) if isinstance(base, StiefelPoint) else list(base)
-    if len(bases) != len(target):
-        raise ShapeError(f"{len(bases)} bases for {len(target)} targets")
-    out: list = []
-    for b, y in zip(bases, target):
-        try:
-            out.append(_completion(b, y))
-        except StiefelLogError as exc:
-            out.append(exc)
+    one = isinstance(target, StiefelPoint)
+    targets = [target] if one else target
+    bases = [base] * len(targets) if isinstance(base, StiefelPoint) else list(base)
+    if len(bases) != len(targets):
+        raise ShapeError(f"{len(bases)} bases for {len(targets)} targets")
+    out = [_completion(b, y) for b, y in zip(bases, targets)]
     todo = [i for i, x in enumerate(out) if isinstance(x, tuple)]
     if todo:
         vs = [out[i][1] for i in todo]
         for i, end in zip(todo, _iterate(vs[0] if len(vs) == 1 else np.stack(vs), bases[0].r)):
             out[i] = _readout(bases[i], out[i][0], *end)
-    return out
+    if one and isinstance(out[0], StiefelLogError):
+        raise out[0]
+    return out[0] if one else out
+
 
 def dist(p: StiefelPoint | Sequence[StiefelPoint], q: StiefelPoint | Sequence[StiefelPoint]) -> float | list:
     """Riemannian distance: canonical norm of the logarithm, exactly 0 for identical points.

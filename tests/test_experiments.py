@@ -174,7 +174,7 @@ class TestQRExperiment:
         data = ex.gen_qr_experiment(ex.ExperimentConfig(n=n, r=r, num_nodes=6, seed=0))
         assert "regenerating" not in caplog.text  # one drawn path
         assert rows.count(n) == 1
-        assert len(rows) == 1 + 6 + 100 + 6  # the basis, the scan, the samples
+        assert len(rows) == 1 + 6 + 100  # the basis and the scan, whose node factors the samples take
         rows.clear()
         data.reference(0.3)
         assert rows == [4 * r]

@@ -4,13 +4,17 @@ Each test patches one module-level function of the library, or one check
 of its types, with a mutant that is wrong by 1-5% or by one dropped
 factor or order, compares with the wrong bound or gives the same result
 at more kernel work, calls the checks that must catch it as plain
-functions, and asserts that each of them fails.  The library reaches its
+functions, and asserts that each of them fails.  A mutant is written
+out, or recompiled from the function's source with one expression
+changed (``_source_mutant``).  The library reaches its
 kernels through module attributes and its checks through class
 attributes, so a patch reaches every caller; a fit looks its coefficient
 rule up on ``interpolate`` when it binds it, so a patch made before
 fitting reaches the curve.  ``hermite_coeffs`` is not patched: the checks
 build their reference from it.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -61,6 +65,35 @@ def test_rbf_weights_mutant(monkeypatch, qr_path):
 def _transport_sweep():
     """The transport study's sweep at St(1001, 6), run under the mutant."""
     return ex.run_transport_accuracy(ex.ExperimentConfig(n=1001, r=6, seed=0))
+
+
+def _source_mutant(func, old, new):
+    """``func`` recompiled from its source with the one occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(func)
+    assert source.count(old) == 1
+    namespace = dict(func.__globals__)
+    exec(source.replace(old, new), namespace)
+    return namespace[func.__name__]
+
+
+# the line of stiefel._iterate that restarts each half of a failed stack
+_RESTART = "ends.update(zip(part, _iterate(start[part[0]] if len(part) == 1 else start[part], r)))"
+
+
+def test_failed_stack_shares_its_error_mutant(monkeypatch):
+    # every target still in a failed stack ends with the stack's error
+    shared = "ends.update((t, (None, k, history[t], str(exc))) for t in part)"
+    monkeypatch.setattr(stiefel, "_iterate", _source_mutant(stiefel._iterate, _RESTART, shared))
+    with pytest.raises(AssertionError):
+        test_stiefel.TestStackedLog().test_failures_stay_in_their_slots(np.random.default_rng(42))
+
+
+def test_failed_stack_restarts_alone_mutant(monkeypatch):
+    # a failed stack restarts each of its targets alone, not in halves
+    halves = "filter(None, (live[: len(live) // 2], live[len(live) // 2:]))"
+    monkeypatch.setattr(stiefel, "_iterate", _source_mutant(stiefel._iterate, halves, "([t] for t in live)"))
+    with pytest.raises(AssertionError, match="<= 48"):
+        test_stiefel.TestStackedLog().test_a_failed_stack_keeps_the_rest_stacked(monkeypatch, 16)
 
 
 def test_log_mutant(monkeypatch):
@@ -221,8 +254,8 @@ def test_transport_step_mutant(monkeypatch):
 
 def test_qr_lift_sign_mutant(monkeypatch):
     # the coordinates' Q-factor without qr_econ's sign convention: the
-    # Householder signs that LAPACK leaves
-    def unsigned_sample(path, t):
+    # Householder signs that LAPACK leaves, in place of the given factors
+    def unsigned_sample(path, t, qr):
         q, r_factor = np.linalg.qr(path.coordinates(t))
         velocity = calculus.diff_qr(path.coordinates_dot(t), linalg.EconQR(q, r_factor, False))
         return interp.HermiteSample(float(t), stiefel.TangentVector(stiefel.StiefelPoint(q), velocity))

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from stiefel_hermite import linalg, stiefel
-from stiefel_hermite.errors import PreconditionError, ShapeError, StiefelLogError
+from stiefel_hermite.errors import DomainError, PreconditionError, ShapeError, StiefelLogError
 
 from conftest import far_pair, rank_one_tangent, spy_kernel_logs
 
@@ -305,7 +305,18 @@ class TestStackedLog:
 
     @staticmethod
     def _same(stacked, single):
+        assert isinstance(stacked, stiefel.TangentVector)
         assert np.linalg.norm(stacked.delta - single.delta) <= 1e-13 * max(1.0, np.linalg.norm(single.delta))
+
+    @staticmethod
+    def _same_error(stacked, base, target):
+        """Assert that ``stacked`` is the error ``stiefel_log(base, target)`` raises, and return it."""
+        with pytest.raises(StiefelLogError) as info:
+            stiefel.stiefel_log(base, target)
+        assert isinstance(stacked, StiefelLogError)
+        assert str(stacked) == str(info.value)
+        assert (stacked.iterations, stacked.residual) == (info.value.iterations, info.value.residual)
+        return stacked
 
     def test_one_base_and_a_base_per_target(self, rng):
         u = stiefel.random_point(rng, 40, 4)
@@ -332,12 +343,84 @@ class TestStackedLog:
         for slot in (0, 3):
             self._same(out[slot], stiefel.stiefel_log(a, targets[slot]))
         for slot in (1, 2):
-            with pytest.raises(StiefelLogError) as info:
-                stiefel.stiefel_log(a, targets[slot])
-            assert isinstance(out[slot], StiefelLogError)
-            assert str(out[slot]) == str(info.value)
-            assert (out[slot].iterations, out[slot].residual) == (info.value.iterations, info.value.residual)
+            self._same_error(out[slot], a, targets[slot])
         assert "logm: an eigenvalue lies within round-off of -1" in str(out[2])
+
+    @pytest.mark.parametrize("slot", [0, 16, 31])
+    def test_a_failed_stack_keeps_the_rest_stacked(self, monkeypatch, slot):
+        # the near-pi target makes step 0's stacked kernel log raise; the
+        # stack restarts in halves, so the 31 other targets run in stacks of
+        # 16, 8, 4, 2 and 1: 38-40 kernel-log calls here, where restarting
+        # each target alone takes 173
+        a, _ = far_pair()
+        rng = np.random.default_rng(0)
+        targets = [stiefel.stiefel_exp(stiefel.random_tangent(rng, a, s)) for s in rng.uniform(0.3, 1.5, 31)]
+        targets.insert(slot, _near_pi_target(a))
+        logm, calls = linalg.logm, []
+
+        def spy(v):
+            calls.append(v.shape)
+            return logm(v)
+
+        monkeypatch.setattr(linalg, "logm", spy)
+        out = stiefel.stiefel_log(a, targets)
+        assert len(calls) <= 48
+        for i, y in enumerate(targets):
+            if i == slot:
+                self._same_error(out[i], a, y)
+            else:
+                self._same(out[i], stiefel.stiefel_log(a, y))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_step_cap_ends_the_log(self, monkeypatch, stacked):
+        # two steps leave the target at 1.6 short of LOG_TAU; in a stack the
+        # target at 0.01 converges in them as alone
+        rng = np.random.default_rng(42)
+        u = stiefel.random_point(rng, 40, 4)
+        near, far = (stiefel.stiefel_exp(stiefel.random_tangent(rng, u, s)) for s in (0.01, 1.6))
+        alone = stiefel.stiefel_log(u, near)
+        monkeypatch.setattr(stiefel, "LOG_MAX_ITER", 2)
+        logm, residuals = linalg.logm, []
+
+        def spy(v):  # ||C||_F of the last matrix, the far target's
+            out = logm(v)
+            residuals.append(np.linalg.norm(out[..., 4:, 4:].reshape(-1, 16)[-1]))
+            return out
+
+        monkeypatch.setattr(linalg, "logm", spy)
+        if stacked:
+            out = stiefel.stiefel_log(u, [near, far])
+            self._same(out[0], alone)
+            error = self._same_error(out[1], u, far)
+        else:
+            with pytest.raises(StiefelLogError) as info:
+                stiefel.stiefel_log(u, far)
+            error = info.value
+        assert "iteration 2: LOG_MAX_ITER = 2 steps taken" in str(error)
+        assert error.iterations == 2
+        assert error.residual == pytest.approx(residuals[1], rel=1e-12) and error.residual > stiefel.LOG_TAU
+
+    def test_lone_survivor_whose_kernel_raises(self, monkeypatch):
+        # the target at 0.3 leaves the stack first; the next kernel log, of
+        # the survivor alone, raises, and the survivor restarts alone, where
+        # the kernel log of its completion raises as in its own log
+        rng = np.random.default_rng(42)
+        u = stiefel.random_point(rng, 40, 4)
+        targets = [stiefel.stiefel_exp(stiefel.random_tangent(rng, u, s)) for s in (0.3, 1.6)]
+        alone = stiefel.stiefel_log(u, targets[0])
+        logm, stacked = linalg.logm, []
+
+        def spy(v):
+            if v.ndim == 2:
+                raise DomainError("logm: injected failure")
+            stacked.append(v.shape)
+            return logm(v)
+
+        monkeypatch.setattr(linalg, "logm", spy)
+        out = stiefel.stiefel_log(u, targets)
+        assert stacked == [(2, 8, 8)] * 4
+        self._same(out[0], alone)
+        assert "iteration 0: logm: injected failure" in str(self._same_error(out[1], u, targets[1]))
 
     def test_other_component_fails_in_its_slot(self):
         rng = np.random.default_rng(3)

@@ -30,7 +30,9 @@ and score on the coordinates, and their numbers are the n-row ones in
 exact arithmetic.  ``gen_qr_experiment`` and ``gen_lowrank_svd_experiment``
 return St(n, r) data: Q4 times the coordinate samples and factors
 (``_lift``), so no scan point, sample or reference factors an n-row
-matrix.  Every study SVD is a ``linalg.svd_full`` call.
+matrix.  The QR family factors its scan, nodes and grid, in one stacked
+``linalg.qr_econ`` call, whose grid factors are the QR study's references.
+Every study SVD is a ``linalg.svd_full`` call.
 
 ``COMMANDS`` is the one study registry.  It maps each CLI subcommand to the
 config fields its study reads, which are its flags, to the function that
@@ -253,8 +255,9 @@ class QRExperimentData:
     """A cubic path Y(t) and Hermite samples of its Q-factor on St(n, r).
 
     Every sample and reference is Q4 times the Q-factor of the path's k x r
-    coordinates C(t) (see ``_CubicPath``): one k-row QR and an n-row
-    product, with no n-row factorization.
+    coordinates C(t) (see ``_CubicPath``), with no n-row factorization: the
+    samples from the factors of ``_draw_qr_path``'s stacked scan, and
+    ``reference`` and ``sample`` at any t from one k-row QR each.
     """
 
     path: _CubicPath
@@ -290,8 +293,10 @@ def _seeded_draw(config: ExperimentConfig, draw, warning: str, failure: str):
     raise PreconditionError(f"no {failure} found in {GEN_MAX_ATTEMPTS} attempts")
 
 
-def _draw_qr_path(config: ExperimentConfig) -> tuple[_CubicPath, np.ndarray, list[interpolate.HermiteSample]]:
-    """The QR family's sampling: a random cubic path, its nodes and its Q-factor samples on C(t).
+def _draw_qr_path(
+    config: ExperimentConfig,
+) -> tuple[_CubicPath, np.ndarray, list[interpolate.HermiteSample], np.ndarray]:
+    """The QR family's sampling: a random cubic path, its nodes, its Q-factor samples on C(t) and grid factors.
 
     Coefficient entries are uniform on [0, 1] (constant term), [0, 0.5]
     (linear and quadratic), [0, 0.2] (cubic).  Paths that go rank-deficient
@@ -301,9 +306,12 @@ def _draw_qr_path(config: ExperimentConfig) -> tuple[_CubicPath, np.ndarray, lis
     over the grid (Y is singular in between) is rejected too; the scan reads
     det C(t), which is det Y(t) times the constant det Q4 = +-1.
 
-    Each drawn path is split once (see ``_CubicPath``): a scan point
-    costs one k x r QR of its coordinates, and the samples are those of
-    ``_q_sample`` on St(k, r), from the factors the scan took at the nodes.
+    Each drawn path is split once (see ``_CubicPath``), and its scan, the
+    coordinates C(t) at the nodes and on the grid, is one stacked k x r
+    ``qr_econ`` call.  Returns the path, the nodes, the samples of
+    ``_q_sample`` on St(k, r) from the scan's node factors, and the Q
+    factors of the grid points, a (grid_points, k, r) stack aligned with
+    ``_uniform_grid(nodes, config.grid_points)``.
     """
     nodes = chebyshev_nodes(*config.interval, config.num_nodes)
     scan = np.concatenate([nodes, _uniform_grid(nodes, config.grid_points)])
@@ -311,16 +319,12 @@ def _draw_qr_path(config: ExperimentConfig) -> tuple[_CubicPath, np.ndarray, lis
     def draw(rng):
         coeffs = tuple(rng.uniform(0.0, hi, (config.n, config.r)) for hi in (1.0, 0.5, 0.5, 0.2))
         path = _CubicPath(coeffs)
-        det_signs, factors = set(), []
-        for t in scan:
-            c = path.coordinates(t)
-            factors.append(linalg.qr_econ(c))
-            if factors[-1].rank_deficient:
-                return None
-            det_signs.add(config.n > config.r or np.linalg.det(c) > 0.0)
-        if len(det_signs) > 1:
+        coords = np.stack([path.coordinates(t) for t in scan])
+        qr = linalg.qr_econ(coords)
+        if qr.rank_deficient.any() or (config.n == config.r and np.unique(np.linalg.det(coords) > 0.0).size > 1):
             return None
-        return path, nodes, [_q_sample(path, t, qr) for t, qr in zip(nodes, factors)]
+        samples = [_q_sample(path, t, linalg.EconQR(qr.q[i], qr.r_factor[i], False)) for i, t in enumerate(nodes)]
+        return path, nodes, samples, qr.q[len(nodes):]
 
     return _seeded_draw(
         config, draw, "QR path singular on the grid for seed %d; regenerating", "full-rank QR path"
@@ -333,7 +337,7 @@ def gen_qr_experiment(config: ExperimentConfig) -> QRExperimentData:
     The path is ``_draw_qr_path``'s, and the samples are Q4 times its
     samples on the coordinates C(t).
     """
-    path, nodes, samples = _draw_qr_path(config)
+    path, nodes, samples, _ = _draw_qr_path(config)
     return QRExperimentData(path, nodes, [_lift(path.basis, s) for s in samples])
 
 
@@ -368,49 +372,55 @@ def _method_curves(
     return curves
 
 
-def _relative_errors(grid, curves, reference, failures: dict[str, str]):
-    """Each method's relative errors ||curves[m](t) - ref||_F / ||ref||_F, ref = reference(t).
+def _relative_errors(grid, curves, references, failures: dict[str, str]):
+    """Each method's relative errors ||curves[m](t) - ref||_F / ||ref||_F at each t of ``grid``.
 
-    Returns the error column of each method; a curve's value and ``ref`` are
-    matrices of one shape.  A method whose curve raises PreconditionError
-    at a grid point, as the RBF baseline's round-off does on many nodes,
-    gets no column; its first failure is recorded in ``failures`` with that
-    t, as ``_method_curves`` records fit failures.
+    ``references`` holds the reference matrix ref of each grid point, in
+    grid order: a list, a stack or an iterator that makes them one at a
+    time.  Returns the error column of each method; a curve's value and
+    ``ref`` are matrices of one shape.  A method whose curve raises
+    PreconditionError at a grid point, as the RBF baseline's round-off does
+    on many nodes, gets no column; its first failure is recorded in
+    ``failures`` with that t, as ``_method_curves`` records fit failures.
     """
     errors = {m: [] for m in curves}
-    for t in grid:
-        ref = reference(t)
-        scale = np.linalg.norm(ref)
+    for t, ref in zip(grid, references, strict=True):
+        scale = linalg._frobenius(ref)
         for method in list(errors):
             try:
-                errors[method].append(np.linalg.norm(curves[method](t) - ref) / scale)
+                errors[method].append(linalg._frobenius(curves[method](t) - ref) / scale)
             except PreconditionError as exc:
                 failures.setdefault(method, f"evaluation failed at t={float(t)!r}: {exc}")
                 del errors[method]
     return errors
 
 
-def _factor_study(config: ExperimentConfig, samples, nodes, reference) -> ErrorReport:
-    """Fit every method to ``samples``; relative Frobenius errors against ``reference``."""
+def _factor_study(config: ExperimentConfig, samples, nodes, references) -> ErrorReport:
+    """Fit every method to ``samples``; relative Frobenius errors against ``references``.
+
+    ``references`` holds the reference factor at each point of
+    ``_uniform_grid(nodes, config.grid_points)``, as ``_relative_errors``
+    takes them.
+    """
     grid = _uniform_grid(nodes, config.grid_points)
     failures: dict[str, str] = {}
     fitted = _method_curves(config, samples, failures)
     curves = {m: (lambda t, c=c: c(t).u) for m, c in fitted.items()}
-    errors = _relative_errors(grid, curves, lambda t: reference(t).u, failures)
+    errors = _relative_errors(grid, curves, references, failures)
     return ErrorReport(grid, errors, failures=failures)
 
 
 def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
     """Interpolate the Q-factor path and report relative Frobenius errors.
 
-    The study runs on ``_draw_qr_path``'s samples and the Q-factors of the
-    path's k x r coordinates, k = min(n, 4r): the fits, evaluations and
+    The study runs on ``_draw_qr_path``'s samples and scores against its
+    grid factors, the Q-factors of the path's k x r coordinates,
+    k = min(n, 4r), that the draw's scan took: the fits, evaluations and
     errors are those of the n-row Q-factors in exact arithmetic, at k-row
-    cost.
+    cost, and the study factors nothing beyond its draw.
     """
-    path, nodes, samples = _draw_qr_path(config)
-    return _factor_study(config, samples, nodes,
-                         lambda t: stiefel.StiefelPoint(linalg.qr_econ(path.coordinates(t)).q))
+    _, nodes, samples, references = _draw_qr_path(config)
+    return _factor_study(config, samples, nodes, references)
 
 
 # --------------------------------------------------------------------------
@@ -607,7 +617,7 @@ def run_svd_interp(config: ExperimentConfig) -> ErrorReport:
         return lambda t: (cu(t).u * _interpolated_sigma(data, method, t)) @ cv(t).u.T
 
     curves = {m: reconstruction(m, cu, curves_v[m]) for m, cu in curves_u.items() if m in curves_v}
-    errors = _relative_errors(grid, curves, data.w, failures)
+    errors = _relative_errors(grid, curves, map(data.w, grid), failures)
     return ErrorReport(grid, errors, failures=failures)
 
 
@@ -641,7 +651,7 @@ def run_tangent_vs_manifold(config: ExperimentConfig) -> ErrorReport:
     failures = {"reference_scan": f"log did not converge at {len(skipped)} grid points: {skipped}"}
     return ErrorReport(
         [grid[i] for i in kept],
-        {"hermite": [np.linalg.norm(p.u - refs[i].u) / np.linalg.norm(refs[i].u) for i, (p, _) in kept.items()]},
+        {"hermite": [linalg._frobenius(p.u - refs[i].u) / linalg._frobenius(refs[i].u) for i, (p, _) in kept.items()]},
         tangent_errors=[stiefel.norm(gammas[i] - logs[i]) for i in kept],
         manifold_errors=[d for _, d in kept.values()],
         failures=failures if skipped else {},
@@ -713,9 +723,12 @@ def run_snapshot_experiment(config: ExperimentConfig) -> ErrorReport:
     the center sample.  If a log does not converge, the failure is recorded
     in the report and that sample is not interpolated, which shows up as
     large local errors.  On the n=1001, r=6 study all six logs converge.
+    The n-row references are made one grid point at a time, as they are
+    scored.
     """
     data = gen_snapshot_experiment(config)
-    return _factor_study(config, data.samples_u, data.nodes, data.reference_u)
+    grid = _uniform_grid(data.nodes, config.grid_points)
+    return _factor_study(config, data.samples_u, data.nodes, (data.reference_u(t).u for t in grid))
 
 
 def snapshot_transport_instance(

@@ -13,10 +13,14 @@ Everything downstream depends on two conventions established here:
   ``DomainError`` for an eigenvalue within round-off of -1.  It is the
   kernel of each step of the Stiefel log and reads off its result.
 
-``expm`` and ``logm`` also take a stack (..., n, n) of matrices, for the
-stacked Stiefel log: one call runs numpy's or scipy's stacked routines on
-all of them, and raises if any one matrix fails its check.  A lone matrix
-goes straight to scipy's LAPACK wrappers, the cheapest call.
+``expm``, ``logm``, ``qr_econ`` and ``orth_complete`` also take a stack
+(..., m, r) of matrices, for the stacked Stiefel log and the studies' grid
+scans: one call runs numpy's or scipy's stacked routines on all of them,
+and ``logm`` and ``orth_complete`` raise if any one matrix fails their
+check.  A lone matrix goes straight to scipy's LAPACK wrappers, the
+cheapest call.  Each slice of a stacked QR factor is laid out as the 2-d
+call lays it out (Q in Fortran order, R in C order), so that the products
+and solves that read a slice make the calls they make on the 2-d factors.
 
 The heavy lifting is delegated to LAPACK via numpy/scipy; the wrappers add
 the conventions, the domain checks, and typed errors.  The checks run on
@@ -74,6 +78,18 @@ def _as_matrix(x, name: str) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"{name} must be a 2-d array, got ndim={a.ndim}")
     return a
+
+
+def _as_stack(x, name: str) -> np.ndarray:
+    a = np.asarray(x, dtype=float)
+    if a.ndim < 2:
+        raise ShapeError(f"{name} must be a matrix or a stack of them, got ndim={a.ndim}")
+    return a
+
+
+def _fortran_slices(x: np.ndarray) -> np.ndarray:
+    """The stack ``x`` (..., m, k) laid out so that each m x k slice is Fortran-ordered."""
+    return np.ascontiguousarray(x.mT).mT
 
 
 def _as_square(x, op: str) -> np.ndarray:
@@ -169,16 +185,17 @@ def logm(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EconQR:
-    """Economy-size QR factors with nonnegative R-diagonal.
+    """Economy-size QR factors with nonnegative R-diagonal, of one matrix or of each of a stack.
 
     ``rank_deficient`` is set when an R-diagonal entry is at most
-    ``RANK_EPS * ||a||_F``.  It is the package's one numerical rank test of
-    a QR factorization: ``calculus.diff_qr`` refuses exactly these factors.
+    ``RANK_EPS * ||a||_F``; for a stack it is an array with one flag per
+    slice.  It is the package's one numerical rank test of a QR
+    factorization: ``calculus.diff_qr`` refuses exactly these factors.
     """
 
     q: np.ndarray
     r_factor: np.ndarray
-    rank_deficient: bool
+    rank_deficient: bool | np.ndarray
 
 
 def _householder(mat: np.ndarray, op: str, complete: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -203,28 +220,34 @@ def _householder(mat: np.ndarray, op: str, complete: bool = False) -> tuple[np.n
 
 
 def qr_econ(a) -> EconQR:
-    """Economy-size QR with deterministic signs (R-diagonal >= 0).
+    """Economy-size QR with deterministic signs (R-diagonal >= 0), of a matrix or of each of a stack.
 
     For full-column-rank input this is the unique QR factorization with a
     positive R-diagonal, hence continuous along full-rank matrix paths.
-    Rank deficiency is flagged on the result, not raised.  The factors come
-    from the LAPACK ``dgeqrf``/``dorgqr`` pair that ``qr_basis`` calls, with
-    R read off ``dgeqrf``'s output.
+    Rank deficiency is flagged on the result, not raised.  The factors of a
+    lone matrix come from the LAPACK ``dgeqrf``/``dorgqr`` pair that
+    ``qr_basis`` calls, with R read off ``dgeqrf``'s output; those of a
+    stack (..., n, r) from numpy's stacked QR, the same pair, in one call.
     """
-    mat = _as_matrix(a, "a")
-    n, r = mat.shape
+    mat = _as_stack(a, "a")
+    n, r = mat.shape[-2:]
     if n < r:
         raise ShapeError(f"qr_econ needs n >= r, got {mat.shape}")
-    q, packed = _householder(mat, "qr_econ")
-    rf = np.triu(packed[:r])
-    diag = np.diagonal(rf).copy()
+    if mat.ndim == 2:
+        q, packed = _householder(mat, "qr_econ")
+        rf = np.triu(packed[:r])
+    else:
+        q, rf = np.linalg.qr(mat)
+        q = _fortran_slices(q)
+    diag = np.diagonal(rf, axis1=-2, axis2=-1)
     flip = diag < 0.0
     if np.any(flip):
         signs = np.where(flip, -1.0, 1.0)
-        q = q * signs[np.newaxis, :]
-        rf = rf * signs[:, np.newaxis]
-    deficient = bool(np.any(np.diagonal(rf) <= RANK_EPS * np.linalg.norm(mat)))
-    return EconQR(q=q, r_factor=rf, rank_deficient=deficient)
+        q = q * signs[..., np.newaxis, :]
+        rf = rf * signs[..., :, np.newaxis]
+    scale = RANK_EPS * np.asarray(_frobenius(mat))[..., np.newaxis]
+    deficient = np.any(np.diagonal(rf, axis1=-2, axis2=-1) <= scale, axis=-1)
+    return EconQR(q=q, r_factor=rf, rank_deficient=bool(deficient) if mat.ndim == 2 else deficient)
 
 
 def qr_basis(a) -> tuple[np.ndarray, np.ndarray]:
@@ -263,15 +286,22 @@ def orth_complete(v) -> np.ndarray:
     W0, X S Y', so the last m - r rows of W, X S X', are symmetric positive
     semidefinite.  If det [V, W] would be -1, X's last column is negated
     first, which negates the smallest eigenvalue of those rows; at m > r,
-    [V, W] is in SO(m).  ``stiefel_log`` starts from [V, W].
+    [V, W] is in SO(m).  ``stiefel_log`` starts from [V, W].  A stack
+    (..., m, r) gets the completion of each V, from one stacked QR.
     """
-    v = _as_matrix(v, "v")
-    m, r = v.shape
+    v = _as_stack(v, "v")
+    m, r = v.shape[-2:]
     if r > m:
         raise ShapeError(f"orth_complete needs m >= r, got {v.shape}")
     _check_orthonormal(v, "orth_complete input is not orthonormal (||V'V - I|| = {:.3g})")
-    w0 = _householder(v, "orth_complete", complete=True)[0][:, r:]
-    x, _, yt = np.linalg.svd(w0[r:])
-    if r < m and np.linalg.det(np.hstack([v, w0])) * np.linalg.det(x @ yt) < 0.0:
-        x[:, -1] *= -1.0
-    return w0 @ yt.T @ x.T
+    if v.ndim == 2:
+        q = _householder(v, "orth_complete", complete=True)[0]
+    else:
+        q = _fortran_slices(np.linalg.qr(v, mode="complete")[0])
+    w0 = q[..., r:]
+    x, _, yt = np.linalg.svd(w0[..., r:, :])
+    if r < m:
+        flip = np.linalg.det(np.concatenate([v, w0], axis=-1)) * np.linalg.det(x @ yt) < 0.0
+        if flip.any():
+            x[..., -1] *= np.where(flip, -1.0, 1.0)[..., np.newaxis]
+    return w0 @ yt.mT @ x.mT

@@ -31,10 +31,12 @@ call returns a list with each target's result, or the ``StiefelLogError``
 its own log would raise, in its slot.  A kernel that raises on a stack
 restarts each half of the targets still iterating from their own
 completions, so a failing target ends alone, as its own log does, and the
-others stay stacked.  The n-row work (the overlap, the normal part's QR,
-the readout) stays per target.  A single target is the one-target case
-of the same call, and runs the loop on 2-D arrays, whose kernels call
-LAPACK directly.
+others stay stacked.  The stack's completions are built in one pass:
+each target's overlap U'Y and normal part are its own n-row products,
+then the QRs of the normal parts and the completions are one stacked
+``linalg`` call each; the readout stays per target.  A single target is
+the one-target case of the same call, and builds its completion and
+runs the loop on 2-D arrays, whose kernels call LAPACK directly.
 
 Every exponential runs through one kernel, ``TangentFrame.exp``: a frame
 keeps k tangent vectors at U as r x r blocks over one orthonormal basis of
@@ -328,27 +330,39 @@ def _step(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return 0.5 * (x - x.mT)
 
 
-def _completion(base: StiefelPoint, target: StiefelPoint):
-    """The normal basis Q of ``target`` and the starting 2r x 2r completion V (see ``stiefel_log``).
+def _completion(bases: list[StiefelPoint], targets: list[StiefelPoint]) -> tuple[list, np.ndarray | None]:
+    """The normal bases Q of the targets and their starting 2r x 2r completions V (see ``stiefel_log``).
 
-    At n = r it returns, not raises, the ``StiefelLogError`` that refuses a
+    Each target's overlap U'Y and normal part Y - U U'Y are its own
+    products; the QRs of the normal parts and the completions are then one
+    stacked ``linalg`` call each, or 2-d calls for a lone target.  Returns
+    per target its Q, or at n = r the ``StiefelLogError`` that refuses a
     target in the other component of O(n), as ``_readout`` does for the
-    loop's failures.
+    loop's failures; and the completions of the other targets, one matrix
+    for a lone target, else a stack (None for no target).
     """
-    if base.u.shape != target.u.shape:
-        raise ShapeError(f"base shape {base.u.shape} != target shape {target.u.shape}")
-    r = base.r
-    overlap = base.u.T @ target.u
-    if base.n == r and np.linalg.det(overlap) < 0.0:
-        return StiefelLogError(
-            f"St({r}, {r}) = O({r}) has two components, det = +1 and det = -1; det(U'Y) = -1 "
-            "puts base and target in different ones, which no geodesic joins", 0, np.inf
-        )
-    normal = target.u - base.u @ overlap
-    qr = linalg.qr_econ(normal)
-    q, nfac = qr.q, qr.r_factor
-    top = np.vstack([overlap, nfac])
-    return q, np.hstack([top, linalg.orth_complete(top)])
+    out, tops, normals = [], [], []
+    for base, target in zip(bases, targets):
+        if base.u.shape != target.u.shape:
+            raise ShapeError(f"base shape {base.u.shape} != target shape {target.u.shape}")
+        r = base.r
+        overlap = base.u.T @ target.u
+        if base.n == r and np.linalg.det(overlap) < 0.0:
+            out.append(StiefelLogError(
+                f"St({r}, {r}) = O({r}) has two components, det = +1 and det = -1; det(U'Y) = -1 "
+                "puts base and target in different ones, which no geodesic joins", 0, np.inf
+            ))
+            continue
+        out.append(None)
+        tops.append(overlap)
+        normals.append(target.u - base.u @ overlap)
+    if not tops:
+        return out, None
+    one = len(tops) == 1
+    qr = linalg.qr_econ(normals[0] if one else np.stack(normals))
+    top = np.concatenate([tops[0] if one else np.stack(tops), qr.r_factor], axis=-2)
+    qs = iter([qr.q] if one else qr.q)
+    return [next(qs) if x is None else x for x in out], np.concatenate([top, linalg.orth_complete(top)], axis=-1)
 
 
 def _iterate(v: np.ndarray, r: int) -> list[tuple]:
@@ -504,12 +518,11 @@ def stiefel_log(
     bases = [base] * len(targets) if isinstance(base, StiefelPoint) else list(base)
     if len(bases) != len(targets):
         raise ShapeError(f"{len(bases)} bases for {len(targets)} targets")
-    out = [_completion(b, y) for b, y in zip(bases, targets)]
-    todo = [i for i, x in enumerate(out) if isinstance(x, tuple)]
+    out, v = _completion(bases, targets)
+    todo = [i for i, x in enumerate(out) if not isinstance(x, StiefelLogError)]
     if todo:
-        vs = [out[i][1] for i in todo]
-        for i, end in zip(todo, _iterate(vs[0] if len(vs) == 1 else np.stack(vs), bases[0].r)):
-            out[i] = _readout(bases[i], out[i][0], *end)
+        for i, end in zip(todo, _iterate(v, bases[0].r)):
+            out[i] = _readout(bases[i], out[i], *end)
     if one and isinstance(out[0], StiefelLogError):
         raise out[0]
     return out[0] if one else out

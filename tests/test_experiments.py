@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
 import importlib.util
+import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,24 +162,47 @@ class TestQRExperiment:
             assert np.linalg.norm(sample.velocity.delta - q_dot) <= 1e-13
 
     def test_one_n_row_factorization_per_path(self, monkeypatch, caplog):
-        # St(100, 6): n = 100 rows, against 4r = 24 rows of the coordinates
+        # St(100, 6): n = 100 rows, against 4r = 24 rows of the coordinates;
+        # the draw factors its 6 nodes and 100 grid points in one stacked
+        # call.  Only the factorizations that the study code makes count,
+        # not those of the logs and exponentials inside the fits.
         n, r = 100, 6
-        rows = []
+        shapes = []
         for name in ("qr_econ", "qr_basis"):
             kernel = getattr(linalg, name)
 
-            def spy(a, kernel=kernel):
-                rows.append(np.shape(a)[0])
+            def spy(a, kernel=kernel, name=name):
+                if sys._getframe(1).f_globals["__name__"] == ex.__name__:
+                    shapes.append((name, np.shape(a)))
                 return kernel(a)
 
             monkeypatch.setattr(linalg, name, spy)
-        data = ex.gen_qr_experiment(ex.ExperimentConfig(n=n, r=r, num_nodes=6, seed=0))
+        cfg = ex.ExperimentConfig(n=n, r=r, num_nodes=6, seed=0)
+        data = ex.gen_qr_experiment(cfg)
         assert "regenerating" not in caplog.text  # one drawn path
-        assert rows.count(n) == 1
-        assert len(rows) == 1 + 6 + 100  # the basis and the scan, whose node factors the samples take
-        rows.clear()
+        draw = [("qr_basis", (n, 4 * r)), ("qr_econ", (6 + 100, 4 * r, r))]
+        assert shapes == draw
+        shapes.clear()
         data.reference(0.3)
-        assert rows == [4 * r]
+        assert shapes == [("qr_econ", (4 * r, r))]
+        # the study scores against the draw's grid factors
+        shapes.clear()
+        ex.run_qr_interp(cfg)
+        assert shapes == draw
+
+    @pytest.mark.parametrize("n, r", [(100, 6), (12, 3), (4, 4)], ids=["n-above-4r", "n-equals-4r", "n-equals-r"])
+    def test_grid_factors_are_the_q_factors_of_the_grid(self, n, r):
+        # the draw hands out the Q-factor of C(t) at each grid point, bit for
+        # bit as a 2-d qr_econ call makes it, and in its Fortran order
+        cfg = ex.ExperimentConfig(n=n, r=r, num_nodes=6, seed=0, interval=(-0.5, 0.5))
+        path, nodes, samples, factors = ex._draw_qr_path(cfg)
+        grid = ex._uniform_grid(nodes, cfg.grid_points)
+        assert len(factors) == len(grid)
+        for t, q in zip(grid, factors):
+            direct = linalg.qr_econ(path.coordinates(t)).q
+            assert np.array_equal(q, direct) and q.flags.f_contiguous == direct.flags.f_contiguous
+        for t, sample in zip(nodes, samples):
+            assert np.array_equal(sample.point.u, linalg.qr_econ(path.coordinates(t)).q)
 
     def test_run_deterministic(self):
         cfg = ex.ExperimentConfig(n=30, r=3, num_nodes=4, seed=5)
@@ -191,6 +216,11 @@ class TestQRExperiment:
         curve = interp.fit_composite(data.samples)
         for s in data.samples:
             assert np.linalg.norm(curve(s.t).u - s.point.u) <= 1e-8
+
+
+def _grid_references(config, nodes, reference):
+    """The matrices of ``reference(t)`` on the study grid of ``nodes``, one point at a time."""
+    return (reference(t).u for t in ex._uniform_grid(nodes, config.grid_points))
 
 
 def _nudged_first_row(point):
@@ -238,7 +268,7 @@ class TestConvergenceOrder:
         for k in self.NODES:
             nodes = np.linspace(*cfg.interval, k)
             samples, reference = sample(nodes)
-            errs.append(ex._factor_study(cfg, samples, nodes, reference).max_rel)
+            errs.append(ex._factor_study(cfg, samples, nodes, _grid_references(cfg, nodes, reference)).max_rel)
         return {m: np.log2([a[m] / b[m] for a, b in zip(errs, errs[1:])]) for m in methods}
 
     @pytest.mark.parametrize("family, config", [
@@ -638,7 +668,7 @@ def _n_row_tangent_vs_manifold(config):
 def _n_row_qr_interp(config):
     """The QR study on the generator's n-row samples and references."""
     data = ex.gen_qr_experiment(config)
-    return ex._factor_study(config, data.samples, data.nodes, data.reference)
+    return ex._factor_study(config, data.samples, data.nodes, _grid_references(config, data.nodes, data.reference))
 
 
 #: The n-row oracle of each paper study that runs on its path's coordinates.
@@ -881,6 +911,34 @@ class TestTransportAccuracy:
         assert ex.run_transport_accuracy(cfg, use_snapshot_data=True) == ex.run_transport_accuracy(cfg)
 
 
+def _assert_footers_match_columns(text: str) -> None:
+    """Assert that a report CSV's max_rel and l2_rel footers are the summaries of its own columns.
+
+    Recomputed without ``ErrorReport``: a plain maximum of each error column,
+    exactly, and the trapezoid rule written out over the CSV's t column, to
+    round-off.
+    """
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:] if not line.startswith("#")]
+    footers = [line[2:].split(",", 2) for line in lines if line.startswith("# ")]
+    written = {(kind, m): float(v) for kind, m, v in footers if kind in ("max_rel", "l2_rel")}
+    t = [row[0] for row in rows]
+    want = {}
+    for j, name in enumerate(header):
+        if name.endswith("_rel_err"):
+            e = [row[j] for row in rows]
+            area = sum((t[i + 1] - t[i]) * (e[i] ** 2 + e[i + 1] ** 2) / 2 for i in range(len(t) - 1))
+            want[("max_rel", name.removesuffix("_rel_err"))] = max(e)
+            want[("l2_rel", name.removesuffix("_rel_err"))] = math.sqrt(area)
+    assert want and written.keys() == want.keys()
+    for key, value in want.items():
+        if key[0] == "max_rel":
+            assert written[key] == value, key
+        else:
+            assert written[key] == pytest.approx(value, rel=1e-12), key
+
+
 class TestReports:
     def _toy_report(self):
         return ex.ErrorReport(
@@ -890,12 +948,26 @@ class TestReports:
         )
 
     def test_summaries_from_columns(self):
-        rep = self._toy_report()
-        assert rep.max_rel == {"hermite": 0.3, "geodesic": 3.0}
-        # trapezoid of e^2 on the grid: 0.25 * (0.01 + 2 * 0.04 + 0.09) = 0.045
-        assert rep.l2_rel["hermite"] == pytest.approx(np.sqrt(0.045))
-        assert rep.l2_rel["geodesic"] == pytest.approx(10.0 * np.sqrt(0.045))
+        # a non-uniform grid of span 1.5, where an RMS is not the trapezoidal
+        # L2 norm; hermite's largest error is its first, geodesic's inside
+        rep = ex.ErrorReport(
+            eval_grid=[0.5, 0.7, 1.5, 2.0],
+            errors={"hermite": [0.4, 0.1, 0.3, 0.2], "geodesic": [1.0, 3.0, 2.0, 1.5]},
+        )
+        assert rep.max_rel == {"hermite": 0.4, "geodesic": 3.0}
+        # trapezoid of e^2: 0.2 (0.16 + 0.01) / 2 + 0.8 (0.01 + 0.09) / 2 + 0.5 (0.09 + 0.04) / 2
+        assert rep.l2_rel["hermite"] == pytest.approx(np.sqrt(0.0895), rel=1e-14)
+        # 0.2 (1 + 9) / 2 + 0.8 (9 + 4) / 2 + 0.5 (4 + 2.25) / 2
+        assert rep.l2_rel["geodesic"] == pytest.approx(np.sqrt(7.7625), rel=1e-14)
         assert all(type(v) is float for v in [*rep.max_rel.values(), *rep.l2_rel.values()])
+
+    @pytest.mark.parametrize("stem", REPORT_STUDIES)
+    def test_committed_footers_match_their_columns(self, stem):
+        _assert_footers_match_columns((RESULTS / f"{stem}.csv").read_text())
+
+    def test_fresh_footers_match_their_columns(self):
+        cfg = ex.ExperimentConfig(n=20, r=3, num_nodes=4, seed=0, grid_points=31)
+        _assert_footers_match_columns(ex.report_to_csv(ex.run_qr_interp(cfg)))
 
     def test_roundtrip(self):
         rep = self._toy_report()

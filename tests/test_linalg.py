@@ -227,6 +227,26 @@ class TestQrEcon:
         assert out.rank_deficient
         assert not linalg.qr_econ(np.eye(8)[:, :3]).rank_deficient
 
+    @pytest.mark.parametrize("n, r", [(24, 6), (40, 10), (1001, 6), (6, 6), (5, 0)])
+    def test_stack_is_each_matrix_factorization(self, n, r):
+        # one stacked call: each slice's factors are the 2-d call's bit for
+        # bit, laid out as the 2-d call lays them out, with its rank flag;
+        # slices 3 and 4 are the zero matrix and a repeated column
+        a = np.random.default_rng(n + r).standard_normal((6, n, r))
+        a[3] = 0.0
+        if r > 1:
+            a[4, :, 1] = a[4, :, 0]
+        out = linalg.qr_econ(a)
+        assert out.q.shape == a.shape and out.r_factor.shape == (6, r, r)
+        for i, matrix in enumerate(a):
+            alone = linalg.qr_econ(matrix)
+            for got, want in ((out.q[i], alone.q), (out.r_factor[i], alone.r_factor)):
+                assert np.array_equal(got, want)
+                assert (got.flags.f_contiguous, got.flags.c_contiguous) == (want.flags.f_contiguous,
+                                                                            want.flags.c_contiguous)
+            assert out.rank_deficient[i] == alone.rank_deficient
+        assert list(out.rank_deficient) == [False, False, False, r > 0, r > 1, False]
+
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_reconstruction_property(self, seed):
@@ -340,6 +360,25 @@ class TestOrthComplete:
         rng = np.random.default_rng(m + r)
         for v in (np.linalg.qr(rng.standard_normal((m, r)))[0], np.eye(m)[:, m - r:]):
             _check_completion(v, linalg.orth_complete(v))
+
+    @pytest.mark.parametrize("m, r", [(12, 6), (6, 3), (20, 10), (4, 4), (4, 0)])
+    def test_stack_is_each_matrix_completion(self, m, r):
+        # one stacked call gives each V's own completion bit for bit: a
+        # random V, V on the last r coordinates (which leaves the last m - r
+        # rows of W rank-deficient) and V on the first r; m = r has no W
+        rng = np.random.default_rng(m + r)
+        v = np.stack([np.linalg.qr(rng.standard_normal((m, r)))[0], np.eye(m)[:, m - r:], np.eye(m)[:, :r]])
+        out = linalg.orth_complete(v)
+        assert out.shape == (3, m, m - r)
+        for i, matrix in enumerate(v):
+            alone = linalg.orth_complete(matrix)
+            assert np.array_equal(out[i], alone)
+            _check_completion(matrix, out[i])
+
+    def test_stack_with_a_non_orthonormal_matrix_rejected(self):
+        v = np.stack([np.eye(5)[:, :2], np.ones((5, 2))])
+        with pytest.raises(PreconditionError):
+            linalg.orth_complete(v)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)

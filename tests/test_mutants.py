@@ -22,6 +22,7 @@ import test_acceptance
 import test_calculus
 import test_experiments
 import test_interpolate
+import test_linalg
 import test_oracles
 import test_stiefel
 
@@ -289,3 +290,38 @@ def test_coordinate_velocity_mutant(monkeypatch, stem):
             test_experiments.TestQRExperiment().test_factored_path_matches_direct_qr(100, 6, False)
         else:
             test_experiments.TestSVDExperiment().test_samples_match_the_derivative_of_w(80, 5, 30)
+
+
+def test_l2_rel_as_rms_mutant(monkeypatch):
+    # the root mean square of the errors, which ignores the grid's spacing and span
+    rms = property(lambda self: {m: float(np.sqrt(np.mean(np.square(e)))) for m, e in self.errors.items()})
+    monkeypatch.setattr(ex.ErrorReport, "l2_rel", rms)
+    with pytest.raises(AssertionError):
+        test_experiments.TestReports().test_summaries_from_columns()
+    with pytest.raises(AssertionError):
+        test_experiments.TestReports().test_fresh_footers_match_their_columns()
+
+
+def test_max_rel_skips_the_first_point_mutant(monkeypatch):
+    skipped = property(lambda self: {m: float(np.max(e[1:])) for m, e in self.errors.items()})
+    monkeypatch.setattr(ex.ErrorReport, "max_rel", skipped)
+    with pytest.raises(AssertionError):
+        test_experiments.TestReports().test_summaries_from_columns()
+
+
+def test_stacked_qr_without_sign_fix_mutant(monkeypatch):
+    # a stack keeps the Householder signs that LAPACK leaves; a lone matrix is fixed
+    unsigned = _source_mutant(linalg.qr_econ, "if np.any(flip):", "if mat.ndim == 2 and np.any(flip):")
+    monkeypatch.setattr(linalg, "qr_econ", unsigned)
+    with pytest.raises(AssertionError):
+        test_linalg.TestQrEcon().test_stack_is_each_matrix_factorization(24, 6)
+
+
+def test_scan_hands_out_the_next_factor_mutant(monkeypatch):
+    # grid point i gets the factor of grid point i + 1, the last the first's
+    shifted = _source_mutant(ex._draw_qr_path, "qr.q[len(nodes):]", "np.roll(qr.q[len(nodes):], -1, axis=0)")
+    monkeypatch.setattr(ex, "_draw_qr_path", shifted)
+    with pytest.raises(AssertionError):
+        test_experiments.TestQRExperiment().test_grid_factors_are_the_q_factors_of_the_grid(100, 6)
+    with pytest.raises(AssertionError):
+        test_experiments.TestCoordinates().test_match_the_n_row_pipeline("qr_interp_n500_r10")

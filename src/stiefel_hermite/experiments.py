@@ -5,13 +5,14 @@ Two kinds of sampled factor path drive the studies:
 * ``QRExperimentData``: the Q-factor path of a random cubic matrix path Y(t)
   (QR study);
 * ``SVDExperimentData``: the truncated SVD factors of a rank-r matrix path,
-  all sampled by one loop (``_sample_svd_path``) from the path's own
-  factorization ``svd(t)``, which its references call too.  Two families
-  feed it: a product W(t) = Y(t) Z(t) of a random cubic Y(t) and a
-  quadratic Z(t) with exact low rank (SVD and tangent-vs-manifold studies);
-  and a deterministic snapshot family of a closed-form two-parameter
-  function whose left factor is interpolated, whose ``svd(t)`` is the SVD
-  of its n x r snapshot itself (snapshot study; it compares against
+  all sampled by one loop (``_sample_svd_path``) that takes a path W(t),
+  its derivative and its rank r, and factors each point itself: the
+  ``linalg.svd_full`` of W(t) cut to r columns, the rule that its
+  references call too.  Two families feed it: a product W(t) = Y(t) Z(t)
+  (``_product``) of a random cubic Y(t) and a quadratic Z(t) with exact
+  low rank (SVD and tangent-vs-manifold studies); and a deterministic
+  snapshot family of a closed-form two-parameter function whose n x r left
+  factor is interpolated (snapshot study; it compares against
   single-tangent-space interpolation, which needs logs between samples far
   apart).  The transport study samples the same family at its own three
   parameters.
@@ -20,7 +21,7 @@ Both random families split their cubic Y(t) once, as a ``_CubicPath``:
 Y(t) = Q4 C(t), with Q4 an orthonormal basis of its coefficients and C(t)
 its coordinates, k = min(n, 4r) rows.  Each family is sampled once, on its
 coordinates: the QR family (``_draw_qr_path``) takes the Q-factor of C(t),
-the low-rank family (``_draw_lowrank_path``) the SVD of
+the low-rank family (``_draw_lowrank_path``) the SVD of the product
 X(t) = C(t) Z(t), and each accepts or rejects a draw on those samples.
 U -> Q4 U embeds St(k, r) in St(n, r) isometrically and totally
 geodesically (a geodesic U E11 + Q E21 stays in span(Q4) when U and its
@@ -32,7 +33,7 @@ return St(n, r) data: Q4 times the coordinate samples and factors
 (``_lift``), so no scan point, sample or reference factors an n-row
 matrix.  The QR family factors its scan, nodes and grid, in one stacked
 ``linalg.qr_econ`` call, whose grid factors are the QR study's references.
-Every study SVD is a ``linalg.svd_full`` call.
+Every study SVD is a ``linalg.svd_full`` call of ``_sample_svd_path``'s rule.
 
 ``COMMANDS`` is the one study registry.  It maps each CLI subcommand to the
 config fields its study reads, which are its flags, to the function that
@@ -432,20 +433,21 @@ def run_qr_interp(config: ExperimentConfig) -> ErrorReport:
 class SVDExperimentData:
     """A matrix path W(t) of rank r and Hermite samples of its truncated SVD factors.
 
-    ``svd(t)`` is the path's own factorization (u, sigma, v) of W(t): the
-    leading factors, u with W's row count and v m x r, which set r, and all
-    the singular values in descending order, the form
-    ``diff_svd_truncated`` takes.  The samples and the references call it
-    and no other SVD; ``w`` and ``w_dot`` give W(t) and its derivative.
-    Row i of ``sigma_values`` and ``sigma_slopes`` holds the r leading
-    singular values and their derivatives at node i.  The low-rank family
-    is sampled on its k x m coordinates X(t) (``_draw_lowrank_path``);
-    ``gen_lowrank_svd_experiment`` lifts that data to n rows, where ``svd``
-    and the U samples are Q4 times the coordinates' and ``w`` and ``w_dot``
-    are the n x m product Y(t) Z(t), an oracle that no sample reads.  Every
-    sampled and reference factor is sign-normalized against the left factor
-    at the first node, ``samples_u[0].point``, so that the sampled factor
-    paths are differentiable.
+    ``w`` and ``w_dot`` give W(t) and its derivative.  ``svd(t)`` is the
+    rank-r factorization (u, sigma, v) of W(t) that ``_sample_svd_path``
+    takes at each node: ``linalg.svd_full`` of W(t) with u and v cut to their
+    r leading columns, and all the singular values in descending order, the
+    form ``diff_svd_truncated`` takes.  ``reference_u`` calls it too, so the
+    samples and the references share one SVD.  Row i of ``sigma_values`` and
+    ``sigma_slopes`` holds the r leading singular values and their
+    derivatives at node i.  The low-rank family is sampled on its k x m
+    coordinates X(t) (``_draw_lowrank_path``); ``gen_lowrank_svd_experiment``
+    lifts that data to n rows, where ``svd`` and the U samples are Q4 times
+    the coordinates' and ``w`` and ``w_dot`` are the n x m product
+    Y(t) Z(t), an oracle that no sample reads.  Every sampled and reference
+    factor is sign-normalized against the left factor at the first node,
+    ``samples_u[0].point``, so that the sampled factor paths are
+    differentiable.
     """
 
     w: Callable[[float], np.ndarray]
@@ -462,16 +464,24 @@ class SVDExperimentData:
         return stiefel.StiefelPoint(svd_sign_normalize(u, v, self.samples_u[0].point.u)[0])
 
 
-def _sample_svd_path(w, w_dot, svd, nodes: np.ndarray):
-    """Hermite samples of the truncated SVD factors of W(t) at ``nodes``.
+def _sample_svd_path(w, w_dot, r: int, nodes: np.ndarray):
+    """Hermite samples of the rank-r truncated SVD factors of W(t) at ``nodes``.
 
-    ``svd(t)`` hands out the rank-r factors of W(t) as
-    ``SVDExperimentData.svd`` does.  Each node's factors are sign-normalized
-    against the first node's u, which normalizing against itself leaves as
-    it is.  Returns the data, or None when ``diff_svd_truncated`` refuses a
-    node: W is not numerically of rank r there, or its leading singular
-    values are too close to differentiate.
+    ``w(t)`` and ``w_dot(t)`` give W(t) and its derivative.  Each node is
+    factored as ``linalg.svd_full`` of W(t), u and v cut to r columns and
+    every singular value kept, so that ``diff_svd_truncated`` tests the rank
+    on the trailing ones; the data keep this rule as ``svd``.  Each node's
+    factors are sign-normalized against the first node's u, which
+    normalizing against itself leaves as it is.  Returns the data, or None
+    when ``diff_svd_truncated`` refuses a node: W is not numerically of
+    rank r there, or its leading singular values are too close to
+    differentiate.
     """
+
+    def svd(t):
+        u, sigma, v = linalg.svd_full(w(t))
+        return u[:, :r], sigma, v[:, :r]
+
     samples_u, samples_v, sigma_values, sigma_slopes = [], [], [], []
     for t in nodes:
         u, sigma, v = svd(t)
@@ -483,7 +493,7 @@ def _sample_svd_path(w, w_dot, svd, nodes: np.ndarray):
         for samples, factor, velocity in ((samples_u, u, u_dot), (samples_v, v, v_dot)):
             tangent = stiefel.TangentVector(stiefel.StiefelPoint(factor), velocity)
             samples.append(interpolate.HermiteSample(float(t), tangent))
-        sigma_values.append(sigma[: u.shape[1]])
+        sigma_values.append(sigma[:r])
         sigma_slopes.append(sigma_dot)
     return SVDExperimentData(
         w=w, w_dot=w_dot, svd=svd, nodes=nodes, samples_u=samples_u, samples_v=samples_v,
@@ -491,23 +501,30 @@ def _sample_svd_path(w, w_dot, svd, nodes: np.ndarray):
     )
 
 
+def _product(y, y_dot, zs):
+    """W(t) = Y(t) Z(t) and Wdot(t) = Ydot(t) Z(t) + Y(t) Zdot(t), Z(t) the ``_cubic`` of the stack ``zs``."""
+    return (lambda t: y(t) @ _cubic(zs, t),
+            lambda t: y_dot(t) @ _cubic(zs, t) + y(t) @ _cubic_dot(zs, t))
+
+
 def _draw_lowrank_path(config: ExperimentConfig):
     """The low-rank family's sampling: a random path W(t) = Y(t) Z(t), sampled on its coordinates.
 
     Y is a cubic n x r polynomial (entries uniform on [0,1] / [0,0.5]),
-    Z a quadratic r x m polynomial (entries uniform on [0,1] / [0,0.5]).
-    Y is split once (see ``_CubicPath``), and ``_sample_svd_path``
-    samples the k x m coordinates X(t) = C(t) Z(t), W(t) = Q4 X(t), whose
-    ``svd(t)`` is the ``svd_full`` of X(t) cut to its leading r left and
-    right vectors.  Seeds giving near-repeated leading singular values at a
-    node are regenerated with the next seed.  A square factor (n = r for U,
+    Z a quadratic r x m polynomial (entries uniform on [0,1] / [0,0.5]),
+    held as a ``_cubic`` stack whose cubic term is zero (its exact zeros
+    change no bit of Z(t) or Zdot(t)).  Y is split once
+    (see ``_CubicPath``), and ``_sample_svd_path`` samples the k x m
+    coordinates X(t) = C(t) Z(t), W(t) = Q4 X(t), the ``_product`` of C(t)
+    and Z(t).  Seeds giving near-repeated leading singular values at a node
+    are regenerated with the next seed.  A square factor (n = r for U,
     which is k = r, and m = r for V) lies in O(r), whose two components no
     geodesic joins, so a seed whose consecutive samples F_i, F_i+1 of such a
     factor have det(F_i'F_i+1) < 0, the test on which ``stiefel_log``
     refuses, is regenerated too.  The lift by Q4 changes neither test in
     exact arithmetic.
 
-    Returns the data of X(t) and (path, Z, Zdot), from which
+    Returns the data of X(t) and (path, Z's coefficient stack), from which
     ``gen_lowrank_svd_experiment`` builds the n-row data.
     """
     r = config.r
@@ -520,33 +537,16 @@ def _draw_lowrank_path(config: ExperimentConfig):
 
     def draw(rng):
         ys = tuple(rng.uniform(0.0, hi, (config.n, r)) for hi in (1.0, 0.5, 0.5, 0.5))
-        z0, z1, z2 = (rng.uniform(0.0, hi, (r, config.m)) for hi in (1.0, 0.5, 0.5))
+        zs = (*(rng.uniform(0.0, hi, (r, config.m)) for hi in (1.0, 0.5, 0.5)), np.zeros((r, config.m)))
         path = _CubicPath(ys)
-
-        def z(t):
-            return z0 + t * z1 + t * t * z2
-
-        def z_dot(t):
-            return z1 + 2.0 * t * z2
-
-        def x(t):
-            return path.coordinates(t) @ z(t)
-
-        def x_dot(t):
-            return path.coordinates_dot(t) @ z(t) + path.coordinates(t) @ z_dot(t)
-
-        def svd(t):
-            u, sigma, v = linalg.svd_full(x(t))
-            return u[:, :r], sigma, v[:, :r]
-
-        data = _sample_svd_path(x, x_dot, svd, nodes)
+        data = _sample_svd_path(*_product(path.coordinates, path.coordinates_dot, zs), r, nodes)
         if data is None or any(
             a.point.n == r and np.linalg.det(a.point.u.T @ b.point.u) < 0.0
             for samples in (data.samples_u, data.samples_v)
             for a, b in zip(samples, samples[1:])
         ):
             return None
-        return data, (path, z, z_dot)
+        return data, (path, zs)
 
     return _seeded_draw(
         config, draw, "SVD path degenerate for seed %d; regenerating",
@@ -560,22 +560,16 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
     The path and the samples are ``_draw_lowrank_path``'s, taken on its
     coordinates X(t).  The U samples and ``svd`` are Q4 times theirs; the V
     samples and the singular values are the coordinates' own.  ``w`` and
-    ``w_dot`` are the n x m Y(t) Z(t) and its derivative.
+    ``w_dot`` are the ``_product`` of the n-row Y(t) and Z(t).
     """
-    data, (path, z, z_dot) = _draw_lowrank_path(config)
-    basis, coeffs = path.basis, path.coeffs
-
-    def w(t):
-        return _cubic(coeffs, t) @ z(t)
-
-    def w_dot(t):
-        return _cubic_dot(coeffs, t) @ z(t) + _cubic(coeffs, t) @ z_dot(t)
+    data, (path, zs) = _draw_lowrank_path(config)
 
     def svd(t):
         u, sigma, v = data.svd(t)
-        return basis @ u, sigma, v
+        return path.basis @ u, sigma, v
 
-    return replace(data, w=w, w_dot=w_dot, svd=svd, samples_u=[_lift(basis, s) for s in data.samples_u])
+    w, w_dot = _product(lambda t: _cubic(path.coeffs, t), lambda t: _cubic_dot(path.coeffs, t), zs)
+    return replace(data, w=w, w_dot=w_dot, svd=svd, samples_u=[_lift(path.basis, s) for s in data.samples_u])
 
 
 def _interpolated_sigma(data: SVDExperimentData, method: str, t: float) -> np.ndarray:
@@ -698,10 +692,7 @@ def _sample_snapshot_path(n: int, r: int, mus) -> SVDExperimentData:
             cols.append(fd / nrm - (weights @ (f * fd)) / nrm**3 * f)
         return np.column_stack(cols)
 
-    def svd(mu):
-        return linalg.svd_full(snapshot(mu))
-
-    data = _sample_svd_path(snapshot, snapshot_dot, svd, np.asarray(mus, dtype=float))
+    data = _sample_svd_path(snapshot, snapshot_dot, r, np.asarray(mus, dtype=float))
     if data is None:
         raise PreconditionError(
             f"the snapshot matrix at n={n}, r={r} is not of rank r "

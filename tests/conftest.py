@@ -19,6 +19,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import functools  # noqa: E402
+import time  # noqa: E402
 from collections import Counter  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -140,27 +141,33 @@ def rotated_copy(rng, arrays, reflections=4):
     return out
 
 
-def spy_kernel_logs(monkeypatch):
-    """A list that gets one entry per later ``stiefel.stiefel_log`` call: its kernel logs.
+def record_kernel_logs(monkeypatch):
+    """A list that gets one entry per later ``stiefel.stiefel_log`` call: the inputs of its kernel logs.
 
     The kernel log is ``linalg.logm``, the orthogonal log that each step of
-    the Stiefel log takes; both are looked up on their modules.  A stacked
-    call's kernel logs take one matrix per target, and each matrix counts.
+    the Stiefel log takes; both are looked up on their modules.  Each input
+    of ``linalg.logm`` is kept as a (targets, 2r, 2r) stack: one matrix for
+    a single log, one per live target for a stacked one.
     """
-    counts = []
+    calls = []
     logm, log = linalg.logm, stiefel.stiefel_log
 
     def spy_logm(v):
-        counts[-1] += v[..., 0, 0].size
+        calls[-1].append(v.reshape(-1, *v.shape[-2:]).copy())
         return logm(v)
 
     def spy_log(*args, **kwargs):
-        counts.append(0)
+        calls.append([])
         return log(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "logm", spy_logm)
     monkeypatch.setattr(stiefel, "stiefel_log", spy_log)
-    return counts
+    return calls
+
+
+def kernel_log_counts(calls):
+    """The kernel logs of each call that ``record_kernel_logs`` recorded, each matrix of a stack counted."""
+    return [sum(map(len, inputs)) for inputs in calls]
 
 
 @pytest.fixture
@@ -234,10 +241,22 @@ def qr_path():
 
 @pytest.fixture(scope="session")
 def paper_csv():
-    """``paper_csv(stem)``: the CSV of the registry's paper run ``stem``, run once per session."""
+    """``paper_csv(stem)``: the CSV of the registry's paper run ``stem``, run once per session.
+
+    ``paper_csv.seconds[stem]`` is the wall time of that run.
+    """
     runs = {stem: (command.run, config)
             for command in experiments.COMMANDS.values() for stem, config in command.studies.items()}
-    return functools.cache(lambda stem: runs[stem][0](runs[stem][1]))
+
+    @functools.cache
+    def run(stem):
+        start = time.perf_counter()
+        text = runs[stem][0](runs[stem][1])
+        run.seconds[stem] = time.perf_counter() - start
+        return text
+
+    run.seconds = {}
+    return run
 
 
 @pytest.fixture(scope="session")

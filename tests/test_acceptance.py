@@ -63,12 +63,10 @@ def test_criterion_2_interpolation_conditions():
     )
 
 
-def test_criterion_3_hermite_vs_geodesic_ordering():
-    start = time.time()
-    full = ex.run_qr_interp(
-        ex.ExperimentConfig(n=500, r=10, interval=(-1.1, 1.1), num_nodes=6, seed=0)
-    )
-    full_time = time.time() - start
+def test_criterion_3_hermite_vs_geodesic_ordering(paper_csv):
+    # the full scale is the session's paper run at St(500, 10), timed where it ran
+    full = ex.parse_report(paper_csv("qr_interp_n500_r10"))
+    full_time = paper_csv.seconds["qr_interp_n500_r10"]
     start_desk = time.time()
     desk = ex.run_qr_interp(
         ex.ExperimentConfig(n=100, r=6, interval=(-1.1, 1.1), num_nodes=6, seed=0)

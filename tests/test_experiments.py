@@ -14,7 +14,7 @@ from stiefel_hermite import interpolate as interp
 from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import DomainError, PreconditionError, StiefelLogError
 
-from conftest import assert_v_shape, far_samples, rotated_copy, spy_kernel_logs
+from conftest import assert_v_shape, far_samples, record_kernel_logs, rotated_copy
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -241,7 +241,7 @@ def _snapshot_family(cfg):
     path = ex.gen_snapshot_experiment(cfg)
 
     def sample(nodes):
-        data = ex._sample_svd_path(path.w, path.w_dot, path.svd, nodes)
+        data = ex._sample_svd_path(path.w, path.w_dot, cfg.r, nodes)
         return data.samples_u, data.reference_u
 
     return sample
@@ -313,6 +313,15 @@ class TestSVDExperiment:
             )
             w_dot = d.w_dot(t)
             assert np.linalg.norm(rec - w_dot) <= 1e-7 * np.linalg.norm(w_dot)
+
+    def test_derivative_matches_fd(self, svd_data):
+        # the n x m Wdot(t) against a central difference of W(t) itself, at
+        # the nodes and between them
+        _, d = svd_data
+        h = 1e-6
+        for t in (*d.nodes, 0.3):
+            fd = (d.w(t + h) - d.w(t - h)) / (2 * h)
+            assert np.linalg.norm(d.w_dot(t) - fd) <= 1e-6 * np.linalg.norm(fd)
 
     @pytest.mark.parametrize("n, r, m", [(80, 5, 30), (40, 3, 10), (10, 3, 8)],
                              ids=["4r-below-m", "4r-above-m", "n-below-4r"])
@@ -400,7 +409,7 @@ class TestSVDExperiment:
                                   methods=("hermite", "geodesic"))
         report = ex.run_svd_interp(cfg)
         assert set(report.errors) == {"hermite", "geodesic"}
-        _, (path, _, _) = ex._draw_lowrank_path(cfg)
+        _, (path, _) = ex._draw_lowrank_path(cfg)
         data = ex.gen_lowrank_svd_experiment(cfg)
         for method, curve in seen["curves"].items():
             for t, err in zip(seen["grid"], report.errors[method], strict=True):
@@ -428,7 +437,8 @@ class TestSVDExperiment:
         report = ex.run_svd_interp(cfg)
         assert "regenerating" not in caplog.text  # one drawn path
         assert set(report.errors) == {"hermite", "geodesic"}
-        assert set(rows) == {24} and len(rows) == cfg.grid_points
+        # one X(t) per node for its SVD, one per grid point for its error
+        assert set(rows) == {24} and len(rows) == cfg.num_nodes + cfg.grid_points
 
     def test_sign_normalized_path_continuous(self, svd_data):
         _, d = svd_data
@@ -451,29 +461,30 @@ class TestSVDExperiment:
             assert rep.errors["hermite"][i] <= 1e-6
 
     def test_close_leading_gap_rejected_by_the_derivative(self, monkeypatch):
-        # W(t) = (1 + t) U diag(1, 0.5 + 1e-7, 0.5) V': a 1e-7 sigma_0 leading gap at every node
+        # W(t) = (1 + t) U diag(sigma) V', U 12 x 4, V 5 x 4, sampled at rank 3:
+        # sigma = (1, 0.5 + 1e-7, 0.5, 0) has a 1e-7 sigma_0 leading gap at
+        # every node; (1, 0.7, 0.5, 1e-3) is of numerical rank 4 at every node
         rng = np.random.default_rng(0)
-        u = linalg.qr_econ(rng.standard_normal((12, 3))).q
-        v = linalg.qr_econ(rng.standard_normal((5, 3))).q
-        y = u @ np.diag([1.0, 0.5 + 1e-7, 0.5]) @ v.T
+        u = linalg.qr_econ(rng.standard_normal((12, 4))).q
+        v = linalg.qr_econ(rng.standard_normal((5, 4))).q
         nodes = np.array([0.0, 0.5])
+        for sigma, guard, loose in (((1.0, 0.5 + 1e-7, 0.5, 0.0), "SVD_GAP_EPS", 1e-8),
+                                    ((1.0, 0.7, 0.5, 1e-3), "SVD_RANK_EPS", 1e-2)):
+            y = (u * sigma) @ v.T
 
-        def w(t):
-            return (1.0 + t) * y
+            def w(t, y=y):
+                return (1.0 + t) * y
 
-        def w_dot(t):
-            return y
+            def w_dot(t, y=y):
+                return y
 
-        def svd(t):
-            u_t, sigma, v_t = linalg.svd_full(w(t))
-            return u_t[:, :3], sigma, v_t[:, :3]
-
-        with pytest.raises(DomainError):
-            calculus.diff_svd_truncated(w_dot(0.0), svd(0.0))
-        assert ex._sample_svd_path(w, w_dot, svd, nodes) is None
-        # the sampler has no threshold of its own: it follows the derivative's
-        monkeypatch.setattr(calculus, "SVD_GAP_EPS", 1e-8)
-        assert ex._sample_svd_path(w, w_dot, svd, nodes) is not None
+            with pytest.raises(DomainError):
+                calculus.diff_svd_truncated(y, (u[:, :3], linalg.svd_full(y)[1], v[:, :3]))
+            assert ex._sample_svd_path(w, w_dot, 3, nodes) is None, guard
+            # the sampler has no threshold of its own: it follows the derivative's
+            with monkeypatch.context() as patch:
+                patch.setattr(calculus, guard, loose)
+                assert ex._sample_svd_path(w, w_dot, 3, nodes) is not None, guard
 
     def test_m_below_r_rejected(self):
         cfg = ex.ExperimentConfig(n=40, r=6, m=4)
@@ -532,33 +543,11 @@ class TestTangentVsManifold:
         assert rep.failures == {}
 
 
-def _record_kernel_logs(monkeypatch):
-    """A list that gets one entry per later ``stiefel.stiefel_log`` call: the inputs of its kernel logs.
-
-    Each input of ``linalg.logm`` is kept as a (targets, 2r, 2r) stack: one
-    matrix for a single log, one per live target for a stacked one.
-    """
-    calls = []
-    logm, log = linalg.logm, stiefel.stiefel_log
-
-    def spy_logm(v):
-        calls[-1].append(v.reshape(-1, *v.shape[-2:]).copy())
-        return logm(v)
-
-    def spy_log(*args, **kwargs):
-        calls.append([])
-        return log(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "logm", spy_logm)
-    monkeypatch.setattr(stiefel, "stiefel_log", spy_log)
-    return calls
-
-
 def _scalar_tangent_vs_manifold(config, data, calls):
     """The tangent-vs-manifold study on ``data`` as a loop of single logs per grid point, the oracle of its stacked logs.
 
     Returns (kept grid, relative, tangent and manifold errors, skipped grid)
-    and the indices into the ``_record_kernel_logs`` list ``calls`` of the
+    and the indices into the ``record_kernel_logs`` list ``calls`` of the
     logs from the arc centre and of the distance logs, in grid order.  The
     distance of identical points is 0 without a log, as ``stiefel.dist``.
     """
@@ -601,7 +590,7 @@ def test_stacked_logs_match_the_scalar_oracle(monkeypatch, n, r, m, seed, failin
     # on the sign of det(U'Y) before the loop
     paper = ex.COMMANDS["tangent-vs-manifold"].studies["tangent_vs_manifold"]
     config = dataclasses.replace(paper, n=n, r=r, m=m, seed=seed)
-    calls = _record_kernel_logs(monkeypatch)
+    calls = record_kernel_logs(monkeypatch)
     data, _ = ex._draw_lowrank_path(config)
     (kept, *errors, skipped), (centre_logs, dist_logs) = _scalar_tangent_vs_manifold(config, data, calls)
     singles = calls[:]
@@ -639,7 +628,7 @@ def _lowrank_distance(basis, usv, x) -> float:
 
 def _n_row_svd_interp(config):
     """The SVD study on the generator's n-row samples, scored by ``_lowrank_distance`` against Q4 X(t)."""
-    coordinates, (path, _, _) = ex._draw_lowrank_path(config)
+    coordinates, (path, _) = ex._draw_lowrank_path(config)
     data = ex.gen_lowrank_svd_experiment(config)
     grid = ex._uniform_grid(data.nodes, config.grid_points)
     failures: dict[str, str] = {}
@@ -879,7 +868,7 @@ class TestTransportAccuracy:
     def test_sweep_cost(self, monkeypatch, kernel_calls):
         # one log for the velocity, Log_q(p) once, and a central difference
         # (2 logs, 2 exps) per step, whose 12 logs are one stacked call
-        calls = spy_kernel_logs(monkeypatch)
+        calls = record_kernel_logs(monkeypatch)
         ex.run_transport_accuracy(ex.ExperimentConfig(n=40, r=3))
         assert kernel_calls == {"log": 14, "exp": 12}
         assert len(calls) == 3
@@ -1232,6 +1221,7 @@ class TestCLI:
 
     def test_bound_check(self, tmp_path, capsys):
         out = tmp_path / "bounds.csv"
+        out.write_text("stale\n")  # --out replaces a file, not appends to it
         code = cli.main(["bound-check", "--n", "30", "--r", "3", "--seed", "4",
                          "--out", str(out)])
         assert code == 0
@@ -1240,14 +1230,22 @@ class TestCLI:
         assert len(lines) == 4
 
     def test_methods_flag(self, tmp_path):
+        # blanks around a name and an empty entry are not method names
         out = tmp_path / "qr.csv"
         code = cli.main([
             "qr-interp", "--n", "30", "--r", "3", "--nodes", "4", "--seed", "2",
-            "--methods", "hermite,geodesic", "--out", str(out),
+            "--methods", " hermite , geodesic,", "--out", str(out),
         ])
         assert code == 0
         rep = ex.parse_report(out.read_text())
         assert set(rep.errors) == {"hermite", "geodesic"}
+
+    @pytest.mark.parametrize("interval", ["-1,0,1", "0"])
+    def test_interval_needs_two_ends(self, interval, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["qr-interp", "--n", "12", "--r", "3", f"--interval={interval}"])
+        assert info.value.code == 2
+        assert f"expected 'a,b', got '{interval}'" in capsys.readouterr().err
 
 
 class TestStudies:

@@ -12,7 +12,7 @@ from stiefel_hermite import interpolate as interp
 from stiefel_hermite import stiefel
 from stiefel_hermite.errors import ArcFitError, DomainError, PreconditionError, StiefelLogError
 
-from conftest import far_pair, far_samples, knot_residuals, make_samples, spy_kernel_logs
+from conftest import far_pair, far_samples, kernel_log_counts, knot_residuals, make_samples, record_kernel_logs
 
 
 @pytest.fixture
@@ -169,9 +169,10 @@ class TestArc:
     def test_at_most_six_kernel_logs(self, monkeypatch):
         # an arc's one log, Log_q(p), takes 5-6 kernel logs
         arcs = self._arcs()
-        counts = spy_kernel_logs(monkeypatch)
+        calls = record_kernel_logs(monkeypatch)
         for s0, s1, centering in arcs:
             interp.fit_arc(s0, s1, centering=centering)
+        counts = kernel_log_counts(calls)
         assert len(counts) == len(arcs) and max(counts) <= 6
 
     def test_far_samples_raise_arc_fit_error(self):

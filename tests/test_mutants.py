@@ -325,3 +325,22 @@ def test_scan_hands_out_the_next_factor_mutant(monkeypatch):
         test_experiments.TestQRExperiment().test_grid_factors_are_the_q_factors_of_the_grid(100, 6)
     with pytest.raises(AssertionError):
         test_experiments.TestCoordinates().test_match_the_n_row_pipeline("qr_interp_n500_r10")
+
+
+def test_product_without_z_dot_mutant(monkeypatch):
+    # Wdot = Ydot Z without its Y Zdot term; the samples and the n-row
+    # w_dot share the rule, so only a difference of w itself sees it
+    partial_rule = _source_mutant(ex._product, " + y(t) @ _cubic_dot(zs, t)", "")
+    monkeypatch.setattr(ex, "_product", partial_rule)
+    cfg = ex.ExperimentConfig(n=80, r=5, m=30, interval=(0.0, 0.5), num_nodes=2, seed=0)
+    with pytest.raises(AssertionError):
+        test_experiments.TestSVDExperiment().test_derivative_matches_fd((cfg, ex.gen_lowrank_svd_experiment(cfg)))
+
+
+def test_sampler_cuts_sigma_to_rank_mutant(monkeypatch):
+    # the sampler hands the derivative only the r leading singular values,
+    # so its rank test sees no trailing one
+    cut = _source_mutant(ex._sample_svd_path, "return u[:, :r], sigma, v[:, :r]", "return u[:, :r], sigma[:r], v[:, :r]")
+    monkeypatch.setattr(ex, "_sample_svd_path", cut)
+    with pytest.raises(AssertionError, match="SVD_RANK_EPS"):
+        test_experiments.TestSVDExperiment().test_close_leading_gap_rejected_by_the_derivative(monkeypatch)

@@ -258,7 +258,7 @@ class QRExperimentData:
     Every sample and reference is Q4 times the Q-factor of the path's k x r
     coordinates C(t) (see ``_CubicPath``), with no n-row factorization: the
     samples from the factors of ``_draw_qr_path``'s stacked scan, and
-    ``reference`` and ``sample`` at any t from one k-row QR each.
+    ``reference`` at any t from one k-row QR.
     """
 
     path: _CubicPath
@@ -267,10 +267,6 @@ class QRExperimentData:
 
     def reference(self, t: float) -> stiefel.StiefelPoint:
         return stiefel.StiefelPoint(self.path.basis @ linalg.qr_econ(self.path.coordinates(t)).q)
-
-    def sample(self, t: float) -> interpolate.HermiteSample:
-        """The Q-factor at t with its velocity."""
-        return _lift(self.path.basis, _q_sample(self.path, t, linalg.qr_econ(self.path.coordinates(t))))
 
 
 def _seeded_draw(config: ExperimentConfig, draw, warning: str, failure: str):
@@ -573,14 +569,18 @@ def gen_lowrank_svd_experiment(config: ExperimentConfig) -> SVDExperimentData:
 
 
 def _interpolated_sigma(data: SVDExperimentData, method: str, t: float) -> np.ndarray:
-    """The r singular values at t: cubic Hermite in the samples' values and slopes, or linear."""
+    """The r singular values at t, by the coefficient rule of the method's U and V curves.
+
+    The Hermite method combines the nodes' values and slopes with
+    ``interpolate.hermite_coeffs``, the geodesic one their values with the
+    segment fraction ``interpolate._geodesic_coeffs``.
+    """
     i = interpolate._segment_index(data.nodes, t)
-    t0, t1 = data.nodes[i], data.nodes[i + 1]
     v0, v1 = data.sigma_values[i], data.sigma_values[i + 1]
     if method == "hermite":
-        slopes = data.sigma_slopes
-        return interpolate.euclid_hermite(v0, v1, slopes[i], slopes[i + 1], t, t0, t1)
-    s = (t - t0) / (t1 - t0)
+        a0, a1, b0, b1 = interpolate.hermite_coeffs(t, data.nodes[i], data.nodes[i + 1])
+        return a0 * v0 + a1 * v1 + b0 * data.sigma_slopes[i] + b1 * data.sigma_slopes[i + 1]
+    (s,) = interpolate._geodesic_coeffs(data.nodes, i, t)
     return (1.0 - s) * v0 + s * v1
 
 

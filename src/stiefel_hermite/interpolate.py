@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus, linalg, stiefel
-from .errors import ArcFitError, DomainError, PreconditionError, ShapeError, StiefelLogError
+from .errors import ArcFitError, DomainError, PreconditionError, StiefelLogError
 
 CENTERINGS = ("q", "p")
 
@@ -59,15 +59,6 @@ def hermite_coeffs(t: float, t0: float, t1: float) -> tuple[float, float, float,
     s = (t - t0) / span
     a1 = s * s * (3.0 - 2.0 * s)
     return 1.0 - a1, a1, span * s * (1.0 - s) ** 2, span * s * s * (s - 1.0)
-
-
-def euclid_hermite(p, q, v0, v1, t: float, t0: float, t1: float) -> np.ndarray:
-    """Classical cubic Hermite combination a0 p + a1 q + b0 v0 + b1 v1."""
-    a0, a1, b0, b1 = hermite_coeffs(t, t0, t1)
-    p, q, v0, v1 = (np.asarray(x, dtype=float) for x in (p, q, v0, v1))
-    if not (p.shape == q.shape == v0.shape == v1.shape):
-        raise ShapeError("euclid_hermite: data shapes disagree")
-    return a0 * p + a1 * q + b0 * v0 + b1 * v1
 
 
 @dataclass(frozen=True)

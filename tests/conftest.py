@@ -141,6 +141,17 @@ def rotated_copy(rng, arrays, reflections=4):
     return out
 
 
+def q_factor_sample(data, t):
+    """The Hermite sample of a ``QRExperimentData``'s Q-factor at any t, on St(n, r).
+
+    One k-row QR of the coordinates C(t), read by ``experiments._q_sample``
+    and lifted by ``experiments._lift``, both looked up at call time, as the
+    draw samples its nodes.
+    """
+    path = data.path
+    return experiments._lift(path.basis, experiments._q_sample(path, t, linalg.qr_econ(path.coordinates(t))))
+
+
 def record_kernel_logs(monkeypatch):
     """A list that gets one entry per later ``stiefel.stiefel_log`` call: the inputs of its kernel logs.
 

@@ -214,6 +214,16 @@ class TestDiffSVDTruncated:
         assert np.linalg.norm(v_dot - (vp - vm) / (2 * h)) <= 1e-6 * np.linalg.norm(v_dot)
         assert np.linalg.norm(sigma_dot - (sp - sm) / (2 * h)) <= 1e-6 * np.linalg.norm(sigma_dot)
 
+    def test_gap_at_the_threshold_accepted(self):
+        # only a gap below SVD_GAP_EPS * sigma_0 is refused; at sigma_0 = 1e6
+        # the threshold is 1.0 and the gap 1e6 - 999999 is 1.0, both exact
+        u, v, y_dot = np.eye(4)[:, :2], np.eye(3)[:, :2], np.ones((4, 3))
+        s0 = 1e6
+        assert calculus.SVD_GAP_EPS * s0 == 1.0
+        calculus.diff_svd_truncated(y_dot, (u, np.array([s0, s0 - 1.0, 0.0]), v))
+        with pytest.raises(DomainError, match="SVD_GAP_EPS"):
+            calculus.diff_svd_truncated(y_dot, (u, np.array([s0, np.nextafter(s0 - 1.0, s0), 0.0]), v))
+
     def test_shapes_rejected(self, rng):
         # the rank is read off the factors, so u and v must agree on it
         w, w_dot, _ = rank_r_path(rng, 20, 10, 3)
@@ -343,6 +353,19 @@ class TestTransport:
         ud = q.u.T @ out.delta
         assert np.linalg.norm(ud + ud.T) < 1e-14  # measured 1.2e-16
         assert np.array_equal(out.base.u, q.u)
+
+    def test_reads_only_the_tangent_part(self, rng):
+        # v_p + p S with S symmetric passes the tangency check at 1e-10 and
+        # has the tangent part v_p: the transport drops p S with the
+        # symmetric part of Omega_11 (measured at most 3.2e-16 relative)
+        for n, r in ((25, 4), (5, 3)):
+            p = stiefel.random_point(rng, n, r)
+            delta = stiefel.stiefel_log(stiefel.stiefel_exp(stiefel.random_tangent(rng, p, 0.5)), p)
+            v = stiefel.random_tangent(rng, p)
+            g = rng.standard_normal((r, r))
+            off = stiefel.TangentVector(p, v.delta + p.u @ (1e-10 * (g + g.T)))
+            moved = calculus.transport_velocity(delta, off).delta - calculus.transport_velocity(delta, v).delta
+            assert np.linalg.norm(moved) <= 1e-14 * np.linalg.norm(v.delta)
 
     @staticmethod
     def _round_trip(delta, v):

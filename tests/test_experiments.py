@@ -4,6 +4,7 @@ import importlib.util
 import math
 import re
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from stiefel_hermite import interpolate as interp
 from stiefel_hermite import linalg, stiefel
 from stiefel_hermite.errors import DomainError, PreconditionError, StiefelLogError
 
-from conftest import assert_v_shape, far_samples, record_kernel_logs, rotated_copy
+from conftest import assert_v_shape, far_samples, q_factor_sample, record_kernel_logs, rotated_copy
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -132,7 +133,7 @@ class TestQRExperiment:
         cfg = ex.ExperimentConfig(n=30, r=3, num_nodes=3, seed=0)
         frozen = self._frozen(ex.gen_qr_experiment(cfg))
         for t in frozen.nodes:
-            assert np.linalg.norm(frozen.sample(t).velocity.delta) < 1e-13
+            assert np.linalg.norm(q_factor_sample(frozen, t).velocity.delta) < 1e-13
 
     @staticmethod
     def _frozen(data):
@@ -156,7 +157,7 @@ class TestQRExperiment:
         for t in np.linspace(data.nodes[0], data.nodes[-1], 21):
             direct = linalg.qr_econ(y0 + t * y1 + t * t * y2 + t**3 * y3)
             assert np.linalg.norm(data.reference(t).u - direct.q) <= 1e-13
-            sample = data.sample(t)
+            sample = q_factor_sample(data, t)
             assert np.linalg.norm(sample.point.u - direct.q) <= 1e-13
             q_dot = calculus.diff_qr(y1 + 2.0 * t * y2 + 3.0 * t * t * y3, direct)
             assert np.linalg.norm(sample.velocity.delta - q_dot) <= 1e-13
@@ -233,7 +234,7 @@ def _nudged_first_row(point):
 def _qr_family(cfg):
     """The QR study's path: Hermite samples of its Q-factor at given nodes."""
     data = ex.gen_qr_experiment(cfg)
-    return lambda nodes: ([data.sample(t) for t in nodes], data.reference)
+    return lambda nodes: ([q_factor_sample(data, t) for t in nodes], data.reference)
 
 
 def _snapshot_family(cfg):
@@ -260,24 +261,34 @@ class TestConvergenceOrder:
     """
 
     NODES = (5, 9, 17, 33)  # uniform: the spacing halves three times
+    FITS = {"q": ("hermite", "geodesic"), "p": ("hermite",)}  # centering: the methods scored
 
-    def orders(self, family, config, centering, methods) -> dict[str, np.ndarray]:
-        cfg = dataclasses.replace(config, centering=centering, methods=methods, grid_points=401)
+    def orders(self, family, config) -> dict[str, dict[str, np.ndarray]]:
+        """The observed orders of ``FITS``, by centering and method.
+
+        The family is drawn once, and each node set is sampled and given its
+        references once: the draw does not read the centering.
+        """
+        cfg = dataclasses.replace(config, grid_points=401)
         sample = family(cfg)
-        errs = []
+        errs = {centering: [] for centering in self.FITS}
         for k in self.NODES:
             nodes = np.linspace(*cfg.interval, k)
             samples, reference = sample(nodes)
-            errs.append(ex._factor_study(cfg, samples, nodes, _grid_references(cfg, nodes, reference)).max_rel)
-        return {m: np.log2([a[m] / b[m] for a, b in zip(errs, errs[1:])]) for m in methods}
+            references = list(_grid_references(cfg, nodes, reference))
+            for centering, methods in self.FITS.items():
+                fit = dataclasses.replace(cfg, centering=centering, methods=methods)
+                errs[centering].append(ex._factor_study(fit, samples, nodes, references).max_rel)
+        return {centering: {m: np.log2([a[m] / b[m] for a, b in zip(e, e[1:])]) for m in self.FITS[centering]}
+                for centering, e in errs.items()}
 
     @pytest.mark.parametrize("family, config", [
         (_qr_family, ex.ExperimentConfig(n=40, r=3, interval=(-1.0, 1.0), seed=0)),
         (_snapshot_family, ex.ExperimentConfig(n=101, r=3, interval=(1.8, 2.2))),
     ], ids=["qr", "snapshot"])
     def test_hermite_fourth_and_geodesic_second_order(self, family, config):
-        q = self.orders(family, config, "q", ("hermite", "geodesic"))
-        p = self.orders(family, config, "p", ("hermite",))
+        orders = self.orders(family, config)
+        q, p = orders["q"], orders["p"]
         assert np.all(q["hermite"] >= 3.7), q["hermite"]
         assert np.all(p["hermite"] >= 3.7), p["hermite"]
         assert np.all(np.abs(q["geodesic"] - 2.0) <= 0.3), q["geodesic"]
@@ -505,6 +516,42 @@ class TestSVDExperiment:
             )
             reps[centering] = ex.run_svd_interp(cfg).max_rel["hermite"]
         assert abs(reps["q"] - reps["p"]) <= 0.05 * reps["q"]
+
+
+class TestInterpolatedSigma:
+    """The singular values between the nodes, by the coefficient rule of each method's U and V curves."""
+
+    NODES = np.array([-0.4, 0.1, 0.35, 1.0])
+
+    def test_hermite_basis_and_segment_fraction(self):
+        nodes = self.NODES
+        powers = nodes[:, np.newaxis] ** np.arange(4)
+        # sigma_j(t) = sum_k c[k, j] t^k, a cubic in each of r = 3 columns
+        c = np.array([[3.0, 2.0, 1.0], [0.5, -1.0, 0.25], [-2.0, 0.75, 1.5], [1.0, 0.5, -3.0]])
+        cubic = types.SimpleNamespace(nodes=nodes, sigma_values=powers @ c,
+                                      sigma_slopes=(powers[:, :3] * np.arange(1, 4)) @ c[1:])
+        # values and slopes that no one cubic fits: a C^1 spline with kinks in its second derivative
+        rng = np.random.default_rng(0)
+        spline = types.SimpleNamespace(nodes=nodes, sigma_values=rng.uniform(1.0, 2.0, (4, 3)),
+                                       sigma_slopes=rng.uniform(-1.0, 1.0, (4, 3)))
+        for data in (cubic, spline):
+            for method in ("hermite", "geodesic"):
+                for t, values in zip(nodes, data.sigma_values):
+                    assert np.array_equal(ex._interpolated_sigma(data, method, t), values)
+        for i, (t0, t1) in enumerate(zip(nodes, nodes[1:])):
+            for t in np.linspace(t0, t1, 7)[1:-1]:
+                exact = (t ** np.arange(4)) @ c
+                assert np.max(np.abs(ex._interpolated_sigma(cubic, "hermite", t) - exact)) <= 1e-13
+                v0, v1 = spline.sigma_values[i], spline.sigma_values[i + 1]
+                fraction = v0 + (t - t0) / (t1 - t0) * (v1 - v0)
+                assert np.allclose(ex._interpolated_sigma(spline, "geodesic", t), fraction, rtol=1e-14, atol=0.0)
+        # at an interior node the kink in the second derivative costs the
+        # central difference about h times its size: 1.9e-6 on these data
+        h = 1e-7
+        for t, slopes in zip(nodes[1:-1], spline.sigma_slopes[1:-1]):
+            fd = (ex._interpolated_sigma(spline, "hermite", t + h)
+                  - ex._interpolated_sigma(spline, "hermite", t - h)) / (2.0 * h)
+            assert np.max(np.abs(fd - slopes)) <= 1e-5
 
 
 @pytest.fixture(scope="module")

@@ -59,50 +59,6 @@ class TestHermiteCoeffs:
             assert (f(t1 + eps) - f(t1 - eps)) / (2 * eps) == pytest.approx(d1, abs=1e-4)
 
 
-class TestEuclidHermite:
-    def test_zero_data(self):
-        out = interp.euclid_hermite(
-            np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0.3, 0.0, 1.0
-        )
-        assert np.array_equal(out, np.zeros(3))
-
-    def test_space_curve_conditions(self):
-        # start (1,0,0) with velocity (0.5,0.5,0), end at origin with velocity (0,0,1)
-        p = np.array([1.0, 0.0, 0.0])
-        q = np.zeros(3)
-        v0 = np.array([0.5, 0.5, 0.0])
-        v1 = np.array([0.0, 0.0, 1.0])
-        c = lambda t: interp.euclid_hermite(p, q, v0, v1, t, 0.0, 1.0)
-        assert np.allclose(c(0.0), p)
-        assert np.allclose(c(1.0), q)
-        h = 1e-7
-        assert np.allclose((c(h) - c(0.0)) / h, v0, atol=1e-5)
-        assert np.allclose((c(1.0) - c(1.0 - h)) / h, v1, atol=1e-5)
-
-    def test_matches_componentwise_polynomial(self, rng):
-        # interpolating the coefficients of a linear combination equals
-        # componentwise polynomial Hermite interpolation
-        p, q, v0, v1 = rng.standard_normal((4, 6))
-        t0, t1 = 0.2, 1.7
-        for t in np.linspace(t0, t1, 7):
-            ours = interp.euclid_hermite(p, q, v0, v1, t, t0, t1)
-            per_coord = np.array(
-                [
-                    interp.euclid_hermite(
-                        p[j : j + 1], q[j : j + 1], v0[j : j + 1], v1[j : j + 1], t, t0, t1
-                    )[0]
-                    for j in range(6)
-                ]
-            )
-            assert np.allclose(ours, per_coord, atol=1e-14)
-
-    def test_linearity_in_data(self, rng):
-        p, q, v0, v1 = rng.standard_normal((4, 5))
-        t = 0.37
-        scaled = interp.euclid_hermite(3 * p, 3 * q, 3 * v0, 3 * v1, t, 0.0, 1.0)
-        assert np.allclose(scaled, 3 * interp.euclid_hermite(p, q, v0, v1, t, 0.0, 1.0))
-
-
 class TestArc:
     """One arc: the composite of two samples."""
 

@@ -10,6 +10,17 @@ from stiefel_hermite.errors import DomainError, PreconditionError, ShapeError
 from conftest import expm_series
 
 
+class TestFrobenius:
+    def test_is_numpy_norm_bit_for_bit(self):
+        # LAPACK's factors are Fortran-ordered, where a sum in C order differs
+        # in the last bits: at St(1001, 6) and St(7, 3) here
+        rng = np.random.default_rng(0)
+        for n, r in ((40, 10), (1001, 6), (7, 3)):
+            x = rng.standard_normal((n, r))
+            for a in (linalg.qr_econ(x).q, np.asfortranarray(x), x, x.T):
+                assert linalg._frobenius(a) == np.linalg.norm(a)
+
+
 class TestExpm:
     def test_zero_matrix(self):
         assert np.allclose(linalg.expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)

@@ -344,3 +344,12 @@ def test_sampler_cuts_sigma_to_rank_mutant(monkeypatch):
     monkeypatch.setattr(ex, "_sample_svd_path", cut)
     with pytest.raises(AssertionError, match="SVD_RANK_EPS"):
         test_experiments.TestSVDExperiment().test_close_leading_gap_rejected_by_the_derivative(monkeypatch)
+
+
+def test_sigma_slopes_swapped_mutant(monkeypatch):
+    # b0 weighs the right end's slope and b1 the left's: the values at the
+    # nodes stay exact, the curve between them does not
+    swapped = _source_mutant(ex._interpolated_sigma, "a0, a1, b0, b1 = ", "a0, a1, b1, b0 = ")
+    monkeypatch.setattr(ex, "_interpolated_sigma", swapped)
+    with pytest.raises(AssertionError):
+        test_experiments.TestInterpolatedSigma().test_hermite_basis_and_segment_fraction()
